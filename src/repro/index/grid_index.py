@@ -218,9 +218,8 @@ class GridIndex:
         # CSR twin of ``_buckets``: ``_csr_entries[_csr_offsets[b] :
         # _csr_offsets[b + 1]]`` is bucket ``b``'s member list (b = ix *
         # ny + iy).  ``skeys`` is sorted, so a dense offsets table is one
-        # searchsorted — done lazily on the first :meth:`probe_frontier`,
-        # since per-cell marking indexes only ever take the per-query
-        # probe paths.
+        # searchsorted — done lazily on the first :meth:`probe_frontier`
+        # (an index that only serves scalar ``search`` never needs it).
         self._csr_keys = skeys
         self._csr_offsets_cache = None
         self._csr_entries = sidx
@@ -517,7 +516,9 @@ class GridIndex:
             scanned,
         )
 
-    def probe_frontier(self, batch_q: RectBatch, pos, d: float = 0.0):
+    def probe_frontier(
+        self, batch_q: RectBatch, pos, d: float = 0.0, scan: bool = False
+    ):
         """Bulk probe: one query per row ``pos[i]`` of ``batch_q``.
 
         Returns ``(parents, entries)`` — aligned int64 arrays holding,
@@ -530,6 +531,15 @@ class GridIndex:
         one global first-occurrence dedup.  ``probes`` is charged per
         scanned slot — duplicates included — as the individual searches
         would charge.  Only on a ``kernel="numpy"`` index.
+
+        With ``scan=True`` nothing is charged and the result is
+        ``(parents, entries, positions, scanned)``: per candidate its
+        0-based flat scan position within its query (duplicates
+        included), per query the slots a fully-exhausted scan examines —
+        what a caller needs to charge each query as the lazy
+        :meth:`search` generator would (``positions[k] + 1`` when it
+        abandons the scan at candidate ``k``, ``scanned[q]`` when it
+        exhausts query ``q``).
         """
         np = self._np
         x = batch_q.x[pos]
@@ -569,14 +579,17 @@ class GridIndex:
             bsel = ix_lo * ny + iy_lo
             start = offsets[bsel]
             cnt = np.where(nb > 0, offsets[bsel + 1] - start, 0)
+            scanned = cnt
             total = int(cnt.sum())
-            self.probes += total
+            if not scan:
+                self.probes += total
             if not total:
-                return self._empty, self._empty
+                empty = self._empty
+                return (empty, empty, empty, scanned) if scan else (empty, empty)
             parent = np.repeat(np.arange(m, dtype=np.int64), cnt)
             base = np.cumsum(cnt) - cnt
-            flat = np.arange(total, dtype=np.int64) - base[parent] + start[parent]
-            e = self._csr_entries[flat]
+            position = np.arange(total, dtype=np.int64) - base[parent]
+            e = self._csr_entries[position + start[parent]]
         else:
             # Level 1: queries -> buckets, x-major within each query
             # (the scalar scan order).
@@ -589,15 +602,24 @@ class GridIndex:
             start = offsets[bsel]
             cnt = offsets[bsel + 1] - start
             # Level 2: buckets -> slots.
-            total = int(cnt.sum())
-            self.probes += total
+            bend = np.cumsum(cnt)
+            total = int(bend[-1])
+            if scan:
+                # Slots before each query's first bucket; a query's scan
+                # covers the slots up to the next query's first bucket.
+                qstart = np.concatenate(([0], bend))[np.append(qbase, nbuckets)]
+                scanned = qstart[1:] - qstart[:-1]
+            else:
+                self.probes += total
             if not total:
-                return self._empty, self._empty
+                empty = self._empty
+                return (empty, empty, empty, scanned) if scan else (empty, empty)
             bidx = np.repeat(np.arange(nbuckets, dtype=np.int64), cnt)
-            bbase = np.cumsum(cnt) - cnt
-            flat = np.arange(total, dtype=np.int64) - bbase[bidx] + start[bidx]
-            e = self._csr_entries[flat]
+            flat = np.arange(total, dtype=np.int64)
+            e = self._csr_entries[flat - (bend - cnt)[bidx] + start[bidx]]
             parent = qidx[bidx]
+            if scan:
+                position = flat - qstart[parent]
             # Global first-occurrence dedup per (query, entry): the flat
             # array is query-major in scan order, so the first global
             # occurrence of a key is the first within its query, and
@@ -607,6 +629,8 @@ class GridIndex:
             keep = np.sort(np.unique(parent * self._n + e, return_index=True)[1])
             parent = parent[keep]
             e = e[keep]
+            if scan:
+                position = position[keep]
         batch = self.batch
         keep = (
             (qx_min[parent] <= batch.x_max[e])
@@ -614,6 +638,8 @@ class GridIndex:
             & (qy_min[parent] <= batch.y_max[e])
             & (batch.y_min[e] <= qy_max[parent])
         )
+        if scan:
+            return parent[keep], e[keep], position[keep], scanned
         return parent[keep], e[keep]
 
     def entry_at(self, i: int) -> Entry:

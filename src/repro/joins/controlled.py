@@ -214,26 +214,26 @@ def _make_mark_reducer(grid: GridPartitioning, marking: MarkingEngine):
         ctx.add_compute(decision.ops)
         # ``starts_here`` is exactly the received rectangles this cell
         # owns, in received order — the ownership filter already ran
-        # inside select_marked.  Custom strategies may omit it.
+        # inside select_marked — and ``marked_flags`` tags them one for
+        # one.  Custom strategies may omit either.
         starts = decision.starts_here
+        flags = decision.marked_flags
         if starts is None:
-            starts = (
+            starts = [
                 (dataset, rid, rect)
                 for dataset, rects in received.items()
                 for rid, rect in rects
                 if grid.cell_id_of(rect) == cell_id
-            )
-        marked_set = decision.marked
+            ]
+            flags = None
+        if flags is None:
+            marked_set = decision.marked
+            flags = [(dataset, rid) in marked_set for dataset, rid, __ in starts]
         tagged = [
-            TaggedRect(
-                dataset=dataset,
-                rid=rid,
-                rect=rect,
-                marked=(dataset, rid) in marked_set,
-            )
-            for dataset, rid, rect in starts
+            TaggedRect(dataset, rid, rect, flag)
+            for (dataset, rid, rect), flag in zip(starts, flags)
         ]
-        n_marked = sum(1 for t in tagged if t.marked)
+        n_marked = flags.count(True)
         if n_marked:
             ctx.counter(JOIN_COUNTERS, CNT_MARKED, n_marked)
         ctx.emit_all(tagged)
@@ -270,11 +270,12 @@ def _make_route_mapper(grid: GridPartitioning, limits: ReplicationLimits):
 def _make_route_batch_mapper(grid: GridPartitioning, limits: ReplicationLimits):
     """Columnar twin of :func:`_make_route_mapper`.
 
-    Target cells are computed per group — unmarked rectangles in one
-    ownership batch, marked ones batched per replication bound (bounds
-    differ per dataset under C-Rep-L) — then scattered back into record
-    order and flushed in a single ``emit_batch`` call, reproducing the
-    scalar mapper's per-bucket emission order exactly.
+    The split's rectangle columns are built once.  Owner cells come from
+    one ownership batch; marked records — gathered per replication
+    bound, which differs per dataset under C-Rep-L — get their ``f2``
+    cell lists instead.  The targets are laid out record-major and
+    flushed in a single ``emit_batch`` call, reproducing the scalar
+    mapper's per-bucket emission order exactly.
     """
     np = numpy_or_none()
     metric = limits.metric
@@ -282,52 +283,50 @@ def _make_route_batch_mapper(grid: GridPartitioning, limits: ReplicationLimits):
     def batch_mapper(split_entries, ctx: MapContext, batch=None) -> None:
         if not split_entries:
             return
-        records = [rec for __, __, rec, __ in split_entries]
-        n = len(records)
-        targets: list = [None] * n
-        unmarked = [k for k, t in enumerate(records) if not t.marked]
-        if unmarked:
-            ub = RectBatch.from_rects(np, (records[k].rect for k in unmarked))
-            for k, cid in zip(
-                unmarked, _kt.cell_ids_of_starts(np, grid, ub).tolist()
-            ):
-                targets[k] = cid
-        by_bound: dict[float, list[int]] = {}
-        for k, tagged in enumerate(records):
-            if tagged.marked:
-                by_bound.setdefault(limits.bound_for(tagged.dataset), []).append(k)
-        for bound, idxs in by_bound.items():
-            mb = RectBatch.from_rects(np, (records[k].rect for k in idxs))
-            if math.isinf(bound):
-                cids, counts = _kt.quadrant_cell_lists(np, grid, mb)
-            else:
-                cids, counts = _kt.quadrant_cell_lists(
-                    np, grid, mb, d=bound, metric=metric
-                )
-            pos = 0
-            for k, cnt in zip(idxs, counts):
-                targets[k] = cids[pos : pos + cnt]
-                pos += cnt
-        flat_keys: list[int] = []
-        key_counts: list[int] = []
         values = []
         sizes = []
         # Route also ships RECT_SHUFFLE_CODEC — size once per dataset.
         size_cache: dict[str, int] = {}
-        for k, tagged in enumerate(records):
-            value = rect_value(tagged.dataset, tagged.rid, tagged.rect)
-            tgt = targets[k]
-            if tagged.marked:
-                flat_keys.extend(tgt)
-                key_counts.append(len(tgt))
-            else:
-                flat_keys.append(tgt)
-                key_counts.append(1)
+        by_bound: dict[float, list[int]] = {}
+        for k, (__, __, tagged, __) in enumerate(split_entries):
+            dataset = tagged.dataset
+            value = rect_value(dataset, tagged.rid, tagged.rect)
             values.append(value)
-            size = size_cache.get(tagged.dataset)
+            size = size_cache.get(dataset)
             if size is None:
-                size = size_cache[tagged.dataset] = ctx.pair_nbytes(0, value)
+                size = size_cache[dataset] = ctx.pair_nbytes(0, value)
             sizes.append(size)
+            if tagged.marked:
+                by_bound.setdefault(limits.bound_for(dataset), []).append(k)
+        if batch is None:
+            batch = RectBatch.from_rects(np, (e[2].rect for e in split_entries))
+        owners = _kt.cell_ids_of_starts(np, grid, batch)
+        if not by_bound:
+            ctx.emit_batch(owners, [1] * len(values), values, sizes)
+            ctx.counter(JOIN_COUNTERS, CNT_AFTER_REPLICATION, len(values))
+            return
+        key_counts = np.ones(len(values), dtype=np.int64)
+        projected = np.ones(len(values), dtype=bool)
+        groups = []
+        for bound, rows in by_bound.items():
+            cids, counts = _kt.quadrant_cell_lists(
+                np,
+                grid,
+                batch.take(rows),
+                d=None if math.isinf(bound) else bound,
+                metric=metric,
+            )
+            key_counts[rows] = counts
+            projected[rows] = False
+            groups.append((rows, cids, counts))
+        first = np.cumsum(key_counts) - key_counts
+        flat_keys = np.empty(int(first[-1] + key_counts[-1]), dtype=np.int64)
+        flat_keys[first[projected]] = owners[projected]
+        for rows, cids, counts in groups:
+            run = np.repeat(np.cumsum(counts) - counts, counts)
+            flat_keys[
+                np.repeat(first[rows], counts) + np.arange(len(cids)) - run
+            ] = cids
         ctx.emit_batch(flat_keys, key_counts, values, sizes)
         ctx.counter(JOIN_COUNTERS, CNT_AFTER_REPLICATION, len(flat_keys))
 

@@ -27,12 +27,21 @@ The two C2 variants unify cleanly: with closed cell extents a rectangle
 crosses the boundary iff its distance to the nearest other cell is 0, so
 every outside edge imposes ``gap(u) <= d_edge`` with ``d_edge = 0`` for
 overlap.  A slot with several outside edges must satisfy the smallest.
+
+Two implementations, one result.  The reference
+(:meth:`MarkingEngine._select_marked_scalar`, all of ``kernel="python"``)
+runs one lazy backtracking search per rectangle.  The numpy kernel
+(:meth:`MarkingEngine._select_marked_batched`) searches every rectangle
+starting in the cell at once, one bulk index probe per plan step, and
+reproduces ``marked``, ``ops`` — down to the lazy probe charges — and
+``starts_here`` exactly (DESIGN.md §5.6).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any
 
 from repro.geometry.rectangle import Rect
 from repro.grid.cell import Cell
@@ -40,7 +49,7 @@ from repro.grid.partitioning import GridPartitioning
 from repro.index import make_index
 from repro.kernels import numpy_or_none
 from repro.kernels import transforms as _kt
-from repro.kernels.batch import RectBatch
+from repro.kernels.predicates import pair_mask, supports_triples
 from repro.query.graph import JoinGraph
 from repro.query.predicates import Overlap
 from repro.query.query import Query, Triple
@@ -75,6 +84,10 @@ class MarkingDecision:
     #: ``None`` from a custom marking strategy; the reducer then
     #: recomputes ownership itself.
     starts_here: list[tuple[str, int, Rect]] | None = None
+    #: ``marked`` as one flag per ``starts_here`` entry (``None`` from a
+    #: strategy that does not provide it; the reducer then looks each
+    #: start up in ``marked``)
+    marked_flags: list[bool] | None = None
 
 
 class MarkingEngine:
@@ -92,6 +105,14 @@ class MarkingEngine:
         self.index_kind = index_kind
         self.kernel = kernel
         self._np = numpy_or_none() if kernel == "numpy" else None
+        #: the numpy kernel searches all starts of a cell at once; it
+        #: needs the grid index's columns and a mask for every predicate
+        self._batched = (
+            self._np is not None
+            and index_kind == "grid"
+            and supports_triples(query.triples)
+        )
+        self._self_join = len(query.dataset_keys) < len(query.slots)
         self.graph = JoinGraph(query)
         self._subsets = {
             slot: self.graph.connected_subsets_containing(slot)
@@ -194,54 +215,49 @@ class MarkingEngine:
             dataset: make_index(self.index_kind, kernel=self.kernel, pairs=rects)
             for dataset, rects in received.items()
         }
+        # Same-dataset distinctness compares rids as an int column.
+        if self._batched and not (
+            self._self_join
+            and any(len(idx) and idx.rid_array is None for idx in indexes.values())
+        ):
+            return self._select_marked_batched(cell, received, indexes)
+        return self._select_marked_scalar(cell, received, indexes)
 
+    def _usable(self, slot: str, received) -> list[tuple[frozenset[str], dict, tuple]]:
+        """``(subset, requirements, plan)`` for the witness shapes ``slot``
+        can try at a cell that received ``received`` — fixed per cell, it
+        skips subsets where some slot's dataset sent nothing here."""
+        dataset_of = self.query.dataset_of
+        return [
+            (subset, self._requirements(subset), self._plan(subset, slot))
+            for subset in self._subsets[slot]
+            if all(dataset_of(s) in received for s in subset)
+        ]
+
+    # ------------------------------------------------------------------
+    # Reference path: one backtracking search per rectangle
+    # ------------------------------------------------------------------
+    def _select_marked_scalar(self, cell, received, indexes) -> MarkingDecision:
         # Per-rectangle C2 measure: distance to the nearest foreign cell,
         # plus the start-point owner id (reused for witness members
-        # below).  The numpy kernel computes both columnarly per bag,
-        # reusing the index's column arrays (same rects, same order).
-        np = self._np
-        # Nested per-dataset maps: the embedding search looks gaps up per
-        # probe candidate, so ``gap[dataset][rid]`` avoids building a
-        # ``(dataset, rid)`` tuple on every lookup in that hot loop.
+        # below).  Nested per-dataset maps: the embedding search looks
+        # gaps up per probe candidate, so ``gap[dataset][rid]`` avoids
+        # building a ``(dataset, rid)`` tuple on every lookup.
         gap: dict[str, dict[int, float]] = {}
         owner: dict[str, dict[int, int]] = {}
         starts_here: list[tuple[str, int, Rect]] = []
         for dataset, rects in received.items():
             gap_d = gap[dataset] = {}
             own_d = owner[dataset] = {}
-            if np is not None and rects:
-                batch = getattr(indexes[dataset], "batch", None)
-                if batch is None:
-                    batch = RectBatch.from_pairs(np, rects)
-                gaps = _kt.min_gaps_to_other_cell(np, self.grid, batch, cell).tolist()
-                cids = _kt.cell_ids_of_starts(np, self.grid, batch).tolist()
-                for (rid, rect), g, cid in zip(rects, gaps, cids):
-                    gap_d[rid] = g
-                    own_d[rid] = cid
-                    if cid == cell.cell_id:
-                        starts_here.append((dataset, rid, rect))
-            else:
-                for rid, rect in rects:
-                    gap_d[rid] = self.grid.min_gap_to_other_cell(rect, cell)
-                    cid = self.grid.cell_of(rect).cell_id
-                    own_d[rid] = cid
-                    if cid == cell.cell_id:
-                        starts_here.append((dataset, rid, rect))
+            for rid, rect in rects:
+                gap_d[rid] = self.grid.min_gap_to_other_cell(rect, cell)
+                cid = self.grid.cell_of(rect).cell_id
+                own_d[rid] = cid
+                if cid == cell.cell_id:
+                    starts_here.append((dataset, rid, rect))
 
         marked: set[tuple[str, int]] = set()
         ops = 0
-        # Probe results are memoized across the witness searches of one
-        # cell: the same (dataset, anchor rect, d) probe recurs across
-        # candidates and subsets.  The memo carries scan positions, so
-        # the searches still charge probes exactly as their lazy scalar
-        # generators would (see ``probe_batch``).
-        probe_cache: dict | None = {} if np is not None else None
-        # The subsets a slot can witness with are fixed per cell (they
-        # depend only on which datasets sent candidates here), as are
-        # their C2 requirement tables — hoisted out of the per-rectangle
-        # loop.  Order and ops accounting are unchanged: the filter and
-        # the requirement lookup never charged ops.
-        dataset_of = self.query.dataset_of
         usable: dict[str, list] = {}
         for dataset, rid, rect in starts_here:
             if (dataset, rid) in marked:
@@ -251,25 +267,12 @@ class MarkingEngine:
             for slot in self.query.slots_of_dataset(dataset):
                 cands = usable.get(slot)
                 if cands is None:
-                    cands = usable[slot] = [
-                        (subset, self._requirements(subset), self._plan(subset, slot))
-                        for subset in self._subsets[slot]
-                        # skip subsets where some slot has no candidates
-                        if all(dataset_of(s) in received for s in subset)
-                    ]
+                    cands = usable[slot] = self._usable(slot, received)
                 for subset, reqs, plan in cands:
                     if rect_gap > reqs[slot]:
                         continue  # the candidate itself fails C2 here
                     witness, probe_ops = self._find_embedding(
-                        subset,
-                        slot,
-                        (rid, rect),
-                        received,
-                        indexes,
-                        gap,
-                        probe_cache,
-                        reqs,
-                        plan,
+                        subset, slot, (rid, rect), received, indexes, gap, reqs, plan
                     )
                     ops += probe_ops
                     if witness is not None:
@@ -287,7 +290,6 @@ class MarkingEngine:
         ops += sum(idx.probes for idx in indexes.values())
         return MarkingDecision(marked=marked, ops=ops, starts_here=starts_here)
 
-    # ------------------------------------------------------------------
     def _find_embedding(
         self,
         subset: frozenset[str],
@@ -296,7 +298,6 @@ class MarkingEngine:
         received: dict[str, list[tuple[int, Rect]]],
         indexes,
         gap: dict[str, dict[int, float]],
-        probe_cache: dict | None = None,
         reqs: dict[str, float] | None = None,
         plan: tuple | None = None,
     ) -> tuple[dict[str, tuple[int, Rect]] | None, int]:
@@ -304,12 +305,8 @@ class MarkingEngine:
 
         ``fixed`` is pinned at slot ``start``; other slots draw from the
         received bags.  Returns ``(assignment | None, candidate_checks)``.
-
-        With ``probe_cache`` (numpy kernel), probes run eagerly through
-        :meth:`GridIndex.probe_batch` and are memoized; probe accounting
-        stays *lazy-exact*: a search abandoned after candidate ``j``
-        (witness found) charges only the slots scanned up to ``j``, as
-        the scalar generator would.
+        Probes are lazy: a search abandoned at a witness has charged its
+        index only the bucket slots scanned so far.
         """
         if reqs is None:
             reqs = self._requirements(subset)
@@ -340,45 +337,6 @@ class MarkingEngine:
             # the predicate.  The candidate check (and its op charge)
             # still runs; only the redundant re-test is skipped.
             anchor_settled = type(step.anchor.predicate) is Overlap
-            if probe_cache is not None and getattr(idx, "batch", None) is not None:
-                # Memoized eager probe.  Same candidate body as the
-                # scalar loop below; only the probe accounting differs —
-                # it is settled when the scan is abandoned or exhausted.
-                key = (dataset, id(anchor_rect), d)
-                hit = probe_cache.get(key)
-                if hit is None:
-                    hit = probe_cache[key] = idx.probe_batch(anchor_rect, d)
-                cands, pos_list, scanned = hit
-                for j, (rid, rect) in enumerate(cands):
-                    ops += 1
-                    if not (
-                        anchor_settled
-                        or anchor_holds(slot, rect, anchor_rect)
-                    ):
-                        continue
-                    if gap_d[rid] > req:
-                        continue  # fails C2 at this slot
-                    if any(assignment[s][0] == rid for s in same_dataset):
-                        continue
-                    ok = True
-                    for triple, other in step_checks:
-                        ops += 1
-                        if not triple.holds_with(
-                            slot, rect, assignment[other][1]
-                        ):
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    assignment[slot] = (rid, rect)
-                    if bind(depth + 1):
-                        # The scalar generator is abandoned here, having
-                        # scanned through this candidate's bucket slot.
-                        idx.probes += pos_list[j] + 1
-                        return True
-                    del assignment[slot]
-                idx.probes += scanned
-                return False
             for entry in idx.search(anchor_rect, d):
                 rid, rect = entry.payload, entry.rect
                 ops += 1
@@ -408,3 +366,226 @@ class MarkingEngine:
         if bind(1):
             return dict(assignment), ops
         return None, ops
+
+    # ------------------------------------------------------------------
+    # Numpy path: all rectangles starting in the cell, level by level
+    # ------------------------------------------------------------------
+    def _select_marked_batched(self, cell, received, indexes) -> MarkingDecision:
+        """Columnar twin of :meth:`_select_marked_scalar`.
+
+        What a start's lazy search finds and charges depends only on the
+        start, never on what was marked before it; only *whether* the
+        search runs does.  So every (dataset, slot, subset) is searched
+        once for all its still-witnessless starts — one bulk probe per
+        plan step — and the order-dependent part (a start already marked
+        by an earlier witness is skipped and charges nothing) is replayed
+        afterwards in one in-order pass.
+        """
+        np = self._np
+        query = self.query
+        cell_id = cell.cell_id
+        # Per dataset, over its bag in index row order: the C2 gap, the
+        # rows starting in the cell, and every row's ``starts_here``
+        # position (-1 for rectangles owned by another cell).
+        gaps: dict[str, Any] = {}
+        start_pos: dict[str, Any] = {}
+        start_rows: dict[str, Any] = {}
+        starts_here: list[tuple[str, int, Rect]] = []
+        for dataset, rects in received.items():
+            if not rects:
+                continue
+            batch = indexes[dataset].batch
+            gaps[dataset] = _kt.min_gaps_to_other_cell(np, self.grid, batch, cell)
+            rows = np.flatnonzero(
+                _kt.cell_ids_of_starts(np, self.grid, batch) == cell_id
+            )
+            pos = np.full(batch.n, -1, dtype=np.int64)
+            base = len(starts_here)
+            pos[rows] = np.arange(base, base + len(rows), dtype=np.int64)
+            start_pos[dataset] = pos
+            start_rows[dataset] = rows
+            starts_here.extend((dataset, *rects[i]) for i in rows.tolist())
+
+        n = len(starts_here)
+        #: per start: what its lazy search charges (checks + probe slots),
+        #: whether it found a witness, and the witness's other members
+        #: this cell owns, as ``starts_here`` positions
+        cost = np.zeros(n, dtype=np.int64)
+        found = np.zeros(n, dtype=bool)
+        partners = np.full((n, len(query.slots) - 2), -1, dtype=np.int64)
+        for dataset, rows in start_rows.items():
+            gap_d = gaps[dataset]
+            where = start_pos[dataset][rows]
+            for slot in query.slots_of_dataset(dataset):
+                for __subset, reqs, plan in self._usable(slot, received):
+                    if not len(rows):
+                        break
+                    # the candidate itself must pass C2 here
+                    tried = np.flatnonzero(gap_d[rows] <= reqs[slot])
+                    if not len(tried):
+                        continue
+                    if len(plan) == 1:
+                        hit = tried  # a singleton is its own witness
+                    else:
+                        ok, charge, members = self._first_embeddings(
+                            plan, reqs, rows[tried], indexes, gaps
+                        )
+                        cost[where[tried]] += charge
+                        hit = tried[ok]
+                        for depth, (w_dataset, entries) in enumerate(members):
+                            partners[where[hit], depth] = start_pos[w_dataset][entries]
+                    found[where[hit]] = True
+                    unresolved = np.ones(len(rows), dtype=bool)
+                    unresolved[hit] = False
+                    rows = rows[unresolved]
+                    where = where[unresolved]
+
+        # In-order replay of the skip rule: a start already marked as a
+        # member of an earlier start's witness never searched and charged
+        # nothing.  Only starts whose witness has a member owned here can
+        # mark anyone else, so the pass visits just those.
+        co_marked = np.zeros(n, dtype=bool)
+        skipped = np.zeros(n, dtype=bool)
+        linked = np.flatnonzero((partners >= 0).any(axis=1))
+        for i, members in zip(linked.tolist(), partners[linked].tolist()):
+            if skipped[i]:
+                continue
+            for m in members:
+                if m >= 0:
+                    co_marked[m] = True
+                    if m > i:
+                        skipped[m] = True
+        ops = int(cost[~skipped].sum())
+        flags = found | co_marked
+        marked = {starts_here[i][:2] for i in np.flatnonzero(flags).tolist()}
+        return MarkingDecision(
+            marked=marked,
+            ops=ops,
+            starts_here=starts_here,
+            marked_flags=flags.tolist(),
+        )
+
+    def _first_embeddings(self, plan, reqs, rows, indexes, gaps):
+        """:meth:`_find_embedding` for every start row of ``rows`` at once.
+
+        The search tree is expanded breadth-first — level ``k`` holds
+        every partial assignment of ``plan[:k + 1]`` that passed its
+        checks, parent-major in scan order, i.e. in the depth-first
+        visit order — and first success is then resolved bottom-up: a
+        node's scan stops at its first child with a completing subtree,
+        charging the children up to it (their own checks plus their
+        exhausted subtrees) and the probe slots scanned so far.
+
+        Returns ``(found, charge, members)``: per row whether a witness
+        exists and what the lazy search charges (candidate checks plus
+        probe slots); per plan step after the start, ``(dataset, entry
+        rows)`` of the first witness of each found row.
+        """
+        np = self._np
+        dataset_of = self.query.dataset_of
+        frontier = {plan[0].slot: rows}
+        levels = []
+        for step in plan[1:]:
+            slot = step.slot
+            idx = indexes[step.dataset]
+            anchor = step.anchor
+            abatch = indexes[dataset_of(step.anchor_slot)].batch
+            apos = frontier[step.anchor_slot]
+            if not len(idx):
+                levels.append(_no_candidates(np, len(apos)))
+                break
+            parent, entries, position, scanned = idx.probe_frontier(
+                abatch, apos, anchor.predicate.distance, scan=True
+            )
+            # One check per probe candidate: the anchor predicate (a
+            # strict ``Overlap`` is settled by the probe itself), C2 at
+            # this slot, distinctness from same-dataset bindings.
+            alive = gaps[step.dataset][entries] <= reqs[slot]
+            if type(anchor.predicate) is not Overlap:
+                alive &= pair_mask(
+                    np, anchor, slot, idx.batch, entries, abatch, apos[parent]
+                )
+            for s in step.same_dataset:
+                rids = idx.rid_array
+                alive &= rids[entries] != rids[frontier[s][parent]]
+            own = np.ones(len(entries), dtype=np.int64)
+            for triple, other in step.checks:
+                own += alive  # one more check per still-alive candidate
+                alive &= pair_mask(
+                    np,
+                    triple,
+                    slot,
+                    idx.batch,
+                    entries,
+                    indexes[dataset_of(other)].batch,
+                    frontier[other][parent],
+                )
+            levels.append((parent, entries, alive, own, position, scanned))
+            keep = np.flatnonzero(alive)
+            if not len(keep):
+                break
+            up = parent[keep]
+            frontier = {s: arr[up] for s, arr in frontier.items()}
+            frontier[slot] = entries[keep]
+
+        # Bottom-up: per node of the level above, its first succeeding
+        # child (segment-wise first-true over the parent-major candidate
+        # array) and the charge of the scan up to it (prefix sums).
+        node_ok = node_charge = None
+        first_child = []
+        for parent, __, alive, own, position, scanned in reversed(levels):
+            if node_ok is None:
+                ok, total = alive, own
+            else:
+                keep = np.flatnonzero(alive)
+                ok = np.zeros(len(alive), dtype=bool)
+                ok[keep] = node_ok
+                total = own.copy()
+                total[keep] += node_charge
+            seg_end = np.cumsum(np.bincount(parent, minlength=len(scanned)))
+            seg_start = np.concatenate(([0], seg_end[:-1]))
+            prefix = np.concatenate(([0], np.cumsum(total)))
+            hits = np.flatnonzero(ok)
+            hit_parent = parent[hits]
+            lead = np.ones(len(hits), dtype=bool)
+            lead[1:] = hit_parent[1:] != hit_parent[:-1]
+            first = hits[lead]
+            winner = hit_parent[lead]
+            # exhausted scan: every child, every slot ...
+            node_charge = prefix[seg_end] - prefix[seg_start] + scanned
+            # ... abandoned scan: children and slots up to the witness
+            node_charge[winner] = (
+                prefix[first + 1] - prefix[seg_start[winner]] + position[first] + 1
+            )
+            node_ok = np.zeros(len(scanned), dtype=bool)
+            node_ok[winner] = True
+            child = np.full(len(scanned), -1, dtype=np.int64)
+            child[winner] = first
+            first_child.append(child)
+
+        # Top-down: follow each found row's first-success path.
+        node = np.flatnonzero(node_ok)
+        members = []
+        if not len(node):
+            return node_ok, node_charge, members
+        for step, (__, entries, alive, *__), child in zip(
+            plan[1:], levels, reversed(first_child)
+        ):
+            at = child[node]
+            members.append((step.dataset, entries[at]))
+            node = np.cumsum(alive)[at] - 1  # rank among the alive
+        return node_ok, node_charge, members
+
+
+def _no_candidates(np, nodes: int):
+    """The level record of a step whose index is empty: no candidate,
+    no slot scanned, for each of the ``nodes`` open assignments."""
+    none = np.empty(0, dtype=np.int64)
+    return (
+        none,
+        none,
+        np.empty(0, dtype=bool),
+        none,
+        none,
+        np.zeros(nodes, dtype=np.int64),
+    )

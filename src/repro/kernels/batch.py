@@ -77,5 +77,22 @@ class RectBatch:
         s.n = len(s.x)
         return s
 
+    def take(self, rows) -> "RectBatch":
+        """The rows at int-array positions ``rows``, in that order (copies).
+
+        ``ids`` are not carried: callers that gather row groups address
+        records by position.
+        """
+        s = object.__new__(RectBatch)
+        s.ids = None
+        s.x = s.x_min = self.x[rows]
+        s.length = self.length[rows]
+        s.y = s.y_max = self.y[rows]
+        s.breadth = self.breadth[rows]
+        s.x_max = self.x_max[rows]
+        s.y_min = self.y_min[rows]
+        s.n = len(s.x)
+        return s
+
     def __len__(self) -> int:
         return self.n

@@ -1,17 +1,15 @@
 """Trend analysis over recorded benchmark JSON files.
 
-CI records pytest-benchmark JSON (``BENCH_pr2.json``, ``BENCH_pr6.json``,
-...) per run; this module reads a series of those files, prints a
-per-benchmark trend table of mean times ordered by each file's
-``datetime`` stamp, and gates on regressions: any benchmark whose mean
-grew by more than the threshold (default 10%) between the two newest
-files is reported and the CLI (``python -m repro bench-history``)
+This module reads a series of pytest-benchmark ``--benchmark-json``
+files, prints a per-benchmark trend table of mean times ordered by each
+file's ``datetime`` stamp, and gates on regressions: any benchmark whose
+mean grew by more than the threshold (default 10%) between the two
+newest files is reported and the CLI (``python -m repro bench-history``)
 exits nonzero.
 
-Files that share no benchmarks (the committed pr2/pr6/pr7 trio each
-cover a different suite) compare trivially clean — the gate only bites
-on successive recordings of the *same* suite, which is what a CI
-history directory accumulates.
+Files that share no benchmarks compare trivially clean — the gate only
+bites on successive recordings of the *same* suite.  (The suite that
+gates PRs is ``bench/``, which has its own ``compare.py``.)
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ The reference for each algorithm is one forced ``kernel="python"``
 serial run on a seeded Table-2-shaped workload; the numpy kernel is
 then checked on the serial, thread and process executors against that
 single golden snapshot — a 4 algorithms x 3 executors x 2 kernels
-matrix.  When numpy is unavailable the numpy leg degrades to the scalar
+matrix.  Two further shapes (a 4-way chain and an overlap+range hybrid)
+pin the marking plans the 3-way overlap chain never builds.  When numpy
+is unavailable the numpy leg degrades to the scalar
 fallback, which makes every assertion trivially true, so the suite
 skips instead of pretending to cover it.
 """
@@ -24,7 +26,7 @@ from repro.experiments.workloads import synthetic_chain
 from repro.joins.registry import ALGORITHMS, make_algorithm
 from repro.kernels import numpy_or_none
 from repro.mapreduce.engine import Cluster
-from repro.query.predicates import Overlap
+from repro.query.predicates import Overlap, Range
 from repro.query.query import Query
 
 pytestmark = pytest.mark.skipif(
@@ -55,9 +57,13 @@ def workload():
     )
 
 
-def _run(workload, algorithm_name, *, kernel, executor="serial", workers=1):
+CHAIN3 = Query.chain(["R1", "R2", "R3"], Overlap())
+
+
+def _run(
+    workload, algorithm_name, *, kernel, executor="serial", workers=1, query=CHAIN3
+):
     """One full join run on a fresh cluster; returns (snapshot, stats, tuples)."""
-    query = Query.chain(["R1", "R2", "R3"], Overlap())
     grid = derive_grid(workload.datasets)
     cluster = Cluster(executor=executor, num_workers=workers, kernel=kernel)
     algorithm = make_algorithm(
@@ -137,3 +143,45 @@ def test_golden_output_is_nonempty(golden, algorithm_name):
     snapshot, __, tuples = golden[algorithm_name]
     assert tuples
     assert any(lines for lines in snapshot.values())
+
+
+# ----------------------------------------------------------------------
+# Longer marking plans and d > 0 probes, pinned end to end
+# ----------------------------------------------------------------------
+#: The 3-way overlap chain above only ever builds one-step witness plans
+#: probed with d = 0.  A 4-way chain searches two-step plans (witness
+#: sets of three rectangles); the hybrid chain probes through a
+#: ``Ra(d)`` edge and replicates under per-dataset C-Rep-L limits.
+MARKING_SHAPES = {
+    "chain4": (
+        Query.chain(["R1", "R2", "R3", "R4"], Overlap()),
+        dict(n=450, space_side=2_400.0, names=("R1", "R2", "R3", "R4")),
+    ),
+    "hybrid3": (
+        Query.chain(["R1", "R2", "R3"], [Overlap(), Range(150.0)]),
+        dict(n=500, space_side=6_000.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("algorithm_name", ["c-rep", "c-rep-l"])
+@pytest.mark.parametrize("shape", sorted(MARKING_SHAPES))
+def test_marking_shapes_match_python_kernel(shape, algorithm_name):
+    query, spec = MARKING_SHAPES[shape]
+    workload = synthetic_chain(seed=SEED, **spec)
+    ref_snapshot, ref_stats, ref_tuples = _run(
+        workload, algorithm_name, kernel="python", query=query
+    )
+    assert ref_tuples and ref_stats.rectangles_marked
+    for executor, workers in EXECUTORS:
+        snapshot, stats, tuples = _run(
+            workload,
+            algorithm_name,
+            kernel="numpy",
+            executor=executor,
+            workers=workers,
+            query=query,
+        )
+        assert tuples == ref_tuples
+        assert snapshot == ref_snapshot
+        assert _counters(stats) == _counters(ref_stats)
