@@ -11,7 +11,11 @@ With ``kernel="numpy"`` the bucket assignment is computed columnarly
 index additionally exposes :meth:`search_batch` plus columnar bound
 arrays (:attr:`batch`) for vectorized callers.  Bucket contents, probe
 order and probe counts are identical to the scalar build — the numpy
-path only changes how fast the same structure is produced.
+path only changes how fast the same structure is produced.  It can be
+fed a ready :class:`RectBatch` (``batch=``), builds only the CSR arrays
+:meth:`probe_frontier` reads, and materialises the per-bucket lists,
+the ``(rid, rect)`` pairs and the ``Entry`` objects on the first call
+that needs them.
 """
 
 from __future__ import annotations
@@ -42,6 +46,10 @@ class GridIndex:
     target_per_bucket:
         Sizing knob: the grid aims for this many entries per bucket
         under a uniform spread.
+    pairs, batch:
+        Alternative inputs: raw ``(rid, rect)`` pairs, or a ready
+        :class:`RectBatch` (indexed as is by the numpy kernel — no
+        per-entry work at build time).
     """
 
     def __init__(
@@ -50,36 +58,41 @@ class GridIndex:
         target_per_bucket: int = 8,
         kernel: str = "python",
         pairs: list[tuple[Any, Rect]] | None = None,
+        batch: RectBatch | None = None,
     ) -> None:
-        # The index can be fed ``(rid, rect)`` pairs instead of Entry
-        # objects; the Entry list is then materialized lazily, only if a
-        # caller actually asks for entries (the columnar probe paths
-        # never do).
-        if pairs is not None:
-            self._ent: list[Entry] | None = None
-            self._pairs: list[tuple[Any, Rect]] | None = (
-                pairs if isinstance(pairs, list) else list(pairs)
-            )
+        # The index can be fed ``(rid, rect)`` pairs or a columnar batch
+        # instead of Entry objects; the row forms are then materialized
+        # lazily, only if a caller actually asks for them (the columnar
+        # probe paths never do).
+        np = numpy_or_none() if kernel == "numpy" else None
+        if batch is not None and np is None:
+            pairs, batch = batch.pairs(), None  # the scalar build reads rows
+        self._ent: list[Entry] | None = None
+        self._pairs: list[tuple[Any, Rect]] | None = None
+        if batch is not None:
+            n = batch.n
+        elif pairs is not None:
+            self._pairs = pairs if isinstance(pairs, list) else list(pairs)
             n = len(self._pairs)
         else:
             self._ent = list(entries)
-            self._pairs = None
             n = len(self._ent)
         self._n = n
         #: bucket entries examined across all searches (compute-cost measure)
         self.probes = 0
         #: columnar bound arrays (numpy kernel only; None on the scalar path)
-        self.batch: RectBatch | None = None
+        self.batch: RectBatch | None = batch
         self._rid_array: Any = None
         self._np = None
+        #: bucket -> member entry indices; ``None`` on a numpy build
+        #: until a scalar probe asks for the dict view of the CSR arrays
+        self._bucket_lists: dict[tuple[int, int], list[int]] | None = {}
         if n == 0:
             self._nx = self._ny = 1
-            self._buckets: dict[tuple[int, int], list[int]] = {}
             self._bounds_list: list[tuple[float, float, float, float]] | None = []
             return
-        np = numpy_or_none() if kernel == "numpy" else None
         if np is not None:
-            self._build_numpy(np, n, target_per_bucket)
+            self._build_numpy(np, n, target_per_bucket, batch)
             return
         # Bounds are kept as exact corner floats: round-tripping them
         # through a Rect can shrink the box by an ulp and wrongly fail
@@ -99,8 +112,7 @@ class GridIndex:
         self._ny = side
         self._bw = max((self._x_hi - self._x_lo) / self._nx, 1e-12)
         self._bh = max((self._y_hi - self._y_lo) / self._ny, 1e-12)
-        self._buckets = {}
-        setdefault = self._buckets.setdefault
+        setdefault = self._bucket_lists.setdefault
         for idx, (ex_min, ex_max, ey_min, ey_max) in enumerate(self._bounds_list):
             ix_lo = self._clamp_x(ex_min)
             ix_hi = self._clamp_x(ex_max)
@@ -115,7 +127,7 @@ class GridIndex:
         ent = self._ent
         if ent is None:
             ent = self._ent = [
-                Entry(rect=r, payload=rid) for rid, r in self._pairs
+                Entry(rect=r, payload=rid) for rid, r in self._rid_rects
             ]
         return ent
 
@@ -138,10 +150,14 @@ class GridIndex:
     def _rid_rects(self) -> list[tuple[Any, Rect]]:
         pairs = self._pairs
         if pairs is None:
-            pairs = self._pairs = [(e.payload, e.rect) for e in self._ent]
+            if self._ent is not None:
+                pairs = [(e.payload, e.rect) for e in self._ent]
+            else:
+                pairs = self.batch.pairs()
+            self._pairs = pairs
         return pairs
 
-    def _build_numpy(self, np, n: int, target_per_bucket: int) -> None:
+    def _build_numpy(self, np, n: int, target_per_bucket: int, batch) -> None:
         """Columnar build: same buckets, same order, no per-entry loop.
 
         A bucket's list is its member entry indices in ascending order —
@@ -150,13 +166,8 @@ class GridIndex:
         the expanded (bucket-key, entry) pairs preserves that order.
         """
         self._np = np
-        pairs = self._pairs
-        if pairs is not None:
-            batch = RectBatch.from_pairs(np, pairs)
-        else:
-            batch = RectBatch.from_pairs(
-                np, ((e.payload, e.rect) for e in self._ent)
-            )
+        if batch is None:
+            batch = RectBatch.from_pairs(np, self._rid_rects)
         self.batch = batch
         bx_min, bx_max = batch.x_min, batch.x_max
         by_min, by_max = batch.y_min, batch.y_max
@@ -181,7 +192,6 @@ class GridIndex:
         ny_span = iy_hi - iy_lo + 1
         cnt = (ix_hi - ix_lo + 1) * ny_span
         total = int(cnt.sum())
-        buckets: dict[tuple[int, int], list[int]] = {}
         ny = self._ny
         if total == n:
             # No entry spans buckets: group directly.
@@ -196,13 +206,33 @@ class GridIndex:
                 np.repeat(iy_lo, cnt) + offs % nys
             )
         order = np.argsort(keys, kind="stable")
-        skeys = keys[order]
-        sidx = eidx[order]
+        # CSR form of the buckets: ``_csr_entries[_csr_offsets[b] :
+        # _csr_offsets[b + 1]]`` is bucket ``b``'s member list (b = ix *
+        # ny + iy).  ``_csr_keys`` is sorted, so a dense offsets table is
+        # one searchsorted — done lazily on the first
+        # :meth:`probe_frontier`; the dict views the scalar probes read
+        # are cut from the same two arrays on their first use.
+        self._csr_keys = keys[order]
+        self._csr_entries = eidx[order]
+        self._csr_offsets_cache = None
+        self._bucket_lists = None
+        self._bucket_arrays_cache = None
+        self._empty = np.empty(0, dtype=np.int64)
+
+    def _bucket_views(self) -> None:
+        """Cut the dict-of-lists and dict-of-arrays bucket views out of
+        the CSR arrays (numpy build, first scalar probe)."""
+        np = self._np
+        skeys = self._csr_keys
+        sidx = self._csr_entries
+        total = len(sidx)
+        ny = self._ny
         sidx_list = sidx.tolist()
         cut = np.flatnonzero(skeys[1:] != skeys[:-1]) + 1
         bucket_starts = [0, *cut.tolist()]
         bucket_keys = skeys[np.concatenate(([0], cut))].tolist() if total else []
         bucket_starts.append(total)
+        buckets: dict[tuple[int, int], list[int]] = {}
         # ``_bucket_arrays`` mirrors ``_buckets`` as zero-copy views of
         # the sorted index array, so :meth:`search_batch` never rebuilds
         # an array from a Python list.
@@ -212,29 +242,27 @@ class GridIndex:
             bkey = (key // ny, key % ny)
             buckets[bkey] = sidx_list[s:e]
             bucket_arrays[bkey] = sidx[s:e]
-        self._buckets = buckets
-        self._bucket_arrays = bucket_arrays
-        self._empty = np.empty(0, dtype=np.int64)
-        # CSR twin of ``_buckets``: ``_csr_entries[_csr_offsets[b] :
-        # _csr_offsets[b + 1]]`` is bucket ``b``'s member list (b = ix *
-        # ny + iy).  ``skeys`` is sorted, so a dense offsets table is one
-        # searchsorted — done lazily on the first :meth:`probe_frontier`
-        # (an index that only serves scalar ``search`` never needs it).
-        self._csr_keys = skeys
-        self._csr_offsets_cache = None
-        self._csr_entries = sidx
+        self._bucket_lists = buckets
+        self._bucket_arrays_cache = bucket_arrays
+
+    @property
+    def _buckets(self) -> dict[tuple[int, int], list[int]]:
+        if self._bucket_lists is None:
+            self._bucket_views()
+        return self._bucket_lists
+
+    @property
+    def _bucket_arrays(self) -> dict[tuple[int, int], Any]:
+        if self._bucket_arrays_cache is None:
+            self._bucket_views()
+        return self._bucket_arrays_cache
 
     @property
     def rid_array(self):
         """int64 payload array (numpy kernel with integer payloads), lazy."""
         arr = self._rid_array
         if arr is _UNSET:
-            np = self._np
-            try:
-                arr = np.array(self.batch.ids, dtype=np.int64)
-            except (TypeError, ValueError, OverflowError):
-                arr = None
-            self._rid_array = arr
+            arr = self._rid_array = self.batch.int_ids(self._np)
         return arr
 
     @property

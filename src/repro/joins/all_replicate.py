@@ -32,11 +32,11 @@ from repro.joins.reducers import (
     RECT_SHUFFLE_CODEC,
     make_local_join_reducer,
     rect_value,
+    staged_rect_values,
 )
 from repro.data.io import RECT_CODEC
 from repro.kernels import numpy_or_none
 from repro.kernels import transforms as _kt
-from repro.kernels.batch import RectBatch
 from repro.mapreduce.engine import Cluster
 from repro.mapreduce.job import MapContext, MapReduceJob
 from repro.mapreduce.workflow import Workflow
@@ -112,29 +112,17 @@ def _make_batch_mapper(grid: GridPartitioning):
     One vectorized 4th-quadrant mask covers the whole split — on the
     cached columnar ``batch`` when the engine staged one — and the
     flattened per-record cell lists go out in a single ``emit_batch``
-    call: the exact pairs, per-bucket order, byte totals and join
-    counters of the scalar mapper.
+    call whose values are the split's columns: the exact pairs,
+    per-bucket order, byte totals and join counters of the scalar
+    mapper.
     """
     np = numpy_or_none()
 
     def batch_mapper(split_entries, ctx: MapContext, batch=None) -> None:
         if not split_entries:
             return
-        if batch is None:
-            batch = RectBatch.from_pairs(
-                np, (rec for __, __, rec, __ in split_entries)
-            )
+        batch, values, sizes = staged_rect_values(np, ctx, split_entries, batch)
         cids, counts = _kt.quadrant_cell_lists(np, grid, batch)
-        ds_cache: dict[str, str] = {}
-        values = []
-        sizes = []
-        for path, __lineno, (rid, rect), __nb in split_entries:
-            dataset = ds_cache.get(path)
-            if dataset is None:
-                dataset = ds_cache[path] = dataset_from_path(path)
-            value = rect_value(dataset, rid, rect)
-            values.append(value)
-            sizes.append(ctx.pair_nbytes(0, value))
         ctx.counter(JOIN_COUNTERS, CNT_MARKED, len(split_entries))
         ctx.emit_batch(cids, counts, values, sizes)
         ctx.counter(JOIN_COUNTERS, CNT_AFTER_REPLICATION, len(cids))

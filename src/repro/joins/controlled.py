@@ -49,8 +49,12 @@ from repro.kernels import transforms as _kt
 from repro.kernels.batch import RectBatch
 from repro.joins.reducers import (
     RECT_SHUFFLE_CODEC,
+    dataset_batches,
+    dataset_codes,
     make_local_join_reducer,
     rect_value,
+    rect_values,
+    staged_rect_values,
 )
 from repro.mapreduce.engine import Cluster
 from repro.mapreduce.job import MapContext, MapReduceJob, ReduceContext
@@ -113,7 +117,11 @@ class ControlledReplicateJoin(MultiWayJoinAlgorithm):
             input_paths=[paths[k] for k in query.dataset_keys],
             output_path=marked_path,
             mapper=_make_mark_mapper(grid),
-            reducer=_make_mark_reducer(grid, marking),
+            reducer=_make_mark_reducer(
+                grid,
+                marking,
+                numpy_or_none() if batched and self.marking_factory is None else None,
+            ),
             num_reducers=grid.num_cells,
             input_codec=RECT_CODEC,
             output_codec=TAGGED_CODEC,
@@ -168,48 +176,38 @@ def _make_mark_batch_mapper(grid: GridPartitioning):
     One vectorized col/row-range computation covers the whole split —
     on the cached columnar ``batch`` when the engine staged one — and
     the flattened per-record cell lists go out in a single
-    ``emit_batch`` call: record ``k``'s cells row-major, the exact
-    pairs, per-bucket order and byte totals of the scalar mapper.
+    ``emit_batch`` call whose values are the split's columns: record
+    ``k``'s cells row-major, the exact pairs, per-bucket order and byte
+    totals of the scalar mapper.
     """
     np = numpy_or_none()
 
     def batch_mapper(split_entries, ctx: MapContext, batch=None) -> None:
         if not split_entries:
             return
-        if batch is None:
-            batch = RectBatch.from_pairs(
-                np, (rec for __, __, rec, __ in split_entries)
-            )
+        batch, values, sizes = staged_rect_values(np, ctx, split_entries, batch)
         keys, counts = _kt.overlap_cell_lists(np, grid, batch)
-        ds_cache: dict[str, str] = {}
-        # The mark job always ships RECT_SHUFFLE_CODEC, whose pair size
-        # depends only on the dataset name — one sizing per dataset.
-        size_cache: dict[str, int] = {}
-        values = []
-        sizes = []
-        for path, __lineno, (rid, rect), __nb in split_entries:
-            dataset = ds_cache.get(path)
-            if dataset is None:
-                dataset = ds_cache[path] = dataset_from_path(path)
-            value = rect_value(dataset, rid, rect)
-            values.append(value)
-            size = size_cache.get(dataset)
-            if size is None:
-                size = size_cache[dataset] = ctx.pair_nbytes(0, value)
-            sizes.append(size)
         ctx.emit_batch(keys, counts, values, sizes)
 
     return batch_mapper
 
 
-def _make_mark_reducer(grid: GridPartitioning, marking: MarkingEngine):
-    """Run C1-C4; emit each rectangle starting here, flagged."""
+def _make_mark_reducer(grid: GridPartitioning, marking: MarkingEngine, np=None):
+    """Run C1-C4; emit each rectangle starting here, flagged.
+
+    With ``np`` (the numpy kernel and the stock :class:`MarkingEngine`)
+    the engine is handed one column batch per dataset; a custom marking
+    strategy gets the ``(rid, rect)`` lists it was written against.
+    """
 
     def reducer(cell_id: int, values, ctx: ReduceContext) -> None:
         cell = grid.cell_by_id(cell_id)
-        received: dict[str, list] = {}
-        for dataset, rid, rect in values:
-            received.setdefault(dataset, []).append((rid, rect))
+        if np is not None:
+            received = dataset_batches(np, values)
+        else:
+            received: dict[str, list] = {}
+            for dataset, rid, rect in values:
+                received.setdefault(dataset, []).append((rid, rect))
         decision = marking.select_marked(cell, received)
         ctx.add_compute(decision.ops)
         # ``starts_here`` is exactly the received rectangles this cell
@@ -270,12 +268,13 @@ def _make_route_mapper(grid: GridPartitioning, limits: ReplicationLimits):
 def _make_route_batch_mapper(grid: GridPartitioning, limits: ReplicationLimits):
     """Columnar twin of :func:`_make_route_mapper`.
 
-    The split's rectangle columns are built once.  Owner cells come from
-    one ownership batch; marked records — gathered per replication
-    bound, which differs per dataset under C-Rep-L — get their ``f2``
-    cell lists instead.  The targets are laid out record-major and
-    flushed in a single ``emit_batch`` call, reproducing the scalar
-    mapper's per-bucket emission order exactly.
+    The split's columns — rectangle fields, rids, dataset codes, mark
+    flags — are built once and are also the emitted values.  Owner cells
+    come from one ownership batch; marked records — gathered per
+    replication bound, which differs per dataset under C-Rep-L — get
+    their ``f2`` cell lists instead.  The targets are laid out
+    record-major and flushed in a single ``emit_batch`` call,
+    reproducing the scalar mapper's per-bucket emission order exactly.
     """
     np = numpy_or_none()
     metric = limits.metric
@@ -283,32 +282,29 @@ def _make_route_batch_mapper(grid: GridPartitioning, limits: ReplicationLimits):
     def batch_mapper(split_entries, ctx: MapContext, batch=None) -> None:
         if not split_entries:
             return
-        values = []
-        sizes = []
-        # Route also ships RECT_SHUFFLE_CODEC — size once per dataset.
-        size_cache: dict[str, int] = {}
-        by_bound: dict[float, list[int]] = {}
-        for k, (__, __, tagged, __) in enumerate(split_entries):
-            dataset = tagged.dataset
-            value = rect_value(dataset, tagged.rid, tagged.rect)
-            values.append(value)
-            size = size_cache.get(dataset)
-            if size is None:
-                size = size_cache[dataset] = ctx.pair_nbytes(0, value)
-            sizes.append(size)
-            if tagged.marked:
-                by_bound.setdefault(limits.bound_for(dataset), []).append(k)
-        if batch is None:
-            batch = RectBatch.from_rects(np, (e[2].rect for e in split_entries))
+        # Round-2 input is tagged records: the engine stages no batch.
+        records = [e[2] for e in split_entries]
+        n = len(records)
+        batch = RectBatch.from_records(np, [(t.rid, t.rect) for t in records])
+        names, codes = dataset_codes(np, [t.dataset for t in records])
+        values, sizes = rect_values(np, ctx, names, codes, batch)
+        marked = np.fromiter((t.marked for t in records), dtype=bool, count=n)
         owners = _kt.cell_ids_of_starts(np, grid, batch)
-        if not by_bound:
-            ctx.emit_batch(owners, [1] * len(values), values, sizes)
-            ctx.counter(JOIN_COUNTERS, CNT_AFTER_REPLICATION, len(values))
+        key_counts = np.ones(n, dtype=np.int64)
+        if not marked.any():
+            ctx.emit_batch(owners, key_counts, values, sizes)
+            ctx.counter(JOIN_COUNTERS, CNT_AFTER_REPLICATION, n)
             return
-        key_counts = np.ones(len(values), dtype=np.int64)
-        projected = np.ones(len(values), dtype=bool)
+        bounds = [limits.bound_for(name) for name in names]
         groups = []
-        for bound, rows in by_bound.items():
+        for bound in dict.fromkeys(bounds):
+            rows = marked
+            if codes is not None:
+                same = [c for c, b in enumerate(bounds) if b == bound]
+                rows = marked & np.isin(codes, same)
+            rows = np.flatnonzero(rows)
+            if not len(rows):
+                continue
             cids, counts = _kt.quadrant_cell_lists(
                 np,
                 grid,
@@ -317,11 +313,10 @@ def _make_route_batch_mapper(grid: GridPartitioning, limits: ReplicationLimits):
                 metric=metric,
             )
             key_counts[rows] = counts
-            projected[rows] = False
             groups.append((rows, cids, counts))
         first = np.cumsum(key_counts) - key_counts
         flat_keys = np.empty(int(first[-1] + key_counts[-1]), dtype=np.int64)
-        flat_keys[first[projected]] = owners[projected]
+        flat_keys[first[~marked]] = owners[~marked]
         for rows, cids, counts in groups:
             run = np.repeat(np.cumsum(counts) - counts, counts)
             flat_keys[

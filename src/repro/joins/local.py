@@ -41,19 +41,19 @@ Assignment = dict[str, tuple[int, Rect]]
 class FrontierResult:
     """Columnar form of a completed frontier enumeration.
 
-    Row ``i`` of the result set is the assignment
-    ``{slot: bags[slot][positions[slot][i]] for slot in slots}``; the
-    parallel ``batches`` carry each slot's coordinate columns so a
-    caller can compute per-row aggregates (e.g. the dedup owner cell)
-    without materializing assignment dicts.  Rows are in the exact
-    depth-first order :meth:`LocalJoiner.enumerate` would produce.
+    Row ``i`` of the result set binds, for every slot, row
+    ``positions[slot][i]`` of that slot's bag; ``batches`` carry each
+    bag's id and coordinate columns, so a caller can read the result
+    rids (``batches[slot].ids_at(positions[slot])``) and compute per-row
+    aggregates (e.g. the dedup owner cell) without materializing
+    assignment dicts.  Rows are in the exact depth-first order
+    :meth:`LocalJoiner.enumerate` would produce.
     """
 
-    __slots__ = ("slots", "bags", "positions", "batches", "count")
+    __slots__ = ("slots", "positions", "batches", "count")
 
-    def __init__(self, slots, bags, positions, batches) -> None:
+    def __init__(self, slots, positions, batches) -> None:
         self.slots = slots
-        self.bags = bags
         self.positions = positions
         self.batches = batches
         self.count = len(positions[slots[0]]) if slots else 0
@@ -140,9 +140,15 @@ class LocalJoiner:
 
     # ------------------------------------------------------------------
     def enumerate(
-        self, rects_by_slot: dict[str, list[tuple[int, Rect]]]
+        self, rects_by_slot: dict[str, list[tuple[int, Rect]] | RectBatch]
     ) -> tuple[list[Assignment], int]:
         """All satisfying assignments over the given per-slot bags.
+
+        A bag is a list of ``(rid, rect)`` pairs or, on the numpy
+        kernel, a ready :class:`RectBatch` (indexed as is; its row form
+        is only built if the search has to fall back to the scalar
+        loop).  Slots handed the *same* bag object — a self-join reading
+        one dataset twice — share one index.
 
         Returns ``(assignments, candidate_checks)``; the second value is
         the compute-cost measure reported to the engine.
@@ -151,7 +157,7 @@ class LocalJoiner:
         return results, checks
 
     def enumerate_columnar(
-        self, rects_by_slot: dict[str, list[tuple[int, Rect]]]
+        self, rects_by_slot: dict[str, list[tuple[int, Rect]] | RectBatch]
     ) -> tuple[FrontierResult | None, list[Assignment], int]:
         """Like :meth:`enumerate`, but keep the result columnar when the
         frontier path completed.
@@ -167,7 +173,7 @@ class LocalJoiner:
 
     def _enumerate_impl(
         self,
-        rects_by_slot: dict[str, list[tuple[int, Rect]]],
+        rects_by_slot: dict[str, list[tuple[int, Rect]] | RectBatch],
         want_columnar: bool,
     ) -> tuple[FrontierResult | None, list[Assignment], int]:
         missing = [p.slot for p in self.plans if p.slot not in rects_by_slot]
@@ -176,23 +182,34 @@ class LocalJoiner:
         if any(not rects_by_slot[p.slot] for p in self.plans):
             return None, [], 0
 
-        # Indexes are built lazily, on a slot's first probe: when the
+        # Indexes are built lazily, on a bag's first probe: when the
         # search never reaches a depth (every candidate of an earlier
         # slot was rejected), that slot's bag is never indexed at all.
         # An unbuilt index has zero probes, so the compute-cost sum
-        # below is unchanged either way.
-        indexes: dict[str, Any] = {}
+        # below is unchanged either way.  Indexes and row forms are
+        # keyed by bag identity: slots reading the same bag share them
+        # (probe counts are additive, so the sum is that of one index
+        # per slot).
+        indexes: dict[int, Any] = {}
+        row_forms: dict[int, list[tuple[int, Rect]]] = {}
         index_kind = self.index_kind
         kernel = self.kernel
 
         def index_for(slot: str):
-            idx = indexes.get(slot)
+            bag = rects_by_slot[slot]
+            idx = indexes.get(id(bag))
             if idx is None:
-                idx = make_index(
-                    index_kind, kernel=kernel, pairs=rects_by_slot[slot]
-                )
-                indexes[slot] = idx
+                idx = indexes[id(bag)] = make_index(index_kind, kernel=kernel, pairs=bag)
             return idx
+
+        def pairs_of(slot: str) -> list[tuple[int, Rect]]:
+            bag = rects_by_slot[slot]
+            if not isinstance(bag, RectBatch):
+                return bag
+            pairs = row_forms.get(id(bag))
+            if pairs is None:
+                pairs = row_forms[id(bag)] = bag.pairs()
+            return pairs
 
         checks = 0
         results: list[Assignment] = []
@@ -294,9 +311,7 @@ class LocalJoiner:
             if anchor is None:
                 anchor_rect = None
                 anchor_holds = None
-                candidates: Iterator[tuple[int, Rect]] = iter(
-                    rects_by_slot[slot]
-                )
+                candidates: Iterator[tuple[int, Rect]] = iter(pairs_of(slot))
             else:
                 anchor_rect = assignment[plan.anchor_slot][1]
                 anchor_holds = anchor.holds_with
@@ -351,30 +366,17 @@ class LocalJoiner:
         rid_arrays: dict[str, Any] = {}
 
         def rid_array_for(slot: str):
-            arr = rid_arrays.get(slot, rid_arrays)
-            if arr is rid_arrays:
-                idx = indexes.get(slot)
-                if idx is not None:
-                    arr = idx.rid_array
-                else:
-                    try:
-                        arr = np.array(
-                            [rid for rid, __ in rects_by_slot[slot]],
-                            dtype=np.int64,
-                        )
-                    except (TypeError, ValueError, OverflowError):
-                        arr = None
-                rid_arrays[slot] = arr
-            return arr
+            """int64 rid column of a bound slot (None: non-integer rids)."""
+            if slot not in rid_arrays:
+                rid_arrays[slot] = batches[slot].int_ids(np)
+            return rid_arrays[slot]
 
         def run_rows(depth: int, frontier: dict[str, Any]) -> None:
             """Resume the scalar search at ``depth`` for every frontier
             row, in order (used when an index can't serve the fast path —
             non-grid kind, or non-integer rids under distinctness)."""
             bound_slots = [p.slot for p in plans[:depth]]
-            cols = [
-                (s, rects_by_slot[s], frontier[s].tolist()) for s in bound_slots
-            ]
+            cols = [(s, pairs_of(s), frontier[s].tolist()) for s in bound_slots]
             for i in range(len(cols[0][2])):
                 for s, bag, poss in cols:
                     assignment[s] = bag[poss[i]]
@@ -382,24 +384,27 @@ class LocalJoiner:
             for s in bound_slots:
                 assignment.pop(s, None)
 
+        #: coordinate/id columns of every slot the frontier has bound
+        batches: dict[str, RectBatch] = {}
+
         def run_frontier():
-            """Returns ``(frontier, batches)`` on completion (``{}``s for
-            an emptied frontier), or None after a mid-depth fallback to
-            :func:`run_rows` (rows land in ``results``)."""
+            """Returns the frontier on completion (``{}`` for an emptied
+            one), or None after a mid-depth fallback to :func:`run_rows`
+            (rows land in ``results``)."""
             nonlocal checks
             slot0 = plans[0].slot
             bag0 = rects_by_slot[slot0]
             m0 = len(bag0)
             checks += m0
             frontier: dict[str, Any] = {slot0: np.arange(m0, dtype=np.int64)}
-            batches: dict[str, RectBatch] = {
-                slot0: RectBatch.from_pairs(np, bag0)
-            }
+            batches[slot0] = (
+                bag0 if isinstance(bag0, RectBatch) else RectBatch.from_pairs(np, bag0)
+            )
             for depth in range(1, nplans):
                 plan = plans[depth]
                 slot = plan.slot
                 if not len(frontier[slot0]):
-                    return {}, {}
+                    return {}
                 idx = index_for(slot)
                 ok = (
                     getattr(idx, "batch", None) is not None
@@ -444,24 +449,18 @@ class LocalJoiner:
                 frontier = {s: arr[keep] for s, arr in frontier.items()}
                 frontier[slot] = e_flat[alive]
                 batches[slot] = idx.batch
-            return frontier, batches
+            return frontier
 
         columnar: FrontierResult | None = None
         if self._frontier_ok:
-            done = run_frontier()
-            if done is not None:
-                frontier, batches = done
+            frontier = run_frontier()
+            if frontier is not None:
                 if want_columnar:
                     slots = tuple(p.slot for p in plans) if frontier else ()
-                    columnar = FrontierResult(
-                        slots,
-                        {s: rects_by_slot[s] for s in slots},
-                        frontier,
-                        batches,
-                    )
+                    columnar = FrontierResult(slots, frontier, batches)
                 elif frontier:
                     cols = [
-                        (p.slot, rects_by_slot[p.slot], frontier[p.slot].tolist())
+                        (p.slot, pairs_of(p.slot), frontier[p.slot].tolist())
                         for p in plans
                     ]
                     for i in range(len(cols[0][2])):
@@ -474,4 +473,8 @@ class LocalJoiner:
         # nested-loop baseline examines every entry per probe while the
         # spatial indexes touch only bucket/node candidates.
         checks += sum(idx.probes for idx in indexes.values())
+        # ``bind`` and ``bind_vector`` call each other: emptying their
+        # cells breaks the closure cycle, so the bags and indexes this
+        # call captured are freed now, not at some later cyclic GC.
+        del bind, bind_vector
         return columnar, results, checks

@@ -49,6 +49,7 @@ from repro.grid.partitioning import GridPartitioning
 from repro.index import make_index
 from repro.kernels import numpy_or_none
 from repro.kernels import transforms as _kt
+from repro.kernels.batch import RectBatch
 from repro.kernels.predicates import pair_mask, supports_triples
 from repro.query.graph import JoinGraph
 from repro.query.predicates import Overlap
@@ -200,7 +201,7 @@ class MarkingEngine:
     # The marking decision at one cell
     # ------------------------------------------------------------------
     def select_marked(
-        self, cell: Cell, received: dict[str, list[tuple[int, Rect]]]
+        self, cell: Cell, received: dict[str, list[tuple[int, Rect]] | RectBatch]
     ) -> MarkingDecision:
         """Which rectangles starting in ``cell`` must be replicated.
 
@@ -209,11 +210,14 @@ class MarkingEngine:
         cell:
             The reducer's partition-cell.
         received:
-            Rectangles split onto this cell, grouped by dataset.
+            Rectangles split onto this cell, grouped by dataset: lists
+            of ``(rid, rect)`` pairs or, on the numpy kernel, ready
+            :class:`RectBatch` columns (indexed as is; rows are built
+            only for the rectangles starting in the cell).
         """
         indexes = {
-            dataset: make_index(self.index_kind, kernel=self.kernel, pairs=rects)
-            for dataset, rects in received.items()
+            dataset: make_index(self.index_kind, kernel=self.kernel, pairs=bag)
+            for dataset, bag in received.items()
         }
         # Same-dataset distinctness compares rids as an int column.
         if self._batched and not (
@@ -221,6 +225,10 @@ class MarkingEngine:
             and any(len(idx) and idx.rid_array is None for idx in indexes.values())
         ):
             return self._select_marked_batched(cell, received, indexes)
+        received = {
+            dataset: bag.pairs() if isinstance(bag, RectBatch) else bag
+            for dataset, bag in received.items()
+        }
         return self._select_marked_scalar(cell, received, indexes)
 
     def _usable(self, slot: str, received) -> list[tuple[frozenset[str], dict, tuple]]:
@@ -391,8 +399,8 @@ class MarkingEngine:
         start_pos: dict[str, Any] = {}
         start_rows: dict[str, Any] = {}
         starts_here: list[tuple[str, int, Rect]] = []
-        for dataset, rects in received.items():
-            if not rects:
+        for dataset, bag in received.items():
+            if not len(bag):
                 continue
             batch = indexes[dataset].batch
             gaps[dataset] = _kt.min_gaps_to_other_cell(np, self.grid, batch, cell)
@@ -404,7 +412,11 @@ class MarkingEngine:
             pos[rows] = np.arange(base, base + len(rows), dtype=np.int64)
             start_pos[dataset] = pos
             start_rows[dataset] = rows
-            starts_here.extend((dataset, *rects[i]) for i in rows.tolist())
+            if isinstance(bag, RectBatch):
+                pairs = bag.take(rows).pairs()
+            else:
+                pairs = [bag[i] for i in rows.tolist()]
+            starts_here.extend((dataset, rid, rect) for rid, rect in pairs)
 
         n = len(starts_here)
         #: per start: what its lazy search charges (checks + probe slots),

@@ -5,12 +5,16 @@ reduce are the same computation: rebuild per-slot rectangle bags from the
 shuffled values, enumerate the local multi-way join, and report only the
 tuples this cell owns under the Section 6.2 rule.
 
-Rectangles cross the shuffle as ``(dataset, rid, Rect)`` triples — the
-:class:`~repro.geometry.rectangle.Rect` object itself, never flattened
-to coordinates and rebuilt.  Byte accounting still reports the
-string-era layout ``(dataset, rid, x, y, l, b)`` through
-:data:`RECT_SHUFFLE_CODEC`, so shuffle volumes (and the simulated cost
-derived from them) are identical to the seed.
+Rectangles cross the shuffle as ``(dataset, rid, Rect)`` triples.  On
+the numpy kernel a map task hands the engine all of them as one
+:class:`~repro.kernels.batch.RectColumns` bundle (:func:`rect_values`),
+the shuffle moves row indices into it, and the reducers split a group's
+gathered columns per dataset (:func:`dataset_batches`) without ever
+building the triples; every row consumer still sees exactly those
+triples.  Byte accounting reports the string-era layout
+``(dataset, rid, x, y, l, b)`` through :data:`RECT_SHUFFLE_CODEC`, so
+shuffle volumes (and the simulated cost derived from them) are identical
+to the seed.
 """
 
 from __future__ import annotations
@@ -18,25 +22,29 @@ from __future__ import annotations
 from repro.data.io import encode_result
 from repro.geometry.rectangle import Rect
 from repro.grid.partitioning import GridPartitioning
-from repro.joins.base import CNT_OUTPUT_TUPLES, JOIN_COUNTERS
+from repro.joins.base import CNT_OUTPUT_TUPLES, JOIN_COUNTERS, dataset_from_path
 from repro.joins.dedup import tuple_owner
 from repro.joins.local import LocalJoiner
 from repro.kernels import numpy_or_none
 from repro.kernels import transforms as _kt
-from repro.mapreduce.job import ReduceContext, ShuffleCodec
+from repro.kernels.batch import RectBatch, RectColumns
+from repro.mapreduce.job import MapContext, ReduceContext, ShuffleCodec
 from repro.query.query import Query
 
-__all__ = ["rect_value", "value_rect", "RECT_SHUFFLE_CODEC", "make_local_join_reducer"]
+__all__ = [
+    "rect_value",
+    "rect_values",
+    "staged_rect_values",
+    "dataset_codes",
+    "dataset_batches",
+    "RECT_SHUFFLE_CODEC",
+    "make_local_join_reducer",
+]
 
 
 def rect_value(dataset: str, rid: int, rect: Rect) -> tuple:
     """The shuffle value carrying one tagged rectangle."""
     return (dataset, rid, rect)
-
-
-def value_rect(value: tuple) -> tuple[str, int, Rect]:
-    """Inverse of :func:`rect_value`."""
-    return value
 
 
 #: Sizes a ``(cell_id, rect_value(...))`` pair exactly like the generic
@@ -48,20 +56,97 @@ RECT_SHUFFLE_CODEC = ShuffleCodec(
 )
 
 
+# ----------------------------------------------------------------------
+# Map side: a split's records as one column bundle
+# ----------------------------------------------------------------------
+def dataset_codes(np, labels: list[str]):
+    """``(names, codes)`` of a per-record dataset column: the distinct
+    names in order of first appearance and each record's index into
+    them (``codes`` is ``None`` when there is only one name)."""
+    if labels.count(labels[0]) == len(labels):
+        return (labels[0],), None
+    code_of: dict[str, int] = {}
+    codes = np.fromiter(
+        (code_of.setdefault(label, len(code_of)) for label in labels),
+        dtype=np.intp,
+        count=len(labels),
+    )
+    return tuple(code_of), codes
+
+
+def rect_values(np, ctx: MapContext, names, codes, batch: RectBatch):
+    """``(values, sizes)`` for :meth:`MapContext.emit_batch`: the split's
+    records as the ``rect_value`` tuples they stand for, and the charged
+    bytes of one pair per record.
+
+    ``values`` is a :class:`RectColumns` over ``batch`` (which must come
+    from :meth:`RectBatch.from_records`) — or the plain tuple list when
+    the record ids are not integers.  :data:`RECT_SHUFFLE_CODEC` sizes a
+    pair by its dataset name alone, so one record per dataset is sized.
+    """
+    values = RectColumns(names, codes, batch)
+    if type(batch.ids) is list:
+        values = list(values)
+    if codes is None:
+        return values, np.full(batch.n, ctx.pair_nbytes(0, values[0]), dtype=np.int64)
+    first = np.unique(codes, return_index=True)[1]  # every name occurs
+    per_name = [ctx.pair_nbytes(0, values[i]) for i in first.tolist()]
+    return values, np.asarray(per_name, dtype=np.int64)[codes]
+
+
+def staged_rect_values(np, ctx: MapContext, split_entries, batch: RectBatch | None):
+    """``(batch, values, sizes)`` for a mapper over staged rectangle
+    files: the split's columns (built here unless the engine staged
+    them) and :func:`rect_values` with each record's dataset taken from
+    its input path."""
+    if batch is None:
+        batch = RectBatch.from_records(np, [e[2] for e in split_entries])
+    paths, codes = dataset_codes(np, [e[0] for e in split_entries])
+    names = tuple(dataset_from_path(path) for path in paths)
+    return batch, *rect_values(np, ctx, names, codes, batch)
+
+
+# ----------------------------------------------------------------------
+# Reduce side
+# ----------------------------------------------------------------------
+def dataset_batches(np, values) -> dict[str, RectBatch]:
+    """One :class:`RectBatch` per dataset of a reduce group — received
+    order within a dataset, datasets in order of first appearance.
+
+    A columnar group is split with one code mask per dataset; a plain
+    value list (spill merge, row shuffle, non-integer rids) is walked
+    once.  Either way the numpy reducers run the same code downstream.
+    """
+    if isinstance(values, RectColumns):
+        return values.by_dataset()
+    by_dataset: dict[str, list[tuple[int, Rect]]] = {}
+    for dataset, rid, rect in values:
+        by_dataset.setdefault(dataset, []).append((rid, rect))
+    return {
+        dataset: RectBatch.from_records(np, pairs)
+        for dataset, pairs in by_dataset.items()
+    }
+
+
 def make_local_join_reducer(
     query: Query, grid: GridPartitioning, joiner: LocalJoiner, kernel: str = "python"
 ):
     """Reducer: local multi-way join + owner-cell duplicate avoidance."""
     slot_order = query.slots
+    slot_datasets = [(slot, query.dataset_of(slot)) for slot in slot_order]
     np = numpy_or_none() if kernel == "numpy" else None
 
     def reducer(cell_id: int, values, ctx: ReduceContext) -> None:
-        by_dataset: dict[str, list[tuple[int, Rect]]] = {}
-        for dataset, rid, rect in values:
-            by_dataset.setdefault(dataset, []).append((rid, rect))
+        # One bag per dataset — slots reading the same dataset share it
+        # (and, inside the joiner, its index).
+        if np is not None:
+            by_dataset = dataset_batches(np, values)
+        else:
+            by_dataset = {}
+            for dataset, rid, rect in values:
+                by_dataset.setdefault(dataset, []).append((rid, rect))
         rects_by_slot = {
-            slot: by_dataset.get(query.dataset_of(slot), [])
-            for slot in slot_order
+            slot: by_dataset.get(dataset, ()) for slot, dataset in slot_datasets
         }
         if np is not None:
             fr, assignments, ops = joiner.enumerate_columnar(rects_by_slot)
@@ -81,16 +166,13 @@ def make_local_join_reducer(
             owners = (
                 _kt.rows_of_y(np, grid, ys) * grid.cols
                 + _kt.cols_of_x(np, grid, xs)
-            ).tolist()
-            rid_cols = [
-                [fr.bags[s][p][0] for p in pos[s].tolist()] for s in slot_order
-            ]
-            lines = [
-                "\t".join(str(col[i]) for col in rid_cols)
-                for i, owner in enumerate(owners)
-                if owner == cell_id
-            ]
-            if lines:
+            )
+            mine = np.flatnonzero(owners == cell_id)
+            if len(mine):
+                rid_cols = [
+                    map(str, fr.batches[s].ids_at(pos[s][mine])) for s in slot_order
+                ]
+                lines = ["\t".join(row) for row in zip(*rid_cols)]
                 ctx.counter(JOIN_COUNTERS, CNT_OUTPUT_TUPLES, len(lines))
                 ctx.emit_all(lines)
             return

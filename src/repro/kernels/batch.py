@@ -11,19 +11,41 @@ The stored fields are kept alongside the extents because the range
 predicate's enlargement (`Rect._enlarged_intersects`) is defined on
 ``x``/``l``/``y``/``b`` directly; reconstructing ``l`` as
 ``x_max - x_min`` would *not* be exact.
+
+A :class:`RectColumns` adds a dataset column to a batch: it is the
+columnar form of the ``(dataset, rid, rect)`` values the join jobs
+shuffle, and at the same time a lazy sequence of exactly those tuples
+for consumers that read rows.
 """
 
 from __future__ import annotations
 
-__all__ = ["RectBatch"]
+from collections.abc import Sequence
+
+from repro.geometry.rectangle import Rect
+from repro.kernels import numpy_or_none
+
+__all__ = ["RectBatch", "RectColumns"]
 
 
 class RectBatch:
-    """Parallel arrays for a batch of rectangles (one row per rect)."""
+    """Parallel arrays for a batch of rectangles (one row per rect).
 
-    __slots__ = ("ids", "x", "length", "y", "breadth", "x_min", "x_max", "y_min", "y_max", "n")
+    ``ids`` is the record-id column: ``None``, a plain list (any id
+    type, :meth:`from_pairs`) or an int64 array (:meth:`from_records`,
+    when every id is an integer).  ``rects`` optionally keeps the
+    ``Rect`` objects the rows were read from, as an object array that
+    is sliced and gathered with the float columns; it never crosses a
+    process boundary (row consumers of an unpickled batch get equal
+    rectangles rebuilt from the columns).
+    """
 
-    def __init__(self, np, ids, x, length, y, breadth):
+    __slots__ = (
+        "ids", "x", "length", "y", "breadth",
+        "x_min", "x_max", "y_min", "y_max", "n", "rects",
+    )  # fmt: skip
+
+    def __init__(self, np, ids, x, length, y, breadth, rects=None):
         self.ids = ids
         self.x = x
         self.length = length
@@ -35,6 +57,7 @@ class RectBatch:
         self.y_min = y - breadth
         self.y_max = y
         self.n = len(x)
+        self.rects = rects
 
     @classmethod
     def from_pairs(cls, np, pairs):
@@ -45,10 +68,18 @@ class RectBatch:
         return cls(np, ids, *cls._columns(np, flat))
 
     @classmethod
-    def from_rects(cls, np, rects):
-        """Build from an iterable of bare :class:`Rect` objects."""
-        flat = [c for r in rects for c in (r.x, r.l, r.y, r.b)]
-        return cls(np, None, *cls._columns(np, flat))
+    def from_records(cls, np, pairs):
+        """:meth:`from_pairs` for batches that travel: integer ids
+        become an int64 column (any other id type stays a list) and the
+        ``Rect`` objects are kept for row consumers."""
+        pairs = list(pairs)
+        batch = cls.from_pairs(np, pairs)
+        ids = _int_column(np, batch.ids)
+        if ids is not None:
+            batch.ids = ids
+        rects = batch.rects = np.empty(batch.n, dtype=object)
+        rects[:] = [r for __, r in pairs]
+        return batch
 
     @staticmethod
     def _columns(np, flat):
@@ -64,35 +95,215 @@ class RectBatch:
         Used by the engine to hand map splits their cut of a cached
         whole-file batch without recomputing any column.
         """
+        return self.take(slice(lo, hi))
+
+    def take(self, sel) -> "RectBatch":
+        """The rows at int-array positions ``sel``, in that order
+        (copies) — or the rows of a ``slice`` (views)."""
         s = object.__new__(RectBatch)
-        s.ids = self.ids[lo:hi] if self.ids is not None else None
-        s.x = self.x[lo:hi]
-        s.length = self.length[lo:hi]
-        s.y = self.y[lo:hi]
-        s.breadth = self.breadth[lo:hi]
-        s.x_min = self.x_min[lo:hi]
-        s.x_max = self.x_max[lo:hi]
-        s.y_min = self.y_min[lo:hi]
-        s.y_max = self.y_max[lo:hi]
+        ids = self.ids
+        if type(ids) is list and not isinstance(sel, slice):
+            ids = [ids[i] for i in sel.tolist()]
+        elif ids is not None:
+            ids = ids[sel]
+        s.ids = ids
+        s.x = s.x_min = self.x[sel]
+        s.length = self.length[sel]
+        s.y = s.y_max = self.y[sel]
+        s.breadth = self.breadth[sel]
+        s.x_max = self.x_max[sel]
+        s.y_min = self.y_min[sel]
         s.n = len(s.x)
+        s.rects = self.rects[sel] if self.rects is not None else None
         return s
 
-    def take(self, rows) -> "RectBatch":
-        """The rows at int-array positions ``rows``, in that order (copies).
+    @classmethod
+    def concat(cls, np, batches) -> "RectBatch":
+        """Row-wise concatenation (``ids``/``rects`` survive only when
+        every part carries them as arrays)."""
 
-        ``ids`` are not carried: callers that gather row groups address
-        records by position.
-        """
-        s = object.__new__(RectBatch)
-        s.ids = None
-        s.x = s.x_min = self.x[rows]
-        s.length = self.length[rows]
-        s.y = s.y_max = self.y[rows]
-        s.breadth = self.breadth[rows]
-        s.x_max = self.x_max[rows]
-        s.y_min = self.y_min[rows]
-        s.n = len(s.x)
-        return s
+        def column(name):
+            parts = [getattr(b, name) for b in batches]
+            if any(p is None or type(p) is list for p in parts):
+                return None
+            return np.concatenate(parts)
+
+        return cls(
+            np,
+            column("ids"),
+            column("x"),
+            column("length"),
+            column("y"),
+            column("breadth"),
+            column("rects"),
+        )
+
+    # -- row access ------------------------------------------------------
+    def int_ids(self, np):
+        """``ids`` as an int64 array, or ``None`` when some id is not an
+        integer (same-dataset distinctness compares this column)."""
+        ids = self.ids
+        return _int_column(np, ids) if type(ids) is list else ids
+
+    def ids_at(self, positions) -> list:
+        """The record ids at int-array ``positions``, as Python values."""
+        ids = self.ids
+        if type(ids) is list:
+            return [ids[p] for p in positions.tolist()]
+        return ids[positions].tolist()
+
+    def rect_list(self) -> list[Rect]:
+        """The rows as ``Rect`` objects: the originals when they were
+        kept, otherwise equal rectangles rebuilt from the columns."""
+        if self.rects is not None:
+            return self.rects.tolist()
+        new = Rect.__new__
+        out = []
+        for state in zip(
+            self.x.tolist(),
+            self.y.tolist(),
+            self.length.tolist(),
+            self.breadth.tolist(),
+        ):
+            rect = new(Rect)
+            rect.__setstate__(state)  # the columns came from valid rects
+            out.append(rect)
+        return out
+
+    def pairs(self) -> list[tuple]:
+        """The row form: ``(rid, Rect)`` pairs."""
+        ids = self.ids
+        return list(zip(ids if type(ids) is list else ids.tolist(), self.rect_list()))
 
     def __len__(self) -> int:
         return self.n
+
+    # Only the stored columns travel; the extents are recomputed with
+    # the same expressions, the kept ``Rect`` objects stay behind.
+    def __getstate__(self):
+        np = numpy_or_none()
+        return (
+            self.ids,
+            *(
+                np.ascontiguousarray(c)
+                for c in (self.x, self.length, self.y, self.breadth)
+            ),
+        )
+
+    def __setstate__(self, state) -> None:
+        self.__init__(numpy_or_none(), *state)
+
+
+def _int_column(np, ids: list):
+    """``ids`` as an int64 array when every element is an integer."""
+    if not ids:
+        return np.empty(0, dtype=np.int64)
+    try:
+        arr = np.asarray(ids)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return arr if arr.dtype == np.int64 and arr.ndim == 1 else None
+
+
+class RectColumns(Sequence):
+    """The ``(dataset, rid, rect)`` shuffle values of a join job, columnar.
+
+    Row ``i`` stands for ``(names[codes[i]], batch.ids[i], rect i)``;
+    ``codes is None`` means every row belongs to ``names[0]``.  The
+    bundle is what a batch mapper hands :meth:`MapContext.emit_batch` as
+    its ``values`` and what a columnar reduce group arrives as — as a
+    ``Sequence`` it also *is* those tuples, materialised on first row
+    access, for every consumer that reads rows (the row shuffle, spill
+    replay, map-only output, scalar reducers).
+
+    ``take`` / ``concat`` are the engine's columnar-source protocol: a
+    reduce group is ``concat`` of each segment's ``take``.
+    """
+
+    __slots__ = ("names", "codes", "batch", "_tuples")
+
+    def __init__(self, names, codes, batch: RectBatch) -> None:
+        self.names = tuple(names)
+        self.codes = codes if len(self.names) > 1 else None
+        self.batch = batch
+        self._tuples: list[tuple] | None = None
+
+    def __len__(self) -> int:
+        return self.batch.n
+
+    def __getitem__(self, i):
+        if self._tuples is None and not isinstance(i, slice):
+            # One row (pair sizing reads one per dataset): no need to
+            # materialise them all.
+            n = self.batch.n
+            if i < 0:
+                i += n
+            if not 0 <= i < n:
+                raise IndexError("RectColumns index out of range")
+            return self.take(slice(i, i + 1))._materialise()[0]
+        return self._materialise()[i]
+
+    def __iter__(self):
+        return iter(self._materialise())
+
+    def _materialise(self) -> list[tuple]:
+        rows = self._tuples
+        if rows is None:
+            names = self.names
+            if self.codes is None:
+                datasets = names[:1] * self.batch.n
+            else:
+                datasets = [names[c] for c in self.codes.tolist()]
+            rows = self._tuples = [
+                (dataset, rid, rect)
+                for dataset, (rid, rect) in zip(datasets, self.batch.pairs())
+            ]
+        return rows
+
+    def take(self, rows) -> "RectColumns":
+        """The rows at positions ``rows`` (an int array or a slice)."""
+        codes = self.codes
+        return RectColumns(
+            self.names,
+            codes[rows] if codes is not None else None,
+            self.batch.take(rows),
+        )
+
+    @classmethod
+    def concat(cls, parts) -> "RectColumns":
+        """Row-wise concatenation; the name tables are merged in order
+        of first appearance."""
+        np = numpy_or_none()
+        code_of: dict[str, int] = {}
+        columns = []
+        for part in parts:
+            remap = [code_of.setdefault(name, len(code_of)) for name in part.names]
+            if part.codes is None:
+                columns.append(np.full(len(part), remap[0], dtype=np.intp))
+            else:
+                columns.append(np.asarray(remap, dtype=np.intp)[part.codes])
+        return cls(
+            code_of,
+            np.concatenate(columns),
+            RectBatch.concat(np, [part.batch for part in parts]),
+        )
+
+    def by_dataset(self) -> dict[str, RectBatch]:
+        """One batch per dataset — received order within a dataset,
+        datasets in order of first appearance (the order a
+        ``setdefault`` walk over the rows would create them in)."""
+        if not self.batch.n:
+            return {}
+        codes = self.codes
+        if codes is None:
+            return {self.names[0]: self.batch}
+        np = numpy_or_none()
+        rows_of = [np.flatnonzero(codes == c) for c in range(len(self.names))]
+        present = [(rows[0], c) for c, rows in enumerate(rows_of) if len(rows)]
+        return {self.names[c]: self.batch.take(rows_of[c]) for __, c in sorted(present)}
+
+    def __getstate__(self):
+        return (self.names, self.codes, self.batch)
+
+    def __setstate__(self, state) -> None:
+        self.__init__(*state)

@@ -74,6 +74,7 @@ from repro.mapreduce.job import (
     ReduceContext,
     SpillingMapContext,
     default_sort_key,
+    gather_values,
 )
 from repro.mapreduce.spill import SpillRun, SpillStore, merge_runs, spill_dir
 from repro.mapreduce.workers import WorkerPool
@@ -281,47 +282,56 @@ def _grouped(ordered: list[tuple[Any, Any]]):
 
 
 def _segment_groups(segs: list[BucketSegment], sort_key):
-    """Yield ``(key, [values])`` groups of one reducer's segment runs.
+    """Yield ``(key, values)`` groups of one reducer's segment runs.
 
     Segments arrive concatenated map-task-major with emission order
-    inside each task, so a *stable* argsort by key reproduces the scalar
-    path's ``(sort_key(key), map_task, seq)`` order exactly — but only
-    when the sort key provably is the key itself (the job default); any
-    custom ordering falls back to the reference Python sort over the
-    row form.  The join jobs' one-distinct-key-per-reducer layout takes
-    the no-sort fast path: a single group handed the concatenated
-    values as-is.
+    inside each task, so a *stable* sort by key reproduces the scalar
+    path's ``(sort_key(key), map_task, seq)`` order exactly: a numpy
+    stable argsort when the sort key provably is the key itself (the
+    job default), the reference decorate-sort over the key column for
+    a custom ordering.  A group's ``values`` are its per-segment
+    gathers concatenated (:func:`gather_values`): the plain list of
+    emitted values the row path would hand the reducer, or — when the
+    map tasks emitted a columnar bundle — one such bundle, which is a
+    lazy sequence of those same values.  The join jobs'
+    one-distinct-key-per-reducer layout takes the no-sort fast path:
+    a single group of every segment, whole.
     """
     np = numpy_or_none()
-    if np is None or sort_key is not default_sort_key:
-        pairs = [p for seg in segs for p in seg.pairs()]
-        yield from _grouped(_sorted_by_key(pairs, sort_key))
-        return
     if not segs:
         return
-    if len(segs) == 1:
-        keys = segs[0].keys
-        values = segs[0].values
-    else:
-        keys = np.concatenate([seg.keys for seg in segs])
-        values = []
-        for seg in segs:
-            values.extend(seg.values)
-    n = len(values)
+    keys = segs[0].keys if len(segs) == 1 else np.concatenate(
+        [seg.keys for seg in segs]
+    )
+    n = len(keys)
     if n == 0:
         return
-    if int(keys[0]) == int(keys[-1]) and int(keys.min()) == int(keys.max()):
-        # One distinct key: the concatenation already is the group.
-        yield int(keys[0]), values
-        return
-    order = np.argsort(keys, kind="stable")
+    if sort_key is default_sort_key:
+        if int(keys.min()) == int(keys.max()):
+            # One distinct key: the concatenation already is the group.
+            yield int(keys[0]), gather_values([seg.gather() for seg in segs])
+            return
+        order = np.argsort(keys, kind="stable")
+    else:
+        decorated = sorted((sort_key(k), i) for i, k in enumerate(keys.tolist()))
+        order = np.array([i for __, i in decorated], dtype=np.int64)
     sk = keys[order]
     bounds = np.flatnonzero(sk[1:] != sk[:-1]) + 1
     starts = np.concatenate(([0], bounds)).tolist()
     ends = np.append(bounds, n).tolist()
-    ol = order.tolist()
+    seg_end = np.cumsum([len(seg) for seg in segs])
+    seg_start = (seg_end - [len(seg) for seg in segs]).tolist()
     for lo, hi in zip(starts, ends):
-        yield int(sk[lo]), [values[i] for i in ol[lo:hi]]
+        # Ties keep concatenation order, so a group's rows ascend and
+        # fall into one contiguous run per segment they touch.
+        rows = order[lo:hi]
+        seg_of = np.searchsorted(seg_end, rows, side="right")
+        cuts = (np.flatnonzero(seg_of[1:] != seg_of[:-1]) + 1).tolist()
+        parts = []
+        for a, b in zip([0, *cuts], [*cuts, hi - lo]):
+            i = int(seg_of[a])
+            parts.append(segs[i].gather(rows[a:b] - seg_start[i]))
+        yield int(sk[lo]), gather_values(parts)
 
 
 def _run_map_task(
@@ -1697,7 +1707,7 @@ class Cluster:
                 if records is None:
                     batches.append(None)
                     continue
-                whole = RectBatch.from_pairs(np, records)
+                whole = RectBatch.from_records(np, records)
                 self.dfs.derived_put(f, "rect-batch", whole)
             lo = split[0][1]  # linenos are file row indices
             batches.append(whole.slice(lo, lo + len(split)))

@@ -28,6 +28,7 @@ path would report, so the cost model sees identical volumes either way.
 
 from __future__ import annotations
 
+import pickle
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
@@ -44,6 +45,7 @@ __all__ = [
     "ReduceContext",
     "ShuffleCodec",
     "BucketSegment",
+    "gather_values",
     "DEFAULT_SHUFFLE_CODEC",
     "estimate_size",
     "default_sort_key",
@@ -126,39 +128,103 @@ def hash_partitioner(key: Any, num_reducers: int) -> int:
 class BucketSegment:
     """One map task's emissions to one reducer bucket, stored columnar.
 
-    The columnar twin of a ``list[(key, value)]`` bucket slice: ``keys``
-    is an int64 array and ``values`` the parallel list of emitted
-    values, both in emission order.  Segments are what
-    :meth:`MapContext.emit_batch` produces and what the engine's numpy
-    shuffle merge consumes — per-reducer segments concatenated in map
-    task order, then stably argsorted by key, reproduce the scalar
+    The columnar twin of a ``list[(key, value)]`` bucket slice, in
+    emission order: ``keys`` is an int64 array, and the value of
+    emission ``i`` is row ``members[i]`` of ``source`` — the ``values``
+    sequence the task handed :meth:`MapContext.emit_batch`, shared by
+    every segment of that task.  A replicated record is stored once per
+    task and referenced from each bucket it was sent to.
+
+    Segments are what ``emit_batch`` produces and what the engine's
+    numpy shuffle merge consumes — per-reducer segments concatenated in
+    map task order, then stably argsorted by key, reproduce the scalar
     path's ``(sort_key(key), map_task, seq)`` order exactly.
 
-    ``keys`` ships across process boundaries as raw bytes
-    (``__getstate__`` packs ``tobytes()``), which is both smaller and
-    pickle-protocol-5 friendly compared to per-pair key objects.
+    A *columnar* source (one with ``take(rows)`` and a ``concat(parts)``
+    classmethod, e.g. :class:`~repro.kernels.batch.RectColumns`) is
+    gathered column-wise and reaches the reducer as such an object;
+    any other sequence is gathered into a plain list.
+
+    Across process boundaries ``keys`` and ``members`` ship as raw
+    buffers of the narrowest integer type that holds them (out-of-band
+    under pickle protocol 5) and ``source`` once per task result,
+    through the pickle memo.
     """
 
-    __slots__ = ("keys", "values")
+    __slots__ = ("keys", "source", "members")
 
-    def __init__(self, keys, values: list) -> None:
+    def __init__(self, keys, source, members) -> None:
         self.keys = keys
-        self.values = values
+        self.source = source
+        self.members = members
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.keys)
+
+    def gather(self, rows=None):
+        """The values of emissions ``rows`` (an int array; default all),
+        in that order: a columnar source's ``take``, else a list."""
+        members = self.members if rows is None else self.members[rows]
+        source = self.source
+        if hasattr(source, "take"):
+            return source.take(members)
+        return [source[g] for g in members.tolist()]
+
+    @property
+    def values(self):
+        """The emitted values in emission order (the row view)."""
+        return self.gather()
 
     def pairs(self) -> list[tuple[Any, Any]]:
         """The row form: ``(key, value)`` pairs in emission order."""
         return list(zip(self.keys.tolist(), self.values))
 
-    def __getstate__(self):
-        return (self.keys.tobytes(), self.values)
+    def __reduce_ex__(self, protocol: int):
+        wrap = pickle.PickleBuffer if protocol >= 5 else bytes
+        return (
+            _restore_segment,
+            (_pack_ints(self.keys, wrap), _pack_ints(self.members, wrap), self.source),
+        )
 
-    def __setstate__(self, state) -> None:
-        np = numpy_or_none()
-        raw, self.values = state
-        self.keys = np.frombuffer(raw, dtype=np.int64)
+
+def _pack_ints(arr, wrap):
+    """``(dtype, buffer)`` of an int64 array in the narrowest integer
+    type that holds it — cell ids and split-local row numbers are small."""
+    np = numpy_or_none()
+    narrow = np.dtype(np.int8)
+    if len(arr):
+        narrow = np.result_type(
+            np.min_scalar_type(int(arr.min())), np.min_scalar_type(int(arr.max()))
+        )
+    return narrow.str, wrap(np.ascontiguousarray(arr, dtype=narrow))
+
+
+def _unpack_ints(packed):
+    dtype, raw = packed
+    np = numpy_or_none()
+    return np.frombuffer(raw, dtype=dtype).astype(np.int64)
+
+
+def _restore_segment(keys, members, source) -> BucketSegment:
+    return BucketSegment(_unpack_ints(keys), source, _unpack_ints(members))
+
+
+def gather_values(parts: list):
+    """Concatenate per-segment :meth:`BucketSegment.gather` results, in
+    order, into one group's values.
+
+    Parts of one columnar type stay columnar (their ``concat``); any
+    other mix is flattened to the plain list of rows.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    first = type(parts[0])
+    if hasattr(first, "concat") and all(type(p) is first for p in parts):
+        return first.concat(parts)
+    values: list = []
+    for part in parts:
+        values.extend(part)
+    return values
 
 
 class MapContext:
@@ -252,7 +318,10 @@ class MapContext:
         counts:
             Per-group target count, parallel to ``values``.
         values:
-            One emitted value per group.
+            One emitted value per group: any sequence — a list, or a
+            columnar bundle such as
+            :class:`~repro.kernels.batch.RectColumns` that stands for
+            its rows.  It is stored by reference, not copied.
         sizes:
             Per-group charged bytes of one ``(key, value)`` pair — what
             :meth:`pair_nbytes` returns for that group.  Requires the
@@ -264,7 +333,8 @@ class MapContext:
         pairs, same per-bucket order, same counter totals.  On the
         columnar path the emissions are routed with one vectorized
         partition + stable argsort and stored as per-bucket
-        :class:`BucketSegment` runs instead of ``(key, value)`` pairs.
+        :class:`BucketSegment` runs — row indices into ``values`` —
+        instead of ``(key, value)`` pairs.
         """
         np = numpy_or_none()
         num_reducers = self._num_reducers
@@ -276,8 +346,13 @@ class MapContext:
             bucket_bytes = self.bucket_bytes
             partitioner = self._partitioner
             identity = partitioner is identity_partitioner
-            if np is not None and not isinstance(keys, list):
-                keys = keys.tolist()
+            if np is not None:
+                # Plain ints throughout: nothing numpy-typed may reach
+                # the counters or the byte totals.
+                keys, counts, sizes = (
+                    a if isinstance(a, list) else a.tolist()
+                    for a in (keys, counts, sizes)
+                )
             total = 0
             tbytes = 0
             pos = 0
@@ -339,11 +414,8 @@ class MapContext:
             ends = np.append(bounds, n)
             for i, (lo, hi) in enumerate(zip(starts.tolist(), ends.tolist())):
                 r = int(sorted_buckets[lo])
-                members = sorted_groups[lo:hi].tolist()
                 segments[r].append(
-                    BucketSegment(
-                        sorted_keys[lo:hi], [values[g] for g in members]
-                    )
+                    BucketSegment(sorted_keys[lo:hi], values, sorted_groups[lo:hi])
                 )
                 bucket_bytes[r] += int(seg_bytes[i])
         self.account_emissions(n, int(pair_sizes.sum()))

@@ -300,7 +300,7 @@ class TestTaskResultPacking:
                 )
                 for i in range(100)
             ]
-            segments.append(BucketSegment(keys, values))
+            segments.append(BucketSegment(keys, values, np.arange(100)))
         return {"segments": segments, "counters": {"MAP_OUTPUT_RECORDS": 400}}
 
     def test_roundtrip_preserves_result(self):
@@ -360,3 +360,97 @@ class TestTaskResultPacking:
         ex = ProcessExecutor(num_workers=2)
         results = ex.run_phase(square_worker, 4, {"base": 3})
         assert results == [3, 4, 7, 12]
+
+
+class _ParentSegment:
+    """The previous wire form of a bucket segment: raw int64 keys plus
+    the materialised ``[values[g] for g in members]`` list."""
+
+    def __init__(self, segment):
+        self.keys = segment.keys
+        self.values = list(segment.values)
+
+    def __getstate__(self):
+        return (self.keys.tobytes(), self.values)
+
+
+class TestColumnarSegmentTransport:
+    """Segments of one map task share one source: it crosses the pipe
+    once, with per-bucket index arrays beside it."""
+
+    @staticmethod
+    def _all_replicate_map_result():
+        """What an All-Replicate map task hands the engine (8x8 grid,
+        400 rectangles of one dataset, every record replicated)."""
+        np = pytest.importorskip("numpy")
+        from repro.geometry.rectangle import Rect
+        from repro.grid.partitioning import GridPartitioning
+        from repro.joins.all_replicate import _make_batch_mapper
+        from repro.joins.reducers import RECT_SHUFFLE_CODEC
+        from repro.mapreduce.counters import Counters
+        from repro.mapreduce.job import MapContext, identity_partitioner
+
+        grid = GridPartitioning(Rect.from_corners(0.0, 0.0, 800.0, 800.0), 8, 8)
+        rng = np.random.default_rng(7)
+        split = [
+            (
+                "input/R1",
+                i,
+                (i, Rect(float(x), float(y), 20.0, 20.0)),
+                40,
+            )
+            for i, (x, y) in enumerate(rng.uniform(20.0, 780.0, size=(400, 2)))
+        ]
+        ctx = MapContext(
+            Counters(), grid.num_cells, identity_partitioner, RECT_SHUFFLE_CODEC
+        )
+        _make_batch_mapper(grid)(split, ctx, None)
+        return {"segments": ctx.segments, "bucket_bytes": ctx.bucket_bytes}
+
+    def test_roundtrip_shares_one_source(self, monkeypatch):
+        from repro.kernels.batch import RectColumns
+        from repro.mapreduce.executor import pack_task_result, unpack_task_result
+
+        result = self._all_replicate_map_result()
+        restored_sources = []
+        real = RectColumns.__setstate__
+
+        def counting(self, state):
+            restored_sources.append(self)
+            real(self, state)
+
+        monkeypatch.setattr(RectColumns, "__setstate__", counting)
+        restored = unpack_task_result(pack_task_result(result))
+        assert restored["bucket_bytes"] == result["bucket_bytes"]
+        flat = [seg for per_r in result["segments"] for seg in per_r]
+        back = [seg for per_r in restored["segments"] for seg in per_r]
+        assert len(back) == len(flat) > 1
+        # deserialised once per task, not once per bucket
+        assert len(restored_sources) == 1
+        assert all(seg.source is restored_sources[0] for seg in back)
+        for orig, got in zip(flat, back):
+            assert got.keys.tolist() == orig.keys.tolist()
+            assert got.members.tolist() == orig.members.tolist()
+            assert list(got.values) == list(orig.values)
+        for column in ("x", "length", "y", "breadth", "x_max", "y_min", "ids"):
+            assert (
+                getattr(back[0].source.batch, column).tolist()
+                == getattr(flat[0].source.batch, column).tolist()
+            )
+        assert back[0].source.names == flat[0].source.names
+
+    def test_payload_no_larger_than_list_of_values_form(self):
+        from repro.mapreduce.executor import pack_task_result
+
+        def total(packed):
+            data, buffers = packed
+            return len(data) + sum(len(b) for b in buffers)
+
+        result = self._all_replicate_map_result()
+        parent_form = dict(
+            result,
+            segments=[
+                [_ParentSegment(seg) for seg in per_r] for per_r in result["segments"]
+            ],
+        )
+        assert total(pack_task_result(result)) <= total(pack_task_result(parent_form))
