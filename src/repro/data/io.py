@@ -42,6 +42,7 @@ __all__ = [
     "TaggedRect",
     "encode_tagged",
     "decode_tagged",
+    "tuple_fragments",
     "encode_tuple",
     "decode_tuple",
     "encode_result",
@@ -175,12 +176,23 @@ def decode_tagged(line: str) -> TaggedRect:
 # ----------------------------------------------------------------------
 # Partially-joined tuples (Cascade intermediates)
 # ----------------------------------------------------------------------
+def _check_slot_name(slot: str) -> None:
+    if any(ch in slot for ch in "=;:|,"):
+        raise DFSError(f"slot name {slot!r} contains a delimiter")
+
+
+def tuple_fragments(slot: str, pairs) -> list[str]:
+    """One slot's ``slot=rid:x:y:l:b`` part of a tuple record, for every
+    ``(rid, rect)`` of ``pairs``."""
+    _check_slot_name(slot)
+    return [f"{slot}={rid}:{_rect_csv(r).replace(',', ':')}" for rid, r in pairs]
+
+
 def encode_tuple(bindings: dict[str, tuple[int, Rect]]) -> str:
     """``slot=rid:x:y:l:b;...`` with slots in sorted order (deterministic)."""
     parts = []
     for slot in sorted(bindings):
-        if any(ch in slot for ch in "=;:|,"):
-            raise DFSError(f"slot name {slot!r} contains a delimiter")
+        _check_slot_name(slot)
         rid, r = bindings[slot]
         parts.append(f"{slot}={rid}:{_rect_csv(r).replace(',', ':')}")
     return ";".join(parts)

@@ -545,9 +545,10 @@ class GridIndex:
         )
 
     def probe_frontier(
-        self, batch_q: RectBatch, pos, d: float = 0.0, scan: bool = False
+        self, batch_q: RectBatch, pos=None, d: float = 0.0, scan: bool = False
     ):
-        """Bulk probe: one query per row ``pos[i]`` of ``batch_q``.
+        """Bulk probe: one query per row ``pos[i]`` of ``batch_q``
+        (``pos=None``: one per row of the batch, in order).
 
         Returns ``(parents, entries)`` — aligned int64 arrays holding,
         for every candidate that passes the bucket-extent test, the
@@ -570,10 +571,11 @@ class GridIndex:
         exhausts query ``q``).
         """
         np = self._np
-        x = batch_q.x[pos]
-        length = batch_q.length[pos]
-        y = batch_q.y[pos]
-        breadth = batch_q.breadth[pos]
+        x, length, y, breadth = (
+            batch_q.x, batch_q.length, batch_q.y, batch_q.breadth
+        )  # fmt: skip
+        if pos is not None:
+            x, length, y, breadth = x[pos], length[pos], y[pos], breadth[pos]
         if d > 0:
             qx_min = x - d
             qx_max = qx_min + (length + 2 * d)

@@ -17,19 +17,19 @@ communication costs blow up (Tables 2-5 and 7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
 
 from repro.data.io import (
     RECT_CODEC,
     TUPLE_CODEC,
     TupleRecord,
     encode_result,
+    tuple_fragments,
 )
-from repro.errors import JoinError
 from repro.geometry.rectangle import Rect
 from repro.grid.partitioning import GridPartitioning
 from repro.grid.transforms import split
-from repro.index import Entry, make_index
+from repro.index import GridIndex, make_index
 from repro.joins.base import (
     CNT_OUTPUT_TUPLES,
     JOIN_COUNTERS,
@@ -40,7 +40,12 @@ from repro.joins.base import (
     stage_datasets,
 )
 from repro.joins.dedup import two_way_range_owner
+from repro.joins.local import SlotPlan, frontier_level, plan_is_vectorized, slot_plans
+from repro.joins.reducers import result_lines
 from repro.joins.sweep import sweep_pairs
+from repro.kernels import numpy_or_none
+from repro.kernels import transforms as _kt
+from repro.kernels.batch import RectBatch, RectColumns, TupleColumns
 from repro.kernels.sweep import sweep_pairs_batch
 from repro.mapreduce.engine import Cluster
 from repro.mapreduce.job import (
@@ -48,94 +53,32 @@ from repro.mapreduce.job import (
     MapReduceJob,
     ReduceContext,
     ShuffleCodec,
+    ValueRuns,
 )
 from repro.mapreduce.workflow import Workflow
-from repro.query.graph import JoinGraph
-from repro.query.query import Query, Triple
+from repro.query.query import Query
 
 __all__ = ["CascadeJoin"]
 
+#: Charged shuffle bytes, matching the string-era layout: an int
+#: cell-id key; a tuple-side ``("T", TupleRecord)`` as ``("T", line)``
+#: was — 2 bytes framing + 1-char tag + the encoded line; a base-side
+#: ``("B", rid, Rect)`` as the old flat ``("B", rid, x, y, l, b)`` —
+#: 2 + 1 + five 8-byte numbers.
+_KEY_BYTES = 8
+_TUPLE_FRAMING_BYTES = 3
+_BASE_VALUE_BYTES = 43
+
 
 def _cascade_value_size(value: tuple) -> int:
-    """Byte size of one shuffle value, matching the string-era layout.
-
-    Tuple side ``("T", TupleRecord)`` is charged as ``("T", line)`` was:
-    2 bytes framing + 1-char tag + the encoded line.  Base side
-    ``("B", rid, Rect)`` is charged as the old flat
-    ``("B", rid, x, y, l, b)``: 2 + 1 + five 8-byte numbers.
-    """
     if value[0] == "T":
-        return 3 + len(value[1].line)
-    return 43
+        return _TUPLE_FRAMING_BYTES + len(value[1].line)
+    return _BASE_VALUE_BYTES
 
 
-#: int cell-id key -> 8 bytes, values per :func:`_cascade_value_size`
 CASCADE_SHUFFLE_CODEC = ShuffleCodec(
-    key_size=lambda key: 8, value_size=_cascade_value_size
+    key_size=lambda key: _KEY_BYTES, value_size=_cascade_value_size
 )
-
-
-@dataclass(frozen=True)
-class _Step:
-    """One 2-way join step of the cascade plan."""
-
-    new_slot: str
-    anchor: Triple
-    anchor_slot: str
-    checks: tuple[tuple[Triple, str], ...]
-    #: earlier slots reading the new slot's dataset (distinctness)
-    same_dataset: tuple[str, ...]
-    is_final: bool
-
-
-def _build_plan(
-    query: Query, order: tuple[str, ...] | None = None
-) -> tuple[str, tuple[_Step, ...]]:
-    """Compile the query into (first slot, per-step 2-way joins).
-
-    ``order`` overrides the default connected order — this is the hook
-    the cascade-order optimizer (``repro.optimizer``) plugs into.  It
-    must be a permutation of the query's slots where every slot after
-    the first touches an earlier one.
-    """
-    if order is not None:
-        if sorted(order) != sorted(query.slots):
-            raise JoinError(
-                f"order {order!r} is not a permutation of the query slots"
-            )
-    graph = JoinGraph(query)
-    order = order or graph.connected_order()
-    steps: list[_Step] = []
-    bound = [order[0]]
-    for i, slot in enumerate(order[1:], start=1):
-        anchor: Triple | None = None
-        anchor_slot: str | None = None
-        checks: list[tuple[Triple, str]] = []
-        for t in query.triples_touching(slot):
-            other = t.other(slot)
-            if other not in bound:
-                continue
-            if anchor is None:
-                anchor, anchor_slot = t, other
-            else:
-                checks.append((t, other))
-        if anchor is None:  # pragma: no cover - connectivity bars this
-            raise JoinError(f"slot {slot!r} not connected to bound slots")
-        same_dataset = tuple(
-            s for s in bound if query.dataset_of(s) == query.dataset_of(slot)
-        )
-        steps.append(
-            _Step(
-                new_slot=slot,
-                anchor=anchor,
-                anchor_slot=anchor_slot,
-                checks=tuple(checks),
-                same_dataset=same_dataset,
-                is_final=(i == len(order) - 1),
-            )
-        )
-        bound.append(slot)
-    return order[0], tuple(steps)
 
 
 class CascadeJoin(MultiWayJoinAlgorithm):
@@ -159,43 +102,51 @@ class CascadeJoin(MultiWayJoinAlgorithm):
         cluster = cluster or Cluster()
         self._check_inputs(query, datasets)
         paths = stage_datasets(cluster, datasets)
-        first_slot, steps = _build_plan(query, self.order)
+        # One plan per slot: the first slot seeds the tuples, every
+        # later plan is one 2-way join step binding its slot.
+        plans = slot_plans(query, self.order)
+        first_slot = plans[0].slot
         kernel = cluster.resolved_kernel
 
         workflow = Workflow(cluster)
         left_path = paths[query.dataset_of(first_slot)]
         left_is_tuples = False
         output_path = f"{self.name}/output"
-        for i, step in enumerate(steps):
-            step_output = (
-                output_path if step.is_final else f"{self.name}/step-{i}"
-            )
+        for i, step in enumerate(plans[1:]):
+            is_final = i == len(plans) - 2
+            step_output = output_path if is_final else f"{self.name}/step-{i}"
             # Under resume step outputs are restorable checkpoints.
             if not cluster.resume and cluster.dfs.exists(step_output):
                 cluster.dfs.delete(step_output)
-            right_path = paths[query.dataset_of(step.new_slot)]
+            right_path = paths[query.dataset_of(step.slot)]
             if left_is_tuples:
                 input_codec = {left_path: TUPLE_CODEC, right_path: RECT_CODEC}
             else:
                 input_codec = RECT_CODEC  # both sides are base relations
+            # A first step reading one dataset on both sides emits T and
+            # B per record, interleaved: only the scalar mapper keeps
+            # that per-bucket emission order (and its spill points).
+            self_first = left_path == right_path and not left_is_tuples
+            bound = tuple(p.slot for p in plans[: i + 1])
             job = MapReduceJob(
-                name=f"{self.name}-step{i}-{step.new_slot}",
-                input_paths=(
-                    [left_path]
-                    if left_path == right_path and not left_is_tuples
-                    else [left_path, right_path]
-                ),
+                name=f"{self.name}-step{i}-{step.slot}",
+                input_paths=[left_path] if self_first else [left_path, right_path],
                 output_path=step_output,
                 mapper=_make_step_mapper(
                     grid, step, left_path, right_path, left_is_tuples, first_slot
                 ),
                 reducer=_make_step_reducer(
-                    grid, query, step, self.index_kind, kernel
+                    grid, query, step, bound, is_final, self.index_kind, kernel
                 ),
                 num_reducers=grid.num_cells,
                 input_codec=input_codec,
-                output_codec=None if step.is_final else TUPLE_CODEC,
+                output_codec=None if is_final else TUPLE_CODEC,
                 shuffle_codec=CASCADE_SHUFFLE_CODEC,
+                batch_mapper=(
+                    _make_step_batch_mapper(grid, step, bound, left_path, left_is_tuples)
+                    if kernel == "numpy" and not self_first
+                    else None
+                ),
             )
             workflow.run(job)
             left_path = step_output
@@ -212,9 +163,13 @@ class CascadeJoin(MultiWayJoinAlgorithm):
 # ----------------------------------------------------------------------
 # Map side: route tuples through the anchor rectangle, split base rects
 # ----------------------------------------------------------------------
+def _is_under(path: str, root: str) -> bool:
+    return path == root or path.startswith(root + "/")
+
+
 def _make_step_mapper(
     grid: GridPartitioning,
-    step: _Step,
+    step: SlotPlan,
     left_path: str,
     right_path: str,
     left_is_tuples: bool,
@@ -236,8 +191,7 @@ def _make_step_mapper(
 
     def mapper(key: tuple[str, int], record, ctx: MapContext) -> None:
         path, __ = key
-        from_left = path == left_path or path.startswith(left_path + "/")
-        if from_left:
+        if _is_under(path, left_path):
             if left_is_tuples:
                 emit_tuple_side(record, ctx)
                 return
@@ -254,20 +208,220 @@ def _make_step_mapper(
     return mapper
 
 
+def _make_step_batch_mapper(
+    grid: GridPartitioning,
+    step: SlotPlan,
+    bound: tuple[str, ...],
+    left_path: str,
+    left_is_tuples: bool,
+):
+    """Columnar twin of :func:`_make_step_mapper` (a split never spans
+    files, so a task is all tuple side or all base side).
+
+    The split's records become one column bundle — ``TupleColumns`` for
+    the tuple side (step 0: singleton tuples straight from the staged
+    rectangle batch), ``RectColumns`` tagged ``"B"`` for the base side —
+    which is also the emitted values; the routing cells of the whole
+    split come from one ``overlap_cell_lists`` call on the anchor
+    slot's batch (``d``-enlarged for a range anchor) or on the base
+    batch, and go out in one ``emit_batch``: the exact pairs, per-bucket
+    order and byte totals of the scalar mapper.
+    """
+    np = numpy_or_none()
+    d = step.anchor.predicate.distance
+
+    def batch_mapper(split_entries, ctx: MapContext, batch=None) -> None:
+        if not split_entries:
+            return
+        from_left = _is_under(split_entries[0][0], left_path)
+        records = [e[2] for e in split_entries]
+        if from_left and left_is_tuples:
+            values = TupleColumns.from_records(np, bound, records)
+        else:
+            if batch is None:
+                batch = RectBatch.from_records(np, records)
+            if from_left:
+                # First step: the left side is a base relation; every
+                # rectangle is a singleton tuple bound to the first slot.
+                lines = np.array(tuple_fragments(bound[0], records), dtype=object)
+                values = TupleColumns(bound, (batch,), lines)
+            else:
+                values = RectColumns(("B",), None, batch)
+        if from_left:
+            batches = values.batches
+            routing = values.batch(step.anchor_slot)
+            if d > 0:
+                # Rect.enlarge, by column.
+                routing = RectBatch(
+                    np,
+                    None,
+                    routing.x - d,
+                    routing.length + 2 * d,
+                    routing.y + d,
+                    routing.breadth + 2 * d,
+                )
+            sizes = (_KEY_BYTES + _TUPLE_FRAMING_BYTES) + np.fromiter(
+                map(len, values.lines), dtype=np.int64, count=len(values)
+            )
+        else:
+            batches = (batch,)
+            routing = batch
+            sizes = np.full(batch.n, _KEY_BYTES + _BASE_VALUE_BYTES, dtype=np.int64)
+        keys, counts = _kt.overlap_cell_lists(np, grid, routing)
+        if any(type(b.ids) is list for b in batches):
+            # Non-integer rids form no int64 column: ship the plain rows.
+            values = list(values)
+        ctx.emit_batch(keys, counts, values, sizes)
+
+    return batch_mapper
+
+
 # ----------------------------------------------------------------------
 # Reduce side: 2-way join with the Section 5 duplicate avoidance
 # ----------------------------------------------------------------------
 def _make_step_reducer(
     grid: GridPartitioning,
     query: Query,
-    step: _Step,
+    step: SlotPlan,
+    bound: tuple[str, ...],
+    is_final: bool,
     index_kind: str,
     kernel: str = "python",
 ):
+    """The step reducer: columnar on the numpy kernel with the grid
+    index and vectorized predicates, else the scalar reference."""
+    scalar = _make_scalar_step_reducer(grid, query, step, is_final, index_kind, kernel)
+    np = numpy_or_none() if kernel == "numpy" else None
+    if np is None or index_kind != "grid" or not plan_is_vectorized(step):
+        return scalar
     d = step.anchor.predicate.distance
     slot_order = query.slots
+    new_slot = step.slot
+    frontier = dict.fromkeys(bound)  # tuple row i binds row i of every slot
 
-    def candidate_pairs(tuple_records, base_entries):
+    def reducer(cell_id: int, values, ctx: ReduceContext) -> None:
+        """One level of the local join's frontier search — the group's
+        tuples are the frontier, the base rectangles the new slot's bag —
+        plus the Section 5 owner rule as the level's admit mask."""
+        tuples, base = _group_columns(np, bound, values)
+        if tuples is None or base is None:
+            return
+        batches = dict(zip(tuples.slots, tuples.batches))
+        rid_arrays = {s: batches[s].int_ids(np) for s in step.same_dataset}
+        if step.same_dataset and (
+            base.int_ids(np) is None
+            or any(ids is None for ids in rid_arrays.values())
+        ):
+            # Distinctness compares int64 rid columns.
+            scalar(cell_id, values, ctx)
+            return
+        anchor_batch = batches[step.anchor_slot]
+
+        def owned_here(anchor_rows, entries):
+            # Section 5 dedup: only the cell owning the start of
+            # (enlarged anchor) ∩ candidate reports the pair.
+            return (
+                _kt.two_way_owner_cells(
+                    np, grid, anchor_batch, anchor_rows, base, entries, d
+                )
+                == cell_id
+            )
+
+        index = GridIndex(kernel="numpy", batch=base)
+        parents, entries, ops = frontier_level(
+            np, step, index, batches, frontier, rid_arrays.__getitem__, owned_here
+        )
+        ctx.add_compute(ops)
+        if not len(parents):
+            return
+        if is_final:
+            ids = {s: batches[s].ids_at(parents) for s in bound}
+            ids[new_slot] = base.ids_at(entries)
+            ctx.counter(JOIN_COUNTERS, CNT_OUTPUT_TUPLES, len(parents))
+            ctx.emit_all(result_lines(slot_order, ids))
+        else:
+            ctx.emit_all(_merged_records(np, tuples, parents, new_slot, base, entries))
+
+    return reducer
+
+
+def _group_columns(np, bound: tuple[str, ...], values):
+    """``(tuple side, base side)`` of a step's reduce group as columns:
+    a :class:`TupleColumns` over the ``bound`` slots and a
+    :class:`RectBatch`, rows in received order; ``None`` for an empty
+    side.
+
+    A columnar group is taken apart by run; a plain value list (spill
+    merge, row shuffle, the scalar mapper, non-integer rids) is walked
+    once.  Either way the reducer runs the same code downstream.
+    """
+    runs = values.runs if isinstance(values, ValueRuns) else [values]
+    if all(isinstance(run, (TupleColumns, RectColumns)) for run in runs):
+        tuple_runs = [run for run in runs if isinstance(run, TupleColumns)]
+        base_runs = [run.batch for run in runs if isinstance(run, RectColumns)]
+        return (
+            TupleColumns.concat(tuple_runs)
+            if len(tuple_runs) > 1
+            else next(iter(tuple_runs), None),
+            RectBatch.concat(np, base_runs)
+            if len(base_runs) > 1
+            else next(iter(base_runs), None),
+        )
+    records: list[TupleRecord] = []
+    pairs: list[tuple] = []
+    for value in values:
+        if value[0] == "T":
+            records.append(value[1])
+        else:
+            pairs.append(value[1:])
+    return (
+        TupleColumns.from_records(np, bound, records) if records else None,
+        RectBatch.from_records(np, pairs) if pairs else None,
+    )
+
+
+def _merged_records(np, tuples: TupleColumns, parents, new_slot: str, base, entries):
+    """The step's output tuples: row ``parents[k]`` of ``tuples``
+    extended by ``new_slot`` = row ``entries[k]`` of ``base``.
+
+    Bindings and line fragments are built once per received row that
+    reaches the output — a carried tuple's line is cut at the new
+    slot's sorted position, a base rectangle formatted once — and an
+    output line is the concatenation ``head + fragment + tail``.
+    """
+    tuple_rows, tuple_of = np.unique(parents, return_inverse=True)
+    base_rows, base_of = np.unique(entries, return_inverse=True)
+    carried = tuples.take(tuple_rows)
+    bindings = [record.bindings for record in carried.tuple_records()]
+    at = bisect_left(sorted(carried.slots), new_slot)
+    heads = []
+    tails = []
+    for line in carried.lines.tolist():
+        parts = line.split(";")
+        heads.append(";".join([*parts[:at], ""]))
+        tails.append(";".join(["", *parts[at:]]))
+    new_pairs = base.take(base_rows).pairs()
+    fragments = tuple_fragments(new_slot, new_pairs)
+    return [
+        TupleRecord({**bindings[t], new_slot: new_pairs[b]}, heads[t] + fragments[b] + tails[t])
+        for t, b in zip(tuple_of.tolist(), base_of.tolist())
+    ]
+
+
+def _make_scalar_step_reducer(
+    grid: GridPartitioning,
+    query: Query,
+    step: SlotPlan,
+    is_final: bool,
+    index_kind: str,
+    kernel: str,
+):
+    """The record-at-a-time reference reducer."""
+    d = step.anchor.predicate.distance
+    slot_order = query.slots
+    new_slot = step.slot
+
+    def candidate_pairs(tuple_records, base_pairs):
         """Yield (bindings, rid, rect, anchor_rect) candidate pairs.
 
         Two kernels: per-tuple probes of a spatial index over the base
@@ -284,17 +438,16 @@ def _make_step_reducer(
                 (t, bindings[step.anchor_slot][1])
                 for t, bindings in enumerate(decoded)
             ]
-            right = [(e.payload, e.rect) for e in base_entries]
-            by_rid = {e.payload: e.rect for e in base_entries}
+            by_rid = dict(base_pairs)
             if kernel == "numpy":
-                pairs = sweep_pairs_batch(left, right, d)
+                pairs = sweep_pairs_batch(left, base_pairs, d)
             else:
-                pairs = sweep_pairs(left, right, d)
+                pairs = sweep_pairs(left, base_pairs, d)
             for t, rid in pairs:
                 bindings = decoded[t]
                 yield bindings, rid, by_rid[rid], bindings[step.anchor_slot][1]
             return
-        index = make_index(index_kind, base_entries, kernel=kernel)
+        index = make_index(index_kind, kernel=kernel, pairs=base_pairs)
         for bindings in decoded:
             anchor_rect = bindings[step.anchor_slot][1]
             for entry in index.search(anchor_rect, d):
@@ -302,21 +455,20 @@ def _make_step_reducer(
 
     def reducer(cell_id: int, values, ctx: ReduceContext) -> None:
         tuple_records: list[TupleRecord] = []
-        base_entries: list[Entry] = []
+        base_pairs: list[tuple[int, Rect]] = []
         for value in values:
             if value[0] == "T":
                 tuple_records.append(value[1])
             else:
-                __, rid, rect = value
-                base_entries.append(Entry(rect=rect, payload=rid))
-        if not tuple_records or not base_entries:
+                base_pairs.append(value[1:])
+        if not tuple_records or not base_pairs:
             return
         ops = 0
         for bindings, rid, rect, anchor_rect in candidate_pairs(
-            tuple_records, base_entries
+            tuple_records, base_pairs
         ):
             ops += 1
-            if not step.anchor.holds_with(step.new_slot, rect, anchor_rect):
+            if not step.anchor.holds_with(new_slot, rect, anchor_rect):
                 continue
             # Section 5 dedup: only the cell owning the start of
             # (enlarged anchor) ∩ candidate reports the pair.
@@ -328,14 +480,14 @@ def _make_step_reducer(
             ok = True
             for triple, other in step.checks:
                 ops += 1
-                if not triple.holds_with(step.new_slot, rect, bindings[other][1]):
+                if not triple.holds_with(new_slot, rect, bindings[other][1]):
                     ok = False
                     break
             if not ok:
                 continue
             merged = dict(bindings)
-            merged[step.new_slot] = (rid, rect)
-            if step.is_final:
+            merged[new_slot] = (rid, rect)
+            if is_final:
                 ctx.counter(JOIN_COUNTERS, CNT_OUTPUT_TUPLES)
                 ctx.emit(
                     encode_result(

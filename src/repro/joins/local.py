@@ -60,7 +60,7 @@ class FrontierResult:
 
 
 @dataclass(frozen=True)
-class _SlotPlan:
+class SlotPlan:
     """How one slot of the evaluation order is bound."""
 
     slot: str
@@ -74,6 +74,114 @@ class _SlotPlan:
     same_dataset: tuple[str, ...]
 
 
+def slot_plans(
+    query: Query, order: tuple[str, ...] | None = None
+) -> tuple[SlotPlan, ...]:
+    """Compile the query into one :class:`SlotPlan` per slot.
+
+    The local join binds the slots depth by depth; the 2-way Cascade
+    runs one job per plan after the first.  ``order`` overrides the
+    default connected order — the hook the cascade-order optimizer
+    (``repro.optimizer``) plugs into.  It must be a permutation of the
+    query's slots where every slot after the first touches an earlier
+    one.
+    """
+    if order is not None and sorted(order) != sorted(query.slots):
+        raise JoinError(f"order {order!r} is not a permutation of the query slots")
+    order = order or JoinGraph(query).connected_order()
+    plans: list[SlotPlan] = []
+    bound: list[str] = []
+    for slot in order:
+        anchor: Triple | None = None
+        anchor_slot: str | None = None
+        checks: list[tuple[Triple, str]] = []
+        for t in query.triples_touching(slot):
+            other = t.other(slot)
+            if other not in bound:
+                continue
+            if anchor is None:
+                anchor, anchor_slot = t, other
+            else:
+                checks.append((t, other))
+        if bound and anchor is None:
+            raise JoinError(f"slot {slot!r} not connected to bound slots")
+        same_dataset = tuple(
+            s for s in bound if query.dataset_of(s) == query.dataset_of(slot)
+        )
+        plans.append(
+            SlotPlan(
+                slot=slot,
+                anchor=anchor,
+                anchor_slot=anchor_slot,
+                checks=tuple(checks),
+                same_dataset=same_dataset,
+            )
+        )
+        bound.append(slot)
+    return tuple(plans)
+
+
+def plan_is_vectorized(plan: SlotPlan) -> bool:
+    """Whether the plan's anchor and check predicates all have masks."""
+    return plan.anchor is not None and supports_triples(
+        [plan.anchor, *(t for t, __ in plan.checks)]
+    )
+
+
+def _rows(pos, sel):
+    """Rows ``sel`` of a position column (``None``: the identity column)."""
+    return sel if pos is None else pos[sel]
+
+
+def frontier_level(np, plan: SlotPlan, idx, batches, frontier, rid_array_for, admit=None):
+    """Bind ``plan.slot`` for a whole frontier: one bulk probe, then masks.
+
+    ``frontier[s]`` holds, per partial assignment, its row in
+    ``batches[s]`` (``None``: row ``i`` for assignment ``i``);
+    ``idx`` is the numpy grid index over the new slot's bag and
+    ``rid_array_for(s)`` the int64 rid column of a bound slot.  The
+    anchor's rectangles are probed together, query-major in scan order,
+    and the candidates filtered in the scalar loop's order: anchor
+    predicate, the caller's ``admit(anchor_rows, entries)`` mask (the
+    Cascade's owner-cell rule), same-dataset rid distinctness, then each
+    bound-edge check.
+
+    Returns ``(parents, entries, checks)``: per survivor, in scan order,
+    its parent's position in the frontier and its entry in ``idx.batch``;
+    and the candidate checks the short-circuiting scalar loop counts —
+    one per bucket-passed candidate plus, per bound-edge check, one per
+    candidate still alive when that check runs.
+    """
+    slot = plan.slot
+    abatch = batches[plan.anchor_slot]
+    apos = frontier[plan.anchor_slot]
+    p_flat, e_flat = idx.probe_frontier(abatch, apos, plan.anchor.predicate.distance)
+    checks = len(e_flat)
+    a_rows = _rows(apos, p_flat)
+    alive = pair_mask(np, plan.anchor, slot, idx.batch, e_flat, abatch, a_rows)
+    if admit is not None:
+        alive = alive & admit(a_rows, e_flat)
+    for s in plan.same_dataset:
+        alive = alive & (
+            idx.rid_array[e_flat] != rid_array_for(s)[_rows(frontier[s], p_flat)]
+        )
+    for triple, other_slot in plan.checks:
+        n_alive = int(np.count_nonzero(alive))
+        checks += n_alive
+        if not n_alive:
+            break
+        alive = alive & pair_mask(
+            np,
+            triple,
+            slot,
+            idx.batch,
+            e_flat,
+            batches[other_slot],
+            _rows(frontier[other_slot], p_flat),
+        )
+    return p_flat[alive], e_flat[alive], checks
+
+
 class LocalJoiner:
     """Backtracking multi-way join evaluator bound to one query."""
 
@@ -83,39 +191,9 @@ class LocalJoiner:
         self.query = query
         self.index_kind = index_kind
         self.kernel = kernel
-        graph = JoinGraph(query)
-        order = graph.connected_order()
-        plans: list[_SlotPlan] = []
-        bound: list[str] = []
-        for slot in order:
-            anchor: Triple | None = None
-            anchor_slot: str | None = None
-            checks: list[tuple[Triple, str]] = []
-            for t in query.triples_touching(slot):
-                other = t.other(slot)
-                if other not in bound:
-                    continue
-                if anchor is None:
-                    anchor, anchor_slot = t, other
-                else:
-                    checks.append((t, other))
-            if bound and anchor is None:  # pragma: no cover - connectivity bars this
-                raise JoinError(f"slot {slot!r} not connected to bound slots")
-            same_dataset = tuple(
-                s for s in bound if query.dataset_of(s) == query.dataset_of(slot)
-            )
-            plans.append(
-                _SlotPlan(
-                    slot=slot,
-                    anchor=anchor,
-                    anchor_slot=anchor_slot,
-                    checks=tuple(checks),
-                    same_dataset=same_dataset,
-                )
-            )
-            bound.append(slot)
-        self.plans = tuple(plans)
-        self.order = order
+        plans = slot_plans(query)
+        self.plans = plans
+        self.order = tuple(p.slot for p in plans)
         # Columnar fast path: per-depth flag — an anchored depth whose
         # anchor and check predicates all have vectorized masks can
         # filter the whole candidate set in one pass.  Depths that fail
@@ -123,11 +201,7 @@ class LocalJoiner:
         # distinctness filter is needed) fall back to the scalar loop.
         self._np = numpy_or_none() if kernel == "numpy" else None
         if self._np is not None:
-            self._vec_plans = tuple(
-                p.anchor is not None
-                and supports_triples([p.anchor, *(t for t, __ in p.checks)])
-                for p in plans
-            )
+            self._vec_plans = tuple(plan_is_vectorized(p) for p in plans)
         else:
             self._vec_plans = tuple(False for __ in plans)
         # Frontier (level-synchronous) evaluation: when every anchored
@@ -228,7 +302,7 @@ class LocalJoiner:
         # candidate anchor checks, exactly as the scalar re-probe would.
         probe_cache: dict[tuple[str, int], tuple] = {}
 
-        def bind_vector(depth: int, plan: _SlotPlan, idx) -> None:
+        def bind_vector(depth: int, plan: SlotPlan, idx) -> None:
             """One vectorized probe: filter the whole candidate set with
             array masks, then recurse scalar over the survivors.
 
@@ -376,7 +450,11 @@ class LocalJoiner:
             row, in order (used when an index can't serve the fast path —
             non-grid kind, or non-integer rids under distinctness)."""
             bound_slots = [p.slot for p in plans[:depth]]
-            cols = [(s, pairs_of(s), frontier[s].tolist()) for s in bound_slots]
+            cols = [
+                (s, bag, range(len(bag)) if pos is None else pos.tolist())
+                for s in bound_slots
+                for bag, pos in [(pairs_of(s), frontier[s])]
+            ]
             for i in range(len(cols[0][2])):
                 for s, bag, poss in cols:
                     assignment[s] = bag[poss[i]]
@@ -396,14 +474,16 @@ class LocalJoiner:
             bag0 = rects_by_slot[slot0]
             m0 = len(bag0)
             checks += m0
-            frontier: dict[str, Any] = {slot0: np.arange(m0, dtype=np.int64)}
+            # ``None``: every row of the first bag, in order.
+            frontier: dict[str, Any] = {slot0: None}
             batches[slot0] = (
                 bag0 if isinstance(bag0, RectBatch) else RectBatch.from_pairs(np, bag0)
             )
+            alive_rows = m0
             for depth in range(1, nplans):
                 plan = plans[depth]
                 slot = plan.slot
-                if not len(frontier[slot0]):
+                if not alive_rows:
                     return {}
                 idx = index_for(slot)
                 ok = (
@@ -417,38 +497,14 @@ class LocalJoiner:
                 if not ok:
                     run_rows(depth, frontier)
                     return None
-                abatch = batches[plan.anchor_slot]
-                apos = frontier[plan.anchor_slot]
-                p_flat, e_flat = idx.probe_frontier(
-                    abatch, apos, plan.anchor.predicate.distance
+                keep, entries, level_checks = frontier_level(
+                    np, plan, idx, batches, frontier, rid_array_for
                 )
-                checks += len(e_flat)
-                alive = pair_mask(
-                    np, plan.anchor, slot, idx.batch, e_flat, abatch, apos[p_flat]
-                )
-                for s in plan.same_dataset:
-                    alive = alive & (
-                        idx.rid_array[e_flat]
-                        != rid_array_for(s)[frontier[s][p_flat]]
-                    )
-                for triple, other_slot in plan.checks:
-                    n_alive = int(np.count_nonzero(alive))
-                    checks += n_alive
-                    if not n_alive:
-                        break
-                    alive = alive & pair_mask(
-                        np,
-                        triple,
-                        slot,
-                        idx.batch,
-                        e_flat,
-                        batches[other_slot],
-                        frontier[other_slot][p_flat],
-                    )
-                keep = p_flat[alive]
-                frontier = {s: arr[keep] for s, arr in frontier.items()}
-                frontier[slot] = e_flat[alive]
+                checks += level_checks
+                frontier = {s: _rows(arr, keep) for s, arr in frontier.items()}
+                frontier[slot] = entries
                 batches[slot] = idx.batch
+                alive_rows = len(entries)
             return frontier
 
         columnar: FrontierResult | None = None

@@ -38,6 +38,7 @@ __all__ = [
     "dataset_codes",
     "dataset_batches",
     "RECT_SHUFFLE_CODEC",
+    "result_lines",
     "make_local_join_reducer",
 ]
 
@@ -128,6 +129,14 @@ def dataset_batches(np, values) -> dict[str, RectBatch]:
     }
 
 
+def result_lines(slot_order, id_columns) -> list[str]:
+    """:func:`~repro.data.io.encode_result` by column: the join output
+    records (``rid<TAB>rid...`` in query slot order) of a result set
+    given as one record-id column per slot."""
+    columns = (map(str, id_columns[slot]) for slot in slot_order)
+    return ["\t".join(row) for row in zip(*columns)]
+
+
 def make_local_join_reducer(
     query: Query, grid: GridPartitioning, joiner: LocalJoiner, kernel: str = "python"
 ):
@@ -169,10 +178,10 @@ def make_local_join_reducer(
             )
             mine = np.flatnonzero(owners == cell_id)
             if len(mine):
-                rid_cols = [
-                    map(str, fr.batches[s].ids_at(pos[s][mine])) for s in slot_order
-                ]
-                lines = ["\t".join(row) for row in zip(*rid_cols)]
+                lines = result_lines(
+                    slot_order,
+                    {s: fr.batches[s].ids_at(pos[s][mine]) for s in slot_order},
+                )
                 ctx.counter(JOIN_COUNTERS, CNT_OUTPUT_TUPLES, len(lines))
                 ctx.emit_all(lines)
             return

@@ -15,17 +15,20 @@ predicate's enlargement (`Rect._enlarged_intersects`) is defined on
 A :class:`RectColumns` adds a dataset column to a batch: it is the
 columnar form of the ``(dataset, rid, rect)`` values the join jobs
 shuffle, and at the same time a lazy sequence of exactly those tuples
-for consumers that read rows.
+for consumers that read rows.  A :class:`TupleColumns` is the same for
+the partially-joined tuples of a Cascade step: one batch per bound slot
+plus each tuple's encoded line.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
+from repro.data.io import TupleRecord
 from repro.geometry.rectangle import Rect
 from repro.kernels import numpy_or_none
 
-__all__ = ["RectBatch", "RectColumns"]
+__all__ = ["RectBatch", "RectColumns", "TupleColumns"]
 
 
 class RectBatch:
@@ -205,7 +208,29 @@ def _int_column(np, ids: list):
     return arr if arr.dtype == np.int64 and arr.ndim == 1 else None
 
 
-class RectColumns(Sequence):
+class _ColumnRows(Sequence):
+    """The row view of a column bundle: the rows it stands for,
+    materialised on first row access (``_materialise``, into
+    ``_tuples``); a single row is read through ``take`` without
+    materialising them all (pair sizing reads one per dataset)."""
+
+    __slots__ = ()
+
+    def __getitem__(self, i):
+        if self._tuples is None and not isinstance(i, slice):
+            n = len(self)
+            if i < 0:
+                i += n
+            if not 0 <= i < n:
+                raise IndexError(f"{type(self).__name__} index out of range")
+            return self.take(slice(i, i + 1))._materialise()[0]
+        return self._materialise()[i]
+
+    def __iter__(self):
+        return iter(self._materialise())
+
+
+class RectColumns(_ColumnRows):
     """The ``(dataset, rid, rect)`` shuffle values of a join job, columnar.
 
     Row ``i`` stands for ``(names[codes[i]], batch.ids[i], rect i)``;
@@ -230,21 +255,6 @@ class RectColumns(Sequence):
 
     def __len__(self) -> int:
         return self.batch.n
-
-    def __getitem__(self, i):
-        if self._tuples is None and not isinstance(i, slice):
-            # One row (pair sizing reads one per dataset): no need to
-            # materialise them all.
-            n = self.batch.n
-            if i < 0:
-                i += n
-            if not 0 <= i < n:
-                raise IndexError("RectColumns index out of range")
-            return self.take(slice(i, i + 1))._materialise()[0]
-        return self._materialise()[i]
-
-    def __iter__(self):
-        return iter(self._materialise())
 
     def _materialise(self) -> list[tuple]:
         rows = self._tuples
@@ -307,3 +317,107 @@ class RectColumns(Sequence):
 
     def __setstate__(self, state) -> None:
         self.__init__(*state)
+
+
+class TupleColumns(_ColumnRows):
+    """The ``("T", TupleRecord)`` shuffle values of a Cascade step, columnar.
+
+    Row ``i`` stands for the tuple binding, for every ``k``, slot
+    ``slots[k]`` to row ``i`` of ``batches[k]`` (the batches align), and
+    carrying the encoded line ``lines[i]`` (an object array) that sizes
+    it in the shuffle and is its durable form.  Like
+    :class:`RectColumns` it is what a batch mapper hands ``emit_batch``,
+    what a columnar reduce group arrives as, and — for row consumers —
+    a lazy sequence of exactly those ``("T", TupleRecord)`` values.
+
+    ``records`` optionally keeps the :class:`TupleRecord` objects the
+    rows were read from (an object array, like ``RectBatch.rects``):
+    in-process row consumers get them back as they were — a spilling
+    map task pickles exactly what the scalar mapper would — and they
+    never cross a process boundary.
+    """
+
+    __slots__ = ("slots", "batches", "lines", "records", "_tuples")
+
+    def __init__(self, slots, batches, lines, records=None) -> None:
+        self.slots = tuple(slots)
+        self.batches = tuple(batches)
+        self.lines = lines
+        self.records = records
+        self._tuples: list[tuple] | None = None
+
+    @classmethod
+    def from_records(cls, np, slots, records) -> "TupleColumns":
+        """Columns of a list of :class:`TupleRecord` binding ``slots``."""
+        batches = [
+            RectBatch.from_records(np, [record.bindings[slot] for record in records])
+            for slot in slots
+        ]
+        lines = _object_column(np, [record.line for record in records])
+        return cls(slots, batches, lines, _object_column(np, records))
+
+    def batch(self, slot: str) -> RectBatch:
+        return self.batches[self.slots.index(slot)]
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def tuple_records(self) -> list[TupleRecord]:
+        """The rows as :class:`TupleRecord` objects: the originals when
+        they were kept, otherwise equal records rebuilt from the columns."""
+        if self.records is not None:
+            return self.records.tolist()
+        slots = self.slots
+        bound = zip(*(batch.pairs() for batch in self.batches))
+        return [
+            TupleRecord(dict(zip(slots, row)), line)
+            for row, line in zip(bound, self.lines.tolist())
+        ]
+
+    def _materialise(self) -> list[tuple]:
+        rows = self._tuples
+        if rows is None:
+            rows = self._tuples = [("T", record) for record in self.tuple_records()]
+        return rows
+
+    def take(self, rows) -> "TupleColumns":
+        """The rows at positions ``rows`` (an int array or a slice)."""
+        return TupleColumns(
+            self.slots,
+            [batch.take(rows) for batch in self.batches],
+            self.lines[rows],
+            self.records[rows] if self.records is not None else None,
+        )
+
+    @classmethod
+    def concat(cls, parts) -> "TupleColumns":
+        """Row-wise concatenation of parts binding the same slots
+        (``records`` survive only when every part carries them)."""
+        np = numpy_or_none()
+        first = parts[0]
+        records = None
+        if all(part.records is not None for part in parts):
+            records = np.concatenate([part.records for part in parts])
+        return cls(
+            first.slots,
+            [
+                RectBatch.concat(np, [part.batches[k] for part in parts])
+                for k in range(len(first.slots))
+            ],
+            np.concatenate([part.lines for part in parts]),
+            records,
+        )
+
+    def __getstate__(self):
+        return (self.slots, self.batches, self.lines.tolist())
+
+    def __setstate__(self, state) -> None:
+        slots, batches, lines = state
+        self.__init__(slots, batches, _object_column(numpy_or_none(), lines))
+
+
+def _object_column(np, items: list):
+    """``items`` as a 1-D object array (never interpreted as nested)."""
+    column = np.empty(len(items), dtype=object)
+    column[:] = items
+    return column

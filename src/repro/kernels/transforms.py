@@ -26,6 +26,7 @@ __all__ = [
     "quadrant_cell_lists",
     "row_ranges",
     "rows_of_y",
+    "two_way_owner_cells",
 ]
 
 
@@ -67,6 +68,35 @@ def rows_of_y(np, grid, py):
 def cell_ids_of_starts(np, grid, batch):
     """``cell_id_of`` (start-point ownership) for a whole batch."""
     return rows_of_y(np, grid, batch.y) * grid.cols + cols_of_x(np, grid, batch.x)
+
+
+def two_way_owner_cells(np, grid, anchor_batch, ia, base_batch, ib, d):
+    """``two_way_range_owner(anchor_i, base_i, d, grid)`` for aligned row
+    pairs (Sections 5.2 / 5.3): the cell owning the start-point of
+    ``anchor^e(d) ∩ base``, or ``-1`` where the two are disjoint (the
+    scalar ``None``).
+
+    The float expressions are the scalar ones verbatim: ``Rect.enlarge``
+    moves the corner first and then widens the sides, ``intersection``
+    takes the max of the left edges and the min of the top edges, and
+    ``cell_id_of`` looks up that point.
+    """
+    if d > 0:
+        ex_min = anchor_batch.x[ia] - d
+        ex_max = ex_min + (anchor_batch.length[ia] + 2 * d)
+        ey_max = anchor_batch.y[ia] + d
+        ey_min = ey_max - (anchor_batch.breadth[ia] + 2 * d)
+    else:
+        ex_min = anchor_batch.x_min[ia]
+        ex_max = anchor_batch.x_max[ia]
+        ey_max = anchor_batch.y_max[ia]
+        ey_min = anchor_batch.y_min[ia]
+    x_min = np.maximum(ex_min, base_batch.x_min[ib])
+    x_max = np.minimum(ex_max, base_batch.x_max[ib])
+    y_min = np.maximum(ey_min, base_batch.y_min[ib])
+    y_max = np.minimum(ey_max, base_batch.y_max[ib])
+    owners = rows_of_y(np, grid, y_max) * grid.cols + cols_of_x(np, grid, x_min)
+    return np.where((x_max < x_min) | (y_max < y_min), -1, owners)
 
 
 def col_ranges(np, grid, batch):

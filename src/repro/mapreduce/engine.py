@@ -292,8 +292,10 @@ def _segment_groups(segs: list[BucketSegment], sort_key):
     a custom ordering.  A group's ``values`` are its per-segment
     gathers concatenated (:func:`gather_values`): the plain list of
     emitted values the row path would hand the reducer, or — when the
-    map tasks emitted a columnar bundle — one such bundle, which is a
-    lazy sequence of those same values.  The join jobs'
+    map tasks emitted columnar bundles — one such bundle (the ordered
+    runs of a :class:`~repro.mapreduce.job.ValueRuns` when the tasks'
+    bundles differ in type), which is a lazy sequence of those same
+    values.  The join jobs'
     one-distinct-key-per-reducer layout takes the no-sort fast path:
     a single group of every segment, whole.
     """

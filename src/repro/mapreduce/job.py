@@ -31,6 +31,7 @@ from __future__ import annotations
 import pickle
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import chain, groupby
 from typing import Any
 
 from repro.data.io import RecordCodec
@@ -45,6 +46,7 @@ __all__ = [
     "ReduceContext",
     "ShuffleCodec",
     "BucketSegment",
+    "ValueRuns",
     "gather_values",
     "DEFAULT_SHUFFLE_CODEC",
     "estimate_size",
@@ -209,18 +211,49 @@ def _restore_segment(keys, members, source) -> BucketSegment:
     return BucketSegment(_unpack_ints(keys), source, _unpack_ints(members))
 
 
+class ValueRuns(Sequence):
+    """A reduce group whose values are columnar parts of several types.
+
+    ``runs`` holds the group's values as consecutive columnar bundles —
+    a Cascade step's group is its tuple-file tasks' ``TupleColumns``
+    followed by its base-file tasks' ``RectColumns``.  A columnar
+    reducer reads the runs; as a ``Sequence`` the object is the plain
+    list of rows the row shuffle would deliver, chained in order.
+    """
+
+    __slots__ = ("runs", "_len")
+
+    def __init__(self, runs: list) -> None:
+        self.runs = runs
+        self._len = sum(len(run) for run in runs)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        return chain.from_iterable(self.runs)
+
+    def __getitem__(self, i):
+        return list(self)[i]
+
+
 def gather_values(parts: list):
     """Concatenate per-segment :meth:`BucketSegment.gather` results, in
     order, into one group's values.
 
-    Parts of one columnar type stay columnar (their ``concat``); any
-    other mix is flattened to the plain list of rows.
+    Columnar parts stay columnar: adjacent parts of one type are joined
+    with its ``concat``, and a group of several types becomes their
+    :class:`ValueRuns`.  A plain list among the parts flattens the
+    group to the plain list of rows.
     """
     if len(parts) == 1:
         return parts[0]
-    first = type(parts[0])
-    if hasattr(first, "concat") and all(type(p) is first for p in parts):
-        return first.concat(parts)
+    if all(hasattr(type(part), "concat") for part in parts):
+        runs = []
+        for kind, group in groupby(parts, key=type):
+            group = list(group)
+            runs.append(group[0] if len(group) == 1 else kind.concat(group))
+        return runs[0] if len(runs) == 1 else ValueRuns(runs)
     values: list = []
     for part in parts:
         values.extend(part)

@@ -5,7 +5,8 @@ import pytest
 from repro.data.synthetic import SyntheticSpec, generate_relations
 from repro.geometry.rectangle import Rect
 from repro.grid.partitioning import GridPartitioning
-from repro.joins.cascade import CascadeJoin, _build_plan
+from repro.joins.cascade import CascadeJoin
+from repro.joins.local import slot_plans
 from repro.joins.reference import brute_force_join
 from repro.query.predicates import Overlap, Range
 from repro.query.query import Query, Triple
@@ -13,18 +14,28 @@ from repro.query.query import Query, Triple
 GRID = GridPartitioning(Rect.from_corners(0, 0, 400, 400), 4, 4)
 
 
+def _build_plan(query, order=None):
+    """(first slot, one plan per 2-way step) — the plan the Cascade
+    shares with the local join."""
+    plans = slot_plans(query, order)
+    return plans[0].slot, plans[1:]
+
+
 class TestPlan:
     def test_chain_plan(self):
         q = Query.chain(["R1", "R2", "R3"], Overlap())
         first, steps = _build_plan(q)
         assert len(steps) == q.num_slots - 1
-        assert steps[-1].is_final
-        assert not steps[0].is_final if len(steps) > 1 else True
+        # every step joins through an edge to an already-bound slot
+        bound = [first]
+        for step in steps:
+            assert step.anchor_slot in bound
+            bound.append(step.slot)
 
     def test_each_step_introduces_new_slot(self):
         q = Query.chain(["R1", "R2", "R3", "R4"], Overlap())
         first, steps = _build_plan(q)
-        introduced = [first] + [s.new_slot for s in steps]
+        introduced = [first] + [s.slot for s in steps]
         assert sorted(introduced) == sorted(q.slots)
 
     def test_cycle_edge_becomes_check(self):

@@ -70,9 +70,13 @@ def _run(
         algorithm_name, query=query, d_max=workload.d_max
     )
     result = algorithm.run(query, workload.datasets, grid, cluster)
+    # The Cascade's intermediate step-* directories are part of its
+    # contract too, not just the final output.
+    root = OUTPUT_DIRS[algorithm_name]
+    if algorithm_name == "cascade":
+        root = root.rsplit("/", 1)[0]
     snapshot = {
-        path: tuple(cluster.dfs.read_file(path))
-        for path in cluster.dfs.resolve(OUTPUT_DIRS[algorithm_name])
+        path: tuple(cluster.dfs.read_file(path)) for path in cluster.dfs.resolve(root)
     }
     return snapshot, result.stats, result.tuples
 

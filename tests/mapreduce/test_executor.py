@@ -454,3 +454,143 @@ class TestColumnarSegmentTransport:
             ],
         )
         assert total(pack_task_result(result)) <= total(pack_task_result(parent_form))
+
+
+class TestCascadeStepTransport:
+    """A Cascade step's map result: ``TupleColumns`` (tuple-file tasks)
+    or ``RectColumns`` (base-file tasks) as the one shared source, and a
+    reduce group that holds both as ordered column runs."""
+
+    STEP = 1  # second job of a 3-way chain: tuple side binds two slots
+
+    @classmethod
+    def _contexts(cls, which: str):
+        """``(columnar ctx, row ctx)`` of one map task of step 1 —
+        ``which`` = "tuples" (a step-0 part file) or "base" (``R3``) —
+        run through the batch mapper and through the scalar mapper."""
+        np = pytest.importorskip("numpy")
+        from repro.data.io import TupleRecord
+        from repro.geometry.rectangle import Rect
+        from repro.grid.partitioning import GridPartitioning
+        from repro.joins.cascade import (
+            CASCADE_SHUFFLE_CODEC,
+            _make_step_batch_mapper,
+            _make_step_mapper,
+        )
+        from repro.joins.local import slot_plans
+        from repro.mapreduce.counters import Counters
+        from repro.mapreduce.job import MapContext, identity_partitioner
+        from repro.query.predicates import Overlap
+        from repro.query.query import Query
+
+        grid = GridPartitioning(Rect.from_corners(0.0, 0.0, 800.0, 800.0), 8, 8)
+        plans = slot_plans(Query.chain(["R1", "R2", "R3"], Overlap()))
+        step = plans[1 + cls.STEP]
+        bound = tuple(p.slot for p in plans[: 1 + cls.STEP])
+        rng = np.random.default_rng(7)
+        rects = [
+            Rect(float(x), float(y), 150.0, 150.0)
+            for x, y in rng.uniform(20.0, 600.0, size=(300, 2))
+        ]
+        left_path, right_path = "two-way-cascade/step-0", "input/R3"
+        if which == "tuples":
+            records = [
+                TupleRecord({"R1": (i, r), "R2": (1000 + i, rects[-1 - i])})
+                for i, r in enumerate(rects)
+            ]
+            split = [
+                (f"{left_path}/part-00000", i, record, len(record.line) + 1)
+                for i, record in enumerate(records)
+            ]
+        else:
+            split = [(right_path, i, (i, r), 40) for i, r in enumerate(rects)]
+        contexts = []
+        for batched in (True, False):
+            ctx = MapContext(
+                Counters(), grid.num_cells, identity_partitioner, CASCADE_SHUFFLE_CODEC
+            )
+            if batched:
+                _make_step_batch_mapper(grid, step, bound, left_path, True)(
+                    split, ctx, None
+                )
+            else:
+                mapper = _make_step_mapper(grid, step, left_path, right_path, True, "R1")
+                for path, lineno, record, __ in split:
+                    mapper((path, lineno), record, ctx)
+            contexts.append(ctx)
+        return contexts
+
+    @staticmethod
+    def _total(packed):
+        data, buffers = packed
+        return len(data) + sum(len(b) for b in buffers)
+
+    @pytest.mark.parametrize("which", ["tuples", "base"])
+    def test_roundtrip_rows_equal_the_scalar_mappers(self, monkeypatch, which):
+        from repro.kernels.batch import RectColumns, TupleColumns
+        from repro.mapreduce.executor import pack_task_result, unpack_task_result
+
+        col_ctx, row_ctx = self._contexts(which)
+        assert col_ctx.bucket_bytes == row_ctx.bucket_bytes
+        assert col_ctx.output_bytes == row_ctx.output_bytes
+        kind = TupleColumns if which == "tuples" else RectColumns
+        restored_sources = []
+        real = kind.__setstate__
+
+        def counting(self, state):
+            restored_sources.append(self)
+            real(self, state)
+
+        monkeypatch.setattr(kind, "__setstate__", counting)
+        restored = unpack_task_result(pack_task_result({"segments": col_ctx.segments}))
+        # deserialised once per task, not once per bucket
+        assert len(restored_sources) == 1
+        buckets = 0
+        for r, segs in enumerate(restored["segments"]):
+            pairs = [pair for seg in segs for pair in seg.pairs()]
+            # value for value what the scalar mapper put in the bucket:
+            # ("T", TupleRecord) compares by line, ("B", rid, Rect) by value
+            assert pairs == row_ctx.buckets[r]
+            for (__, got), (__, ref) in zip(pairs, row_ctx.buckets[r]):
+                if got[0] == "T":
+                    assert got[1].bindings == ref[1].bindings
+            assert all(seg.source is restored_sources[0] for seg in segs)
+            buckets += bool(segs)
+        assert buckets > 1
+
+    @pytest.mark.parametrize("which", ["tuples", "base"])
+    def test_payload_no_larger_than_row_form(self, which):
+        from repro.mapreduce.executor import pack_task_result
+
+        col_ctx, row_ctx = self._contexts(which)
+        columnar = self._total(pack_task_result({"segments": col_ctx.segments}))
+        rows = self._total(pack_task_result({"buckets": row_ctx.buckets}))
+        assert columnar <= rows
+
+    def test_mixed_type_group_iterates_to_the_row_list(self):
+        """Tuple-file tasks then base-file tasks: the group stays
+        columnar as two runs and reads, in order, as the rows the row
+        shuffle would deliver."""
+        from repro.kernels.batch import RectColumns, TupleColumns
+        from repro.mapreduce.engine import _grouped, _segment_groups, _sorted_by_key
+        from repro.mapreduce.job import ValueRuns, default_sort_key
+
+        tasks = [self._contexts("tuples"), self._contexts("tuples"), self._contexts("base")]
+        mixed = 0
+        for r in range(64):
+            segs = [seg for col_ctx, __ in tasks for seg in col_ctx.segments[r]]
+            bucket = [pair for __, row_ctx in tasks for pair in row_ctx.buckets[r]]
+            expected = list(_grouped(_sorted_by_key(bucket, default_sort_key)))
+            got = list(_segment_groups(segs, default_sort_key))
+            assert [k for k, __ in got] == [k for k, __ in expected]
+            for (__, values), (__, rows) in zip(got, expected):
+                assert len(values) == len(rows)
+                assert list(values) == rows
+                if isinstance(values, ValueRuns):
+                    assert [type(run) for run in values.runs] == [
+                        TupleColumns,
+                        RectColumns,
+                    ]
+                    assert values[0] == rows[0] and values[-1] == rows[-1]
+                    mixed += 1
+        assert mixed
