@@ -37,15 +37,18 @@ from repro.errors import DFSError
 from repro.geometry.rectangle import Rect
 
 __all__ = [
+    "rect_csv",
     "encode_rect",
     "decode_rect",
     "TaggedRect",
     "encode_tagged",
+    "encode_tagged_columns",
     "decode_tagged",
     "tuple_fragments",
     "encode_tuple",
     "decode_tuple",
     "encode_result",
+    "encode_result_columns",
     "decode_result",
     "rects_to_lines",
     "lines_to_rects",
@@ -62,7 +65,7 @@ __all__ = [
 ]
 
 
-def _rect_csv(rect: Rect) -> str:
+def rect_csv(rect: Rect) -> str:
     """``repr(x),repr(y),repr(l),repr(b)`` — memoized on the rectangle.
 
     Every line format embeds this exact spelling, so a rectangle that
@@ -80,7 +83,7 @@ def _rect_csv(rect: Rect) -> str:
 
 def encode_rect(rid: int, rect: Rect) -> str:
     """``rid,x,y,l,b`` — the base relation record."""
-    return f"{rid},{_rect_csv(rect)}"
+    return f"{rid},{rect_csv(rect)}"
 
 
 def decode_rect(line: str) -> tuple[int, Rect]:
@@ -94,7 +97,7 @@ def decode_rect(line: str) -> tuple[int, Rect]:
 
 def rects_to_lines(rects) -> list[str]:
     """Encode an iterable of ``(rid, Rect)`` pairs."""
-    return [f"{rid},{_rect_csv(rect)}" for rid, rect in rects]
+    return [f"{rid},{rect_csv(rect)}" for rid, rect in rects]
 
 
 def lines_to_rects(lines) -> list[tuple[int, Rect]]:
@@ -143,14 +146,29 @@ class TaggedRect:
         sa(self, "marked", marked)
 
 
+def _check_dataset_name(dataset: str) -> None:
+    if "|" in dataset or "," in dataset:
+        raise DFSError(f"dataset name {dataset!r} contains a delimiter")
+
+
 def encode_tagged(tagged: TaggedRect) -> str:
     """``dataset|rid|marked|x,y,l,b``."""
-    if "|" in tagged.dataset or "," in tagged.dataset:
-        raise DFSError(f"dataset name {tagged.dataset!r} contains a delimiter")
+    _check_dataset_name(tagged.dataset)
     return (
         f"{tagged.dataset}|{tagged.rid}|{int(tagged.marked)}|"
-        f"{_rect_csv(tagged.rect)}"
+        f"{rect_csv(tagged.rect)}"
     )
+
+
+def encode_tagged_columns(datasets, rids, marked, csvs) -> list[str]:
+    """:func:`encode_tagged` by column: one line per row of the parallel
+    dataset / rid / mark-flag / :func:`rect_csv` columns."""
+    for dataset in set(datasets):
+        _check_dataset_name(dataset)
+    return [
+        f"{dataset}|{rid}|{int(flag)}|{csv}"
+        for dataset, rid, flag, csv in zip(datasets, rids, marked, csvs)
+    ]
 
 
 def decode_tagged(line: str) -> TaggedRect:
@@ -181,11 +199,11 @@ def _check_slot_name(slot: str) -> None:
         raise DFSError(f"slot name {slot!r} contains a delimiter")
 
 
-def tuple_fragments(slot: str, pairs) -> list[str]:
+def tuple_fragments(slot: str, rids, csvs) -> list[str]:
     """One slot's ``slot=rid:x:y:l:b`` part of a tuple record, for every
-    ``(rid, rect)`` of ``pairs``."""
+    row of the parallel rid / :func:`rect_csv` columns."""
     _check_slot_name(slot)
-    return [f"{slot}={rid}:{_rect_csv(r).replace(',', ':')}" for rid, r in pairs]
+    return [f"{slot}={rid}:{csv.replace(',', ':')}" for rid, csv in zip(rids, csvs)]
 
 
 def encode_tuple(bindings: dict[str, tuple[int, Rect]]) -> str:
@@ -194,7 +212,7 @@ def encode_tuple(bindings: dict[str, tuple[int, Rect]]) -> str:
     for slot in sorted(bindings):
         _check_slot_name(slot)
         rid, r = bindings[slot]
-        parts.append(f"{slot}={rid}:{_rect_csv(r).replace(',', ':')}")
+        parts.append(f"{slot}={rid}:{rect_csv(r).replace(',', ':')}")
     return ";".join(parts)
 
 
@@ -266,6 +284,12 @@ def encode_result(slot_order: tuple[str, ...], bindings: dict[str, int]) -> str:
     return "\t".join(str(bindings[slot]) for slot in slot_order)
 
 
+def encode_result_columns(columns) -> list[str]:
+    """:func:`encode_result` by column: one line per row of the record-id
+    columns, given in query slot order."""
+    return ["\t".join(row) for row in zip(*(map(str, column) for column in columns))]
+
+
 def decode_result(line: str) -> tuple[int, ...]:
     """Inverse of :func:`encode_result` (rids in query slot order)."""
     try:
@@ -300,7 +324,10 @@ class RecordCodec:
 
         Subclasses override with a single-listcomp fast path; the bytes
         must equal ``[self.encode(r) for r in records]`` exactly (the
-        part-file writers charge and store these lines verbatim).
+        part-file writers charge and store these lines verbatim).  The
+        codecs of formats that have a column bundle
+        (:mod:`repro.kernels.batch`) let it format its own lines by
+        column, without building the records.
         """
         return [self.encode(r) for r in records]
 
@@ -325,7 +352,7 @@ class RectCodec(RecordCodec):
         return decode_rect(line)
 
     def encode_lines(self, records) -> list[str]:
-        return [f"{rid},{_rect_csv(rect)}" for rid, rect in records]
+        return [f"{rid},{rect_csv(rect)}" for rid, rect in records]
 
     def decode_lines(self, lines) -> list[Any]:
         return lines_to_rects(lines)
@@ -343,13 +370,15 @@ class TaggedCodec(RecordCodec):
         return decode_tagged(line)
 
     def encode_lines(self, records) -> list[str]:
+        if hasattr(records, "encoded_lines"):
+            return records.encoded_lines()
         out: list[str] = []
         append = out.append
         for t in records:
             dataset = t.dataset
             if "|" in dataset or "," in dataset:
                 raise DFSError(f"dataset name {dataset!r} contains a delimiter")
-            append(f"{dataset}|{t.rid}|{int(t.marked)}|{_rect_csv(t.rect)}")
+            append(f"{dataset}|{t.rid}|{int(t.marked)}|{rect_csv(t.rect)}")
         return out
 
 
@@ -369,6 +398,8 @@ class TupleCodec(RecordCodec):
         return TupleRecord.from_line(line)
 
     def encode_lines(self, records) -> list[str]:
+        if hasattr(records, "encoded_lines"):
+            return records.encoded_lines()
         return [r.line for r in records]
 
 

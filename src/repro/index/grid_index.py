@@ -189,6 +189,9 @@ class GridIndex:
         ix_hi = np.minimum(np.maximum(((bx_max - self._x_lo) / self._bw).astype(np.int64), 0), last)
         iy_lo = np.minimum(np.maximum(((by_min - self._y_lo) / self._bh).astype(np.int64), 0), last)
         iy_hi = np.minimum(np.maximum(((by_max - self._y_lo) / self._bh).astype(np.int64), 0), last)
+        # Kept for probe_frontier's reference-point dedup.
+        self._ix_lo = ix_lo
+        self._iy_lo = iy_lo
         ny_span = iy_hi - iy_lo + 1
         cnt = (ix_hi - ix_lo + 1) * ny_span
         total = int(cnt.sum())
@@ -557,9 +560,10 @@ class GridIndex:
         exactly the concatenation of the per-query :meth:`search_batch`
         results, computed as one two-level CSR gather (queries expand to
         their bucket ranges x-major, buckets to their slot slices) plus
-        one global first-occurrence dedup.  ``probes`` is charged per
-        scanned slot — duplicates included — as the individual searches
-        would charge.  Only on a ``kernel="numpy"`` index.
+        one first-occurrence mask (the reference-point test below).
+        ``probes`` is charged per scanned slot — duplicates included — as
+        the individual searches would charge.  Only on a
+        ``kernel="numpy"`` index.
 
         With ``scan=True`` nothing is charged and the result is
         ``(parents, entries, positions, scanned)``: per candidate its
@@ -628,7 +632,9 @@ class GridIndex:
             qbase = np.cumsum(nb) - nb
             o = np.arange(nbuckets, dtype=np.int64) - qbase[qidx]
             wyq = wy[qidx]
-            bsel = (ix_lo[qidx] + o // wyq) * ny + (iy_lo[qidx] + o % wyq)
+            bx = ix_lo[qidx] + o // wyq
+            by = iy_lo[qidx] + o % wyq
+            bsel = bx * ny + by
             start = offsets[bsel]
             cnt = offsets[bsel + 1] - start
             # Level 2: buckets -> slots.
@@ -650,13 +656,17 @@ class GridIndex:
             parent = qidx[bidx]
             if scan:
                 position = flat - qstart[parent]
-            # Global first-occurrence dedup per (query, entry): the flat
-            # array is query-major in scan order, so the first global
-            # occurrence of a key is the first within its query, and
-            # sorting the kept positions restores the exact scan order.
-            # Single-bucket queries have no duplicates; including them
-            # changes nothing.
-            keep = np.sort(np.unique(parent * self._n + e, return_index=True)[1])
+            # First-occurrence dedup per (query, entry) by reference
+            # point (Tsitsigkos et al.): the buckets holding the entry
+            # and scanned by the query form a rectangle of buckets, and
+            # the x-major scan meets its lowest corner first — so a slot
+            # is the entry's first occurrence iff its bucket is that
+            # corner.  One mask, order untouched; single-bucket queries
+            # have no duplicates and pass whole.
+            keep = np.flatnonzero(
+                (bx[bidx] == np.maximum(self._ix_lo[e], ix_lo[parent]))
+                & (by[bidx] == np.maximum(self._iy_lo[e], iy_lo[parent]))
+            )
             parent = parent[keep]
             e = e[keep]
             if scan:

@@ -21,6 +21,7 @@ from repro.data.io import RECT_CODEC, decode_result
 from repro.errors import JoinError
 from repro.geometry.rectangle import Rect
 from repro.grid.partitioning import GridPartitioning
+from repro.kernels.batch import ResultColumns
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.engine import Cluster
 from repro.mapreduce.workflow import WorkflowResult
@@ -150,6 +151,19 @@ class MultiWayJoinAlgorithm(abc.ABC):
     def _collect_tuples(
         cluster: Cluster, output_path: str
     ) -> set[tuple[int, ...]]:
-        """Read the final output directory into a set of rid tuples."""
-        lines = cluster.dfs.read_dir(output_path)
-        return {decode_result(line) for line in lines}
+        """Read the final output directory into a set of rid tuples.
+
+        A part file the reducer wrote as :class:`ResultColumns` gives up
+        its id columns (charged like the line read it replaces); any
+        other is decoded line by line.
+        """
+        dfs = cluster.dfs
+        tuples: set[tuple[int, ...]] = set()
+        for f in dfs.resolve(output_path):
+            columns = dfs.typed_records(f, None) if cluster.typed_io else None
+            if isinstance(columns, ResultColumns):
+                dfs.charge_read(f)
+                tuples.update(columns.id_tuples())
+            else:
+                tuples.update(map(decode_result, dfs.read_file(f)))
+        return tuples

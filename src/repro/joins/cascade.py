@@ -41,11 +41,16 @@ from repro.joins.base import (
 )
 from repro.joins.dedup import two_way_range_owner
 from repro.joins.local import SlotPlan, frontier_level, plan_is_vectorized, slot_plans
-from repro.joins.reducers import result_lines
+from repro.joins.reducers import result_records
 from repro.joins.sweep import sweep_pairs
 from repro.kernels import numpy_or_none
 from repro.kernels import transforms as _kt
-from repro.kernels.batch import RectBatch, RectColumns, TupleColumns
+from repro.kernels.batch import (
+    RectBatch,
+    RectColumns,
+    TupleColumns,
+    TupleFileColumns,
+)
 from repro.kernels.sweep import sweep_pairs_batch
 from repro.mapreduce.engine import Cluster
 from repro.mapreduce.job import (
@@ -219,9 +224,10 @@ def _make_step_batch_mapper(
     files, so a task is all tuple side or all base side).
 
     The split's records become one column bundle — ``TupleColumns`` for
-    the tuple side (step 0: singleton tuples straight from the staged
-    rectangle batch), ``RectColumns`` tagged ``"B"`` for the base side —
-    which is also the emitted values; the routing cells of the whole
+    the tuple side (the slice of the ``TupleFileColumns`` the previous
+    step's reducer wrote; step 0: singleton tuples straight from the
+    staged rectangle batch), ``RectColumns`` tagged ``"B"`` for the base
+    side — which is also the emitted values; the routing cells of the whole
     split come from one ``overlap_cell_lists`` call on the anchor
     slot's batch (``d``-enlarged for a range anchor) or on the base
     batch, and go out in one ``emit_batch``: the exact pairs, per-bucket
@@ -233,20 +239,25 @@ def _make_step_batch_mapper(
     def batch_mapper(split_entries, ctx: MapContext, batch=None) -> None:
         if not split_entries:
             return
-        from_left = _is_under(split_entries[0][0], left_path)
-        records = [e[2] for e in split_entries]
-        if from_left and left_is_tuples:
-            values = TupleColumns.from_records(np, bound, records)
+        if isinstance(batch, TupleFileColumns):
+            from_left = True
+            values = batch.shuffle_values(bound)
         else:
-            if batch is None:
-                batch = RectBatch.from_records(np, records)
-            if from_left:
-                # First step: the left side is a base relation; every
-                # rectangle is a singleton tuple bound to the first slot.
-                lines = np.array(tuple_fragments(bound[0], records), dtype=object)
-                values = TupleColumns(bound, (batch,), lines)
+            from_left = _is_under(split_entries[0][0], left_path)
+            if from_left and left_is_tuples:
+                values = TupleColumns.from_records(
+                    np, bound, [e[2] for e in split_entries]
+                )
             else:
-                values = RectColumns(("B",), None, batch)
+                if batch is None:
+                    batch = RectBatch.from_records(np, [e[2] for e in split_entries])
+                if from_left:
+                    # First step: the left side is a base relation; every
+                    # rectangle is a singleton tuple bound to the first slot.
+                    lines = tuple_fragments(bound[0], batch.id_list(), batch.csvs())
+                    values = TupleColumns(bound, (batch,), np.array(lines, dtype=object))
+                else:
+                    values = RectColumns(("B",), None, batch)
         if from_left:
             batches = values.batches
             routing = values.batch(step.anchor_slot)
@@ -335,12 +346,17 @@ def _make_step_reducer(
         if not len(parents):
             return
         if is_final:
-            ids = {s: batches[s].ids_at(parents) for s in bound}
-            ids[new_slot] = base.ids_at(entries)
             ctx.counter(JOIN_COUNTERS, CNT_OUTPUT_TUPLES, len(parents))
-            ctx.emit_all(result_lines(slot_order, ids))
+            ctx.emit_all(
+                result_records(
+                    np,
+                    slot_order,
+                    {**batches, new_slot: base},
+                    {**dict.fromkeys(bound, parents), new_slot: entries},
+                )
+            )
         else:
-            ctx.emit_all(_merged_records(np, tuples, parents, new_slot, base, entries))
+            ctx.emit_all(_merged_columns(np, tuples, parents, new_slot, base, entries))
 
     return reducer
 
@@ -380,32 +396,37 @@ def _group_columns(np, bound: tuple[str, ...], values):
     )
 
 
-def _merged_records(np, tuples: TupleColumns, parents, new_slot: str, base, entries):
+def _merged_columns(
+    np, tuples: TupleColumns, parents, new_slot: str, base, entries
+) -> TupleFileColumns:
     """The step's output tuples: row ``parents[k]`` of ``tuples``
     extended by ``new_slot`` = row ``entries[k]`` of ``base``.
 
-    Bindings and line fragments are built once per received row that
-    reaches the output — a carried tuple's line is cut at the new
-    slot's sorted position, a base rectangle formatted once — and an
-    output line is the concatenation ``head + fragment + tail``.
+    The bindings are column gathers.  Line fragments are built once per
+    received row that reaches the output — a carried tuple's line is cut
+    at the new slot's sorted position, a base rectangle formatted once —
+    and an output line is the concatenation ``head + fragment + tail``.
     """
     tuple_rows, tuple_of = np.unique(parents, return_inverse=True)
     base_rows, base_of = np.unique(entries, return_inverse=True)
-    carried = tuples.take(tuple_rows)
-    bindings = [record.bindings for record in carried.tuple_records()]
-    at = bisect_left(sorted(carried.slots), new_slot)
+    at = bisect_left(sorted(tuples.slots), new_slot)
     heads = []
     tails = []
-    for line in carried.lines.tolist():
+    for line in tuples.lines[tuple_rows].tolist():
         parts = line.split(";")
         heads.append(";".join([*parts[:at], ""]))
         tails.append(";".join(["", *parts[at:]]))
-    new_pairs = base.take(base_rows).pairs()
-    fragments = tuple_fragments(new_slot, new_pairs)
-    return [
-        TupleRecord({**bindings[t], new_slot: new_pairs[b]}, heads[t] + fragments[b] + tails[t])
+    new_rows = base.take(base_rows)
+    fragments = tuple_fragments(new_slot, new_rows.id_list(), new_rows.csvs())
+    lines = [
+        heads[t] + fragments[b] + tails[t]
         for t, b in zip(tuple_of.tolist(), base_of.tolist())
     ]
+    return TupleFileColumns(
+        (*tuples.slots, new_slot),
+        [*(batch.take(parents) for batch in tuples.batches), base.take(entries)],
+        np.array(lines, dtype=object),
+    )
 
 
 def _make_scalar_step_reducer(

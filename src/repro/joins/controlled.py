@@ -46,7 +46,7 @@ from repro.joins.local import LocalJoiner
 from repro.joins.marking import MarkingEngine
 from repro.kernels import numpy_or_none
 from repro.kernels import transforms as _kt
-from repro.kernels.batch import RectBatch
+from repro.kernels.batch import RectBatch, RectColumns, TaggedColumns
 from repro.joins.reducers import (
     RECT_SHUFFLE_CODEC,
     dataset_batches,
@@ -196,8 +196,10 @@ def _make_mark_reducer(grid: GridPartitioning, marking: MarkingEngine, np=None):
     """Run C1-C4; emit each rectangle starting here, flagged.
 
     With ``np`` (the numpy kernel and the stock :class:`MarkingEngine`)
-    the engine is handed one column batch per dataset; a custom marking
-    strategy gets the ``(rid, rect)`` lists it was written against.
+    the engine is handed one column batch per dataset and its batched
+    search answers in columns, emitted as one :class:`TaggedColumns`
+    bundle; a custom marking strategy gets the ``(rid, rect)`` lists it
+    was written against.
     """
 
     def reducer(cell_id: int, values, ctx: ReduceContext) -> None:
@@ -216,6 +218,12 @@ def _make_mark_reducer(grid: GridPartitioning, marking: MarkingEngine, np=None):
         # one.  Custom strategies may omit either.
         starts = decision.starts_here
         flags = decision.marked_flags
+        if isinstance(starts, RectColumns):
+            n_marked = int(np.count_nonzero(flags))
+            if n_marked:
+                ctx.counter(JOIN_COUNTERS, CNT_MARKED, n_marked)
+            ctx.emit_all(TaggedColumns(starts, flags))
+            return
         if starts is None:
             starts = [
                 (dataset, rid, rect)
@@ -269,8 +277,9 @@ def _make_route_batch_mapper(grid: GridPartitioning, limits: ReplicationLimits):
     """Columnar twin of :func:`_make_route_mapper`.
 
     The split's columns — rectangle fields, rids, dataset codes, mark
-    flags — are built once and are also the emitted values.  Owner cells
-    come from one ownership batch; marked records — gathered per
+    flags — arrive as the :class:`TaggedColumns` slice round 1 wrote (or
+    are built once from the records) and are also the emitted values.
+    Owner cells come from one ownership batch; marked records — gathered per
     replication bound, which differs per dataset under C-Rep-L — get
     their ``f2`` cell lists instead.  The targets are laid out
     record-major and flushed in a single ``emit_batch`` call,
@@ -280,15 +289,24 @@ def _make_route_batch_mapper(grid: GridPartitioning, limits: ReplicationLimits):
     metric = limits.metric
 
     def batch_mapper(split_entries, ctx: MapContext, batch=None) -> None:
-        if not split_entries:
+        n = len(split_entries)
+        if not n:
             return
-        # Round-2 input is tagged records: the engine stages no batch.
-        records = [e[2] for e in split_entries]
-        n = len(records)
-        batch = RectBatch.from_records(np, [(t.rid, t.rect) for t in records])
-        names, codes = dataset_codes(np, [t.dataset for t in records])
-        values, sizes = rect_values(np, ctx, names, codes, batch)
-        marked = np.fromiter((t.marked for t in records), dtype=bool, count=n)
+        if isinstance(batch, TaggedColumns):
+            # The slice of the bundle round 1's reducer wrote: its
+            # columns are the values to emit.
+            columns, marked = batch.columns, batch.marked
+        else:
+            records = [e[2] for e in split_entries]
+            names, codes = dataset_codes(np, [t.dataset for t in records])
+            columns = RectColumns(
+                names,
+                codes,
+                RectBatch.from_records(np, [(t.rid, t.rect) for t in records]),
+            )
+            marked = np.fromiter((t.marked for t in records), dtype=bool, count=n)
+        names, codes, batch = columns.names, columns.codes, columns.batch
+        values, sizes = rect_values(np, ctx, columns)
         owners = _kt.cell_ids_of_starts(np, grid, batch)
         key_counts = np.ones(n, dtype=np.int64)
         if not marked.any():

@@ -30,6 +30,7 @@ from repro.kernels import numpy_or_none
 from repro.kernels.batch import RectBatch
 from repro.kernels.predicates import pair_mask, supports_triples, triple_mask
 from repro.query.graph import JoinGraph
+from repro.query.predicates import Overlap
 from repro.query.query import Query, Triple
 
 __all__ = ["LocalJoiner", "Assignment", "FrontierResult"]
@@ -158,7 +159,11 @@ def frontier_level(np, plan: SlotPlan, idx, batches, frontier, rid_array_for, ad
     p_flat, e_flat = idx.probe_frontier(abatch, apos, plan.anchor.predicate.distance)
     checks = len(e_flat)
     a_rows = _rows(apos, p_flat)
-    alive = pair_mask(np, plan.anchor, slot, idx.batch, e_flat, abatch, a_rows)
+    if type(plan.anchor.predicate) is Overlap:
+        # The d = 0 probe's extent test is that predicate already.
+        alive = np.ones(checks, dtype=bool)
+    else:
+        alive = pair_mask(np, plan.anchor, slot, idx.batch, e_flat, abatch, a_rows)
     if admit is not None:
         alive = alive & admit(a_rows, e_flat)
     for s in plan.same_dataset:

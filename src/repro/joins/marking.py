@@ -40,6 +40,7 @@ reproduces ``marked``, ``ops`` — down to the lazy probe charges — and
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -49,7 +50,7 @@ from repro.grid.partitioning import GridPartitioning
 from repro.index import make_index
 from repro.kernels import numpy_or_none
 from repro.kernels import transforms as _kt
-from repro.kernels.batch import RectBatch
+from repro.kernels.batch import RectBatch, RectColumns
 from repro.kernels.predicates import pair_mask, supports_triples
 from repro.query.graph import JoinGraph
 from repro.query.predicates import Overlap
@@ -81,14 +82,15 @@ class MarkingDecision:
     #: candidate checks performed (compute-cost measure)
     ops: int
     #: the rectangles starting in the cell, in received order — exactly
-    #: the ones the round-1 reducer must emit (tagged marked or not).
-    #: ``None`` from a custom marking strategy; the reducer then
-    #: recomputes ownership itself.
-    starts_here: list[tuple[str, int, Rect]] | None = None
-    #: ``marked`` as one flag per ``starts_here`` entry (``None`` from a
-    #: strategy that does not provide it; the reducer then looks each
-    #: start up in ``marked``)
-    marked_flags: list[bool] | None = None
+    #: the ones the round-1 reducer must emit (tagged marked or not): a
+    #: list of ``(dataset, rid, rect)``, or from the batched search the
+    #: :class:`RectColumns` standing for it.  ``None`` from a custom
+    #: marking strategy; the reducer then recomputes ownership itself.
+    starts_here: Sequence[tuple[str, int, Rect]] | None = None
+    #: ``marked`` as one flag per ``starts_here`` entry — a bool array
+    #: next to column starts (``None`` from a strategy that does not
+    #: provide it; the reducer then looks each start up in ``marked``)
+    marked_flags: Sequence[bool] | None = None
 
 
 class MarkingEngine:
@@ -398,7 +400,8 @@ class MarkingEngine:
         gaps: dict[str, Any] = {}
         start_pos: dict[str, Any] = {}
         start_rows: dict[str, Any] = {}
-        starts_here: list[tuple[str, int, Rect]] = []
+        start_batches: list[RectBatch] = []
+        n = 0
         for dataset, bag in received.items():
             if not len(bag):
                 continue
@@ -408,17 +411,26 @@ class MarkingEngine:
                 _kt.cell_ids_of_starts(np, self.grid, batch) == cell_id
             )
             pos = np.full(batch.n, -1, dtype=np.int64)
-            base = len(starts_here)
-            pos[rows] = np.arange(base, base + len(rows), dtype=np.int64)
+            pos[rows] = np.arange(n, n + len(rows), dtype=np.int64)
+            n += len(rows)
             start_pos[dataset] = pos
             start_rows[dataset] = rows
             if isinstance(bag, RectBatch):
-                pairs = bag.take(rows).pairs()
+                start_batches.append(bag.take(rows))
             else:
-                pairs = [bag[i] for i in rows.tolist()]
-            starts_here.extend((dataset, rid, rect) for rid, rect in pairs)
+                start_batches.append(
+                    RectBatch.from_records(np, [bag[i] for i in rows.tolist()])
+                )
+        if not start_batches:
+            return MarkingDecision(marked=set(), ops=0, starts_here=[], marked_flags=[])
+        starts_here = RectColumns(
+            start_rows,
+            np.repeat(
+                np.arange(len(start_rows)), [len(rows) for rows in start_rows.values()]
+            ),
+            RectBatch.concat(np, start_batches),
+        )
 
-        n = len(starts_here)
         #: per start: what its lazy search charges (checks + probe slots),
         #: whether it found a witness, and the witness's other members
         #: this cell owns, as ``starts_here`` positions
@@ -469,12 +481,10 @@ class MarkingEngine:
                         skipped[m] = True
         ops = int(cost[~skipped].sum())
         flags = found | co_marked
-        marked = {starts_here[i][:2] for i in np.flatnonzero(flags).tolist()}
+        chosen = starts_here.take(np.flatnonzero(flags))
+        marked = set(zip(chosen.datasets(), chosen.batch.id_list()))
         return MarkingDecision(
-            marked=marked,
-            ops=ops,
-            starts_here=starts_here,
-            marked_flags=flags.tolist(),
+            marked=marked, ops=ops, starts_here=starts_here, marked_flags=flags
         )
 
     def _first_embeddings(self, plan, reqs, rows, indexes, gaps):

@@ -19,7 +19,7 @@ to the seed.
 
 from __future__ import annotations
 
-from repro.data.io import encode_result
+from repro.data.io import encode_result, encode_result_columns
 from repro.geometry.rectangle import Rect
 from repro.grid.partitioning import GridPartitioning
 from repro.joins.base import CNT_OUTPUT_TUPLES, JOIN_COUNTERS, dataset_from_path
@@ -27,7 +27,7 @@ from repro.joins.dedup import tuple_owner
 from repro.joins.local import LocalJoiner
 from repro.kernels import numpy_or_none
 from repro.kernels import transforms as _kt
-from repro.kernels.batch import RectBatch, RectColumns
+from repro.kernels.batch import RectBatch, RectColumns, ResultColumns
 from repro.mapreduce.job import MapContext, ReduceContext, ShuffleCodec
 from repro.query.query import Query
 
@@ -38,7 +38,7 @@ __all__ = [
     "dataset_codes",
     "dataset_batches",
     "RECT_SHUFFLE_CODEC",
-    "result_lines",
+    "result_records",
     "make_local_join_reducer",
 ]
 
@@ -75,24 +75,27 @@ def dataset_codes(np, labels: list[str]):
     return tuple(code_of), codes
 
 
-def rect_values(np, ctx: MapContext, names, codes, batch: RectBatch):
+def rect_values(np, ctx: MapContext, values: RectColumns):
     """``(values, sizes)`` for :meth:`MapContext.emit_batch`: the split's
     records as the ``rect_value`` tuples they stand for, and the charged
     bytes of one pair per record.
 
-    ``values`` is a :class:`RectColumns` over ``batch`` (which must come
-    from :meth:`RectBatch.from_records`) — or the plain tuple list when
-    the record ids are not integers.  :data:`RECT_SHUFFLE_CODEC` sizes a
-    pair by its dataset name alone, so one record per dataset is sized.
+    ``values`` is the split's :class:`RectColumns` (whose batch must
+    carry ids, as :meth:`RectBatch.from_records` builds it) — replaced
+    by the plain tuple list when the record ids are not integers.
+    :data:`RECT_SHUFFLE_CODEC` sizes a pair by its dataset name alone,
+    so one record per dataset is sized.
     """
-    values = RectColumns(names, codes, batch)
-    if type(batch.ids) is list:
+    codes = values.codes
+    if type(values.batch.ids) is list:
         values = list(values)
+    n = len(values)
     if codes is None:
-        return values, np.full(batch.n, ctx.pair_nbytes(0, values[0]), dtype=np.int64)
-    first = np.unique(codes, return_index=True)[1]  # every name occurs
-    per_name = [ctx.pair_nbytes(0, values[i]) for i in first.tolist()]
-    return values, np.asarray(per_name, dtype=np.int64)[codes]
+        return values, np.full(n, ctx.pair_nbytes(0, values[0]), dtype=np.int64)
+    used, first = np.unique(codes, return_index=True)
+    per_name = np.zeros(int(used[-1]) + 1, dtype=np.int64)
+    per_name[used] = [ctx.pair_nbytes(0, values[i]) for i in first.tolist()]
+    return values, per_name[codes]
 
 
 def staged_rect_values(np, ctx: MapContext, split_entries, batch: RectBatch | None):
@@ -104,7 +107,7 @@ def staged_rect_values(np, ctx: MapContext, split_entries, batch: RectBatch | No
         batch = RectBatch.from_records(np, [e[2] for e in split_entries])
     paths, codes = dataset_codes(np, [e[0] for e in split_entries])
     names = tuple(dataset_from_path(path) for path in paths)
-    return batch, *rect_values(np, ctx, names, codes, batch)
+    return batch, *rect_values(np, ctx, RectColumns(names, codes, batch))
 
 
 # ----------------------------------------------------------------------
@@ -129,12 +132,19 @@ def dataset_batches(np, values) -> dict[str, RectBatch]:
     }
 
 
-def result_lines(slot_order, id_columns) -> list[str]:
-    """:func:`~repro.data.io.encode_result` by column: the join output
-    records (``rid<TAB>rid...`` in query slot order) of a result set
-    given as one record-id column per slot."""
-    columns = (map(str, id_columns[slot]) for slot in slot_order)
-    return ["\t".join(row) for row in zip(*columns)]
+def result_records(np, slot_order, batches, rows):
+    """A numpy reducer's join output: result row ``k`` binds each slot
+    to row ``rows[slot][k]`` of ``batches[slot]``.
+
+    One :class:`ResultColumns` bundle of the record-id columns, which
+    stands for the output records (``rid<TAB>rid...`` in query slot
+    order) — or those lines themselves when some id column is not
+    integers.
+    """
+    picked = [(batches[slot], rows[slot]) for slot in slot_order]
+    if any(type(batch.ids) is list for batch, __ in picked):
+        return encode_result_columns(batch.ids_at(at) for batch, at in picked)
+    return ResultColumns(np.stack([batch.ids[at] for batch, at in picked]))
 
 
 def make_local_join_reducer(
@@ -178,12 +188,12 @@ def make_local_join_reducer(
             )
             mine = np.flatnonzero(owners == cell_id)
             if len(mine):
-                lines = result_lines(
-                    slot_order,
-                    {s: fr.batches[s].ids_at(pos[s][mine]) for s in slot_order},
+                ctx.counter(JOIN_COUNTERS, CNT_OUTPUT_TUPLES, len(mine))
+                ctx.emit_all(
+                    result_records(
+                        np, slot_order, fr.batches, {s: pos[s][mine] for s in slot_order}
+                    )
                 )
-                ctx.counter(JOIN_COUNTERS, CNT_OUTPUT_TUPLES, len(lines))
-                ctx.emit_all(lines)
             return
         owners = None
         if np is not None and len(assignments) >= 4:

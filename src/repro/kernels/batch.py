@@ -18,17 +18,39 @@ shuffle, and at the same time a lazy sequence of exactly those tuples
 for consumers that read rows.  A :class:`TupleColumns` is the same for
 the partially-joined tuples of a Cascade step: one batch per bound slot
 plus each tuple's encoded line.
+
+Part files have the same two-faced form.  A numpy reducer emits its
+whole output as one bundle — :class:`TaggedColumns` (round 1 of
+Controlled-Replicate), :class:`TupleFileColumns` (a non-final Cascade
+step), :class:`ResultColumns` (every final join) — which formats its own
+lines by column (``encoded_lines``), crosses the process pipe as raw
+buffers, is kept by the DFS next to those lines and is handed to the
+next job's batch mapper as a slice; read as a sequence it is the
+``TaggedRect`` / ``TupleRecord`` / result-line records it stands for.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.data.io import TupleRecord
+from repro.data.io import (
+    TaggedRect,
+    TupleRecord,
+    encode_result_columns,
+    encode_tagged_columns,
+    rect_csv,
+)
 from repro.geometry.rectangle import Rect
 from repro.kernels import numpy_or_none
 
-__all__ = ["RectBatch", "RectColumns", "TupleColumns"]
+__all__ = [
+    "RectBatch",
+    "RectColumns",
+    "TupleColumns",
+    "TaggedColumns",
+    "TupleFileColumns",
+    "ResultColumns",
+]
 
 
 class RectBatch:
@@ -123,7 +145,8 @@ class RectBatch:
     @classmethod
     def concat(cls, np, batches) -> "RectBatch":
         """Row-wise concatenation (``ids``/``rects`` survive only when
-        every part carries them as arrays)."""
+        every part carries them; ``ids`` stay an array only when every
+        part's are)."""
 
         def column(name):
             parts = [getattr(b, name) for b in batches]
@@ -131,9 +154,12 @@ class RectBatch:
                 return None
             return np.concatenate(parts)
 
+        ids = column("ids")
+        if ids is None and all(b.ids is not None for b in batches):
+            ids = [rid for b in batches for rid in b.id_list()]
         return cls(
             np,
-            column("ids"),
+            ids,
             column("x"),
             column("length"),
             column("y"),
@@ -155,6 +181,27 @@ class RectBatch:
             return [ids[p] for p in positions.tolist()]
         return ids[positions].tolist()
 
+    def id_list(self) -> list:
+        """Every record id, as Python values."""
+        ids = self.ids
+        return ids if type(ids) is list else ids.tolist()
+
+    def csvs(self) -> list[str]:
+        """Each row's :func:`~repro.data.io.rect_csv` spelling: memoised
+        on the kept ``Rect`` objects, else formatted from the columns
+        (the same floats, so the same ``repr``)."""
+        if self.rects is not None:
+            return [rect_csv(rect) for rect in self.rects.tolist()]
+        return [
+            f"{x!r},{y!r},{l!r},{b!r}"
+            for x, y, l, b in zip(
+                self.x.tolist(),
+                self.y.tolist(),
+                self.length.tolist(),
+                self.breadth.tolist(),
+            )
+        ]
+
     def rect_list(self) -> list[Rect]:
         """The rows as ``Rect`` objects: the originals when they were
         kept, otherwise equal rectangles rebuilt from the columns."""
@@ -175,8 +222,7 @@ class RectBatch:
 
     def pairs(self) -> list[tuple]:
         """The row form: ``(rid, Rect)`` pairs."""
-        ids = self.ids
-        return list(zip(ids if type(ids) is list else ids.tolist(), self.rect_list()))
+        return list(zip(self.id_list(), self.rect_list()))
 
     def __len__(self) -> int:
         return self.n
@@ -256,17 +302,19 @@ class RectColumns(_ColumnRows):
     def __len__(self) -> int:
         return self.batch.n
 
+    def datasets(self) -> list[str]:
+        """Every row's dataset name."""
+        names = self.names
+        if self.codes is None:
+            return list(names[:1]) * self.batch.n
+        return [names[c] for c in self.codes.tolist()]
+
     def _materialise(self) -> list[tuple]:
         rows = self._tuples
         if rows is None:
-            names = self.names
-            if self.codes is None:
-                datasets = names[:1] * self.batch.n
-            else:
-                datasets = [names[c] for c in self.codes.tolist()]
             rows = self._tuples = [
                 (dataset, rid, rect)
-                for dataset, (rid, rect) in zip(datasets, self.batch.pairs())
+                for dataset, (rid, rect) in zip(self.datasets(), self.batch.pairs())
             ]
         return rows
 
@@ -382,7 +430,7 @@ class TupleColumns(_ColumnRows):
 
     def take(self, rows) -> "TupleColumns":
         """The rows at positions ``rows`` (an int array or a slice)."""
-        return TupleColumns(
+        return type(self)(
             self.slots,
             [batch.take(rows) for batch in self.batches],
             self.lines[rows],
@@ -414,6 +462,127 @@ class TupleColumns(_ColumnRows):
     def __setstate__(self, state) -> None:
         slots, batches, lines = state
         self.__init__(slots, batches, _object_column(numpy_or_none(), lines))
+
+
+class TupleFileColumns(TupleColumns):
+    """A non-final Cascade step's part file, columnar.
+
+    The same columns as the :class:`TupleColumns` the next step's mapper
+    routes (:meth:`shuffle_values` re-tags them without copying), but
+    read as rows it is the part file's :class:`TupleRecord` records, and
+    ``lines`` is its text.
+    """
+
+    __slots__ = ()
+
+    def _materialise(self) -> list[TupleRecord]:
+        rows = self._tuples
+        if rows is None:
+            rows = self._tuples = self.tuple_records()
+        return rows
+
+    def encoded_lines(self) -> list[str]:
+        return self.lines.tolist()
+
+    def shuffle_values(self, slots) -> TupleColumns:
+        """These rows as the ``("T", TupleRecord)`` values of a step
+        binding ``slots`` (batches reordered to match)."""
+        return TupleColumns(
+            slots, [self.batch(slot) for slot in slots], self.lines, self.records
+        )
+
+
+class TaggedColumns(_ColumnRows):
+    """Controlled-Replicate's round-1 part file — :class:`TaggedRect`
+    records — columnar.
+
+    Row ``i`` stands for ``TaggedRect(dataset, rid, rect, marked[i])``
+    with ``(dataset, rid, rect)`` row ``i`` of ``columns`` — which is, as
+    it stands, the shuffle values round 2's mapper emits.
+    """
+
+    __slots__ = ("columns", "marked", "_tuples")
+
+    def __init__(self, columns: RectColumns, marked) -> None:
+        self.columns = columns
+        self.marked = marked
+        self._tuples: list[TaggedRect] | None = None
+
+    def __len__(self) -> int:
+        return len(self.marked)
+
+    def _materialise(self) -> list[TaggedRect]:
+        rows = self._tuples
+        if rows is None:
+            rows = self._tuples = [
+                TaggedRect(dataset, rid, rect, flag)
+                for (dataset, rid, rect), flag in zip(self.columns, self.marked.tolist())
+            ]
+        return rows
+
+    def encoded_lines(self) -> list[str]:
+        batch = self.columns.batch
+        return encode_tagged_columns(
+            self.columns.datasets(), batch.id_list(), self.marked.tolist(), batch.csvs()
+        )
+
+    def take(self, rows) -> "TaggedColumns":
+        """The rows at positions ``rows`` (an int array or a slice)."""
+        return TaggedColumns(self.columns.take(rows), self.marked[rows])
+
+    @classmethod
+    def concat(cls, parts) -> "TaggedColumns":
+        return cls(
+            RectColumns.concat([part.columns for part in parts]),
+            numpy_or_none().concatenate([part.marked for part in parts]),
+        )
+
+    def __getstate__(self):
+        return (self.columns, self.marked)
+
+    def __setstate__(self, state) -> None:
+        self.__init__(*state)
+
+
+class ResultColumns(_ColumnRows):
+    """A final join's part file — ``rid<TAB>rid...`` lines in query slot
+    order — columnar: ``ids[k]`` is the int64 record-id column of the
+    ``k``-th slot (one 2-D array, slots x rows).  Read as rows it is the
+    lines themselves, the records of a codec-less job.
+    """
+
+    __slots__ = ("ids", "_tuples")
+
+    def __init__(self, ids) -> None:
+        self.ids = ids
+        self._tuples: list[str] | None = None
+
+    def __len__(self) -> int:
+        return self.ids.shape[1]
+
+    def _materialise(self) -> list[str]:
+        rows = self._tuples
+        if rows is None:
+            rows = self._tuples = encode_result_columns(self.ids.tolist())
+        return rows
+
+    def id_tuples(self) -> list[tuple[int, ...]]:
+        """The rows as rid tuples — what ``decode_result`` makes of the lines."""
+        return list(zip(*self.ids.tolist()))
+
+    def take(self, rows) -> "ResultColumns":
+        """The rows at positions ``rows`` (an int array or a slice)."""
+        return ResultColumns(self.ids[:, rows])
+
+    @classmethod
+    def concat(cls, parts) -> "ResultColumns":
+        return cls(numpy_or_none().concatenate([part.ids for part in parts], axis=1))
+
+    def __getstate__(self):
+        return (numpy_or_none().ascontiguousarray(self.ids),)
+
+    def __setstate__(self, state) -> None:
+        self.__init__(*state)
 
 
 def _object_column(np, items: list):

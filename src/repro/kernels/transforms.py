@@ -173,7 +173,7 @@ def quadrant_cell_lists(np, grid, batch, d=None, metric="euclidean"):
     Computes ``fourth_quadrant(cell_of(rect))`` (when ``d`` is None,
     the ``f1`` set) or ``fourth_quadrant_within(rect, d, metric=...)``
     for every record of ``batch``.  Returns ``(cell_ids, counts)``
-    Python lists: ``counts[k]`` cells per record ``k``, concatenated in
+    int64 arrays: ``counts[k]`` cells per record ``k``, concatenated in
     record order with each record's cells in the scalar row-major order.
     """
     rows = grid.rows
@@ -199,4 +199,4 @@ def quadrant_cell_lists(np, grid, batch, d=None, metric="euclidean"):
             )
     rec, row, col = np.nonzero(mask)
     counts = np.bincount(rec, minlength=batch.n)
-    return (row * cols + col).tolist(), counts.tolist()
+    return row * cols + col, counts

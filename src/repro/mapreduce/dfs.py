@@ -17,7 +17,10 @@ byte accounting charges) and the decoded objects are kept alongside.  A
 downstream job that declares a matching input codec reads the objects
 back without re-parsing; byte accounting is unchanged because reads are
 still charged at the encoded size.  Rewriting or deleting a path drops
-its typed records, so lines stay the source of truth.
+its typed records, so lines stay the source of truth.  The typed form
+may be a *column bundle* (:mod:`repro.kernels.batch`) — a lazy sequence
+of those same records that the store keeps whole — and a writer that
+has already encoded its records passes the lines along with them.
 
 Paths behave like HDFS paths: plain strings with ``/`` separators.  A job
 writes one ``part-NNNNN`` file per reducer under its output directory and
@@ -31,13 +34,38 @@ from typing import Any
 
 from repro.errors import DFSError
 
-__all__ = ["InMemoryDFS"]
+__all__ = ["InMemoryDFS", "codec_name", "typed_form"]
 
 
 def _normalize(path: str) -> str:
     if not path or path.startswith("/") and len(path) == 1:
         raise DFSError(f"invalid DFS path {path!r}")
     return path.strip("/")
+
+
+def codec_name(codec) -> str:
+    """The typed store's key for ``codec``; ``None`` names the records
+    of a text file — its lines."""
+    return "lines" if codec is None else codec.name
+
+
+def typed_form(records: Sequence[Any], codec, lines) -> tuple[str, Sequence[Any], list[str]]:
+    """``(codec name, records, lines)`` as :meth:`InMemoryDFS.write_records`
+    stores them (shared by both DFS back-ends).
+
+    A column bundle (a sequence with ``take``) is kept whole, anything
+    else copied into a list; ``lines`` are encoded here unless the
+    writer already did.
+    """
+    if not hasattr(records, "take"):
+        records = list(records)
+    if lines is None:
+        lines = list(records) if codec is None else codec.encode_lines(records)
+    elif len(lines) != len(records):
+        raise DFSError(
+            f"{len(lines)} encoded lines do not match {len(records)} typed records"
+        )
+    return codec_name(codec), records, lines
 
 
 class InMemoryDFS:
@@ -86,17 +114,21 @@ class InMemoryDFS:
             self.block_plane.on_write(path, stored)
         return nbytes
 
-    def write_records(self, path: str, records: Sequence[Any], codec) -> int:
+    def write_records(
+        self, path: str, records: Sequence[Any], codec, lines: list[str] | None = None
+    ) -> int:
         """Create (or replace) a file from typed records — encode once.
 
-        Each record is serialized through ``codec`` exactly here: the
-        lines are the durable, accounted form (identical bytes to a
-        string-path writer), and the objects are kept so a downstream
-        job reading with the same codec skips the parse entirely.
+        Each record is serialized through ``codec`` exactly once — here,
+        or by the writer that passes the result as ``lines`` (a reduce
+        task encodes its own output): the lines are the durable,
+        accounted form (identical bytes to a string-path writer), and
+        the records are kept so a downstream job reading with the same
+        codec skips the parse entirely.
         """
-        records = list(records)
-        nbytes = self.write_file(path, codec.encode_lines(records))
-        self._records[_normalize(path)] = (codec.name, records)
+        name, records, lines = typed_form(records, codec, lines)
+        nbytes = self.write_file(path, lines)
+        self._records[_normalize(path)] = (name, records)
         return nbytes
 
     def typed_records(self, path: str, codec) -> list[Any] | None:
@@ -114,7 +146,7 @@ class InMemoryDFS:
         engine never mutates shuffled values).
         """
         cached = self._records.get(_normalize(path))
-        if cached is None or cached[0] != codec.name:
+        if cached is None or cached[0] != codec_name(codec):
             return None
         return cached[1]
 

@@ -58,7 +58,7 @@ from repro.kernels.batch import RectBatch
 from repro.mapreduce.blocks import BlockPlane
 from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.cost import CostModel, JobCostBreakdown, TaskStats
-from repro.mapreduce.dfs import InMemoryDFS
+from repro.mapreduce.dfs import InMemoryDFS, codec_name
 from repro.mapreduce.executor import default_workers, make_executor
 from repro.mapreduce.faults import (
     FaultPlan,
@@ -73,6 +73,7 @@ from repro.mapreduce.job import (
     MapReduceJob,
     ReduceContext,
     SpillingMapContext,
+    SplitEntries,
     default_sort_key,
     gather_values,
 )
@@ -166,7 +167,9 @@ class _MapPhase:
     Split entries are ``(path, lineno, record, nbytes)``: the map input
     record (a text line, or a typed record when the job declares an
     input codec) plus its encoded size, so map-side byte accounting is
-    identical on both paths.  ``memory_budget`` (bytes, ``None`` =
+    identical on both paths; a split is a list of them, or the lazy
+    :class:`~repro.mapreduce.job.SplitEntries` over a column bundle.
+    ``memory_budget`` (bytes, ``None`` =
     unbounded) switches emission buffering to the spilling context.
     ``use_batch`` routes the whole split through ``job.batch_mapper``
     (columnar fast path); the engine sets it only when the job declares
@@ -175,18 +178,19 @@ class _MapPhase:
     replayed record by record so spill points are unchanged.
     ``columnar`` selects :class:`BucketSegment` storage inside
     ``emit_batch`` (the cluster's ``columnar_shuffle`` switch);
-    ``split_batches`` optionally carries one pre-decoded
-    :class:`~repro.kernels.batch.RectBatch` slice per split.
+    ``split_batches`` optionally carries each split's columns — a
+    :class:`~repro.kernels.batch.RectBatch` slice of a rectangle file,
+    or the slice of the bundle an upstream reducer wrote.
     ``profile`` wraps the task body in cProfile (the cluster's
     profiler); the stats dict rides back in the result.
     """
 
     job: MapReduceJob
-    splits: list[list[tuple[str, int, Any, int]]]
+    splits: list[list[tuple[str, int, Any, int]] | SplitEntries]
     memory_budget: int | None = None
     use_batch: bool = False
     columnar: bool = True
-    split_batches: list[RectBatch | None] | None = None
+    split_batches: list[Any] | None = None
     profile: bool = False
 
 
@@ -247,12 +251,16 @@ class _ReducePhase:
 class _ReduceTaskResult:
     """What one reduce task hands back to the engine.
 
-    ``lines`` holds text lines, or typed records for jobs with an
-    ``output_codec`` (the engine encodes them once at part-file write).
+    ``lines`` is the part file's text, encoded by the task itself;
+    ``records`` its typed form for the DFS to keep next to the lines —
+    the emitted records of a job with an ``output_codec``, or the
+    column bundle a codec-less reducer emitted its lines as — and
+    ``None`` when the lines are all there is.
     ``t_start``/``t_end`` are worker-side stamps, as on the map side.
     """
 
-    lines: list[Any]
+    lines: list[str]
+    records: Any
     input_records: int
     compute_ops: int
     counters: Counters
@@ -403,7 +411,11 @@ def _map_task_body(
         and not skips
         and not poison
     ):
-        nbytes = sum(entry[3] for entry in split)
+        nbytes = (
+            split.nbytes
+            if isinstance(split, SplitEntries)
+            else sum(entry[3] for entry in split)
+        )
         processed = len(split)
         batch = (
             phase.split_batches[index]
@@ -587,8 +599,18 @@ def _reduce_task_body(phase: _ReducePhase, r: int) -> _ReduceTaskResult:
             ) from exc
     counters.add(C.GROUP_ENGINE, C.REDUCE_INPUT_GROUPS, groups)
     counters.add(C.GROUP_ENGINE, C.REDUCE_INPUT_RECORDS, rctx.input_records)
+    # Encode-once, and here: each task formats its own part file (in
+    # parallel on the parallel executors), a column bundle by column.
+    records = rctx.output()
+    if job.output_codec is not None:
+        lines = job.output_codec.encode_lines(records)
+    elif hasattr(records, "take"):
+        lines = list(records)  # a text bundle's rows are its lines
+    else:
+        lines, records = records, None
     return _ReduceTaskResult(
-        lines=rctx.output_lines,
+        lines=lines,
+        records=records,
         input_records=rctx.input_records,
         compute_ops=rctx.compute_ops,
         counters=counters,
@@ -1518,27 +1540,28 @@ class Cluster:
         an input codec the record is the decoded object — taken from the
         DFS typed store when the upstream job wrote through a codec,
         decoded once and cached otherwise, or re-parsed per read when
-        ``typed_io`` is off (the seed codec path).
+        ``typed_io`` is off (the seed codec path).  Typed records held
+        as a column bundle stay one: the file's entries are the lazy
+        :class:`SplitEntries` over it, and its splits slices of that.
         """
-        splits: list[list[tuple[str, int, Any, int]]] = []
+        splits: list[list[tuple[str, int, Any, int]] | SplitEntries] = []
         cache_entries = self.typed_io and self.columnar_shuffle
         chunk = self.split_records
         for path in job.input_paths:
             codec = job.input_codec_for(path)
-            tag = f"entries:{codec.name if codec is not None else 'lines'}"
+            tag = f"entries:{codec_name(codec)}"
             for f in self.dfs.resolve(path):
                 entries = self.dfs.derived_get(f, tag) if cache_entries else None
                 if entries is None:
                     lines = self.dfs.read_file(f)
                     records = self._file_records(job, f, lines, codec)
-                    entries = list(
-                        zip(
-                            repeat(f),
-                            range(len(lines)),
-                            records,
-                            [len(line) + 1 for line in lines],
+                    sizes = [len(line) + 1 for line in lines]
+                    if hasattr(records, "take"):
+                        entries = SplitEntries(f, 0, records, sizes)
+                    else:
+                        entries = list(
+                            zip(repeat(f), range(len(lines)), records, sizes)
                         )
-                    )
                     if cache_entries:
                         self.dfs.derived_put(f, tag, entries)
                 else:
@@ -1671,18 +1694,22 @@ class Cluster:
         return results, stats, report
 
     def _stage_split_batches(
-        self, job: MapReduceJob, splits: list[list[tuple[str, int, Any, int]]]
-    ) -> list[RectBatch | None] | None:
-        """Pre-decode rectangle splits into columnar batch slices.
+        self,
+        job: MapReduceJob,
+        splits: list[list[tuple[str, int, Any, int]] | SplitEntries],
+    ) -> list[Any] | None:
+        """Each split's columns, for the batch mappers.
 
-        For every split whose file reads through the rectangle codec,
-        build (or fetch) the whole file's :class:`RectBatch` — cached as
-        a derived artifact, so each file version is columnarised exactly
-        once — and hand the split its zero-copy row slice.  Splits of
-        other formats get ``None`` and their batch mappers fall back to
-        building columns from the entry records.  Purely an execution
-        cache: byte accounting happened at split time and the batch
-        holds the same floats the records do.
+        A split of a file an upstream reducer wrote as a column bundle
+        already is a slice of it (:class:`SplitEntries`) and hands that
+        slice over.  For every split whose file reads through the
+        rectangle codec, build (or fetch) the whole file's
+        :class:`RectBatch` — cached as a derived artifact, so each file
+        version is columnarised exactly once — and hand the split its
+        zero-copy row slice.  Other splits get ``None`` and their batch
+        mappers fall back to building columns from the entry records.
+        Purely an execution cache: byte accounting happened at split
+        time and the columns hold the same values the records do.
         """
         if not (self.typed_io and self.columnar_shuffle):
             return None
@@ -1694,11 +1721,13 @@ class Cluster:
             codec = job.input_codec_for(path)
             if codec is not None and codec.name == "rect":
                 rect_files.update(self.dfs.resolve(path))
-        if not rect_files:
-            return None
-        batches: list[RectBatch | None] = []
+        batches: list[Any] = []
         staged = False
         for split in splits:
+            if isinstance(split, SplitEntries):
+                batches.append(split.records)
+                staged = True
+                continue
             f = split[0][0] if split else None
             if f is None or f not in rect_files:
                 batches.append(None)
@@ -1782,11 +1811,11 @@ class Cluster:
             part_path = f"{job.output_path}/part-{r:05d}"
             if wrec is not None:
                 wrec.precommit(r, part_path)
-            if job.output_codec is not None:
-                # Encode-once: records become lines (byte accounting and
-                # durability) and stay resident for the next job's map.
+            if result.records is not None:
+                # The task's lines are the durable, accounted form; its
+                # records stay resident for the next job's map.
                 nbytes = self.dfs.write_records(
-                    part_path, result.lines, job.output_codec
+                    part_path, result.records, job.output_codec, lines=result.lines
                 )
             else:
                 nbytes = self.dfs.write_file(part_path, result.lines)

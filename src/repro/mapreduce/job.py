@@ -31,7 +31,7 @@ from __future__ import annotations
 import pickle
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, groupby
+from itertools import chain, groupby, repeat
 from typing import Any
 
 from repro.data.io import RecordCodec
@@ -46,6 +46,7 @@ __all__ = [
     "ReduceContext",
     "ShuffleCodec",
     "BucketSegment",
+    "SplitEntries",
     "ValueRuns",
     "gather_values",
     "DEFAULT_SHUFFLE_CODEC",
@@ -209,6 +210,59 @@ def _unpack_ints(packed):
 
 def _restore_segment(keys, members, source) -> BucketSegment:
     return BucketSegment(_unpack_ints(keys), source, _unpack_ints(members))
+
+
+class SplitEntries(Sequence):
+    """One map split of a file whose typed records are a column bundle.
+
+    The lazy twin of the ``list[(path, lineno, record, nbytes)]`` a split
+    otherwise is: rows ``lo .. lo + len`` of ``path``, with ``records``
+    the bundle's slice for those rows and ``sizes`` their encoded sizes.
+    A batch mapper is handed ``records`` whole (its ``batch`` argument)
+    and never reads the entries; every row consumer — a scalar mapper,
+    the locality planner — reads exactly the entry tuples the list form
+    would hold, built (with the record objects) on first row access.
+    """
+
+    __slots__ = ("path", "lo", "records", "sizes", "_rows")
+
+    def __init__(self, path: str, lo: int, records, sizes: list[int]) -> None:
+        self.path = path
+        self.lo = lo
+        self.records = records
+        self.sizes = sizes
+        self._rows: list[tuple] | None = None
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    @property
+    def nbytes(self) -> int:
+        """Encoded size of the split — ``sum(entry[3] for entry in self)``."""
+        return sum(self.sizes)
+
+    def _materialise(self) -> list[tuple]:
+        rows = self._rows
+        if rows is None:
+            linenos = range(self.lo, self.lo + len(self))
+            rows = self._rows = list(
+                zip(repeat(self.path), linenos, self.records, self.sizes)
+            )
+        return rows
+
+    def __getitem__(self, i):
+        if isinstance(i, slice) and i.step in (None, 1):
+            lo, hi, __ = i.indices(len(self))
+            return SplitEntries(
+                self.path,
+                self.lo + lo,
+                self.records.take(slice(lo, hi)),
+                self.sizes[lo:hi],
+            )
+        return self._materialise()[i]
+
+    def __iter__(self):
+        return iter(self._materialise())
 
 
 class ValueRuns(Sequence):
@@ -574,9 +628,13 @@ class ReduceContext:
     def __init__(self, counters: Counters, reducer_id: int) -> None:
         self._counters = counters
         self.reducer_id = reducer_id
-        #: emitted output records: text lines, or typed records when the
-        #: job declares an ``output_codec`` (encoded once at write time)
-        self.output_lines: list[Any] = []
+        #: emitted output in order — text lines, or typed records when
+        #: the job declares an ``output_codec``: the column bundles handed
+        #: to :meth:`emit_all`, kept whole, between plain lists of the
+        #: records emitted one by one (``_tail``: those since the last
+        #: bundle)
+        self._parts: list[Any] = []
+        self._tail: list[Any] = []
         self.input_records = 0
         self.compute_ops = 0
 
@@ -584,24 +642,47 @@ class ReduceContext:
         """Emit one output record for this task's part file.
 
         A text line for codec-less jobs; a typed record (encoded exactly
-        once by the engine when the part file is written) for jobs with
-        an ``output_codec``.
+        once, by the reduce task itself) for jobs with an
+        ``output_codec``.
         """
-        self.output_lines.append(record)
+        self._tail.append(record)
         self._counters.add(C.GROUP_ENGINE, C.REDUCE_OUTPUT_RECORDS)
 
     def emit_all(self, records) -> None:
         """Bulk :meth:`emit`: append ``records`` in order, count once.
 
         Counters are additive, so one bulk add equals the per-record
-        increments; output order is the extend order.
+        increments; output order is the extend order.  A column bundle
+        (a sequence with ``take``, e.g.
+        :class:`~repro.kernels.batch.TaggedColumns`) stands for its rows
+        and is kept as it is: nothing builds them unless a row consumer
+        asks.
         """
-        lines = self.output_lines
-        before = len(lines)
-        lines.extend(records)
-        self._counters.add(
-            C.GROUP_ENGINE, C.REDUCE_OUTPUT_RECORDS, len(lines) - before
-        )
+        tail = self._tail
+        if hasattr(records, "take"):
+            if tail:
+                self._parts.append(tail)
+                self._tail = []
+            self._parts.append(records)
+            emitted = len(records)
+        else:
+            before = len(tail)
+            tail.extend(records)
+            emitted = len(tail) - before
+        self._counters.add(C.GROUP_ENGINE, C.REDUCE_OUTPUT_RECORDS, emitted)
+
+    def output(self):
+        """Everything emitted, in order: one column bundle when the task
+        emitted nothing but bundles of one type, else the sequence of
+        records."""
+        if not self._parts:
+            return self._tail
+        return gather_values([*self._parts, self._tail] if self._tail else self._parts)
+
+    @property
+    def output_lines(self) -> list[Any]:
+        """The emitted records as rows."""
+        return list(self.output())
 
     def add_compute(self, ops: int) -> None:
         """Report CPU work (e.g. join comparisons) to the cost model."""
@@ -655,10 +736,13 @@ class MapReduceJob:
         Byte sizing of intermediate pairs; see :class:`ShuffleCodec`.
     batch_mapper:
         Optional columnar twin of ``mapper``: called once per map split
-        as ``batch_mapper(split, ctx, batch)`` with the full list of
-        ``(path, lineno, record, nbytes)`` entries and, when the split
-        reads a rectangle-codec file, the split's cached
-        :class:`~repro.kernels.batch.RectBatch` (``None`` otherwise).
+        as ``batch_mapper(split, ctx, batch)`` with the full sequence of
+        ``(path, lineno, record, nbytes)`` entries and the split's
+        columns when the engine has them (``None`` otherwise): the
+        cached :class:`~repro.kernels.batch.RectBatch` slice of a
+        rectangle-codec file, or the slice of the column bundle an
+        upstream reducer wrote the file as (a :class:`SplitEntries`
+        split — reading its entries would build the records).
         Must produce the exact emissions (same pairs, same per-bucket
         order) and counter totals as running ``mapper`` over the split
         record by record — emitting through

@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import DFSError
+from repro.mapreduce.dfs import codec_name, typed_form
 
 __all__ = ["LocalFSDFS"]
 
@@ -116,17 +117,20 @@ class LocalFSDFS:
             self.block_plane.on_write(self._normalized(path), stored)
         return nbytes
 
-    def write_records(self, path: str, records: Sequence[Any], codec) -> int:
-        """Create (or replace) a file from typed records — encode once."""
-        records = list(records)
-        nbytes = self.write_file(path, codec.encode_lines(records))
-        self._records[self._normalized(path)] = (codec.name, records)
+    def write_records(
+        self, path: str, records: Sequence[Any], codec, lines: list[str] | None = None
+    ) -> int:
+        """Create (or replace) a file from typed records — encode once
+        (see :meth:`repro.mapreduce.dfs.InMemoryDFS.write_records`)."""
+        name, records, lines = typed_form(records, codec, lines)
+        nbytes = self.write_file(path, lines)
+        self._records[self._normalized(path)] = (name, records)
         return nbytes
 
     def typed_records(self, path: str, codec) -> list[Any] | None:
         """Cached typed records of a file (same codec), or ``None``."""
         cached = self._records.get(self._normalized(path))
-        if cached is None or cached[0] != codec.name:
+        if cached is None or cached[0] != codec_name(codec):
             return None
         return cached[1]
 

@@ -183,7 +183,7 @@ def test_grid_gap_and_quadrant_transforms_match_scalar(pairs, cell_id, d):
     assert gaps.tolist() == [
         grid.min_gap_to_other_cell(r, cell) for __, r in pairs
     ]
-    flat, counts = quadrant_cell_lists(np, grid, batch, d=d)
+    flat, counts = (a.tolist() for a in quadrant_cell_lists(np, grid, batch, d=d))
     got, at = [], 0
     for c in counts:
         got.append(flat[at : at + c])

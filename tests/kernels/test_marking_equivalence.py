@@ -121,10 +121,10 @@ def _assert_twin(query, bags):
         cell = grid.cell_by_id(cell_id)
         ref = py.select_marked(cell, received)
         got = vec.select_marked(cell, received)
-        assert got.starts_here == ref.starts_here
+        assert list(got.starts_here) == ref.starts_here
         assert got.marked == ref.marked
         assert got.ops == ref.ops
-        assert got.marked_flags == [
+        assert list(got.marked_flags) == [
             (dataset, rid) in ref.marked for dataset, rid, __ in ref.starts_here
         ]
 
@@ -158,7 +158,7 @@ def test_empty_bag_and_unknown_dataset_are_handled_like_the_scalar_path():
     cell = grid.cell(0, 0)
     ref = py.select_marked(cell, received)
     got = vec.select_marked(cell, received)
-    assert (got.marked, got.ops, got.starts_here) == (
+    assert (got.marked, got.ops, list(got.starts_here)) == (
         ref.marked,
         ref.ops,
         ref.starts_here,

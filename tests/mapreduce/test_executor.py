@@ -594,3 +594,142 @@ class TestCascadeStepTransport:
                     assert values[0] == rows[0] and values[-1] == rows[-1]
                     mixed += 1
         assert mixed
+
+
+class TestReduceOutputTransport:
+    """A reduce task's result: the part file's text plus — on the numpy
+    kernel — the column bundle the reducer emitted, never the record
+    objects."""
+
+    TASKS = 64
+    RECORDS = 586  # x 64 tasks = 37.5k, round 1 of the sparse bench workload
+
+    @staticmethod
+    def _result(lines, records):
+        from repro.mapreduce.counters import Counters
+        from repro.mapreduce.engine import _ReduceTaskResult
+
+        return _ReduceTaskResult(
+            lines=lines,
+            records=records,
+            input_records=len(lines),
+            compute_ops=0,
+            counters=Counters(),
+        )
+
+    @classmethod
+    def _task_results(cls, task: int):
+        """``(object form, column form)`` of one round-1 reduce result:
+        ``TaggedRect`` records for the parent to encode (the previous
+        wire form), and worker-encoded lines + ``TaggedColumns``."""
+        np = pytest.importorskip("numpy")
+        from repro.data.io import TAGGED_CODEC, TaggedRect
+        from repro.geometry.rectangle import Rect
+        from repro.kernels.batch import RectBatch, RectColumns, TaggedColumns
+
+        n = cls.RECORDS
+        rng = np.random.default_rng(task)
+        coords = rng.uniform(100.0, 30_000.0, size=(n, 2)).tolist()
+        sides = rng.uniform(0.0, 100.0, size=(n, 2)).tolist()
+        records = [
+            TaggedRect(f"R{1 + i % 3}", task * n + i, Rect(x, y, l, b), i % 7 == 0)
+            for i, ((x, y), (l, b)) in enumerate(zip(coords, sides))
+        ]
+        bundle = TaggedColumns(
+            RectColumns(
+                ("R1", "R2", "R3"),
+                np.arange(n, dtype=np.intp) % 3,
+                RectBatch.from_records(np, [(t.rid, t.rect) for t in records]),
+            ),
+            np.array([t.marked for t in records]),
+        )
+        lines = TAGGED_CODEC.encode_lines(bundle)
+        assert lines == TAGGED_CODEC.encode_lines(records)
+        return cls._result(records, None), cls._result(lines, bundle)
+
+    def test_mark_reducer_result_unpickles_without_building_a_record(self, monkeypatch):
+        """The real round-1 reducer's output, through the pipe: columns
+        in, columns out, and the row view still reads as the records the
+        scalar reducer emits."""
+        np = pytest.importorskip("numpy")
+        from repro.data.io import TAGGED_CODEC, TaggedRect
+        from repro.geometry.rectangle import Rect
+        from repro.grid.partitioning import GridPartitioning
+        from repro.joins.controlled import _make_mark_reducer
+        from repro.joins.marking import MarkingEngine
+        from repro.kernels.batch import RectBatch, RectColumns, TaggedColumns
+        from repro.mapreduce.counters import Counters
+        from repro.mapreduce.executor import pack_task_result, unpack_task_result
+        from repro.mapreduce.job import ReduceContext
+        from repro.query.predicates import Overlap
+        from repro.query.query import Query
+
+        grid = GridPartitioning(Rect.from_corners(0.0, 0.0, 800.0, 800.0), 2, 2)
+        query = Query.chain(["R1", "R2", "R3"], Overlap())
+        rng = np.random.default_rng(3)
+        values = [
+            (f"R{1 + i % 3}", i, Rect(float(x), float(y), 60.0, 60.0))
+            for i, (x, y) in enumerate(rng.uniform(0.0, 400.0, size=(240, 2)) + (0.0, 400.0))
+        ]
+        outputs = {}
+        for kernel in ("python", "numpy"):
+            xp = np if kernel == "numpy" else None
+            reducer = _make_mark_reducer(grid, MarkingEngine(query, grid, kernel=kernel), xp)
+            ctx = ReduceContext(Counters(), 0)
+            group = values
+            if xp is not None:
+                names = ("R1", "R2", "R3")
+                group = RectColumns(
+                    names,
+                    np.array([names.index(d) for d, __, __ in values]),
+                    RectBatch.from_records(np, [(rid, rect) for __, rid, rect in values]),
+                )
+            reducer(0, group, ctx)
+            outputs[kernel] = ctx.output()
+        reference, bundle = outputs["python"], outputs["numpy"]
+        assert isinstance(bundle, TaggedColumns)
+        assert any(t.marked for t in reference) and len(reference) > 50
+        lines = TAGGED_CODEC.encode_lines(bundle)
+        assert lines == TAGGED_CODEC.encode_lines(reference)
+
+        built = []
+        for method in ("__init__", "__setstate__"):
+            real = getattr(TaggedRect, method)
+
+            def counting(self, *args, _real=real):
+                built.append(self)
+                _real(self, *args)
+
+            monkeypatch.setattr(TaggedRect, method, counting)
+        restored = unpack_task_result(pack_task_result(self._result(lines, bundle)))
+        assert not built
+        assert restored.lines == lines
+        assert isinstance(restored.records, TaggedColumns)
+        assert TAGGED_CODEC.encode_lines(restored.records) == lines
+        assert not built  # encoding by column builds none either
+        assert list(restored.records) == reference
+        assert len(built) == len(reference)
+
+    def test_unpack_time_and_bytes_bounded_against_the_object_form(self):
+        """37.5k round-1 records in 64 task results: the parent unpacks
+        the column form several times faster than it unpickled the
+        objects (measured ~15x; the bound leaves room for a noisy host),
+        and text + columns together stay within 3x the object bytes
+        (measured 2.1x)."""
+        from repro.mapreduce.executor import pack_task_result, unpack_task_result
+
+        forms = list(zip(*(self._task_results(t) for t in range(self.TASKS))))
+        measured = []
+        for results in forms:
+            packed = [pack_task_result(result) for result in results]
+            nbytes = sum(len(data) + sum(map(len, bufs)) for data, bufs in packed)
+            best = float("inf")
+            for __ in range(5):
+                t0 = time.perf_counter()
+                for item in packed:
+                    unpack_task_result(item)
+                best = min(best, time.perf_counter() - t0)
+            measured.append((best, nbytes))
+        (object_s, object_bytes), (column_s, column_bytes) = measured
+        assert column_s * 3 < object_s
+        assert column_bytes < 3 * object_bytes
