@@ -327,6 +327,10 @@ def _make_step_reducer(
             scalar(cell_id, values, ctx)
             return
         anchor_batch = batches[step.anchor_slot]
+        # Tuples sharing an anchor rectangle repeat it under their own row
+        # numbers; named by one row, the bulk probe probes it once.
+        shared = _first_rows_of_rectangles(np, anchor_batch)
+        rows = frontier if shared is None else {**frontier, step.anchor_slot: shared}
 
         def owned_here(anchor_rows, entries):
             # Section 5 dedup: only the cell owning the start of
@@ -340,7 +344,7 @@ def _make_step_reducer(
 
         index = GridIndex(kernel="numpy", batch=base)
         parents, entries, ops = frontier_level(
-            np, step, index, batches, frontier, rid_arrays.__getitem__, owned_here
+            np, step, index, batches, rows, rid_arrays.__getitem__, owned_here
         )
         ctx.add_compute(ops)
         if not len(parents):
@@ -359,6 +363,22 @@ def _make_step_reducer(
             ctx.emit_all(_merged_columns(np, tuples, parents, new_slot, base, entries))
 
     return reducer
+
+
+def _first_rows_of_rectangles(np, batch: RectBatch):
+    """Per row of ``batch``, the first row holding the same rectangle,
+    found by rid (one sort of the int64 id column); ``None`` when no rid
+    repeats, when the ids are not all integers, or when some rid names
+    unequal rectangles — nothing makes a dataset's rids unique."""
+    ids = batch.int_ids(np)
+    if ids is None:
+        return None
+    __, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    if len(first) == len(ids):
+        return None
+    rows = first[inverse]
+    columns = (batch.x, batch.length, batch.y, batch.breadth)
+    return rows if all((col[rows] == col).all() for col in columns) else None
 
 
 def _group_columns(np, bound: tuple[str, ...], values):

@@ -403,10 +403,10 @@ class MarkingEngine:
         start_batches: list[RectBatch] = []
         n = 0
         for dataset, bag in received.items():
-            if not len(bag):
-                continue
             batch = indexes[dataset].batch
             gaps[dataset] = _kt.min_gaps_to_other_cell(np, self.grid, batch, cell)
+            if not len(bag):
+                continue  # probed like any other bag, but starts nothing
             rows = np.flatnonzero(
                 _kt.cell_ids_of_starts(np, self.grid, batch) == cell_id
             )
@@ -513,9 +513,6 @@ class MarkingEngine:
             anchor = step.anchor
             abatch = indexes[dataset_of(step.anchor_slot)].batch
             apos = frontier[step.anchor_slot]
-            if not len(idx):
-                levels.append(_no_candidates(np, len(apos)))
-                break
             parent, entries, position, scanned = idx.probe_frontier(
                 abatch, apos, anchor.predicate.distance, scan=True
             )
@@ -598,16 +595,3 @@ class MarkingEngine:
             node = np.cumsum(alive)[at] - 1  # rank among the alive
         return node_ok, node_charge, members
 
-
-def _no_candidates(np, nodes: int):
-    """The level record of a step whose index is empty: no candidate,
-    no slot scanned, for each of the ``nodes`` open assignments."""
-    none = np.empty(0, dtype=np.int64)
-    return (
-        none,
-        none,
-        np.empty(0, dtype=bool),
-        none,
-        none,
-        np.zeros(nodes, dtype=np.int64),
-    )

@@ -73,6 +73,8 @@ class InMemoryDFS:
 
     def __init__(self) -> None:
         self._files: dict[str, list[str]] = {}
+        #: path -> byte size (line lengths + newlines), set at write time
+        self._sizes: dict[str, int] = {}
         #: typed-record shadow of ``_files`` (only codec-written paths):
         #: path -> (codec name, records); the codec name guards against
         #: reading one format's objects through another format's codec
@@ -99,19 +101,27 @@ class InMemoryDFS:
         one, matching text-file sizes on a real DFS.
         """
         path = _normalize(path)
-        stored = []
-        nbytes = 0
-        for line in lines:
-            if "\n" in line:
-                raise DFSError(f"record contains a newline: {line!r}")
-            stored.append(line)
-            nbytes += len(line) + 1
-        self._files[path] = stored
-        self._records.pop(path, None)
-        self._derived.pop(path, None)
+        nbytes = self._store(path, lines)
         self.bytes_written += nbytes
         if self.block_plane is not None:
-            self.block_plane.on_write(path, stored)
+            self.block_plane.on_write(path, self._files[path])
+        return nbytes
+
+    def _store(self, path: str, lines: Iterable[str]) -> int:
+        """Validate, size and keep the lines of (normalized) ``path``,
+        dropping what was derived from its previous version."""
+        stored = list(lines)
+        # One join stands for the per-line newline test and length sum
+        # (``in`` on the joined text is a memchr; ``count`` is not).
+        joined = "".join(stored)
+        if "\n" in joined:
+            line = next(line for line in stored if "\n" in line)
+            raise DFSError(f"record contains a newline: {line!r}")
+        nbytes = len(joined) + len(stored)
+        self._files[path] = stored
+        self._sizes[path] = nbytes
+        self._records.pop(path, None)
+        self._derived.pop(path, None)
         return nbytes
 
     def write_records(
@@ -213,18 +223,7 @@ class InMemoryDFS:
         the canonical ``DFS_BYTES_WRITTEN`` counter is derived from.
         Returns the byte size the file would account at.
         """
-        path = _normalize(path)
-        stored = []
-        nbytes = 0
-        for line in lines:
-            if "\n" in line:
-                raise DFSError(f"record contains a newline: {line!r}")
-            stored.append(line)
-            nbytes += len(line) + 1
-        self._files[path] = stored
-        self._records.pop(path, None)
-        self._derived.pop(path, None)
-        return nbytes
+        return self._store(_normalize(path), lines)
 
     def read_side_file(self, path: str) -> list[str]:
         """All lines of a task side file — no read accounting.
@@ -313,7 +312,7 @@ class InMemoryDFS:
         path = _normalize(path)
         if path not in self._files:
             raise DFSError(f"no such file: {path!r}")
-        return sum(len(line) + 1 for line in self._files[path])
+        return self._sizes[path]
 
     def dir_size(self, path: str) -> int:
         """Total size of every file under a directory."""
@@ -341,6 +340,7 @@ class InMemoryDFS:
         doomed = [norm] if norm in self._files else self.list_dir(norm)
         for f in doomed:
             del self._files[f]
+            del self._sizes[f]
             self._records.pop(f, None)
             self._derived.pop(f, None)
         if self.block_plane is not None:

@@ -19,13 +19,18 @@ skips instead of pretending to cover it.
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 from repro.experiments.common import derive_grid
-from repro.experiments.workloads import synthetic_chain
+from repro.experiments.workloads import Workload, synthetic_chain
+from repro.geometry.rectangle import Rect
 from repro.joins.registry import ALGORITHMS, make_algorithm
 from repro.kernels import numpy_or_none
 from repro.mapreduce.engine import Cluster
+from repro.query.parser import parse_query
 from repro.query.predicates import Overlap, Range
 from repro.query.query import Query
 
@@ -189,3 +194,60 @@ def test_marking_shapes_match_python_kernel(shape, algorithm_name):
         assert tuples == ref_tuples
         assert snapshot == ref_snapshot
         assert _counters(stats) == _counters(ref_stats)
+
+
+# ----------------------------------------------------------------------
+# Repeated anchor rows: the bulk probe works per distinct rectangle
+# ----------------------------------------------------------------------
+def _lattice_workload(names):
+    """Dense relations on a 10-unit lattice: corners on grid-cell and
+    bucket boundaries, touching and zero-area rectangles, ~2 partners
+    per rectangle and edge — so from the second level on, the frontier
+    names each anchor row several times."""
+    rng = random.Random(SEED)
+    n, space, sides = 140, 400, [0.0, 10.0, 20.0, 40.0]
+    datasets = {
+        name: [
+            (
+                rid,
+                Rect(
+                    float(rng.randrange(0, space, 10)),
+                    float(rng.randrange(10, space + 10, 10)),
+                    rng.choice(sides),
+                    rng.choice(sides),
+                ),
+            )
+            for rid in range(n)
+        ]
+        for name in names
+    }
+    return Workload(datasets=datasets, d_max=math.hypot(40.0, 40.0), paper_scale=1.0)
+
+
+REPEATING_SHAPES = {
+    # every R1 and R3 partner of an R2 rectangle re-probes R4 with it
+    "star4": (
+        parse_query("R1 Ov R2 and R2 Ov R3 and R2 Ov R4"),
+        ("R1", "R2", "R3", "R4"),
+    ),
+    "self2": (Query.self_chain("R1", 2, Overlap()), ("R1",)),
+    # ... and here under rid distinctness from both earlier slots
+    "self3": (Query.self_chain("R1", 3, Overlap()), ("R1",)),
+}
+
+
+@pytest.mark.parametrize("algorithm_name", ["cascade", "all-rep", "c-rep"])
+@pytest.mark.parametrize("shape", sorted(REPEATING_SHAPES))
+def test_repeated_anchor_rows_match_python_kernel(shape, algorithm_name):
+    query, names = REPEATING_SHAPES[shape]
+    workload = _lattice_workload(names)
+    ref_snapshot, ref_stats, ref_tuples = _run(
+        workload, algorithm_name, kernel="python", query=query
+    )
+    assert len(ref_tuples) > len(workload.datasets["R1"])
+    snapshot, stats, tuples = _run(
+        workload, algorithm_name, kernel="numpy", query=query
+    )
+    assert tuples == ref_tuples
+    assert snapshot == ref_snapshot
+    assert _counters(stats) == _counters(ref_stats)

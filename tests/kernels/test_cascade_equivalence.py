@@ -322,6 +322,16 @@ def test_other_index_kinds_keep_the_scalar_reducer(index_kind):
     assert snapshots[0] == snapshots[1]
 
 
+def test_a_rid_shared_by_unequal_rectangles_is_not_probed_as_one():
+    """The step reducer lets tuples with the same anchor rid share one
+    probe — but nothing makes a dataset's rids unique."""
+    query, datasets = _fixed_workload()
+    datasets["B"] = [(7, rect) for __, rect in datasets["B"]]
+    reference = _run(query, None, datasets, kernel="python")
+    assert len(reference["tuples"]) > 1
+    assert _run(query, None, datasets, kernel="numpy") == reference
+
+
 # ----------------------------------------------------------------------
 # The owner-cell kernel, row for row
 # ----------------------------------------------------------------------

@@ -40,6 +40,17 @@ class TestWriteRead:
         with pytest.raises(DFSError):
             dfs.write_file("f", ["bad\nrecord"])
 
+    @pytest.mark.parametrize("write", ["write_file", "write_side_file"])
+    def test_newline_error_names_the_first_offending_record(self, dfs, write):
+        dfs.write_file("f", ["kept"])
+        lines = ["fine", "", "bad\nrecord", "also\nbad", "fine"]
+        with pytest.raises(DFSError, match=r"record contains a newline: 'bad\\nrecord'"):
+            getattr(dfs, write)("f", lines)
+        with pytest.raises(DFSError, match=r"record contains a newline: '\\n'"):
+            getattr(dfs, write)("f", iter(["\n"]))
+        assert dfs.read_file("f") == ["kept"]  # nothing was stored
+        assert dfs.file_size("f") == 5
+
     def test_iter_records(self, dfs):
         dfs.write_file("f", ["a", "b"])
         assert list(dfs.iter_records("f")) == [(0, "a"), (1, "b")]
@@ -124,6 +135,27 @@ class TestAccounting:
     def test_file_size(self, dfs):
         dfs.write_file("a", ["abc", ""])
         assert dfs.file_size("a") == 4 + 1
+
+    def test_file_size_is_the_current_versions(self, dfs):
+        dfs.write_file("d/a", ["abc", ""])
+        dfs.write_file("d/a", ["a much longer line"])
+        assert dfs.file_size("d/a") == 19
+        dfs.write_side_file("d/a", [])
+        assert dfs.file_size("d/a") == 0
+        dfs.delete("d/a")
+        with pytest.raises(DFSError):
+            dfs.file_size("d/a")
+        dfs.write_file("d/a", ["xy"])
+        dfs.write_file("d/b", ["z", "z"])
+        assert dfs.file_size("d/a") == 3
+        assert dfs.dir_size("d") == 7
+        assert dfs.dir_manifest("d") == [("d/a", 3), ("d/b", 4)]
+        dfs.delete("d")
+        dfs.write_side_file("d/b", ["q"])
+        assert dfs.dir_manifest("d") == [("d/b", 2)]
+        before = dfs.bytes_read
+        dfs.charge_read("d/b")
+        assert dfs.bytes_read - before == 2
 
     def test_num_records(self, dfs):
         dfs.write_file("d/p1", ["a", "b"])
