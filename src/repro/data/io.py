@@ -162,9 +162,10 @@ def encode_tagged(tagged: TaggedRect) -> str:
 
 def encode_tagged_columns(datasets, rids, marked, csvs) -> list[str]:
     """:func:`encode_tagged` by column: one line per row of the parallel
-    dataset / rid / mark-flag / :func:`rect_csv` columns."""
-    for dataset in set(datasets):
-        _check_dataset_name(dataset)
+    dataset / rid / mark-flag / :func:`rect_csv` columns.  The dataset
+    names are not checked here: the only writer of these columns is
+    round 1 of Controlled-Replicate, whose names passed the staging check
+    (:func:`repro.joins.base.stage_datasets`)."""
     return [
         f"{dataset}|{rid}|{int(flag)}|{csv}"
         for dataset, rid, flag, csv in zip(datasets, rids, marked, csvs)

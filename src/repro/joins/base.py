@@ -51,6 +51,10 @@ CNT_OUTPUT_TUPLES = "output_tuples"
 #: DFS directory the staged relation files live under.
 INPUT_PREFIX = "input"
 
+#: characters a dataset name may not contain: the DFS path separator,
+#: the tagged record's field separators and line breaks
+_NAME_DELIMITERS = "/|,\n\r"
+
 
 def stage_datasets(cluster: Cluster, datasets: Datasets) -> dict[str, str]:
     """Write each dataset to the DFS; returns ``dataset -> path``.
@@ -60,11 +64,21 @@ def stage_datasets(cluster: Cluster, datasets: Datasets) -> dict[str, str]:
     the same cluster).  Files are written through the rect codec, so the
     on-DFS bytes are the canonical ``rid,x,y,l,b`` lines and typed-path
     jobs read the ``(rid, Rect)`` objects back without parsing.
+
+    Every name is checked before anything is written: a name becomes a
+    DFS path component and a field of the tagged and result records, so
+    one holding a path or field delimiter or a line break is refused
+    here, for every algorithm, instead of failing a later job.
     """
+    for name in datasets:
+        bad = next((ch for ch in _NAME_DELIMITERS if ch in name), None)
+        if bad is not None:
+            raise JoinError(
+                f"dataset name {name!r} contains {bad!r}, which a dataset name "
+                f"may not hold (any of {_NAME_DELIMITERS!r})"
+            )
     paths: dict[str, str] = {}
     for name, rects in datasets.items():
-        if "/" in name or "|" in name:
-            raise JoinError(f"dataset name {name!r} contains a path delimiter")
         path = f"{INPUT_PREFIX}/{name}"
         cluster.dfs.write_records(path, rects, RECT_CODEC)
         paths[name] = path

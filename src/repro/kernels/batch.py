@@ -22,15 +22,19 @@ plus each tuple's encoded line.
 Part files have the same two-faced form.  A numpy reducer emits its
 whole output as one bundle — :class:`TaggedColumns` (round 1 of
 Controlled-Replicate), :class:`TupleFileColumns` (a non-final Cascade
-step), :class:`ResultColumns` (every final join) — which formats its own
-lines by column (``encoded_lines``), crosses the process pipe as raw
-buffers, is kept by the DFS next to those lines and is handed to the
+step), :class:`ResultColumns` (every final join) — which crosses the
+process pipe as raw buffers, is kept by the DFS and is handed to the
 next job's batch mapper as a slice; read as a sequence it is the
 ``TaggedRect`` / ``TupleRecord`` / result-line records it stands for.
+A tagged or result bundle also measures its own lines by column
+(``line_sizes``, integer arithmetic, no string built), so the DFS can
+size the part file without formatting it; the text is formatted by
+column (``encoded_lines`` / the row view) only when something reads it.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 
 from repro.data.io import (
@@ -62,15 +66,18 @@ class RectBatch:
     ``Rect`` objects the rows were read from, as an object array that
     is sliced and gathered with the float columns; it never crosses a
     process boundary (row consumers of an unpickled batch get equal
-    rectangles rebuilt from the columns).
+    rectangles rebuilt from the columns).  ``csv_len`` optionally holds
+    each row's ``len(rect_csv(rect))`` (uint8: at most 4 x 24 + 3 = 99)
+    — the spelling :meth:`csvs` gives the row on either side of a
+    pickle; unlike ``rects`` it travels.
     """
 
     __slots__ = (
         "ids", "x", "length", "y", "breadth",
-        "x_min", "x_max", "y_min", "y_max", "n", "rects",
+        "x_min", "x_max", "y_min", "y_max", "n", "rects", "csv_len",
     )  # fmt: skip
 
-    def __init__(self, np, ids, x, length, y, breadth, rects=None):
+    def __init__(self, np, ids, x, length, y, breadth, rects=None, csv_len=None):
         self.ids = ids
         self.x = x
         self.length = length
@@ -83,6 +90,7 @@ class RectBatch:
         self.y_max = y
         self.n = len(x)
         self.rects = rects
+        self.csv_len = csv_len
 
     @classmethod
     def from_pairs(cls, np, pairs):
@@ -95,15 +103,29 @@ class RectBatch:
     @classmethod
     def from_records(cls, np, pairs):
         """:meth:`from_pairs` for batches that travel: integer ids
-        become an int64 column (any other id type stays a list) and the
-        ``Rect`` objects are kept for row consumers."""
+        become an int64 column (any other id type stays a list), the
+        ``Rect`` objects are kept for row consumers and ``csv_len`` is
+        read off their memoised spellings.
+
+        ``csv_len`` is left ``None`` when some rectangle has not been
+        spelled yet (measuring it would format it) or some coordinate is
+        not a ``float`` (an ``int`` spells shorter than the float64
+        column it becomes, which is what :meth:`csvs` re-spells once the
+        objects are gone).
+        """
         pairs = list(pairs)
-        batch = cls.from_pairs(np, pairs)
-        ids = _int_column(np, batch.ids)
-        if ids is not None:
-            batch.ids = ids
+        rect_list = [r for __, r in pairs]
+        flat = [c for r in rect_list for c in (r.x, r.l, r.y, r.b)]
+        ids = [rid for rid, __ in pairs]
+        int_ids = _int_column(np, ids)
+        batch = cls(np, ids if int_ids is None else int_ids, *cls._columns(np, flat))
         rects = batch.rects = np.empty(batch.n, dtype=object)
-        rects[:] = [r for __, r in pairs]
+        rects[:] = rect_list
+        spellings = [r._csv for r in rect_list]
+        if None not in spellings and set(map(type, flat)) <= {float}:
+            batch.csv_len = np.fromiter(
+                map(len, spellings), dtype=np.uint8, count=batch.n
+            )
         return batch
 
     @staticmethod
@@ -140,13 +162,14 @@ class RectBatch:
         s.y_min = self.y_min[sel]
         s.n = len(s.x)
         s.rects = self.rects[sel] if self.rects is not None else None
+        s.csv_len = self.csv_len[sel] if self.csv_len is not None else None
         return s
 
     @classmethod
     def concat(cls, np, batches) -> "RectBatch":
-        """Row-wise concatenation (``ids``/``rects`` survive only when
-        every part carries them; ``ids`` stay an array only when every
-        part's are)."""
+        """Row-wise concatenation (``ids``/``rects``/``csv_len`` survive
+        only when every part carries them; ``ids`` stay an array only
+        when every part's are)."""
 
         def column(name):
             parts = [getattr(b, name) for b in batches]
@@ -165,6 +188,7 @@ class RectBatch:
             column("y"),
             column("breadth"),
             column("rects"),
+            column("csv_len"),
         )
 
     # -- row access ------------------------------------------------------
@@ -202,6 +226,13 @@ class RectBatch:
             )
         ]
 
+    def csv_lens(self, np):
+        """Each row's ``len`` of :meth:`csvs`: the ``csv_len`` column,
+        else measured on the spellings."""
+        if self.csv_len is not None:
+            return self.csv_len
+        return np.fromiter(map(len, self.csvs()), dtype=np.int64, count=self.n)
+
     def rect_list(self) -> list[Rect]:
         """The rows as ``Rect`` objects: the originals when they were
         kept, otherwise equal rectangles rebuilt from the columns."""
@@ -227,20 +258,54 @@ class RectBatch:
     def __len__(self) -> int:
         return self.n
 
-    # Only the stored columns travel; the extents are recomputed with
-    # the same expressions, the kept ``Rect`` objects stay behind.
+    # Only the stored columns (and ``csv_len``) travel; the extents are
+    # recomputed with the same expressions, the kept ``Rect`` objects
+    # stay behind.
     def __getstate__(self):
         np = numpy_or_none()
+        csv_len = self.csv_len
         return (
             self.ids,
             *(
                 np.ascontiguousarray(c)
                 for c in (self.x, self.length, self.y, self.breadth)
             ),
+            None if csv_len is None else np.ascontiguousarray(csv_len),
         )
 
     def __setstate__(self, state) -> None:
-        self.__init__(numpy_or_none(), *state)
+        *columns, csv_len = state
+        self.__init__(numpy_or_none(), *columns, csv_len=csv_len)
+
+
+def _decimal_widths(np, ids):
+    """``len(str(v))`` of every int64 ``v`` in ``ids``, any shape.
+
+    The width is a step function of ``v`` that changes at ``±10**k``:
+    one ``searchsorted`` against the first value of every step (sign
+    included) indexes a table of widths.
+    """
+    starts, widths = _width_steps(np)
+    return widths[np.searchsorted(starts, ids, side="right")]
+
+
+@functools.cache
+def _width_steps(np):
+    """``(first value of each decimal-width step, its width)`` over int64."""
+    tens = [10**k for k in range(1, 19)]
+    starts = np.array([1 - t for t in reversed(tens)] + [0] + tens, dtype=np.int64)
+    widths = np.array([*range(20, 1, -1), 1, *range(2, 20)], dtype=np.int64)
+    starts.flags.writeable = widths.flags.writeable = False
+    return starts, widths
+
+
+def _without_csv_len(batch: RectBatch) -> RectBatch:
+    """``batch``, or a view of it without the ``csv_len`` column."""
+    if batch.csv_len is None:
+        return batch
+    bare = batch.slice(0, batch.n)
+    bare.csv_len = None
+    return bare
 
 
 def _int_column(np, ids: list):
@@ -456,8 +521,14 @@ class TupleColumns(_ColumnRows):
             records,
         )
 
+    # A tuple is sized and written by its line, so its batches travel
+    # without ``csv_len``.
     def __getstate__(self):
-        return (self.slots, self.batches, self.lines.tolist())
+        return (
+            self.slots,
+            [_without_csv_len(batch) for batch in self.batches],
+            self.lines.tolist(),
+        )
 
     def __setstate__(self, state) -> None:
         slots, batches, lines = state
@@ -526,6 +597,20 @@ class TaggedColumns(_ColumnRows):
             self.columns.datasets(), batch.id_list(), self.marked.tolist(), batch.csvs()
         )
 
+    def line_sizes(self):
+        """Each row's ``len(line) + 1`` — ``dataset|rid|flag|csv`` and
+        its newline — by integer arithmetic, or ``None`` when the ids
+        are not an int64 column (the text must then be built to be
+        sized)."""
+        columns = self.columns
+        batch = columns.batch
+        if type(batch.ids) is list:
+            return None
+        np = numpy_or_none()
+        name_len = np.array([len(name) for name in columns.names], dtype=np.int64)
+        per_row = name_len[0] if columns.codes is None else name_len[columns.codes]
+        return per_row + _decimal_widths(np, batch.ids) + batch.csv_lens(np) + 5
+
     def take(self, rows) -> "TaggedColumns":
         """The rows at positions ``rows`` (an int array or a slice)."""
         return TaggedColumns(self.columns.take(rows), self.marked[rows])
@@ -565,6 +650,11 @@ class ResultColumns(_ColumnRows):
         if rows is None:
             rows = self._tuples = encode_result_columns(self.ids.tolist())
         return rows
+
+    def line_sizes(self):
+        """Each row's ``len(line) + 1`` — its ids' decimal widths, the
+        tabs between them and the newline — by integer arithmetic."""
+        return _decimal_widths(numpy_or_none(), self.ids).sum(axis=0) + len(self.ids)
 
     def id_tuples(self) -> list[tuple[int, ...]]:
         """The rows as rid tuples — what ``decode_result`` makes of the lines."""

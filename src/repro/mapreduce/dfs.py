@@ -22,6 +22,15 @@ may be a *column bundle* (:mod:`repro.kernels.batch`) — a lazy sequence
 of those same records that the store keeps whole — and a writer that
 has already encoded its records passes the lines along with them.
 
+A file's size is always the size of its encoded lines, but those lines
+need not exist to be sized.  A bundle that measures its own lines by
+column (``line_sizes``) is stored without text: its size is the sum of
+those measures, and the text is formatted from the bundle by the codec
+the first time something reads it (:meth:`InMemoryDFS.read_file`,
+:meth:`~InMemoryDFS.read_side_file`, the block plane's ingest).  Where
+the bytes must exist at write time — the block plane checksums them —
+the lines are encoded on write, as for any other records.
+
 Paths behave like HDFS paths: plain strings with ``/`` separators.  A job
 writes one ``part-NNNNN`` file per reducer under its output directory and
 downstream jobs read the directory back via :meth:`InMemoryDFS.read_dir`.
@@ -49,6 +58,11 @@ def codec_name(codec) -> str:
     return "lines" if codec is None else codec.name
 
 
+def _encode(records: Sequence[Any], codec) -> list[str]:
+    """The lines of ``records`` (their rows when ``codec`` is ``None``)."""
+    return list(records) if codec is None else codec.encode_lines(records)
+
+
 def typed_form(records: Sequence[Any], codec, lines) -> tuple[str, Sequence[Any], list[str]]:
     """``(codec name, records, lines)`` as :meth:`InMemoryDFS.write_records`
     stores them (shared by both DFS back-ends).
@@ -60,7 +74,7 @@ def typed_form(records: Sequence[Any], codec, lines) -> tuple[str, Sequence[Any]
     if not hasattr(records, "take"):
         records = list(records)
     if lines is None:
-        lines = list(records) if codec is None else codec.encode_lines(records)
+        lines = _encode(records, codec)
     elif len(lines) != len(records):
         raise DFSError(
             f"{len(lines)} encoded lines do not match {len(records)} typed records"
@@ -68,11 +82,42 @@ def typed_form(records: Sequence[Any], codec, lines) -> tuple[str, Sequence[Any]
     return codec_name(codec), records, lines
 
 
+class _BundleText(Sequence):
+    """The lines of a bundle-backed file, formatted on first access.
+
+    Its length is the bundle's record count; iterating or indexing it
+    encodes the bundle through ``codec`` (the bundle's own rows when
+    ``codec`` is ``None``) once and keeps the lines.
+    """
+
+    __slots__ = ("records", "codec", "_lines")
+
+    def __init__(self, records: Sequence[Any], codec) -> None:
+        self.records = records
+        self.codec = codec
+        self._lines: list[str] | None = None
+
+    def _text(self) -> list[str]:
+        if self._lines is None:
+            self._lines = _encode(self.records, self.codec)
+        return self._lines
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, i):
+        return self._text()[i]
+
+    def __iter__(self):
+        return iter(self._text())
+
+
 class InMemoryDFS:
     """A minimal HDFS stand-in: named immutable line files plus accounting."""
 
     def __init__(self) -> None:
-        self._files: dict[str, list[str]] = {}
+        #: path -> lines (a :class:`_BundleText` for a bundle sized by column)
+        self._files: dict[str, Sequence[str]] = {}
         #: path -> byte size (line lengths + newlines), set at write time
         self._sizes: dict[str, int] = {}
         #: typed-record shadow of ``_files`` (only codec-written paths):
@@ -118,27 +163,45 @@ class InMemoryDFS:
             line = next(line for line in stored if "\n" in line)
             raise DFSError(f"record contains a newline: {line!r}")
         nbytes = len(joined) + len(stored)
-        self._files[path] = stored
+        self._keep(path, stored, nbytes)
+        return nbytes
+
+    def _keep(self, path: str, lines: Sequence[str], nbytes: int) -> None:
+        """Make ``lines`` the current version of (normalized) ``path``."""
+        self._files[path] = lines
         self._sizes[path] = nbytes
         self._records.pop(path, None)
         self._derived.pop(path, None)
-        return nbytes
 
     def write_records(
         self, path: str, records: Sequence[Any], codec, lines: list[str] | None = None
     ) -> int:
         """Create (or replace) a file from typed records — encode once.
 
-        Each record is serialized through ``codec`` exactly once — here,
-        or by the writer that passes the result as ``lines`` (a reduce
-        task encodes its own output): the lines are the durable,
-        accounted form (identical bytes to a string-path writer), and
-        the records are kept so a downstream job reading with the same
-        codec skips the parse entirely.
+        Each record is serialized through ``codec`` at most once — here,
+        by the writer that passes the result as ``lines`` (a reduce task
+        encodes its own record objects), or on first read: the lines are
+        the durable, accounted form (identical bytes to a string-path
+        writer), and the records are kept so a downstream job reading
+        with the same codec skips the parse entirely.
+
+        A bundle passed without ``lines`` that sizes its own lines
+        (``line_sizes()`` not ``None``) is charged the sum of those sizes
+        and its text is left to the first read — unless the block plane
+        is engaged, which checksums the bytes as they are written.
         """
-        name, records, lines = typed_form(records, codec, lines)
-        nbytes = self.write_file(path, lines)
-        self._records[_normalize(path)] = (name, records)
+        sizes = None
+        if lines is None and self.block_plane is None and hasattr(records, "line_sizes"):
+            sizes = records.line_sizes()
+        norm = _normalize(path)
+        if sizes is None:
+            name, records, lines = typed_form(records, codec, lines)
+            nbytes = self.write_file(norm, lines)
+        else:
+            name, nbytes = codec_name(codec), int(sizes.sum())
+            self._keep(norm, _BundleText(records, codec), nbytes)
+            self.bytes_written += nbytes
+        self._records[norm] = (name, records)
         return nbytes
 
     def typed_records(self, path: str, codec) -> list[Any] | None:

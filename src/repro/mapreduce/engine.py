@@ -251,15 +251,16 @@ class _ReducePhase:
 class _ReduceTaskResult:
     """What one reduce task hands back to the engine.
 
-    ``lines`` is the part file's text, encoded by the task itself;
-    ``records`` its typed form for the DFS to keep next to the lines —
-    the emitted records of a job with an ``output_codec``, or the
-    column bundle a codec-less reducer emitted its lines as — and
-    ``None`` when the lines are all there is.
+    ``records`` is the part file's typed form — the emitted records of a
+    job with an ``output_codec``, or the column bundle the reducer
+    emitted — and ``None`` when the lines are all there is.  ``lines``
+    is the text the task encoded itself: its record objects', a plain
+    reducer's own lines, and ``None`` for a column bundle, which ships
+    as columns only (the DFS sizes it and formats its text when read).
     ``t_start``/``t_end`` are worker-side stamps, as on the map side.
     """
 
-    lines: list[str]
+    lines: list[str] | None
     records: Any
     input_records: int
     compute_ops: int
@@ -599,13 +600,13 @@ def _reduce_task_body(phase: _ReducePhase, r: int) -> _ReduceTaskResult:
             ) from exc
     counters.add(C.GROUP_ENGINE, C.REDUCE_INPUT_GROUPS, groups)
     counters.add(C.GROUP_ENGINE, C.REDUCE_INPUT_RECORDS, rctx.input_records)
-    # Encode-once, and here: each task formats its own part file (in
-    # parallel on the parallel executors), a column bundle by column.
+    # Encode-once: each task formats its own record objects (in parallel
+    # on the parallel executors); a column bundle is left to the DFS.
     records = rctx.output()
-    if job.output_codec is not None:
+    if hasattr(records, "take"):
+        lines = None
+    elif job.output_codec is not None:
         lines = job.output_codec.encode_lines(records)
-    elif hasattr(records, "take"):
-        lines = list(records)  # a text bundle's rows are its lines
     else:
         lines, records = records, None
     return _ReduceTaskResult(
@@ -1536,7 +1537,9 @@ class Cluster:
         or via :meth:`InMemoryDFS.charge_read` when the file's entry rows
         are already cached as a derived artifact (typed columnar path
         only: repeated inputs, e.g. the Cascade's base relations, then
-        skip line materialisation and tuple rebuilding entirely).  With
+        skip line materialisation and tuple rebuilding entirely) or
+        when the file's typed records are a bundle that sizes its own
+        lines (``line_sizes``: its text is never formatted).  With
         an input codec the record is the decoded object — taken from the
         DFS typed store when the upstream job wrote through a codec,
         decoded once and cached otherwise, or re-parsed per read when
@@ -1553,15 +1556,7 @@ class Cluster:
             for f in self.dfs.resolve(path):
                 entries = self.dfs.derived_get(f, tag) if cache_entries else None
                 if entries is None:
-                    lines = self.dfs.read_file(f)
-                    records = self._file_records(job, f, lines, codec)
-                    sizes = [len(line) + 1 for line in lines]
-                    if hasattr(records, "take"):
-                        entries = SplitEntries(f, 0, records, sizes)
-                    else:
-                        entries = list(
-                            zip(repeat(f), range(len(lines)), records, sizes)
-                        )
+                    entries = self._file_entries(job, f, codec)
                     if cache_entries:
                         self.dfs.derived_put(f, tag, entries)
                 else:
@@ -1577,6 +1572,24 @@ class Cluster:
                         entries[lo : lo + chunk] for lo in range(0, n, chunk)
                     )
         return splits
+
+    def _file_entries(
+        self, job: MapReduceJob, f: str, codec
+    ) -> list[tuple[str, int, Any, int]] | SplitEntries:
+        """The split entries of one whole file, its read charged."""
+        bundle = None
+        if self.typed_io and codec is not None:
+            bundle = self.dfs.typed_records(f, codec)
+        sizes = bundle.line_sizes() if hasattr(bundle, "line_sizes") else None
+        if sizes is not None:
+            self.dfs.charge_read(f)
+            return SplitEntries(f, 0, bundle, sizes.tolist())
+        lines = self.dfs.read_file(f)
+        records = self._file_records(job, f, lines, codec)
+        sizes = [len(line) + 1 for line in lines]
+        if hasattr(records, "take"):
+            return SplitEntries(f, 0, records, sizes)
+        return list(zip(repeat(f), range(len(lines)), records, sizes))
 
     def _file_records(
         self, job: MapReduceJob, f: str, lines: list[str], codec
@@ -1812,19 +1825,21 @@ class Cluster:
             if wrec is not None:
                 wrec.precommit(r, part_path)
             if result.records is not None:
-                # The task's lines are the durable, accounted form; its
-                # records stay resident for the next job's map.
+                # The lines are the durable, accounted form; the records
+                # stay resident for the next job's map.
                 nbytes = self.dfs.write_records(
                     part_path, result.records, job.output_codec, lines=result.lines
                 )
+                written = len(result.records)
             else:
                 nbytes = self.dfs.write_file(part_path, result.lines)
-            total_output += len(result.lines)
+                written = len(result.lines)
+            total_output += written
             stats.append(
                 TaskStats(
                     input_records=result.input_records,
                     input_bytes=input_bytes[r],
-                    output_records=len(result.lines),
+                    output_records=written,
                     output_bytes=nbytes,
                     compute_ops=result.compute_ops,
                     attempts=tuple(report.attempts[r]) if report is not None else (),

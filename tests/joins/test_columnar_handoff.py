@@ -32,11 +32,17 @@ from repro.data.io import TaggedRect, TupleRecord, decode_result
 from repro.data.transforms import max_diagonal
 from repro.geometry.rectangle import Rect
 from repro.grid.partitioning import GridPartitioning
-from repro.joins import cascade, controlled
+from repro.joins import cascade, controlled, reducers
 from repro.joins.base import MultiWayJoinAlgorithm
 from repro.joins.registry import make_algorithm
 from repro.kernels import numpy_or_none, resolve_kernel
-from repro.kernels.batch import ResultColumns, TaggedColumns, TupleFileColumns
+from repro.kernels import batch as batch_module
+from repro.kernels.batch import (
+    RectBatch,
+    ResultColumns,
+    TaggedColumns,
+    TupleFileColumns,
+)
 from repro.mapreduce.engine import Cluster
 from repro.mapreduce.faults import RetryPolicy
 from repro.mapreduce.localfs import LocalFSDFS
@@ -289,29 +295,48 @@ def test_next_job_mappers_get_a_bundle_slice_exactly_on_the_columnar_path(
 def test_no_record_object_is_built_on_the_default_path(monkeypatch, name):
     """Between a reducer's columns and the next mapper's columns — and
     the collected result set — nothing constructs a ``TaggedRect``, a
-    ``TupleRecord`` or a ``Rect``, and no bundle's row view is read."""
+    ``TupleRecord`` or a ``Rect``, no bundle's row view is read, and no
+    tagged or result line is formatted: the DFS sizes those part files
+    by column and formats their text only when it is read.  (The
+    Cascade spells rectangles for its tuple lines, which size its
+    shuffle and are its step files' text; nothing else does.)"""
     query, datasets = _fixed_workload("chain4")
     reference = _run(name, query, datasets, kernel="python")
     built = []
+    formatted = []
 
-    def counting(cls, method):
-        real = getattr(cls, method)
+    def counting(owner, attr, log):
+        real = getattr(owner, attr)
 
-        def wrapper(self, *args, **kwargs):
-            built.append(cls.__name__)
-            return real(self, *args, **kwargs)
+        def wrapper(*args, **kwargs):
+            log.append(attr)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(cls, method, wrapper)
+        monkeypatch.setattr(owner, attr, wrapper)
 
     for cls in (TaggedRect, TupleRecord, Rect):
-        counting(cls, "__init__")
-        counting(cls, "__setstate__")
+        counting(cls, "__init__", built)
+        counting(cls, "__setstate__", built)
     for cls in (TaggedColumns, TupleFileColumns):
-        counting(cls, "_materialise")
+        counting(cls, "_materialise", built)
+    for module in (batch_module, reducers):
+        for encoder in ("encode_result_columns", "encode_tagged_columns"):
+            if hasattr(module, encoder):
+                counting(module, encoder, formatted)
+    spellings = []
+    counting(RectBatch, "csvs", spellings)
+    counting(cascade, "tuple_fragments", spellings)
     cluster = Cluster(kernel="numpy")
     algorithm = make_algorithm(name, query=query, d_max=max_diagonal(datasets))
     result = algorithm.run(query, datasets, GRID, cluster)
     assert not built
+    assert not formatted
+    if name == "cascade":
+        # every spelling went into a tuple fragment, one for one
+        assert spellings
+        assert spellings == ["csvs", "tuple_fragments"] * (len(spellings) // 2)
+    else:
+        assert not spellings
     assert result.tuples == reference["tuples"]
     # ... and every consumer of rows still gets them, on demand.
     checked = []

@@ -11,6 +11,7 @@ from repro.joins.all_replicate import AllReplicateJoin
 from repro.joins.base import stage_datasets
 from repro.joins.cascade import CascadeJoin
 from repro.joins.controlled import ControlledReplicateJoin
+from repro.joins.registry import make_algorithm
 from repro.mapreduce.engine import Cluster
 from repro.query.predicates import Overlap
 from repro.query.query import Query
@@ -71,6 +72,23 @@ class TestConfigurationErrors:
     def test_dataset_name_with_path_separator(self):
         with pytest.raises(JoinError):
             stage_datasets(Cluster(), {"a/b": []})
+
+    @pytest.mark.parametrize("bad", ["/", "|", ",", "\n", "\r"])
+    @pytest.mark.parametrize("algorithm", ["cascade", "all-rep", "c-rep", "c-rep-l"])
+    def test_dataset_name_with_a_delimiter_is_refused_before_any_job(
+        self, algorithm, bad
+    ):
+        """Every algorithm refuses the name at staging, naming it and the
+        character, with nothing written and no job run — not after round
+        1 of C-Rep has done its marking, from the tagged encoder."""
+        name = f"R{bad}2"
+        query = Query.chain(["R1", name], Overlap())
+        algorithm = make_algorithm(algorithm, query=query, d_max=30.0)
+        cluster = Cluster()
+        with pytest.raises(JoinError) as err:
+            algorithm.run(query, {"R1": GOOD["R1"], name: GOOD["R2"]}, GRID, cluster)
+        assert repr(name) in str(err.value) and repr(bad) in str(err.value)
+        assert cluster.dfs.is_empty
 
     def test_all_errors_share_base(self):
         for exc in (DFSError, JobError, JoinError):

@@ -164,6 +164,104 @@ class TestAccounting:
         assert dfs.num_records("d") == 3
 
 
+class TestBundleFiles:
+    """A column bundle written through ``write_records``: sized by column
+    and accounted before its text exists (in memory), formatted on the
+    first read, and otherwise indistinguishable from its lines."""
+
+    @staticmethod
+    def _bundles():
+        np = pytest.importorskip("numpy")
+        from repro.data.io import TAGGED_CODEC, rect_csv
+        from repro.geometry.rectangle import Rect
+        from repro.kernels.batch import (
+            RectBatch,
+            RectColumns,
+            ResultColumns,
+            TaggedColumns,
+        )
+
+        rects = [Rect(0.5, 10.0, 2.0, 0.0), Rect(-1e16, 1 / 3, 5e-324, 7.0)]
+        for rect in rects:
+            rect_csv(rect)  # spelled, as staging spells every input rectangle
+        batch = RectBatch.from_records(np, [(-(2**63), rects[0]), (99, rects[1])])
+        tagged = TaggedColumns(
+            RectColumns(("R1", "Roads"), np.array([1, 0]), batch),
+            np.array([True, False]),
+        )
+        result = ResultColumns(np.array([[0, 10, -7], [2**63 - 1, 9, 100]]))
+        return [(tagged, TAGGED_CODEC), (result, None)]
+
+    @pytest.fixture
+    def formatted(self, monkeypatch):
+        """Counts every time a bundle's text is formatted."""
+        from repro.kernels.batch import ResultColumns, TaggedColumns
+
+        calls = []
+        for cls, method in (
+            (TaggedColumns, "encoded_lines"),
+            (ResultColumns, "_materialise"),
+        ):
+            real = getattr(cls, method)
+
+            def counting(self, _real=real):
+                calls.append(type(self).__name__)
+                return _real(self)
+
+            monkeypatch.setattr(cls, method, counting)
+        return calls
+
+    def test_sized_and_accounted_before_any_read(self, dfs, formatted):
+        for k, (bundle, codec) in enumerate(self._bundles()):
+            lines = list(bundle) if codec is None else codec.encode_lines(list(bundle))
+            size = sum(len(line) + 1 for line in lines)
+            del formatted[:]
+            before = dfs.bytes_written
+            assert dfs.write_records(f"out/part-{k:05d}", bundle, codec) == size
+            assert dfs.bytes_written - before == size
+            assert dfs.file_size(f"out/part-{k:05d}") == size
+            assert dfs.num_records(f"out/part-{k:05d}") == len(lines)
+            if isinstance(dfs, InMemoryDFS):
+                assert not formatted  # nothing built the text yet
+            assert dfs.typed_records(f"out/part-{k:05d}", codec) is bundle
+            read_before = dfs.bytes_read
+            assert dfs.read_file(f"out/part-{k:05d}") == lines
+            assert dfs.bytes_read - read_before == size
+            assert dfs.read_side_file(f"out/part-{k:05d}") == lines
+            if isinstance(dfs, InMemoryDFS):
+                assert len(formatted) == 1  # formatted once, on first read
+        sizes = [dfs.file_size(f) for f in dfs.list_dir("out")]
+        assert dfs.dir_manifest("out") == list(zip(dfs.list_dir("out"), sizes))
+        assert dfs.num_records("out") == 2 + 3
+
+    def test_rewrite_and_delete_drop_the_bundle(self, dfs, formatted):
+        (bundle, codec), __ = self._bundles()
+        dfs.write_records("out/part-00000", bundle, codec)
+        dfs.write_file("out/part-00000", ["plain"])
+        assert dfs.typed_records("out/part-00000", codec) is None
+        assert dfs.read_file("out/part-00000") == ["plain"]
+        assert dfs.file_size("out/part-00000") == 6
+        dfs.write_records("out/part-00000", bundle, codec)
+        assert dfs.delete("out") == 1
+        assert dfs.typed_records("out/part-00000", codec) is None
+        with pytest.raises(DFSError):
+            dfs.read_file("out/part-00000")
+        if isinstance(dfs, InMemoryDFS):
+            assert not formatted  # the dropped versions were never read
+
+    def test_text_is_encoded_on_write_under_the_block_plane(self, formatted):
+        from repro.mapreduce.blocks import BlockPlane
+        from repro.mapreduce.workers import WorkerPool
+
+        store = InMemoryDFS()
+        store.block_plane = BlockPlane(store, WorkerPool(2), 2, 1000, None)
+        (bundle, codec), __ = self._bundles()
+        size = store.write_records("out/part-00000", bundle, codec)
+        assert formatted == ["TaggedColumns"]  # checksummed as written
+        assert store.read_file("out/part-00000") == codec.encode_lines(list(bundle))
+        assert store.bytes_read == size
+
+
 class TestDirectories:
     def test_list_dir_sorted(self, dfs):
         dfs.write_file("out/part-00001", ["b"])

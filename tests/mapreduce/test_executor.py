@@ -597,22 +597,22 @@ class TestCascadeStepTransport:
 
 
 class TestReduceOutputTransport:
-    """A reduce task's result: the part file's text plus — on the numpy
-    kernel — the column bundle the reducer emitted, never the record
-    objects."""
+    """A reduce task's result: on the numpy kernel the column bundle the
+    reducer emitted — no text, which the DFS formats when the part file
+    is read, and never the record objects."""
 
     TASKS = 64
     RECORDS = 586  # x 64 tasks = 37.5k, round 1 of the sparse bench workload
 
     @staticmethod
-    def _result(lines, records):
+    def _result(records):
         from repro.mapreduce.counters import Counters
         from repro.mapreduce.engine import _ReduceTaskResult
 
         return _ReduceTaskResult(
-            lines=lines,
+            lines=None,
             records=records,
-            input_records=len(lines),
+            input_records=len(records),
             compute_ops=0,
             counters=Counters(),
         )
@@ -620,8 +620,8 @@ class TestReduceOutputTransport:
     @classmethod
     def _task_results(cls, task: int):
         """``(object form, column form)`` of one round-1 reduce result:
-        ``TaggedRect`` records for the parent to encode (the previous
-        wire form), and worker-encoded lines + ``TaggedColumns``."""
+        ``TaggedRect`` records for the parent to encode (an older wire
+        form), and the ``TaggedColumns`` bundle alone."""
         np = pytest.importorskip("numpy")
         from repro.data.io import TAGGED_CODEC, TaggedRect
         from repro.geometry.rectangle import Rect
@@ -643,24 +643,24 @@ class TestReduceOutputTransport:
             ),
             np.array([t.marked for t in records]),
         )
-        lines = TAGGED_CODEC.encode_lines(bundle)
-        assert lines == TAGGED_CODEC.encode_lines(records)
-        return cls._result(records, None), cls._result(lines, bundle)
+        assert TAGGED_CODEC.encode_lines(bundle) == TAGGED_CODEC.encode_lines(records)
+        return cls._result(records), cls._result(bundle)
 
     def test_mark_reducer_result_unpickles_without_building_a_record(self, monkeypatch):
-        """The real round-1 reducer's output, through the pipe: columns
-        in, columns out, and the row view still reads as the records the
-        scalar reducer emits."""
+        """The real round-1 reduce task's result, through the pipe:
+        columns in, columns out — no line of text among them — and the
+        row view still reads as the records the scalar reducer emits."""
         np = pytest.importorskip("numpy")
-        from repro.data.io import TAGGED_CODEC, TaggedRect
+        from repro.data.io import TAGGED_CODEC, TaggedRect, rect_csv
         from repro.geometry.rectangle import Rect
         from repro.grid.partitioning import GridPartitioning
         from repro.joins.controlled import _make_mark_reducer
         from repro.joins.marking import MarkingEngine
         from repro.kernels.batch import RectBatch, RectColumns, TaggedColumns
         from repro.mapreduce.counters import Counters
+        from repro.mapreduce.engine import _ReducePhase, _reduce_task_body
         from repro.mapreduce.executor import pack_task_result, unpack_task_result
-        from repro.mapreduce.job import ReduceContext
+        from repro.mapreduce.job import MapReduceJob, ReduceContext
         from repro.query.predicates import Overlap
         from repro.query.query import Query
 
@@ -671,26 +671,38 @@ class TestReduceOutputTransport:
             (f"R{1 + i % 3}", i, Rect(float(x), float(y), 60.0, 60.0))
             for i, (x, y) in enumerate(rng.uniform(0.0, 400.0, size=(240, 2)) + (0.0, 400.0))
         ]
-        outputs = {}
-        for kernel in ("python", "numpy"):
-            xp = np if kernel == "numpy" else None
-            reducer = _make_mark_reducer(grid, MarkingEngine(query, grid, kernel=kernel), xp)
-            ctx = ReduceContext(Counters(), 0)
-            group = values
-            if xp is not None:
-                names = ("R1", "R2", "R3")
-                group = RectColumns(
-                    names,
-                    np.array([names.index(d) for d, __, __ in values]),
-                    RectBatch.from_records(np, [(rid, rect) for __, rid, rect in values]),
-                )
-            reducer(0, group, ctx)
-            outputs[kernel] = ctx.output()
-        reference, bundle = outputs["python"], outputs["numpy"]
-        assert isinstance(bundle, TaggedColumns)
+        names = ("R1", "R2", "R3")
+        group = RectColumns(
+            names,
+            np.array([names.index(d) for d, __, __ in values]),
+            RectBatch.from_records(np, [(rid, rect) for __, rid, rect in values]),
+        )
+        reference_reducer = _make_mark_reducer(
+            grid, MarkingEngine(query, grid, kernel="python"), None
+        )
+        ctx = ReduceContext(Counters(), 0)
+        reference_reducer(0, values, ctx)
+        reference = ctx.output()
+        reducer = _make_mark_reducer(grid, MarkingEngine(query, grid, kernel="numpy"), np)
+        job = MapReduceJob(
+            name="mark",
+            input_paths=["input"],
+            output_path="marked",
+            mapper=lambda key, record, ctx: None,
+            # the shuffle's one columnar group for the cell
+            reducer=lambda key, __, ctx: reducer(key, group, ctx),
+            num_reducers=1,
+            output_codec=TAGGED_CODEC,
+        )
+        result = _reduce_task_body(_ReducePhase(job, [[(0, None)]]), 0)
+        assert result.lines is None
+        assert isinstance(result.records, TaggedColumns)
         assert any(t.marked for t in reference) and len(reference) > 50
-        lines = TAGGED_CODEC.encode_lines(bundle)
-        assert lines == TAGGED_CODEC.encode_lines(reference)
+        lines = TAGGED_CODEC.encode_lines(reference)
+        data, buffers = pack_task_result(result)
+        payload = data + b"".join(buffers)
+        assert not any(line.encode() in payload for line in lines)
+        assert not any(rect_csv(t.rect).encode() in payload for t in reference)
 
         built = []
         for method in ("__init__", "__setstate__"):
@@ -701,9 +713,9 @@ class TestReduceOutputTransport:
                 _real(self, *args)
 
             monkeypatch.setattr(TaggedRect, method, counting)
-        restored = unpack_task_result(pack_task_result(self._result(lines, bundle)))
+        restored = unpack_task_result((data, buffers))
         assert not built
-        assert restored.lines == lines
+        assert restored.lines is None
         assert isinstance(restored.records, TaggedColumns)
         assert TAGGED_CODEC.encode_lines(restored.records) == lines
         assert not built  # encoding by column builds none either
@@ -713,9 +725,9 @@ class TestReduceOutputTransport:
     def test_unpack_time_and_bytes_bounded_against_the_object_form(self):
         """37.5k round-1 records in 64 task results: the parent unpacks
         the column form several times faster than it unpickled the
-        objects (measured ~15x; the bound leaves room for a noisy host),
-        and text + columns together stay within 3x the object bytes
-        (measured 2.1x)."""
+        objects (measured ~45x; the bound leaves room for a noisy host),
+        and the columns, shipped without their text, are fewer bytes
+        than the objects (measured 0.79x)."""
         from repro.mapreduce.executor import pack_task_result, unpack_task_result
 
         forms = list(zip(*(self._task_results(t) for t in range(self.TASKS))))
@@ -732,4 +744,4 @@ class TestReduceOutputTransport:
             measured.append((best, nbytes))
         (object_s, object_bytes), (column_s, column_bytes) = measured
         assert column_s * 3 < object_s
-        assert column_bytes < 3 * object_bytes
+        assert column_bytes < object_bytes
