@@ -20,11 +20,16 @@ Three back-ends are provided:
     only overlap during C-level work, but the back-end exercises the
     same task isolation as processes and is cheap to spin up.
 ``process``
-    A ``fork``-based :class:`multiprocessing.pool.Pool`.  Workers
-    inherit the payload through copy-on-write memory, so job closures
-    (mappers capturing grids, marking engines, joiners) need not be
-    picklable; only task *results* cross the process boundary.  On
-    platforms without ``fork`` the back-end degrades to threads.
+    ``num_workers`` processes run tasks, and the calling process is one
+    of them: ``run_phase`` forks ``num_workers - 1`` children, then the
+    parent and the children claim task ids from one shared counter.
+    Children inherit the payload through copy-on-write memory, so job
+    closures (mappers capturing grids, marking engines, joiners) need
+    not be picklable; only the children's task *results* cross a pipe.
+    Only streaming sessions (:meth:`TaskExecutor.open_session`) use a
+    :class:`multiprocessing.pool.Pool`, because they must be able to
+    abandon a running attempt.  On platforms without ``fork`` the
+    back-end degrades to threads.
 
 Determinism contract: ``run_phase`` returns results indexed by task id
 regardless of completion order, and workers must be pure functions of
@@ -43,15 +48,15 @@ that fall back (``process`` without ``fork`` support degrades to
 threads) therefore keep honest timelines with no executor cooperation.
 
 Result contract: everything a task hands back must be **picklable** —
-the process back-end ships results through a pipe.  That includes the
-observability payloads riding in result objects: worker-side time
-stamps, counter shards, and (under ``--profile``) the raw cProfile
-stats dict ``{(file, line, func): (cc, nc, tt, ct, callers)}``, which
-is plain tuples/dicts/strings by construction.
+the process back-end ships the results of forked tasks through a pipe.
+That includes the observability payloads riding in result objects:
+worker-side time stamps, counter shards, and (under ``--profile``) the
+raw cProfile stats dict ``{(file, line, func): (cc, nc, tt, ct,
+callers)}``, which is plain tuples/dicts/strings by construction.
 
 Worker identity: executors know nothing about the *named* virtual
-workers of :mod:`repro.mapreduce.workers` — pool slots here are
-anonymous interchangeable capacity.  The recovery dispatcher assigns
+workers of :mod:`repro.mapreduce.workers` — threads and processes here
+are anonymous interchangeable capacity.  The recovery dispatcher assigns
 each attempt a worker name parent-side and threads it through the
 opaque session tag (the 5-tuple ``(index, attempt, speculative, skips,
 worker_name)``), so failure domains are identical on every back-end
@@ -64,8 +69,11 @@ from __future__ import annotations
 
 import abc
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
+import signal
+import sys
 import threading
 import time
 from collections.abc import Callable
@@ -248,14 +256,14 @@ class _ThreadSession(PhaseSession):
         self._pending.clear()
 
 
-# Payload handoff for forked workers.  Set in the parent immediately
-# before the pool forks; children inherit it through copy-on-write, so
-# nothing here is ever pickled.  The lock serializes the set-fork-restore
-# window so nested or concurrent ``run_phase`` calls (retry rounds
-# re-dispatching a phase, two clusters on two threads) can never fork a
-# pool against another call's payload; save-and-restore (instead of
-# resetting to ``None``) keeps an outer call's state intact across an
-# inner one.
+# Payload handoff for session pools.  Set in the parent immediately
+# before a session's pool forks; its workers inherit it through
+# copy-on-write, so nothing here is ever pickled.  The lock serializes
+# the set-fork-restore window so concurrent sessions (two clusters on
+# two threads) can never fork a pool against another call's payload;
+# save-and-restore (instead of resetting to ``None``) keeps an outer
+# call's state intact across an inner one.  ``run_phase`` needs none of
+# this: its children inherit the worker and payload as locals.
 _FORK_STATE: tuple[TaskWorker, Any] | None = None
 _FORK_LOCK = threading.Lock()
 
@@ -266,7 +274,7 @@ def pack_task_result(result) -> tuple[bytes, list[bytes]]:
     The worker serializes once with pickle protocol 5, exporting large
     contiguous buffers (numpy key arrays of columnar bucket segments,
     spill-run frames) out-of-band via ``buffer_callback`` instead of
-    re-framing them inside the stream.  The pool then ships
+    re-framing them inside the stream.  The pipe then carries
     ``(data, buffers)`` — two flat byte payloads — rather than
     re-pickling the whole object graph at the transport's default
     protocol 4.  Combined with the compact ``__getstate__`` forms of
@@ -284,34 +292,194 @@ def unpack_task_result(packed: tuple[bytes, list[bytes]]):
     return pickle.loads(data, buffers=buffers)
 
 
-def _run_forked_task(index: int):
+def _run_forked_task(tag):
     worker, payload = _FORK_STATE  # type: ignore[misc] - set before fork
-    return pack_task_result(worker(payload, index))
+    return pack_task_result(worker(payload, tag))
+
+
+def _flush_std_streams() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError, OSError):
+            pass
+
+
+def _portable(exc: Exception, index: int) -> Exception:
+    """``exc`` if it survives a pickle round trip, else a :class:`JobError`
+    naming the task (an exception the parent cannot rebuild must still
+    say which task raised it)."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return JobError(
+            f"task {index} raised {type(exc).__name__}: {exc} "
+            "(the exception cannot be pickled to the parent)"
+        )
+    return exc
+
+
+#: result slot of a task that has not delivered one
+_NO_RESULT = object()
+
+
+class _ForkedPhase:
+    """One ``ProcessExecutor.run_phase`` call: the parent is a worker.
+
+    The parent forks its children first and only then runs tasks itself.
+    Everyone claims the next task id from ``_claims`` — shared memory
+    inherited through fork — under ``_lock``, so the ids are handed out
+    in increasing order.  A child sends ``(id, True, packed result)`` or
+    ``(id, False, exception)`` per task over its own pipe, then ``None``
+    as its end marker, and leaves through ``os._exit``.  The parent reads
+    the pipes between its own tasks and once it has run out of ids.
+
+    Error contract (the serial executor's): after the first failure
+    nobody claims a new id; lower ids already running finish, and the
+    lowest failing id raises.  A child whose pipe closes before its end
+    marker died mid-phase: one :class:`JobError` names its pid, its exit
+    status and the task ids it took with it.  On any exception in the
+    parent the children are killed; they are always reaped.
+    """
+
+    def __init__(self, worker: TaskWorker, num_tasks: int, payload: Any) -> None:
+        self._ctx = multiprocessing.get_context("fork")
+        self._worker = worker
+        self._num_tasks = num_tasks
+        self._payload = payload
+        self._lock = self._ctx.Lock()
+        #: [next unclaimed task id, 1 once a failure stopped the claims]
+        self._claims = self._ctx.RawArray("q", 2)
+        self._results: list[Any] = [_NO_RESULT] * num_tasks
+        self._errors: dict[int, BaseException] = {}
+        #: read end of every child's pipe that is still open -> its pid
+        self._pipes: dict[Any, int] = {}
+        self._unreaped: list[int] = []
+        #: (pid, exit status) of every child that died mid-phase
+        self._dead: list[tuple[int, int]] = []
+
+    def run(self, children: int) -> list:
+        try:
+            _flush_std_streams()  # or a child's exit would print it again
+            for __ in range(children):
+                self._fork()
+            while (index := self._claim()) is not None:
+                try:
+                    self._results[index] = self._worker(self._payload, index)
+                except Exception as exc:
+                    self._errors[index] = exc
+                    self._halt()
+                self._receive(timeout=0)
+            while self._pipes:
+                self._receive(timeout=None)
+        except BaseException:
+            for pid in self._unreaped:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            for pid in self._unreaped:
+                os.waitpid(pid, 0)
+            for pipe in self._pipes:
+                pipe.close()
+        if self._dead:
+            claimed = self._claims[0]
+            lost = [
+                i
+                for i in range(claimed)
+                if self._results[i] is _NO_RESULT and i not in self._errors
+            ]
+            who = ", ".join(f"pid {p} exited with status {s}" for p, s in self._dead)
+            self._errors.setdefault(
+                min(lost, default=claimed),
+                JobError(f"forked worker {who}, losing task(s) {lost}"),
+            )
+        if self._errors:
+            raise self._errors[min(self._errors)]
+        return self._results
+
+    def _claim(self) -> int | None:
+        with self._lock:
+            index, halted = self._claims
+            if halted or index >= self._num_tasks:
+                return None
+            self._claims[0] = index + 1
+        return index
+
+    def _halt(self) -> None:
+        with self._lock:
+            self._claims[1] = 1
+
+    def _fork(self) -> None:
+        reader, writer = self._ctx.Pipe(duplex=False)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                reader.close()
+                self._serve(writer)
+                _flush_std_streams()
+                code = 0
+            finally:
+                os._exit(code)
+        writer.close()
+        self._pipes[reader] = pid
+        self._unreaped.append(pid)
+
+    def _serve(self, pipe) -> None:
+        """A child's whole life: claim, run, send, until the ids run out."""
+        while (index := self._claim()) is not None:
+            try:
+                packed = pack_task_result(self._worker(self._payload, index))
+            except Exception as exc:
+                self._halt()
+                pipe.send((index, False, _portable(exc, index)))
+                break
+            pipe.send((index, True, packed))
+        pipe.send(None)
+
+    def _receive(self, timeout: float | None) -> None:
+        """Read every message the children have ready (waiting up to
+        ``timeout`` for the first one)."""
+        for pipe in multiprocessing.connection.wait(list(self._pipes), timeout):
+            while True:
+                try:
+                    message = pipe.recv()
+                except EOFError:
+                    pid = self._pipes.pop(pipe)
+                    pipe.close()
+                    self._halt()
+                    self._unreaped.remove(pid)
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    self._dead.append((pid, status))
+                    break
+                if message is None:
+                    del self._pipes[pipe]
+                    pipe.close()
+                    break
+                index, ok, value = message
+                if ok:
+                    self._results[index] = unpack_task_result(value)
+                else:
+                    self._errors[index] = value
+                if not pipe.poll():
+                    break
 
 
 class ProcessExecutor(TaskExecutor):
-    """Tasks run on forked worker processes (true multi-core execution)."""
+    """Tasks run on ``num_workers`` processes, the calling one included.
+
+    ``run_phase`` forks ``min(num_workers, num_tasks) - 1`` children and
+    works alongside them (:class:`_ForkedPhase`), so ``process`` x 2 is
+    the parent plus one child.  Sessions fork a ``num_workers``-process
+    :class:`multiprocessing.pool.Pool` instead: speculation and the
+    watchdog abandon running attempts, and a task running in the parent
+    cannot be abandoned.
+    """
 
     name = "process"
 
     def __init__(self, num_workers: int | None = None) -> None:
         self.num_workers = num_workers if num_workers else default_workers()
-
-    @staticmethod
-    def _fork_pool(ctx, worker: TaskWorker, payload: Any, processes: int):
-        """Fork a pool whose workers inherit ``(worker, payload)``.
-
-        The global is published only for the duration of the fork and
-        restored to whatever it held before, under the module lock.
-        """
-        global _FORK_STATE
-        with _FORK_LOCK:
-            saved = _FORK_STATE
-            _FORK_STATE = (worker, payload)
-            try:
-                return ctx.Pool(processes=processes)
-            finally:
-                _FORK_STATE = saved
 
     def run_phase(self, worker: TaskWorker, num_tasks: int, payload: Any) -> list:
         if num_tasks <= 1 or self.num_workers <= 1:
@@ -322,25 +490,24 @@ class ProcessExecutor(TaskExecutor):
             return ThreadExecutor(self.num_workers).run_phase(
                 worker, num_tasks, payload
             )
-        ctx = multiprocessing.get_context("fork")
-        pool = self._fork_pool(ctx, worker, payload, min(self.num_workers, num_tasks))
-        with pool:
-            # imap (not map) so the lowest failing task id raises
-            # first, matching the serial error behaviour.
-            return [
-                unpack_task_result(packed)
-                for packed in pool.imap(
-                    _run_forked_task, range(num_tasks), chunksize=1
-                )
-            ]
+        phase = _ForkedPhase(worker, num_tasks, payload)
+        return phase.run(min(self.num_workers, num_tasks) - 1)
 
     def open_session(self, worker: TaskWorker, payload: Any) -> PhaseSession | None:
         if self.num_workers <= 1:
             return None
         if "fork" not in multiprocessing.get_all_start_methods():
             return ThreadExecutor(self.num_workers).open_session(worker, payload)
-        ctx = multiprocessing.get_context("fork")
-        pool = self._fork_pool(ctx, worker, payload, self.num_workers)
+        # The pool's workers inherit ``(worker, payload)`` through
+        # _FORK_STATE, published only for the duration of the fork.
+        global _FORK_STATE
+        with _FORK_LOCK:
+            saved = _FORK_STATE
+            _FORK_STATE = (worker, payload)
+            try:
+                pool = multiprocessing.get_context("fork").Pool(self.num_workers)
+            finally:
+                _FORK_STATE = saved
         return _ProcessSession(pool)
 
 

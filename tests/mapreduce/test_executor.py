@@ -1,6 +1,7 @@
 """Unit tests for the pluggable task executors."""
 
 import os
+import signal
 import threading
 import time
 
@@ -85,10 +86,17 @@ class TestRunPhase:
         ex = make_executor("process", 64)
         assert ex.run_phase(square_worker, 3, {"base": 0}) == [0, 1, 4]
 
-    def test_process_executor_forks(self):
-        """With >1 worker and >1 task, work really leaves this process."""
-        pids = set(make_executor("process", 2).run_phase(pid_worker, 4, None))
-        assert os.getpid() not in pids
+    def test_process_executor_parent_is_a_worker(self):
+        """``num_workers`` counts the parent: 3 workers are the parent
+        plus up to two forked children, and all of them run tasks."""
+
+        def slow_pid_worker(payload, index):
+            time.sleep(0.02)
+            return os.getpid()
+
+        pids = set(make_executor("process", 3).run_phase(slow_pid_worker, 8, None))
+        assert os.getpid() in pids
+        assert 2 <= len(pids) <= 3
 
     def test_thread_executor_shares_process(self):
         pids = set(make_executor("thread", 2).run_phase(pid_worker, 4, None))
@@ -206,6 +214,117 @@ class TestForkStateIsolation:
         for t in threads:
             t.join(30.0)
         assert errors == []
+
+
+class _Unpicklable(Exception):
+    def __init__(self, index):
+        super().__init__(f"task {index} cannot travel")
+        self.callback = lambda: None  # a lambda does not pickle
+
+
+class TestForkedDispatch:
+    """``ProcessExecutor.run_phase``: the parent and its forked children
+    claim task ids from one counter; errors follow the serial contract
+    and no child outlives the phase."""
+
+    def test_lowest_failing_id_raises_after_a_higher_child_failure(self, tmp_path):
+        parent = os.getpid()
+        marker = tmp_path / "child-failed"
+
+        def worker(payload, index):
+            if index == 1:
+                # still running when a higher id has already failed
+                deadline = time.monotonic() + 5.0
+                while not marker.exists() and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                raise JobError("task 1 failed")
+            if os.getpid() == parent:
+                time.sleep(0.05)  # leave the higher ids to the children
+            elif index > 1:
+                marker.touch()
+                raise JobError(f"task {index} failed")
+            return index
+
+        with pytest.raises(JobError, match="task 1 failed"):
+            ProcessExecutor(num_workers=3).run_phase(worker, 8, None)
+        assert marker.exists()
+
+    def test_unpicklable_child_exception_names_the_task(self):
+        parent = os.getpid()
+
+        def worker(payload, index):
+            if os.getpid() != parent:
+                raise _Unpicklable(index)
+            time.sleep(0.05)
+            return index
+
+        with pytest.raises(JobError, match=r"task \d+ raised _Unpicklable"):
+            ProcessExecutor(num_workers=2).run_phase(worker, 4, None)
+
+    def test_parent_task_failure_leaves_no_child(self):
+        parent = os.getpid()
+
+        def worker(payload, index):
+            if os.getpid() == parent:
+                raise JobError(f"task {index} failed in the parent")
+            time.sleep(0.02)
+            return index
+
+        with pytest.raises(JobError, match="failed in the parent"):
+            ProcessExecutor(num_workers=3).run_phase(worker, 8, None)
+        time.sleep(0.1)  # an unreaped child would be a zombie by now
+        try:
+            leftover = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            leftover = (0, 0)
+        assert leftover == (0, 0)
+
+    def test_every_task_claimed_exactly_once_under_contention(self, tmp_path):
+        """More workers than cores racing for 200 ids: a lost update on
+        the shared counter would run some id twice (the exclusive create
+        fails) or skip it (its slot would not hold its own id)."""
+
+        def worker(payload, index):
+            os.close(os.open(tmp_path / str(index), os.O_CREAT | os.O_EXCL))
+            return index
+
+        previous = signal.signal(signal.SIGALRM, signal.default_int_handler)
+        signal.alarm(60)
+        try:
+            results = ProcessExecutor(num_workers=8).run_phase(worker, 200, None)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert results == list(range(200))
+        assert len(list(tmp_path.iterdir())) == 200
+
+    def test_dead_child_raises_instead_of_hanging(self):
+        """Regression: the Pool dispatcher waited forever for a task whose
+        worker process died."""
+        parent = os.getpid()
+
+        def worker(payload, index):
+            if os.getpid() == parent:
+                time.sleep(0.3)
+            elif index >= 2:
+                os._exit(3)
+            return index
+
+        def hung(signum, frame):
+            raise TimeoutError("run_phase hung on a dead worker")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        try:
+            with pytest.raises(
+                JobError,
+                match=r"forked worker pid \d+ exited with status 3, "
+                r"losing task\(s\) \[\d\]",
+            ):
+                ProcessExecutor(num_workers=2).run_phase(worker, 5, None)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestPhaseSessions:
