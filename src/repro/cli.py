@@ -130,29 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also list every healthy file with its block count",
     )
 
-    p_hist = sub.add_parser(
-        "bench-history",
-        help="trend table over recorded BENCH_*.json files + regression gate",
-    )
-    p_hist.add_argument(
-        "files",
-        nargs="*",
-        default=None,
-        metavar="BENCH.json",
-        help=(
-            "pytest-benchmark JSON files, any order (default: "
-            "BENCH_*.json in the current directory)"
-        ),
-    )
-    p_hist.add_argument(
-        "--threshold",
-        type=float,
-        default=0.10,
-        help=(
-            "mean-time regression gate between the two newest files "
-            "(default 0.10 = 10%%)"
-        ),
-    )
     return parser
 
 
@@ -442,10 +419,10 @@ def _add_executor_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--kernel",
         choices=KERNELS,
-        default="auto",
+        default="numpy",
         help=(
-            "compute kernel: 'numpy' vectorized batches, 'python' scalar, "
-            "'auto' = numpy when available (output is identical for all; "
+            "compute kernel: 'numpy' vectorized batches (default), 'python' "
+            "scalar reference (output is identical for both; "
             "REPRO_KERNEL overrides)"
         ),
     )
@@ -567,21 +544,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-
-    if args.command == "bench-history":
-        import glob
-
-        from repro.obs.bench_history import load_series, render_history
-
-        paths = args.files or sorted(glob.glob("BENCH_*.json"))
-        if not paths:
-            print("bench-history: no BENCH_*.json files found", file=sys.stderr)
-            return 2
-        series = load_series(paths)
-        table, regressions = render_history(series, threshold=args.threshold)
-        print(table)
-        return 1 if regressions else 0
-
     if args.command == "join":
         if args.query:
             from repro.query.parser import parse_query

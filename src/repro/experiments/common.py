@@ -180,7 +180,7 @@ def execute_sweep(
     verify: bool = True,
     executor: str = "serial",
     num_workers: int | None = None,
-    kernel: str = "auto",
+    kernel: str = "numpy",
     recorder: NullRecorder | None = None,
     verbose: bool = False,
     ledger=None,
@@ -255,7 +255,7 @@ def run_algorithms(
     verify: bool = True,
     executor: str = "serial",
     num_workers: int | None = None,
-    kernel: str = "auto",
+    kernel: str = "numpy",
     recorder: NullRecorder | None = None,
     verbose: bool = False,
     sink: dict[str, JoinResult] | None = None,
@@ -275,7 +275,7 @@ def run_algorithms(
     ``d_max`` defaults to the observed maximum diagonal (what a C-Rep-L
     deployment would precompute while loading the data).
     ``executor``/``num_workers`` select the cluster's task back-end and
-    ``kernel`` its compute kernel (``"auto"``/``"numpy"``/``"python"``);
+    ``kernel`` its compute kernel (``"numpy"`` or ``"python"``);
     the kernel each run actually resolved to is recorded on its
     :class:`AlgoMetrics`.
     ``recorder`` (a live :class:`~repro.obs.trace.TraceRecorder`) traces

@@ -46,7 +46,7 @@ def run(
     seed: int = 7,
     executor: str = "serial",
     num_workers: int | None = None,
-    kernel: str = "auto",
+    kernel: str = "numpy",
     recorder=None,
     verbose: bool = False,
     ledger=None,

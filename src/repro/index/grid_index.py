@@ -24,9 +24,10 @@ import math
 from collections.abc import Iterable, Iterator
 from typing import Any
 
+import numpy as np
+
 from repro.geometry.rectangle import Rect
 from repro.index.base import Entry
-from repro.kernels import numpy_or_none
 from repro.kernels.batch import RectBatch
 
 __all__ = ["GridIndex"]
@@ -64,8 +65,8 @@ class GridIndex:
         # instead of Entry objects; the row forms are then materialized
         # lazily, only if a caller actually asks for them (the columnar
         # probe paths never do).
-        np = numpy_or_none() if kernel == "numpy" else None
-        if batch is not None and np is None:
+        columnar = kernel == "numpy"
+        if batch is not None and not columnar:
             pairs, batch = batch.pairs(), None  # the scalar build reads rows
         self._ent: list[Entry] | None = None
         self._pairs: list[tuple[Any, Rect]] | None = None
@@ -83,18 +84,17 @@ class GridIndex:
         #: columnar bound arrays (numpy kernel only; None on the scalar path)
         self.batch: RectBatch | None = batch
         self._rid_array: Any = None
-        self._np = np
         #: bucket -> member entry indices; ``None`` on a numpy build
         #: until a scalar probe asks for the dict view of the CSR arrays
         self._bucket_lists: dict[tuple[int, int], list[int]] | None = {}
-        self._empty = None if np is None else np.empty(0, dtype=np.int64)
+        self._empty = np.empty(0, dtype=np.int64) if columnar else None
         if n == 0:
             self._nx = self._ny = 1
             self._bounds_list: list[tuple[float, float, float, float]] | None = []
-            if np is not None and batch is None:
+            if columnar and batch is None:
                 self.batch = RectBatch.from_pairs(np, ())
             return
-        if np is not None:
+        if columnar:
             self._build_numpy(np, n, target_per_bucket, batch)
             return
         # Bounds are kept as exact corner floats: round-tripping them
@@ -228,7 +228,6 @@ class GridIndex:
     def _bucket_views(self) -> None:
         """Cut the dict-of-lists and dict-of-arrays bucket views out of
         the CSR arrays (numpy build, first scalar probe)."""
-        np = self._np
         skeys = self._csr_keys
         sidx = self._csr_entries
         total = len(sidx)
@@ -268,14 +267,13 @@ class GridIndex:
         """int64 payload array (numpy kernel with integer payloads), lazy."""
         arr = self._rid_array
         if arr is _UNSET:
-            arr = self._rid_array = self.batch.int_ids(self._np)
+            arr = self._rid_array = self.batch.int_ids(np)
         return arr
 
     @property
     def _csr_offsets(self):
         offs = self._csr_offsets_cache
         if offs is None:
-            np = self._np
             offs = self._csr_offsets_cache = np.searchsorted(
                 self._csr_keys,
                 np.arange(self._nx * self._ny + 1, dtype=np.int64),
@@ -388,7 +386,6 @@ class GridIndex:
 
     def _search_bounds(self, qx_min, qx_max, qy_min, qy_max):
         """:meth:`search_batch` body for precomputed, in-range bounds."""
-        np = self._np
         empty = self._empty
         ix_lo = self._clamp_x(qx_min)
         ix_hi = self._clamp_x(qx_max)
@@ -443,7 +440,6 @@ class GridIndex:
         """
         if not self._n:
             return [], [], 0
-        np = self._np
         if d > 0:
             qx_min = rect.x - d
             qx_max = qx_min + (rect.l + 2 * d)
@@ -579,7 +575,6 @@ class GridIndex:
         (two-level CSR gather, extent test, first-occurrence mask) and
         its candidate run copied to every query that names the row.
         """
-        np = self._np
         m = batch_q.n if pos is None else len(pos)
         if not self._n:
             empty, zeros = self._empty, np.zeros(m, dtype=np.int64)

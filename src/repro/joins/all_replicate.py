@@ -14,6 +14,8 @@ The Table 2 benchmark shows exactly this blow-up.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.grid.partitioning import GridPartitioning
 from repro.grid.transforms import replicate_f1
 from repro.joins.base import (
@@ -35,7 +37,6 @@ from repro.joins.reducers import (
     staged_rect_values,
 )
 from repro.data.io import RECT_CODEC
-from repro.kernels import numpy_or_none
 from repro.kernels import transforms as _kt
 from repro.mapreduce.engine import Cluster
 from repro.mapreduce.job import MapContext, MapReduceJob
@@ -116,7 +117,6 @@ def _make_batch_mapper(grid: GridPartitioning):
     per-bucket order, byte totals and join counters of the scalar
     mapper.
     """
-    np = numpy_or_none()
 
     def batch_mapper(split_entries, ctx: MapContext, batch=None) -> None:
         if not split_entries:

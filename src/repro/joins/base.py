@@ -174,7 +174,7 @@ class MultiWayJoinAlgorithm(abc.ABC):
         dfs = cluster.dfs
         tuples: set[tuple[int, ...]] = set()
         for f in dfs.resolve(output_path):
-            columns = dfs.typed_records(f, None) if cluster.typed_io else None
+            columns = dfs.typed_records(f, None)
             if isinstance(columns, ResultColumns):
                 dfs.charge_read(f)
                 tuples.update(columns.id_tuples())

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
+import numpy as np
+
 from repro.data.io import (
     RECT_CODEC,
     TUPLE_CODEC,
@@ -43,7 +45,6 @@ from repro.joins.dedup import two_way_range_owner
 from repro.joins.local import SlotPlan, frontier_level, plan_is_vectorized, slot_plans
 from repro.joins.reducers import result_records
 from repro.joins.sweep import sweep_pairs
-from repro.kernels import numpy_or_none
 from repro.kernels import transforms as _kt
 from repro.kernels.batch import (
     RectBatch,
@@ -233,7 +234,6 @@ def _make_step_batch_mapper(
     batch, and go out in one ``emit_batch``: the exact pairs, per-bucket
     order and byte totals of the scalar mapper.
     """
-    np = numpy_or_none()
     d = step.anchor.predicate.distance
 
     def batch_mapper(split_entries, ctx: MapContext, batch=None) -> None:
@@ -302,8 +302,7 @@ def _make_step_reducer(
     """The step reducer: columnar on the numpy kernel with the grid
     index and vectorized predicates, else the scalar reference."""
     scalar = _make_scalar_step_reducer(grid, query, step, is_final, index_kind, kernel)
-    np = numpy_or_none() if kernel == "numpy" else None
-    if np is None or index_kind != "grid" or not plan_is_vectorized(step):
+    if kernel != "numpy" or index_kind != "grid" or not plan_is_vectorized(step):
         return scalar
     d = step.anchor.predicate.distance
     slot_order = query.slots
@@ -388,8 +387,8 @@ def _group_columns(np, bound: tuple[str, ...], values):
     side.
 
     A columnar group is taken apart by run; a plain value list (spill
-    merge, row shuffle, the scalar mapper, non-integer rids) is walked
-    once.  Either way the reducer runs the same code downstream.
+    merge, the scalar mapper, non-integer rids) is walked once.  Either
+    way the reducer runs the same code downstream.
     """
     runs = values.runs if isinstance(values, ValueRuns) else [values]
     if all(isinstance(run, (TupleColumns, RectColumns)) for run in runs):

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.data.io import RECT_CODEC, TAGGED_CODEC, TaggedRect
 from repro.grid.partitioning import GridPartitioning
 from repro.grid.transforms import replicate_f2, split
@@ -44,7 +46,6 @@ from repro.joins.base import (
 from repro.joins.limits import ReplicationLimits
 from repro.joins.local import LocalJoiner
 from repro.joins.marking import MarkingEngine
-from repro.kernels import numpy_or_none
 from repro.kernels import transforms as _kt
 from repro.kernels.batch import RectBatch, RectColumns, TaggedColumns
 from repro.joins.reducers import (
@@ -118,9 +119,7 @@ class ControlledReplicateJoin(MultiWayJoinAlgorithm):
             output_path=marked_path,
             mapper=_make_mark_mapper(grid),
             reducer=_make_mark_reducer(
-                grid,
-                marking,
-                numpy_or_none() if batched and self.marking_factory is None else None,
+                grid, marking, columnar=batched and self.marking_factory is None
             ),
             num_reducers=grid.num_cells,
             input_codec=RECT_CODEC,
@@ -180,7 +179,6 @@ def _make_mark_batch_mapper(grid: GridPartitioning):
     ``k``'s cells row-major, the exact pairs, per-bucket order and byte
     totals of the scalar mapper.
     """
-    np = numpy_or_none()
 
     def batch_mapper(split_entries, ctx: MapContext, batch=None) -> None:
         if not split_entries:
@@ -192,19 +190,21 @@ def _make_mark_batch_mapper(grid: GridPartitioning):
     return batch_mapper
 
 
-def _make_mark_reducer(grid: GridPartitioning, marking: MarkingEngine, np=None):
+def _make_mark_reducer(
+    grid: GridPartitioning, marking: MarkingEngine, columnar: bool = False
+):
     """Run C1-C4; emit each rectangle starting here, flagged.
 
-    With ``np`` (the numpy kernel and the stock :class:`MarkingEngine`)
-    the engine is handed one column batch per dataset and its batched
-    search answers in columns, emitted as one :class:`TaggedColumns`
-    bundle; a custom marking strategy gets the ``(rid, rect)`` lists it
-    was written against.
+    When ``columnar`` (the numpy kernel and the stock
+    :class:`MarkingEngine`) the engine is handed one column batch per
+    dataset and its batched search answers in columns, emitted as one
+    :class:`TaggedColumns` bundle; a custom marking strategy gets the
+    ``(rid, rect)`` lists it was written against.
     """
 
     def reducer(cell_id: int, values, ctx: ReduceContext) -> None:
         cell = grid.cell_by_id(cell_id)
-        if np is not None:
+        if columnar:
             received = dataset_batches(np, values)
         else:
             received: dict[str, list] = {}
@@ -285,7 +285,6 @@ def _make_route_batch_mapper(grid: GridPartitioning, limits: ReplicationLimits):
     record-major and flushed in a single ``emit_batch`` call,
     reproducing the scalar mapper's per-bucket emission order exactly.
     """
-    np = numpy_or_none()
     metric = limits.metric
 
     def batch_mapper(split_entries, ctx: MapContext, batch=None) -> None:

@@ -23,10 +23,11 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from repro.errors import JoinError
 from repro.geometry.rectangle import Rect
 from repro.index import make_index
-from repro.kernels import numpy_or_none
 from repro.kernels.batch import RectBatch
 from repro.kernels.predicates import pair_mask, supports_triples, triple_mask
 from repro.query.graph import JoinGraph
@@ -204,18 +205,13 @@ class LocalJoiner:
         # filter the whole candidate set in one pass.  Depths that fail
         # the test (or non-grid indexes, or non-integer rids when a
         # distinctness filter is needed) fall back to the scalar loop.
-        self._np = numpy_or_none() if kernel == "numpy" else None
-        if self._np is not None:
-            self._vec_plans = tuple(plan_is_vectorized(p) for p in plans)
-        else:
-            self._vec_plans = tuple(False for __ in plans)
+        columnar = kernel == "numpy"
+        self._vec_plans = tuple(columnar and plan_is_vectorized(p) for p in plans)
         # Frontier (level-synchronous) evaluation: when every anchored
         # depth is vectorizable, the whole search runs breadth-first over
         # arrays of partial assignments — one bulk index probe and one
         # mask pass per depth instead of one probe per parent binding.
-        self._frontier_ok = self._np is not None and len(plans) >= 2 and all(
-            self._vec_plans[1:]
-        )
+        self._frontier_ok = columnar and len(plans) >= 2 and all(self._vec_plans[1:])
 
     # ------------------------------------------------------------------
     def enumerate(
@@ -295,7 +291,6 @@ class LocalJoiner:
         assignment: Assignment = {}
         plans = self.plans
         nplans = len(plans)
-        np = self._np
         vec_plans = self._vec_plans
 
         # The same rectangle is re-probed under every parent binding it

@@ -44,11 +44,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from repro.geometry.rectangle import Rect
 from repro.grid.cell import Cell
 from repro.grid.partitioning import GridPartitioning
 from repro.index import make_index
-from repro.kernels import numpy_or_none
 from repro.kernels import transforms as _kt
 from repro.kernels.batch import RectBatch, RectColumns
 from repro.kernels.predicates import pair_mask, supports_triples
@@ -107,11 +108,10 @@ class MarkingEngine:
         self.grid = grid
         self.index_kind = index_kind
         self.kernel = kernel
-        self._np = numpy_or_none() if kernel == "numpy" else None
         #: the numpy kernel searches all starts of a cell at once; it
         #: needs the grid index's columns and a mask for every predicate
         self._batched = (
-            self._np is not None
+            kernel == "numpy"
             and index_kind == "grid"
             and supports_triples(query.triples)
         )
@@ -391,7 +391,6 @@ class MarkingEngine:
         by an earlier witness is skipped and charges nothing) is replayed
         afterwards in one in-order pass.
         """
-        np = self._np
         query = self.query
         cell_id = cell.cell_id
         # Per dataset, over its bag in index row order: the C2 gap, the
@@ -503,7 +502,6 @@ class MarkingEngine:
         probe slots); per plan step after the start, ``(dataset, entry
         rows)`` of the first witness of each found row.
         """
-        np = self._np
         dataset_of = self.query.dataset_of
         frontier = {plan[0].slot: rows}
         levels = []

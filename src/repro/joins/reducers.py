@@ -19,13 +19,14 @@ to the seed.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.data.io import encode_result, encode_result_columns
 from repro.geometry.rectangle import Rect
 from repro.grid.partitioning import GridPartitioning
 from repro.joins.base import CNT_OUTPUT_TUPLES, JOIN_COUNTERS, dataset_from_path
 from repro.joins.dedup import tuple_owner
 from repro.joins.local import LocalJoiner
-from repro.kernels import numpy_or_none
 from repro.kernels import transforms as _kt
 from repro.kernels.batch import RectBatch, RectColumns, ResultColumns
 from repro.mapreduce.job import MapContext, ReduceContext, ShuffleCodec
@@ -118,8 +119,9 @@ def dataset_batches(np, values) -> dict[str, RectBatch]:
     order within a dataset, datasets in order of first appearance.
 
     A columnar group is split with one code mask per dataset; a plain
-    value list (spill merge, row shuffle, non-integer rids) is walked
-    once.  Either way the numpy reducers run the same code downstream.
+    value list (spill merge, the scalar mapper, non-integer rids) is
+    walked once.  Either way the numpy reducers run the same code
+    downstream.
     """
     if isinstance(values, RectColumns):
         return values.by_dataset()
@@ -153,12 +155,12 @@ def make_local_join_reducer(
     """Reducer: local multi-way join + owner-cell duplicate avoidance."""
     slot_order = query.slots
     slot_datasets = [(slot, query.dataset_of(slot)) for slot in slot_order]
-    np = numpy_or_none() if kernel == "numpy" else None
+    columnar = kernel == "numpy"
 
     def reducer(cell_id: int, values, ctx: ReduceContext) -> None:
         # One bag per dataset — slots reading the same dataset share it
         # (and, inside the joiner, its index).
-        if np is not None:
+        if columnar:
             by_dataset = dataset_batches(np, values)
         else:
             by_dataset = {}
@@ -167,7 +169,7 @@ def make_local_join_reducer(
         rects_by_slot = {
             slot: by_dataset.get(dataset, ()) for slot, dataset in slot_datasets
         }
-        if np is not None:
+        if columnar:
             fr, assignments, ops = joiner.enumerate_columnar(rects_by_slot)
         else:
             fr = None
@@ -196,7 +198,7 @@ def make_local_join_reducer(
                 )
             return
         owners = None
-        if np is not None and len(assignments) >= 4:
+        if columnar and len(assignments) >= 4:
             # tuple_owner for every assignment at once: owner of the
             # bottom-right-most start point (max x, min y).
             m = len(slot_order)

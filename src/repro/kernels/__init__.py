@@ -13,12 +13,11 @@ simulated seconds do not depend on the kernel.
 
 Kernel selection
 ----------------
-``Cluster(kernel=...)`` / ``--kernel`` accept ``"auto"`` (default),
-``"numpy"`` or ``"python"``; the ``REPRO_KERNEL`` environment variable
-overrides either.  Resolution is deliberately forgiving: the numpy path
-is an optimisation, never a requirement, so ``"auto"`` and even an
-explicit ``"numpy"`` fall back to ``"python"`` when numpy cannot be
-imported.  Only an unknown kernel name is an error.
+``Cluster(kernel=...)`` / ``--kernel`` accept ``"numpy"`` (default) or
+``"python"``; the ``REPRO_KERNEL`` environment variable overrides
+either.  numpy is a hard dependency, so the choice is never forced by
+the installation: ``"python"`` is the reference the equivalence suites
+compare against.  An unknown kernel name is an error.
 """
 
 from __future__ import annotations
@@ -27,29 +26,13 @@ import os
 
 from repro.errors import JobError
 
-__all__ = ["KERNELS", "numpy_or_none", "resolve_kernel"]
+__all__ = ["KERNELS", "resolve_kernel"]
 
 #: Accepted values for ``Cluster.kernel`` / ``--kernel`` / ``REPRO_KERNEL``.
-KERNELS = ("auto", "numpy", "python")
-
-_NUMPY = None
-_NUMPY_CHECKED = False
+KERNELS = ("numpy", "python")
 
 
-def numpy_or_none():
-    """The ``numpy`` module, or ``None`` when it cannot be imported."""
-    global _NUMPY, _NUMPY_CHECKED
-    if not _NUMPY_CHECKED:
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover - exercised via fallback tests
-            numpy = None
-        _NUMPY = numpy
-        _NUMPY_CHECKED = True
-    return _NUMPY
-
-
-def resolve_kernel(requested: str = "auto") -> str:
+def resolve_kernel(requested: str = "numpy") -> str:
     """Resolve a kernel request to the concrete kernel to run.
 
     Returns ``"numpy"`` or ``"python"``.  ``REPRO_KERNEL`` (when set and
@@ -62,6 +45,4 @@ def resolve_kernel(requested: str = "auto") -> str:
         raise JobError(
             f"unknown kernel {requested!r}; expected one of {', '.join(KERNELS)}"
         )
-    if requested == "python":
-        return "python"
-    return "numpy" if numpy_or_none() is not None else "python"
+    return requested

@@ -37,6 +37,8 @@ from __future__ import annotations
 import functools
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.data.io import (
     TaggedRect,
     TupleRecord,
@@ -45,7 +47,6 @@ from repro.data.io import (
     rect_csv,
 )
 from repro.geometry.rectangle import Rect
-from repro.kernels import numpy_or_none
 
 __all__ = [
     "RectBatch",
@@ -83,10 +84,12 @@ class RectBatch:
         self.length = length
         self.y = y
         self.breadth = breadth
-        # Exact scalar property expressions, elementwise.
+        # Exact scalar property expressions, elementwise.  A sum past the
+        # float range is inf, as the scalar property's is, not a warning.
         self.x_min = x
-        self.x_max = x + length
-        self.y_min = y - breadth
+        with np.errstate(over="ignore"):
+            self.x_max = x + length
+            self.y_min = y - breadth
         self.y_max = y
         self.n = len(x)
         self.rects = rects
@@ -262,7 +265,6 @@ class RectBatch:
     # recomputed with the same expressions, the kept ``Rect`` objects
     # stay behind.
     def __getstate__(self):
-        np = numpy_or_none()
         csv_len = self.csv_len
         return (
             self.ids,
@@ -275,7 +277,7 @@ class RectBatch:
 
     def __setstate__(self, state) -> None:
         *columns, csv_len = state
-        self.__init__(numpy_or_none(), *columns, csv_len=csv_len)
+        self.__init__(np, *columns, csv_len=csv_len)
 
 
 def _decimal_widths(np, ids):
@@ -396,7 +398,6 @@ class RectColumns(_ColumnRows):
     def concat(cls, parts) -> "RectColumns":
         """Row-wise concatenation; the name tables are merged in order
         of first appearance."""
-        np = numpy_or_none()
         code_of: dict[str, int] = {}
         columns = []
         for part in parts:
@@ -420,7 +421,6 @@ class RectColumns(_ColumnRows):
         codes = self.codes
         if codes is None:
             return {self.names[0]: self.batch}
-        np = numpy_or_none()
         rows_of = [np.flatnonzero(codes == c) for c in range(len(self.names))]
         present = [(rows[0], c) for c, rows in enumerate(rows_of) if len(rows)]
         return {self.names[c]: self.batch.take(rows_of[c]) for __, c in sorted(present)}
@@ -506,7 +506,6 @@ class TupleColumns(_ColumnRows):
     def concat(cls, parts) -> "TupleColumns":
         """Row-wise concatenation of parts binding the same slots
         (``records`` survive only when every part carries them)."""
-        np = numpy_or_none()
         first = parts[0]
         records = None
         if all(part.records is not None for part in parts):
@@ -532,7 +531,7 @@ class TupleColumns(_ColumnRows):
 
     def __setstate__(self, state) -> None:
         slots, batches, lines = state
-        self.__init__(slots, batches, _object_column(numpy_or_none(), lines))
+        self.__init__(slots, batches, _object_column(np, lines))
 
 
 class TupleFileColumns(TupleColumns):
@@ -606,7 +605,6 @@ class TaggedColumns(_ColumnRows):
         batch = columns.batch
         if type(batch.ids) is list:
             return None
-        np = numpy_or_none()
         name_len = np.array([len(name) for name in columns.names], dtype=np.int64)
         per_row = name_len[0] if columns.codes is None else name_len[columns.codes]
         return per_row + _decimal_widths(np, batch.ids) + batch.csv_lens(np) + 5
@@ -619,7 +617,7 @@ class TaggedColumns(_ColumnRows):
     def concat(cls, parts) -> "TaggedColumns":
         return cls(
             RectColumns.concat([part.columns for part in parts]),
-            numpy_or_none().concatenate([part.marked for part in parts]),
+            np.concatenate([part.marked for part in parts]),
         )
 
     def __getstate__(self):
@@ -654,7 +652,7 @@ class ResultColumns(_ColumnRows):
     def line_sizes(self):
         """Each row's ``len(line) + 1`` — its ids' decimal widths, the
         tabs between them and the newline — by integer arithmetic."""
-        return _decimal_widths(numpy_or_none(), self.ids).sum(axis=0) + len(self.ids)
+        return _decimal_widths(np, self.ids).sum(axis=0) + len(self.ids)
 
     def id_tuples(self) -> list[tuple[int, ...]]:
         """The rows as rid tuples — what ``decode_result`` makes of the lines."""
@@ -666,10 +664,10 @@ class ResultColumns(_ColumnRows):
 
     @classmethod
     def concat(cls, parts) -> "ResultColumns":
-        return cls(numpy_or_none().concatenate([part.ids for part in parts], axis=1))
+        return cls(np.concatenate([part.ids for part in parts], axis=1))
 
     def __getstate__(self):
-        return (numpy_or_none().ascontiguousarray(self.ids),)
+        return (np.ascontiguousarray(self.ids),)
 
     def __setstate__(self, state) -> None:
         self.__init__(*state)

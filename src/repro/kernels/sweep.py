@@ -28,8 +28,9 @@ The y-window test is the scalar expression verbatim:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import JoinError
-from repro.kernels import numpy_or_none
 from repro.kernels.batch import RectBatch
 
 __all__ = ["sweep_pairs_batch"]
@@ -50,20 +51,13 @@ def _expand_ranges(np, lo, hi):
     return src, tgt
 
 
-def sweep_pairs_batch(left, right, d: float = 0.0, np=None):
+def sweep_pairs_batch(left, right, d: float = 0.0):
     """All ``(left_id, right_id)`` pairs within distance ``d``, in the
     exact order :func:`repro.joins.sweep.sweep_pairs` yields them.
 
     ``left`` and ``right`` are sequences of ``(rid, Rect)`` pairs.
-    Returns a list.  Falls back to the scalar sweep when numpy is
-    unavailable.
+    Returns a list.
     """
-    if np is None:
-        np = numpy_or_none()
-    if np is None:  # pragma: no cover - numpy is present in CI
-        from repro.joins.sweep import sweep_pairs
-
-        return list(sweep_pairs(left, right, d))
     if d < 0:
         raise JoinError(f"distance must be non-negative, got {d}")
     left = list(left)

@@ -51,9 +51,11 @@ from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Any
 
+import numpy as np
+
 from repro.data.io import RECT_CODEC
 from repro.errors import BadRecordError, JobError, TaskRetryExhausted
-from repro.kernels import numpy_or_none, resolve_kernel
+from repro.kernels import resolve_kernel
 from repro.kernels.batch import RectBatch
 from repro.mapreduce.blocks import BlockPlane
 from repro.mapreduce.counters import C, Counters
@@ -176,8 +178,6 @@ class _MapPhase:
     one and no per-record machinery (faults, retries) is live.  Under a
     memory budget the batch mapper still runs, but its emissions are
     replayed record by record so spill points are unchanged.
-    ``columnar`` selects :class:`BucketSegment` storage inside
-    ``emit_batch`` (the cluster's ``columnar_shuffle`` switch);
     ``split_batches`` optionally carries each split's columns — a
     :class:`~repro.kernels.batch.RectBatch` slice of a rectangle file,
     or the slice of the bundle an upstream reducer wrote.
@@ -189,7 +189,6 @@ class _MapPhase:
     splits: list[list[tuple[str, int, Any, int]] | SplitEntries]
     memory_budget: int | None = None
     use_batch: bool = False
-    columnar: bool = True
     split_batches: list[Any] | None = None
     profile: bool = False
 
@@ -308,7 +307,6 @@ def _segment_groups(segs: list[BucketSegment], sort_key):
     one-distinct-key-per-reducer layout takes the no-sort fast path:
     a single group of every segment, whole.
     """
-    np = numpy_or_none()
     if not segs:
         return
     keys = segs[0].keys if len(segs) == 1 else np.concatenate(
@@ -398,11 +396,7 @@ def _map_task_body(
         )
     else:
         ctx = MapContext(
-            counters,
-            job.num_reducers,
-            job.partitioner,
-            job.shuffle_codec,
-            columnar=phase.columnar,
+            counters, job.num_reducers, job.partitioner, job.shuffle_codec
         )
     batch_mapper = job.batch_mapper
     if (
@@ -719,15 +713,6 @@ class Cluster:
         :mod:`repro.mapreduce.executor`.
     num_workers:
         Worker count for the parallel back-ends (``None`` = usable CPUs).
-    typed_io:
-        ``True`` (default): jobs with record codecs hand typed records
-        across job boundaries — DFS-resident objects are reused and line
-        files are decoded at most once per file version.  ``False``
-        forces the seed codec path: every input record is re-parsed from
-        its line on every read (string-era per-record costs), which the
-        golden equivalence tests and the PR 2 benchmark use as the
-        before-side.  Both settings produce byte-identical output and
-        identical counters.
     recorder:
         Observability sink (:mod:`repro.obs.trace`).  The default
         :class:`~repro.obs.trace.NullRecorder` reduces every
@@ -780,22 +765,16 @@ class Cluster:
         cost breakdown's non-canonical ``spill_overhead_s``.
     kernel:
         Compute kernel for the join algorithms and batch map paths:
-        ``"auto"`` (default) picks ``"numpy"`` when numpy imports and
-        falls back to ``"python"`` otherwise; either name forces that
-        implementation.  The ``REPRO_KERNEL`` environment variable
-        overrides the constructor value.  Both kernels produce
-        byte-identical part files, canonical counters and simulated
-        seconds — the kernel only changes wall-clock speed.
-    columnar_shuffle:
-        ``True`` (default): jobs with batch mappers move record *batches*
-        end to end — split inputs arrive as cached columnar
-        :class:`~repro.kernels.batch.RectBatch` slices, emissions are
-        routed vectorized into per-bucket :class:`BucketSegment` runs,
-        and reduce tasks group keys with a numpy stable argsort.
-        ``False`` keeps the batch mappers but stores row ``(key, value)``
-        pairs and sorts scalar — the PR 6 behaviour, kept as an honest
-        benchmark baseline.  Both settings produce byte-identical part
-        files, canonical counters and simulated seconds.
+        ``"numpy"`` (default) or ``"python"``, the scalar reference.
+        The ``REPRO_KERNEL`` environment variable overrides the
+        constructor value.  On ``"numpy"``, jobs with batch mappers move
+        record *batches* end to end — split inputs arrive as cached
+        columnar :class:`~repro.kernels.batch.RectBatch` slices,
+        emissions are routed vectorized into per-bucket
+        :class:`BucketSegment` runs, and reduce tasks group keys with a
+        numpy stable argsort.  Both kernels produce byte-identical part
+        files, canonical counters and simulated seconds — the kernel
+        only changes wall-clock speed.
     worker_pool:
         Optional :class:`~repro.mapreduce.workers.WorkerPool` of named
         virtual workers (the cluster's failure domains).  ``None``
@@ -830,7 +809,6 @@ class Cluster:
     split_records: int = 20_000
     executor: str = "serial"
     num_workers: int | None = None
-    typed_io: bool = True
     recorder: NullRecorder = field(default_factory=NullRecorder)
     ledger: NullLedger = field(default_factory=NullLedger)
     profiler: TaskProfiler | None = None
@@ -839,8 +817,7 @@ class Cluster:
     checkpoint_dir: str | None = None
     resume: bool = False
     memory_budget: int | None = None
-    kernel: str = "auto"
-    columnar_shuffle: bool = True
+    kernel: str = "numpy"
     worker_pool: WorkerPool | None = None
     replication: int | None = None
     #: cumulative canonical simulated seconds of every job this cluster
@@ -901,8 +878,6 @@ class Cluster:
                 kernel=self.resolved_kernel,
                 executor=self.executor,
                 num_workers=self.num_workers,
-                typed_io=self.typed_io,
-                columnar_shuffle=self.columnar_shuffle,
                 memory_budget=self.memory_budget,
                 split_records=self.split_records,
             )
@@ -1268,13 +1243,7 @@ class Cluster:
         Hadoop re-running maps of a lost TaskTracker while the job's
         output stays the same.
         """
-        sub = _MapPhase(
-            job,
-            [splits[t] for t in tasks],
-            self.memory_budget,
-            False,
-            columnar=self.columnar_shuffle,
-        )
+        sub = _MapPhase(job, [splits[t] for t in tasks], self.memory_budget)
         executor.run_phase(_run_map_task, len(tasks), sub)
         if self.recorder.enabled:
             self.recorder.instant(
@@ -1535,30 +1504,27 @@ class Cluster:
         Entries are ``(path, lineno, record, nbytes)``.  Reads are always
         charged at the encoded line size — via :meth:`InMemoryDFS.read_file`,
         or via :meth:`InMemoryDFS.charge_read` when the file's entry rows
-        are already cached as a derived artifact (typed columnar path
-        only: repeated inputs, e.g. the Cascade's base relations, then
-        skip line materialisation and tuple rebuilding entirely) or
-        when the file's typed records are a bundle that sizes its own
-        lines (``line_sizes``: its text is never formatted).  With
-        an input codec the record is the decoded object — taken from the
-        DFS typed store when the upstream job wrote through a codec,
-        decoded once and cached otherwise, or re-parsed per read when
-        ``typed_io`` is off (the seed codec path).  Typed records held
-        as a column bundle stay one: the file's entries are the lazy
-        :class:`SplitEntries` over it, and its splits slices of that.
+        are already cached as a derived artifact (repeated inputs, e.g.
+        the Cascade's base relations, then skip line materialisation and
+        tuple rebuilding entirely) or when the file's typed records are
+        a bundle that sizes its own lines (``line_sizes``: its text is
+        never formatted).  With an input codec the record is the decoded
+        object — taken from the DFS typed store when the upstream job
+        wrote through a codec, decoded once and cached otherwise.  Typed
+        records held as a column bundle stay one: the file's entries are
+        the lazy :class:`SplitEntries` over it, and its splits slices of
+        that.
         """
         splits: list[list[tuple[str, int, Any, int]] | SplitEntries] = []
-        cache_entries = self.typed_io and self.columnar_shuffle
         chunk = self.split_records
         for path in job.input_paths:
             codec = job.input_codec_for(path)
             tag = f"entries:{codec_name(codec)}"
             for f in self.dfs.resolve(path):
-                entries = self.dfs.derived_get(f, tag) if cache_entries else None
+                entries = self.dfs.derived_get(f, tag)
                 if entries is None:
                     entries = self._file_entries(job, f, codec)
-                    if cache_entries:
-                        self.dfs.derived_put(f, tag, entries)
+                    self.dfs.derived_put(f, tag, entries)
                 else:
                     self.dfs.charge_read(f)
                 # A split never spans files, like HDFS blocks.
@@ -1577,9 +1543,7 @@ class Cluster:
         self, job: MapReduceJob, f: str, codec
     ) -> list[tuple[str, int, Any, int]] | SplitEntries:
         """The split entries of one whole file, its read charged."""
-        bundle = None
-        if self.typed_io and codec is not None:
-            bundle = self.dfs.typed_records(f, codec)
+        bundle = None if codec is None else self.dfs.typed_records(f, codec)
         sizes = bundle.line_sizes() if hasattr(bundle, "line_sizes") else None
         if sizes is not None:
             self.dfs.charge_read(f)
@@ -1597,13 +1561,11 @@ class Cluster:
         """The map-input records of one file (lines, or decoded objects)."""
         if codec is None:
             return lines
-        if self.typed_io:
-            records = self.dfs.typed_records(f, codec)
-            if records is None:
-                records = self._decode_lines(job, f, lines, codec)
-                self.dfs.cache_records(f, records, codec)
-            return records
-        return self._decode_lines(job, f, lines, codec)
+        records = self.dfs.typed_records(f, codec)
+        if records is None:
+            records = self._decode_lines(job, f, lines, codec)
+            self.dfs.cache_records(f, records, codec)
+        return records
 
     @staticmethod
     def _decode_lines(job: MapReduceJob, f: str, lines: list[str], codec) -> list[Any]:
@@ -1667,7 +1629,6 @@ class Cluster:
                 splits,
                 self.memory_budget,
                 use_batch,
-                columnar=self.columnar_shuffle,
                 split_batches=split_batches,
                 profile=self.profiler is not None,
             ),
@@ -1724,11 +1685,6 @@ class Cluster:
         Purely an execution cache: byte accounting happened at split
         time and the columns hold the same values the records do.
         """
-        if not (self.typed_io and self.columnar_shuffle):
-            return None
-        np = numpy_or_none()
-        if np is None:
-            return None
         rect_files: set[str] = set()
         for path in job.input_paths:
             codec = job.input_codec_for(path)

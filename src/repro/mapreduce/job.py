@@ -34,9 +34,10 @@ from dataclasses import dataclass, field
 from itertools import chain, groupby, repeat
 from typing import Any
 
+import numpy as np
+
 from repro.data.io import RecordCodec
 from repro.errors import JobError
-from repro.kernels import numpy_or_none
 from repro.mapreduce.counters import C, Counters
 
 __all__ = [
@@ -193,7 +194,6 @@ class BucketSegment:
 def _pack_ints(arr, wrap):
     """``(dtype, buffer)`` of an int64 array in the narrowest integer
     type that holds it — cell ids and split-local row numbers are small."""
-    np = numpy_or_none()
     narrow = np.dtype(np.int8)
     if len(arr):
         narrow = np.result_type(
@@ -204,7 +204,6 @@ def _pack_ints(arr, wrap):
 
 def _unpack_ints(packed):
     dtype, raw = packed
-    np = numpy_or_none()
     return np.frombuffer(raw, dtype=dtype).astype(np.int64)
 
 
@@ -323,7 +322,6 @@ class MapContext:
         num_reducers: int,
         partitioner,
         shuffle_codec: ShuffleCodec = DEFAULT_SHUFFLE_CODEC,
-        columnar: bool = True,
     ) -> None:
         self._counters = counters
         self._num_reducers = num_reducers
@@ -331,7 +329,6 @@ class MapContext:
         # Bound once: emit() is the hottest call in a map task.
         self._key_size = shuffle_codec.key_size
         self._value_size = shuffle_codec.value_size
-        self._columnar = columnar
         self.buckets: list[list[tuple[Any, Any]]] = [[] for __ in range(num_reducers)]
         #: estimated bytes per bucket — the reduce task that merges
         #: bucket ``r`` of every map task charges these as input bytes
@@ -361,26 +358,9 @@ class MapContext:
         self._counters.add(C.GROUP_ENGINE, C.MAP_OUTPUT_BYTES, nbytes)
 
     def pair_nbytes(self, key: Any, value: Any) -> int:
-        """Estimated shuffle bytes of one ``(key, value)`` pair.
-
-        Exposed for batch mappers, which append to :attr:`buckets` /
-        :attr:`bucket_bytes` directly and settle the emission counters
-        in one :meth:`account_emissions` call.
-        """
+        """Estimated shuffle bytes of one ``(key, value)`` pair — what a
+        batch mapper passes :meth:`emit_batch` as a group's ``sizes``."""
         return self._key_size(key) + self._value_size(value)
-
-    def account_emissions(self, records: int, nbytes: int) -> None:
-        """Bulk-settle the counters for emissions a batch mapper has
-        already appended to the buckets.
-
-        Equivalent to ``records`` individual :meth:`emit` calls totalling
-        ``nbytes`` (counters are additive, so one bulk add produces the
-        same final values).
-        """
-        self.output_records += records
-        self.output_bytes += nbytes
-        self._counters.add(C.GROUP_ENGINE, C.MAP_OUTPUT_RECORDS, records)
-        self._counters.add(C.GROUP_ENGINE, C.MAP_OUTPUT_BYTES, nbytes)
 
     def add_compute(self, ops: int) -> None:
         """Report CPU work (e.g. candidate-pair checks) to the cost model."""
@@ -399,9 +379,8 @@ class MapContext:
         ----------
         keys:
             Flattened integer target keys, group-major: group ``g``'s
-            targets occupy the next ``counts[g]`` entries.  An int64
-            numpy array on the columnar path (a list also works on the
-            fallback paths).
+            targets occupy the next ``counts[g]`` entries (an int64
+            numpy array, or anything that converts to one).
         counts:
             Per-group target count, parallel to ``values``.
         values:
@@ -417,51 +396,12 @@ class MapContext:
 
         Semantically equivalent to the nested scalar loop
         ``for g: for key in targets(g): emit(key, values[g])`` — same
-        pairs, same per-bucket order, same counter totals.  On the
-        columnar path the emissions are routed with one vectorized
-        partition + stable argsort and stored as per-bucket
-        :class:`BucketSegment` runs — row indices into ``values`` —
-        instead of ``(key, value)`` pairs.
+        pairs, same per-bucket order, same counter totals.  The
+        emissions are routed with one vectorized partition + stable
+        argsort and stored as per-bucket :class:`BucketSegment` runs —
+        row indices into ``values`` — instead of ``(key, value)`` pairs.
         """
-        np = numpy_or_none()
         num_reducers = self._num_reducers
-        if np is None or not self._columnar:
-            # Row fallback (``columnar_shuffle=False`` baseline): the
-            # same direct bucket appends a hand-written batch mapper
-            # would do, settled with one bulk accounting call.
-            buckets = self.buckets
-            bucket_bytes = self.bucket_bytes
-            partitioner = self._partitioner
-            identity = partitioner is identity_partitioner
-            if np is not None:
-                # Plain ints throughout: nothing numpy-typed may reach
-                # the counters or the byte totals.
-                keys, counts, sizes = (
-                    a if isinstance(a, list) else a.tolist()
-                    for a in (keys, counts, sizes)
-                )
-            total = 0
-            tbytes = 0
-            pos = 0
-            for g, value in enumerate(values):
-                cnt = counts[g]
-                nb = sizes[g]
-                for key in keys[pos : pos + cnt]:
-                    r = key % num_reducers if identity else partitioner(
-                        key, num_reducers
-                    )
-                    if not 0 <= r < num_reducers:
-                        raise JobError(
-                            f"partitioner routed key {key!r} to invalid "
-                            f"reducer {r}"
-                        )
-                    buckets[r].append((key, value))
-                    bucket_bytes[r] += nb
-                pos += cnt
-                total += cnt
-                tbytes += cnt * nb
-            self.account_emissions(total, tbytes)
-            return
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
         if self._partitioner is identity_partitioner:
@@ -505,7 +445,12 @@ class MapContext:
                     BucketSegment(sorted_keys[lo:hi], values, sorted_groups[lo:hi])
                 )
                 bucket_bytes[r] += int(seg_bytes[i])
-        self.account_emissions(n, int(pair_sizes.sum()))
+        # Counters are additive: one bulk add equals the per-emission ones.
+        nbytes = int(pair_sizes.sum())
+        self.output_records += n
+        self.output_bytes += nbytes
+        self._counters.add(C.GROUP_ENGINE, C.MAP_OUTPUT_RECORDS, n)
+        self._counters.add(C.GROUP_ENGINE, C.MAP_OUTPUT_BYTES, nbytes)
 
 
 class SpillingMapContext(MapContext):

@@ -29,9 +29,6 @@ of the reproduction:
 :mod:`repro.obs.profile`
     Opt-in per-task cProfile hooks merged into hotspot tables and
     collapsed-stack flamegraph files.
-:mod:`repro.obs.bench_history`
-    Trend tables over recorded pytest-benchmark JSON files with a
-    regression gate (``python -m repro bench-history``).
 :mod:`repro.obs.dashboard`
     The plain-text "job dashboard" printed by ``python -m repro ...
     --verbose``.
@@ -42,7 +39,6 @@ profiling on or off, which ``tests/obs/test_traced_golden.py`` and
 ``tests/obs/test_deep_golden.py`` assert.
 """
 
-from repro.obs.bench_history import find_regressions, load_series, render_history
 from repro.obs.critical_path import (
     JobCriticalPath,
     PhaseSegment,
@@ -95,9 +91,6 @@ __all__ = [
     "WorkflowCriticalPath",
     "job_critical_path",
     "analyze_critical_path",
-    "load_series",
-    "render_history",
-    "find_regressions",
     "to_chrome_trace",
     "validate_chrome_trace",
     "write_trace",

@@ -34,7 +34,8 @@ Two implementations share one API, mirroring the recorder pair:
 :class:`NullLedger`
     The default: ``enabled`` is ``False`` and every call is a no-op, so
     an unledgered run pays one attribute check per instrumentation
-    point (bounded by ``benchmarks/test_obs_overhead.py``).
+    point (``bench/run.py``'s plane pass measures the engaged ledger
+    against it as ``plane.ledger.overhead_ratio``).
 :class:`RunLedger`
     Stamps each event with a sequence number and seconds-since-epoch
     offset and appends it to a pluggable sink (:class:`MemorySink` for

@@ -95,8 +95,9 @@ class NullRecorder:
 
     The engine is instrumented unconditionally; with this recorder the
     instrumentation reduces to no-op method calls on shared singletons,
-    preserving the hot path (asserted by the < 2% overhead benchmark in
-    ``benchmarks/test_obs_overhead.py``).
+    preserving the hot path: every untraced ``wall_s.*`` of
+    ``bench/run.py`` (the process-executor ``proc2`` workload included)
+    runs with it, under that suite's bounds.
     """
 
     enabled: bool = False

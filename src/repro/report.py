@@ -168,7 +168,7 @@ def render_experiments_markdown(
     preamble: str | None = None,
     executor: str = "serial",
     num_workers: int | None = None,
-    kernel: str = "auto",
+    kernel: str = "numpy",
 ) -> str:
     """Regenerate the full EXPERIMENTS.md body by running every table."""
     from repro.experiments import TABLES

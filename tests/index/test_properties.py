@@ -1,13 +1,12 @@
 """Property-based tests: every index returns exactly the Chebyshev-ball
 candidates, on arbitrary rectangle sets."""
 
-import pytest
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.rectangle import Rect
 from repro.index import Entry, GridIndex, RTree
-from repro.kernels import numpy_or_none
 from repro.kernels.batch import RectBatch
 
 coord = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False)
@@ -56,9 +55,6 @@ def test_rtree_exact(entries, query, d, fanout):
 # ----------------------------------------------------------------------
 # The bulk probe is the per-row probes, concatenated
 # ----------------------------------------------------------------------
-np = numpy_or_none()
-needs_numpy = pytest.mark.skipif(np is None, reason="numpy not available")
-
 D = 10.0
 #: multiples of ``D`` over the indexed space: lattice rectangles touch,
 #: have zero area, lie exactly ``D`` apart and — with the two corner
@@ -111,7 +107,6 @@ def _per_row(ref: GridIndex, pairs, queries, pos, d):
     return parents, entries, positions, scanned
 
 
-@needs_numpy
 @settings(max_examples=120, deadline=None)
 @given(
     index_bags(),
@@ -173,7 +168,6 @@ def test_probe_frontier_is_the_per_row_probes_concatenated(
     assert [a.tolist() for a in everyone] == [a.tolist() for a in listed]
 
 
-@needs_numpy
 def test_empty_numpy_index_answers_with_aligned_empty_arrays():
     idx = GridIndex(pairs=[], kernel="numpy")
     qbatch = RectBatch.from_pairs(np, [(0, Rect(1.0, 2.0, 3.0, 1.0))])

@@ -19,15 +19,10 @@ import pytest
 from repro.experiments.common import derive_grid
 from repro.experiments.workloads import synthetic_chain
 from repro.joins.registry import make_algorithm
-from repro.kernels import numpy_or_none
 from repro.mapreduce.engine import Cluster
 from repro.mapreduce.faults import FaultPlan, RetryPolicy
 from repro.query.predicates import Overlap
 from repro.query.query import Query
-
-pytestmark = pytest.mark.skipif(
-    numpy_or_none() is None, reason="numpy not available"
-)
 
 N_PER_RELATION = 500
 SPACE_SIDE = 5_300.0

@@ -11,8 +11,8 @@ objects and is the reference.  The contract: every part file of every
 job directory (``marked``, ``step-*``, ``output``), every counter and the
 simulated seconds are identical — on every executor, and on every path
 whose consumers read the bundle's lazy row view instead (spill replay,
-``columnar_shuffle=False``, ``typed_io=False``, the scalar mappers an
-active ``RetryPolicy`` forces, string rids, the file-system DFS).
+the scalar mappers an active ``RetryPolicy`` forces, string rids, the
+file-system DFS).
 
 Geometry is adversarial on purpose: coordinates come from a lattice that
 contains the cell boundaries (edges on boundaries, rectangles that
@@ -35,7 +35,7 @@ from repro.grid.partitioning import GridPartitioning
 from repro.joins import cascade, controlled, reducers
 from repro.joins.base import MultiWayJoinAlgorithm
 from repro.joins.registry import make_algorithm
-from repro.kernels import numpy_or_none, resolve_kernel
+from repro.kernels import resolve_kernel
 from repro.kernels import batch as batch_module
 from repro.kernels.batch import (
     RectBatch,
@@ -48,9 +48,6 @@ from repro.mapreduce.faults import RetryPolicy
 from repro.mapreduce.localfs import LocalFSDFS
 from repro.query.predicates import Overlap, Range
 from repro.query.query import Query, Triple
-
-np = numpy_or_none()
-pytestmark = pytest.mark.skipif(np is None, reason="numpy not available")
 
 SPACE = 100.0
 D = 10.0
@@ -118,8 +115,6 @@ def _string_rids(datasets):
 MODES = {
     "default": ({}, None, False),
     "spill": ({"memory_budget": 256}, None, False),
-    "row-shuffle": ({"columnar_shuffle": False}, None, False),
-    "line-io": ({"typed_io": False}, None, False),
     "retry": ({"retry": RetryPolicy(max_attempts=3)}, None, False),
     "string-rids": ({}, _string_rids, False),
     "localfs": ({}, None, True),
@@ -257,8 +252,6 @@ def _spy_on_batch_mappers(monkeypatch, seen):
         ("spill", "bundle"),
         ("string-rids", "bundle"),
         ("localfs", "bundle"),
-        ("row-shuffle", "rows"),
-        ("line-io", "rows"),
         ("retry", "nothing"),
     ],
 )
@@ -266,9 +259,8 @@ def test_next_job_mappers_get_a_bundle_slice_exactly_on_the_columnar_path(
     monkeypatch, mode, handed
 ):
     """The next job's batch mapper is handed the slice of the bundle the
-    upstream reducer wrote whenever the engine stages columns at all;
-    without staging it reads the rows, and under recovery dispatch the
-    scalar mapper runs instead."""
+    upstream reducer wrote; under recovery dispatch the scalar mapper
+    runs instead."""
     seen = []
     _spy_on_batch_mappers(monkeypatch, seen)
     query, datasets = _fixed_workload("chain4")
@@ -286,8 +278,7 @@ def test_next_job_mappers_get_a_bundle_slice_exactly_on_the_columnar_path(
             assert not seen
         else:
             assert seen
-            expected = bundle if handed == "bundle" else type(None)
-            assert set(seen) == {expected}, f"{name} / {mode}"
+            assert set(seen) == {bundle}, f"{name} / {mode}"
 
 
 @numpy_only
@@ -392,6 +383,3 @@ def test_collect_tuples_equals_line_decode(name):
     assert cluster.dfs.typed_records(columnar[0], None) is None
     rewritten = MultiWayJoinAlgorithm._collect_tuples(cluster, output)
     assert rewritten == {decode_result(line) for line in cluster.dfs.read_dir(output)}
-    # typed_io=False reads the lines whatever the store holds.
-    line_cluster = Cluster(kernel="numpy", typed_io=False, dfs=cluster.dfs)
-    assert MultiWayJoinAlgorithm._collect_tuples(line_cluster, output) == rewritten

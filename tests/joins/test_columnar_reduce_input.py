@@ -9,8 +9,8 @@ tuples and is the reference.  The contract, per algorithm that takes the
 columnar path (All-Replicate, C-Rep, C-Rep-L): part files, canonical
 counters and simulated seconds are byte-identical to the reference — on
 the columnar path proper, and on every path that hands the same numpy
-reducers a plain value list instead (spill merge, ``columnar_shuffle=
-False``, non-integer rids), on every executor.
+reducers a plain value list instead (spill merge, non-integer rids), on
+every executor.
 
 Geometry is adversarial on purpose: coordinates come from a lattice that
 contains the cell boundaries (edges on boundaries, rectangles that
@@ -20,6 +20,7 @@ extents may be zero.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -29,16 +30,13 @@ from repro.geometry.rectangle import Rect
 from repro.grid.partitioning import GridPartitioning
 from repro.joins import reducers
 from repro.joins.registry import make_algorithm
-from repro.kernels import numpy_or_none, resolve_kernel
+from repro.kernels import resolve_kernel
 from repro.kernels.batch import RectBatch, RectColumns
 from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.engine import Cluster, _grouped, _segment_groups, _sorted_by_key
 from repro.mapreduce.job import MapContext, default_sort_key
 from repro.query.predicates import Overlap, Range
 from repro.query.query import Query, Triple
-
-np = numpy_or_none()
-pytestmark = pytest.mark.skipif(np is None, reason="numpy not available")
 
 SPACE = 100.0
 D = 10.0
@@ -116,11 +114,10 @@ def _run(algorithm_name, query, datasets, **cluster_kwargs):
 
 
 #: every way the numpy reducers can be fed: gathered columns, and the
-#: three plain-value-list arrivals
+#: spill merge's plain value list
 NUMPY_MODES = {
     "columnar": {},
     "spill": {"memory_budget": 256},
-    "row-shuffle": {"columnar_shuffle": False},
 }
 
 COMMON = dict(
@@ -191,11 +188,12 @@ def _fixed_workload():
 )
 @pytest.mark.parametrize(
     ("mode", "columnar"),
-    [("columnar", True), ("spill", False), ("row-shuffle", False)],
+    [("columnar", True), ("spill", False)],
 )
 def test_reducers_see_columns_exactly_on_the_columnar_path(monkeypatch, mode, columnar):
     """The numpy reducers enter through one function; what reaches it is
-    gathered columns on the columnar shuffle and a plain list otherwise."""
+    gathered columns on the columnar shuffle and a plain list after a
+    spill merge."""
     seen = []
     real = reducers.dataset_batches
 
@@ -241,23 +239,25 @@ def emissions(draw):
 
 
 def _emit(num_reducers, task_emissions, *, base_rid):
-    """Run ``emit_batch`` columnar (RectColumns values) and as rows
-    (the tuple list), returning both contexts."""
+    """Run ``emit_batch`` over a RectColumns bundle, and the scalar
+    ``emit`` loop it stands for over the tuple list; return both
+    contexts."""
     labels, rects, counts, keys = task_emissions
     pairs = [(base_rid + i, r) for i, r in enumerate(rects)]
     names, codes = reducers.dataset_codes(np, labels)
     bundle = RectColumns(names, codes, RectBatch.from_records(np, pairs))
     tuples = [(d, rid, r) for d, (rid, r) in zip(labels, pairs)]
     assert list(bundle) == tuples
-    sizes = [50] * len(rects)
-    out = []
-    for values, columnar in ((bundle, True), (tuples, False)):
-        ctx = MapContext(
-            Counters(), num_reducers, lambda k, n: k % n, columnar=columnar
-        )
-        ctx.emit_batch(np.array(keys, dtype=np.int64), counts, values, sizes)
-        out.append(ctx)
-    return out
+    col_ctx, row_ctx = (
+        MapContext(Counters(), num_reducers, lambda k, n: k % n) for __ in range(2)
+    )
+    col_ctx.emit_batch(np.array(keys, dtype=np.int64), counts, bundle, [50] * len(rects))
+    pos = 0
+    for value, count in zip(tuples, counts):
+        for key in keys[pos : pos + count]:
+            row_ctx.emit(key, value)
+        pos += count
+    return col_ctx, row_ctx
 
 
 def _rows_of(bundle: RectColumns) -> list[tuple]:

@@ -11,10 +11,7 @@ serial run on a seeded Table-2-shaped workload; the numpy kernel is
 then checked on the serial, thread and process executors against that
 single golden snapshot — a 4 algorithms x 3 executors x 2 kernels
 matrix.  Two further shapes (a 4-way chain and an overlap+range hybrid)
-pin the marking plans the 3-way overlap chain never builds.  When numpy
-is unavailable the numpy leg degrades to the scalar
-fallback, which makes every assertion trivially true, so the suite
-skips instead of pretending to cover it.
+pin the marking plans the 3-way overlap chain never builds.
 """
 
 from __future__ import annotations
@@ -28,15 +25,10 @@ from repro.experiments.common import derive_grid
 from repro.experiments.workloads import Workload, synthetic_chain
 from repro.geometry.rectangle import Rect
 from repro.joins.registry import ALGORITHMS, make_algorithm
-from repro.kernels import numpy_or_none
 from repro.mapreduce.engine import Cluster
 from repro.query.parser import parse_query
 from repro.query.predicates import Overlap, Range
 from repro.query.query import Query
-
-pytestmark = pytest.mark.skipif(
-    numpy_or_none() is None, reason="numpy not available"
-)
 
 #: Reduced Table-2 shape: same generator/space/seed family as the
 #: benchmarks, small enough to run 4 algorithms x 4 configurations.

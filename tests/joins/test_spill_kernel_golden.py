@@ -1,14 +1,13 @@
-"""Golden equivalence of spilling crossed with the kernel/shuffle plane.
+"""Golden equivalence of spilling crossed with the kernel.
 
-PR 7 makes record batches the unit of data movement (columnar shuffle,
-batched codecs); PR 6 added the numpy kernel; the bounded-memory PR
-added spill-to-disk.  Each axis is individually golden-tested — this
-suite pins the *interaction*: Controlled-Replicate under a memory
-budget small enough to force spills must stay byte-identical to the
-unbounded scalar reference for every combination of
-``kernel`` x ``columnar_shuffle``, and all budgeted legs must agree on
-the spill telemetry itself (spill points depend only on estimated
-record bytes, which the columnar and numpy paths must not perturb).
+The numpy kernel moves record batches end to end (columnar shuffle,
+batched codecs); spill-to-disk bounds a map task's buffered bytes.
+Each is individually golden-tested — this suite pins the
+*interaction*: Controlled-Replicate under a memory budget small enough
+to force spills must stay byte-identical to the unbounded scalar
+reference on both kernels, and both budgeted legs must agree on the
+spill telemetry itself (spill points depend only on estimated record
+bytes, which the numpy path must not perturb).
 """
 
 from __future__ import annotations
@@ -18,14 +17,9 @@ import pytest
 from repro.experiments.common import derive_grid
 from repro.experiments.workloads import synthetic_chain
 from repro.joins.registry import make_algorithm
-from repro.kernels import numpy_or_none
 from repro.mapreduce.engine import Cluster
 from repro.query.predicates import Overlap
 from repro.query.query import Query
-
-pytestmark = pytest.mark.skipif(
-    numpy_or_none() is None, reason="numpy not available"
-)
 
 N_PER_RELATION = 500
 SPACE_SIDE = 5_300.0
@@ -34,13 +28,8 @@ SEED = 11
 BUDGET = 2_048
 OUTPUT_DIR = "controlled-replicate/output"
 
-#: (kernel, columnar_shuffle) legs that must reproduce the reference
-LEGS = [
-    ("python", True),
-    ("python", False),
-    ("numpy", True),
-    ("numpy", False),
-]
+#: the kernels whose budgeted runs must reproduce the reference
+LEGS = ["python", "numpy"]
 
 
 @pytest.fixture(scope="module")
@@ -50,12 +39,10 @@ def workload():
     )
 
 
-def _run(workload, *, kernel, columnar, budget):
+def _run(workload, *, kernel, budget):
     query = Query.chain(["R1", "R2", "R3"], Overlap())
     grid = derive_grid(workload.datasets)
-    cluster = Cluster(
-        kernel=kernel, columnar_shuffle=columnar, memory_budget=budget
-    )
+    cluster = Cluster(kernel=kernel, memory_budget=budget)
     algorithm = make_algorithm("c-rep", query=query, d_max=workload.d_max)
     result = algorithm.run(query, workload.datasets, grid, cluster)
     snapshot = {
@@ -72,27 +59,19 @@ def _spill_counters(result):
 
 @pytest.fixture(scope="module")
 def golden(workload):
-    """The unbounded scalar reference: python kernel, columnar shuffle
-    (the engine default), no memory budget."""
-    return _run(workload, kernel="python", columnar=True, budget=None)
+    """The unbounded scalar reference: python kernel, no memory budget."""
+    return _run(workload, kernel="python", budget=None)
 
 
 @pytest.fixture(scope="module")
 def budgeted(workload):
-    return {
-        (kernel, columnar): _run(
-            workload, kernel=kernel, columnar=columnar, budget=BUDGET
-        )
-        for kernel, columnar in LEGS
-    }
+    return {kernel: _run(workload, kernel=kernel, budget=BUDGET) for kernel in LEGS}
 
 
-@pytest.mark.parametrize(("kernel", "columnar"), LEGS)
-def test_spilled_leg_matches_unspilled_reference(
-    golden, budgeted, kernel, columnar
-):
+@pytest.mark.parametrize("kernel", LEGS)
+def test_spilled_leg_matches_unspilled_reference(golden, budgeted, kernel):
     ref_snapshot, ref = golden
-    snapshot, result = budgeted[(kernel, columnar)]
+    snapshot, result = budgeted[kernel]
     spills = _spill_counters(result)
     assert spills.get("spilled_records", 0) > 0
     assert spills.get("spill_files", 0) > 0
@@ -106,8 +85,8 @@ def test_spilled_leg_matches_unspilled_reference(
 
 def test_spill_telemetry_is_plane_independent(budgeted):
     """Every budgeted leg spills at exactly the same points: the spill
-    counters are a function of record bytes, not of which kernel or
-    shuffle representation produced them."""
+    counters are a function of record bytes, not of which kernel
+    produced them."""
     reference = _spill_counters(budgeted[LEGS[0]][1])
     assert reference  # non-empty: the budget really forced spills
     for leg in LEGS[1:]:

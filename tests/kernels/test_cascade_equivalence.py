@@ -9,9 +9,8 @@ record at a time and is the reference.  The contract: every
 ``two-way-cascade/step-*`` part file and the output, every counter total
 and the simulated seconds are identical — for every query shape, on
 every executor, and on every path that hands the one numpy reducer a
-plain value list instead of columns (spill merge, ``columnar_shuffle=
-False``, the scalar mapper an active ``RetryPolicy`` forces, string
-rids).
+plain value list instead of columns (spill merge, the scalar mapper an
+active ``RetryPolicy`` forces, string rids).
 
 Geometry is adversarial on purpose: coordinates come from a lattice that
 contains the cell boundaries (edges on boundaries, rectangles that
@@ -21,6 +20,7 @@ extents may be zero.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -32,7 +32,7 @@ from repro.joins.cascade import CascadeJoin
 from repro.joins.dedup import two_way_range_owner
 from repro.joins.reference import brute_force_join
 from repro.joins.two_way import two_way_overlap, two_way_range
-from repro.kernels import numpy_or_none, resolve_kernel
+from repro.kernels import resolve_kernel
 from repro.kernels.batch import RectBatch, RectColumns, TupleColumns
 from repro.kernels.transforms import two_way_owner_cells
 from repro.mapreduce.counters import C
@@ -41,9 +41,6 @@ from repro.mapreduce.faults import RetryPolicy
 from repro.mapreduce.job import ValueRuns
 from repro.query.predicates import Contains, Overlap, Range
 from repro.query.query import Query, Triple
-
-np = numpy_or_none()
-pytestmark = pytest.mark.skipif(np is None, reason="numpy not available")
 
 SPACE = 100.0
 D = 10.0
@@ -153,7 +150,6 @@ def _run(query, order, datasets, **cluster_kwargs):
 NUMPY_MODES = {
     "columnar": {},
     "spill": {"memory_budget": 256},
-    "row-shuffle": {"columnar_shuffle": False},
     "retry": {"retry": RetryPolicy(max_attempts=3)},
 }
 
@@ -268,7 +264,7 @@ def _fixed_workload():
 )
 @pytest.mark.parametrize(
     ("mode", "columnar"),
-    [("columnar", True), ("spill", False), ("row-shuffle", False), ("retry", False)],
+    [("columnar", True), ("spill", False), ("retry", False)],
 )
 def test_reducer_sees_columns_exactly_on_the_columnar_path(monkeypatch, mode, columnar):
     """The numpy step reducer enters through one function; what reaches
@@ -337,14 +333,14 @@ def test_a_rid_shared_by_unequal_rectangles_is_not_probed_as_one():
 # ----------------------------------------------------------------------
 #: distances around the exact-``d`` boundary: a gap of exactly D between
 #: lattice rectangles, and one ulp either side of it
-ULP_WINDOW = [0.0, D, float(np.nextafter(D, 0.0)), float(np.nextafter(D, 2 * D)), 3.0] if np else []
+ULP_WINDOW = [0.0, D, float(np.nextafter(D, 0.0)), float(np.nextafter(D, 2 * D)), 3.0]
 
 
 @settings(max_examples=200, **COMMON)
 @given(
     anchors=st.lists(rect_in_space(), min_size=1, max_size=8),
     bases=st.lists(rect_in_space(), min_size=1, max_size=8),
-    d=st.sampled_from(ULP_WINDOW) if ULP_WINDOW else st.just(0.0),
+    d=st.sampled_from(ULP_WINDOW),
     rows=st.integers(2, 5),
     cols=st.integers(2, 5),
 )

@@ -9,16 +9,17 @@ a mix of continuous values and exact grid-boundary/partner-edge values,
 extents may be zero, and distances cover ``d = 0`` and ``d > 0``.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import JobError
 from repro.geometry.rectangle import Rect
 from repro.grid.partitioning import GridPartitioning
 from repro.index.grid_index import GridIndex
 from repro.joins.local import LocalJoiner
 from repro.joins.sweep import sweep_pairs
-from repro.kernels import numpy_or_none
 from repro.kernels.batch import RectBatch
 from repro.kernels.predicates import pair_mask, triple_mask
 from repro.kernels.sweep import sweep_pairs_batch
@@ -31,11 +32,9 @@ from repro.kernels.transforms import (
     row_ranges,
     rows_of_y,
 )
+from repro.mapreduce.engine import Cluster
 from repro.query.predicates import Contains, Overlap, Range
 from repro.query.query import Query
-
-np = numpy_or_none()
-pytestmark = pytest.mark.skipif(np is None, reason="numpy not available")
 
 SPACE = 1000.0
 #: exact cell boundaries of the 4x4 test grid plus its outside — drawing
@@ -265,3 +264,12 @@ def test_local_joiner_self_join_distinctness_across_kernels(b1, b2, d):
     vec_res, vec_checks = LocalJoiner(query, kernel="numpy").enumerate(bags)
     assert py_res == vec_res
     assert py_checks == vec_checks
+
+
+# ----------------------------------------------------------------------
+# Kernel selection
+# ----------------------------------------------------------------------
+def test_auto_is_not_a_kernel(monkeypatch):
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    with pytest.raises(JobError, match=r"unknown kernel 'auto'; expected one of numpy, python$"):
+        Cluster(kernel="auto").resolved_kernel

@@ -15,17 +15,13 @@ without the ``Rect`` objects.
 
 import pickle
 
-import pytest
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data.io import TAGGED_CODEC, TaggedRect, rect_csv
 from repro.geometry.rectangle import Rect
-from repro.kernels import numpy_or_none
 from repro.kernels.batch import RectBatch, RectColumns, ResultColumns, TaggedColumns
-
-np = numpy_or_none()
-pytestmark = pytest.mark.skipif(np is None, reason="numpy not available")
 
 INT64 = (-(2**63), 2**63 - 1)
 #: every value at which a decimal spelling gains or loses a digit
@@ -118,6 +114,16 @@ def test_result_line_sizes_are_the_line_lengths(ids):
     rows=st.lists(st.tuples(st.integers(0, 3), rid, rects(), st.booleans()), max_size=30),
     names=names,
     spelled=st.booleans(),
+)
+# Extents past the float range: x + l and y - b round to +-inf, as the
+# scalar ``Rect`` properties do, without a numpy overflow warning.
+@example(
+    rows=[
+        (0, 0, Rect(1.7976931348623155e308, 0.0, 2.9937604643020797e292, 0.0), False),
+        (1, 1, Rect(0.0, -1.7976931348623155e308, 0.0, 2.9937604643020797e292), True),
+    ],
+    names=["R"],
+    spelled=False,
 )
 def test_tagged_line_sizes_are_the_line_lengths(rows, names, spelled):
     records = [

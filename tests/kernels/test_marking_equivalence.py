@@ -14,6 +14,7 @@ be zero.  Bags are large enough for the grid index to grow several
 buckets, so bucket-spanning probes (duplicate scan slots) are charged too.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,13 +24,9 @@ from repro.grid.partitioning import GridPartitioning
 from repro.grid.transforms import split
 from repro.index.grid_index import GridIndex
 from repro.joins.marking import MarkingEngine
-from repro.kernels import numpy_or_none
 from repro.kernels.batch import RectBatch
 from repro.query.predicates import Contains, Overlap, Range
 from repro.query.query import Query, Triple
-
-np = numpy_or_none()
-pytestmark = pytest.mark.skipif(np is None, reason="numpy not available")
 
 SPACE = 100.0
 D = 10.0
@@ -191,8 +188,6 @@ def test_non_integer_rids_under_distinctness_fall_back_to_the_scalar_search():
 @given(bag_strategy(70), bag_strategy(12), st.sampled_from([0.0, D, 33.0]))
 def test_probe_frontier_scan_matches_per_query_probe_batch(pairs, queries, d):
     vec = GridIndex(pairs=pairs, kernel="numpy")
-    if vec.batch is None:
-        return  # empty index: callers never bulk-probe it
     qbatch = RectBatch.from_pairs(np, queries)
     parents, entries, positions, scanned = vec.probe_frontier(
         qbatch, np.arange(len(queries), dtype=np.int64), d, scan=True

@@ -4,6 +4,7 @@ Parametrized over the in-memory store and the local-filesystem store:
 both implement the same interface and must behave identically.
 """
 
+import numpy as np
 import pytest
 
 from repro.errors import DFSError
@@ -171,7 +172,6 @@ class TestBundleFiles:
 
     @staticmethod
     def _bundles():
-        np = pytest.importorskip("numpy")
         from repro.data.io import TAGGED_CODEC, rect_csv
         from repro.geometry.rectangle import Rect
         from repro.kernels.batch import (

@@ -5,6 +5,7 @@ import signal
 import threading
 import time
 
+import numpy as np
 import pytest
 
 import repro.mapreduce.executor as executor_mod
@@ -404,7 +405,6 @@ class TestTaskResultPacking:
     @staticmethod
     def _segments(rect_cls, tagged_cls):
         """A result shaped like a real map task's: segments of tagged rects."""
-        np = pytest.importorskip("numpy")
         from repro.mapreduce.job import BucketSegment
 
         segments = []
@@ -501,7 +501,6 @@ class TestColumnarSegmentTransport:
     def _all_replicate_map_result():
         """What an All-Replicate map task hands the engine (8x8 grid,
         400 rectangles of one dataset, every record replicated)."""
-        np = pytest.importorskip("numpy")
         from repro.geometry.rectangle import Rect
         from repro.grid.partitioning import GridPartitioning
         from repro.joins.all_replicate import _make_batch_mapper
@@ -587,7 +586,6 @@ class TestCascadeStepTransport:
         """``(columnar ctx, row ctx)`` of one map task of step 1 —
         ``which`` = "tuples" (a step-0 part file) or "base" (``R3``) —
         run through the batch mapper and through the scalar mapper."""
-        np = pytest.importorskip("numpy")
         from repro.data.io import TupleRecord
         from repro.geometry.rectangle import Rect
         from repro.grid.partitioning import GridPartitioning
@@ -741,7 +739,6 @@ class TestReduceOutputTransport:
         """``(object form, column form)`` of one round-1 reduce result:
         ``TaggedRect`` records for the parent to encode (an older wire
         form), and the ``TaggedColumns`` bundle alone."""
-        np = pytest.importorskip("numpy")
         from repro.data.io import TAGGED_CODEC, TaggedRect
         from repro.geometry.rectangle import Rect
         from repro.kernels.batch import RectBatch, RectColumns, TaggedColumns
@@ -769,7 +766,6 @@ class TestReduceOutputTransport:
         """The real round-1 reduce task's result, through the pipe:
         columns in, columns out — no line of text among them — and the
         row view still reads as the records the scalar reducer emits."""
-        np = pytest.importorskip("numpy")
         from repro.data.io import TAGGED_CODEC, TaggedRect, rect_csv
         from repro.geometry.rectangle import Rect
         from repro.grid.partitioning import GridPartitioning
@@ -797,12 +793,14 @@ class TestReduceOutputTransport:
             RectBatch.from_records(np, [(rid, rect) for __, rid, rect in values]),
         )
         reference_reducer = _make_mark_reducer(
-            grid, MarkingEngine(query, grid, kernel="python"), None
+            grid, MarkingEngine(query, grid, kernel="python")
         )
         ctx = ReduceContext(Counters(), 0)
         reference_reducer(0, values, ctx)
         reference = ctx.output()
-        reducer = _make_mark_reducer(grid, MarkingEngine(query, grid, kernel="numpy"), np)
+        reducer = _make_mark_reducer(
+            grid, MarkingEngine(query, grid, kernel="numpy"), columnar=True
+        )
         job = MapReduceJob(
             name="mark",
             input_paths=["input"],

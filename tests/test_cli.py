@@ -39,6 +39,12 @@ class TestJoinCommand:
         with pytest.raises(SystemExit):
             main(["join", "--algorithm", "nope"])
 
+    def test_kernel_auto_rejected(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["join", "--kernel", "auto"])
+        assert err.value.code == 2
+        assert "'numpy', 'python'" in capsys.readouterr().err
+
 
 class TestTableCommands:
     def test_single_table(self, capsys):
