@@ -221,6 +221,13 @@ def _parse_memory_budget(text: str) -> int:
     return value
 
 
+def _parse_worker_count(text: str) -> int:
+    """A ``--workers`` count: an integer of at least 1."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"worker count must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _build_fault_plan(args: argparse.Namespace, plan_cls):
     """The join command's FaultPlan: ``--fault-plan`` + ``--workers-fail``."""
     plan = plan_cls.load(args.fault_plan) if args.fault_plan else None
@@ -410,7 +417,7 @@ def _add_executor_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--workers",
-        type=int,
+        type=_parse_worker_count,
         default=None,
         help="worker count for thread/process executors (default: all CPUs)",
     )

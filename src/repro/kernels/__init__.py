@@ -26,10 +26,19 @@ import os
 
 from repro.errors import JobError
 
-__all__ = ["KERNELS", "resolve_kernel"]
+__all__ = ["KERNELS", "check_kernel", "resolve_kernel"]
 
 #: Accepted values for ``Cluster.kernel`` / ``--kernel`` / ``REPRO_KERNEL``.
 KERNELS = ("numpy", "python")
+
+
+def check_kernel(name: str) -> str:
+    """``name`` when it is one of :data:`KERNELS`; :class:`JobError` otherwise."""
+    if name not in KERNELS:
+        raise JobError(
+            f"unknown kernel {name!r}; expected one of {', '.join(KERNELS)}"
+        )
+    return name
 
 
 def resolve_kernel(requested: str = "numpy") -> str:
@@ -38,11 +47,4 @@ def resolve_kernel(requested: str = "numpy") -> str:
     Returns ``"numpy"`` or ``"python"``.  ``REPRO_KERNEL`` (when set and
     non-empty) takes precedence over ``requested``.
     """
-    env = os.environ.get("REPRO_KERNEL")
-    if env:
-        requested = env
-    if requested not in KERNELS:
-        raise JobError(
-            f"unknown kernel {requested!r}; expected one of {', '.join(KERNELS)}"
-        )
-    return requested
+    return check_kernel(os.environ.get("REPRO_KERNEL") or requested)

@@ -55,7 +55,7 @@ import numpy as np
 
 from repro.data.io import RECT_CODEC
 from repro.errors import BadRecordError, JobError, TaskRetryExhausted
-from repro.kernels import resolve_kernel
+from repro.kernels import check_kernel, resolve_kernel
 from repro.kernels.batch import RectBatch
 from repro.mapreduce.blocks import BlockPlane
 from repro.mapreduce.counters import C, Counters
@@ -172,12 +172,9 @@ class _MapPhase:
     identical on both paths; a split is a list of them, or the lazy
     :class:`~repro.mapreduce.job.SplitEntries` over a column bundle.
     ``memory_budget`` (bytes, ``None`` =
-    unbounded) switches emission buffering to the spilling context.
-    ``use_batch`` routes the whole split through ``job.batch_mapper``
-    (columnar fast path); the engine sets it only when the job declares
-    one and no per-record machinery (faults, retries) is live.  Under a
-    memory budget the batch mapper still runs, but its emissions are
-    replayed record by record so spill points are unchanged.
+    unbounded) switches emission buffering to the spilling context,
+    which replays batch emissions record by record so spill points do
+    not depend on the map body.
     ``split_batches`` optionally carries each split's columns — a
     :class:`~repro.kernels.batch.RectBatch` slice of a rectangle file,
     or the slice of the bundle an upstream reducer wrote.
@@ -188,7 +185,6 @@ class _MapPhase:
     job: MapReduceJob
     splits: list[list[tuple[str, int, Any, int]] | SplitEntries]
     memory_budget: int | None = None
-    use_batch: bool = False
     split_batches: list[Any] | None = None
     profile: bool = False
 
@@ -370,13 +366,18 @@ def _map_task_body(
 ) -> _MapTaskResult:
     """One self-contained map task: split in, buckets + counter shard out.
 
+    A job's one map body is its ``batch_mapper`` over the whole split
+    when it declares one (and no combiner), the record loop otherwise.
     ``skips`` are split offsets quarantined by earlier attempts of this
     task (Hadoop's skipping mode): those records are not read, mapped or
-    counted.  ``poison`` are offsets an injected ``poison-record`` fault
-    declared bad; hitting one raises :class:`BadRecordError` — as does
-    any genuine mapper failure, so the recovery layer can locate the
-    record either way.  Failures keep the seed's message shape
-    (``BadRecordError`` is a :class:`JobError`).
+    counted — the loop passes over them, and the batch mapper gets the
+    split with their rows masked out of the entries and the columns.
+    ``poison`` are offsets an injected ``poison-record`` fault declared
+    bad; the first one not skipped raises :class:`BadRecordError` —
+    before the batch mapper runs, or when the loop reaches it — so the
+    recovery layer can locate the record.  A scalar mapper's failure is
+    located the same way; a batch mapper's stays an unlocated
+    :class:`JobError` (its records were decoded at split time).
     """
     t_start = time.perf_counter()
     job = phase.job
@@ -398,27 +399,19 @@ def _map_task_body(
         ctx = MapContext(
             counters, job.num_reducers, job.partitioner, job.shuffle_codec
         )
-    batch_mapper = job.batch_mapper
-    if (
-        phase.use_batch
-        and batch_mapper is not None
-        and job.combiner is None
-        and not skips
-        and not poison
-    ):
-        nbytes = (
-            split.nbytes
-            if isinstance(split, SplitEntries)
-            else sum(entry[3] for entry in split)
-        )
+    if job.batch_mapper is not None and job.combiner is None:
+        # The record loop checks skips before poison: stop where it would.
+        bad = [o for o in poison if o not in skips and o < len(split)]
+        if bad:
+            offset = min(bad)
+            raise _bad_record(job, offset, split[offset], "injected poison record")
+        batch = None if phase.split_batches is None else phase.split_batches[index]
+        if skips:
+            split, batch = _without_rows(split, batch, skips)
+        nbytes = split.nbytes if isinstance(split, SplitEntries) else sum(e[3] for e in split)
         processed = len(split)
-        batch = (
-            phase.split_batches[index]
-            if phase.split_batches is not None
-            else None
-        )
         try:
-            batch_mapper(split, ctx, batch)
+            job.batch_mapper(split, ctx, batch)
         except Exception as exc:  # noqa: BLE001 - wrap task failures
             raise JobError(
                 f"map task failed in job {job.name!r}: {exc}"
@@ -428,57 +421,22 @@ def _map_task_body(
                 f"batch mapper of job {job.name!r} mixed emit() and "
                 f"emit_batch() in one task"
             )
-        ctx.input_records = processed
-        counters.add(C.GROUP_ENGINE, C.MAP_INPUT_RECORDS, processed)
-        spill_runs = spill_base = None
-        if isinstance(ctx, SpillingMapContext):
-            spill_runs = ctx.spill_runs
-            spill_base = ctx.spill_base
-        return _MapTaskResult(
-            buckets=ctx.buckets,
-            bucket_bytes=ctx.bucket_bytes,
-            counters=counters,
-            stats=TaskStats(
-                input_records=processed,
-                input_bytes=nbytes,
-                output_records=ctx.output_records,
-                output_bytes=ctx.output_bytes,
-                compute_ops=ctx.compute_ops,
-            ),
-            t_start=t_start,
-            t_end=time.perf_counter(),
-            spill_runs=spill_runs,
-            spill_base=spill_base,
-            segments=ctx.segments,
-        )
-    mapper = job.mapper
-    nbytes = 0
-    processed = 0
-    for offset, (path, lineno, record, record_bytes) in enumerate(split):
-        if offset in skips:
-            continue
-        if offset in poison:
-            raise BadRecordError(
-                f"map task failed in job {job.name!r} on "
-                f"{path}:{lineno}: injected poison record",
-                offset=offset,
-                path=path,
-                lineno=lineno,
-                record=repr(record),
-            )
-        nbytes += record_bytes
-        processed += 1
-        try:
-            mapper((path, lineno), record, ctx)
-        except Exception as exc:  # noqa: BLE001 - wrap task failures
-            raise BadRecordError(
-                f"map task failed in job {job.name!r} on "
-                f"{path}:{lineno}: {exc}",
-                offset=offset,
-                path=path,
-                lineno=lineno,
-                record=repr(record),
-            ) from exc
+    else:
+        mapper = job.mapper
+        nbytes = 0
+        processed = 0
+        for offset, entry in enumerate(split):
+            if offset in skips:
+                continue
+            if offset in poison:
+                raise _bad_record(job, offset, entry, "injected poison record")
+            path, lineno, record, record_bytes = entry
+            nbytes += record_bytes
+            processed += 1
+            try:
+                mapper((path, lineno), record, ctx)
+            except Exception as exc:  # noqa: BLE001 - wrap task failures
+                raise _bad_record(job, offset, entry, exc) from exc
     ctx.input_records = processed
     # One add per task, not one per record — the map inner loop stays
     # free of counter bookkeeping.
@@ -500,7 +458,7 @@ def _map_task_body(
         bucket_bytes=ctx.bucket_bytes,
         counters=counters,
         stats=TaskStats(
-            input_records=ctx.input_records,
+            input_records=processed,
             input_bytes=nbytes,
             output_records=ctx.output_records,
             output_bytes=ctx.output_bytes,
@@ -510,6 +468,38 @@ def _map_task_body(
         t_end=time.perf_counter(),
         spill_runs=spill_runs,
         spill_base=spill_base,
+        segments=ctx.segments,
+    )
+
+
+def _bad_record(job: MapReduceJob, offset: int, entry, reason) -> BadRecordError:
+    """The located failure of split record ``offset`` (keeps the seed's
+    message shape: ``BadRecordError`` is a :class:`JobError`)."""
+    path, lineno, record, __ = entry
+    return BadRecordError(
+        f"map task failed in job {job.name!r} on {path}:{lineno}: {reason}",
+        offset=offset,
+        path=path,
+        lineno=lineno,
+        record=repr(record),
+    )
+
+
+def _without_rows(split, batch, skips: tuple[int, ...]):
+    """``(split, batch)`` with the rows at offsets ``skips`` dropped.
+
+    A column-bundle split stays columnar: its records and sizes are
+    taken by row, and its records are its staged columns.  (Its kept
+    rows are renumbered from ``lo``; no batch mapper reads line numbers.)
+    """
+    keep = np.setdiff1d(np.arange(len(split)), skips)
+    if isinstance(split, SplitEntries):
+        records = split.records.take(keep)
+        sizes = [split.sizes[i] for i in keep.tolist()]
+        return SplitEntries(split.path, split.lo, records, sizes), records
+    return (
+        [split[i] for i in keep.tolist()],
+        None if batch is None else batch.take(keep),
     )
 
 
@@ -837,6 +827,11 @@ class Cluster:
         return resolve_kernel(self.kernel)
 
     def __post_init__(self) -> None:
+        check_kernel(self.kernel)
+        if self.split_records < 1:
+            raise JobError(f"split_records must be >= 1, got {self.split_records}")
+        if self.num_workers is not None and self.num_workers < 1:
+            raise JobError(f"num_workers must be None or >= 1, got {self.num_workers}")
         if self.memory_budget is not None and self.memory_budget <= 0:
             raise JobError(
                 f"memory_budget must be positive, got {self.memory_budget}"
@@ -912,7 +907,7 @@ class Cluster:
             if recovery_active
             else None
         )
-        workers = self._worker_manager(job, recovery_active, rec, led)
+        workers = self._worker_manager(job, rec, led) if recovery_active else None
         reduce_report: PhaseReport | None = None
 
         with rec.span(f"job:{job.name}", cat="job", track="engine") as job_span:
@@ -1116,22 +1111,18 @@ class Cluster:
             reduce_task_wall=reduce_task_wall,
         )
 
-    def _worker_manager(
-        self, job: MapReduceJob, recovery_active: bool, rec, led
-    ) -> WorkerManager | None:
+    def _worker_manager(self, job: MapReduceJob, rec, led) -> WorkerManager | None:
         """Build the job's worker-domain coordinator when the pool engages.
 
-        Engagement needs recovery dispatch *and* a reason to name
-        workers: ``fail-worker``/``join-worker`` specs in the plan,
-        ``retry.blacklist_after > 0``, or an explicitly supplied pool.
-        Everything else returns ``None`` and the dispatch stays
-        bit-for-bit the pre-worker behaviour — no new counters, no new
-        ledger events.  The pool itself is cluster-scoped (lazily built
+        Engagement needs recovery dispatch (the caller's check) *and* a
+        reason to name workers: ``fail-worker``/``join-worker`` specs in
+        the plan, ``retry.blacklist_after > 0``, or an explicitly
+        supplied pool.  Everything else returns ``None`` and the
+        dispatch stays bit-for-bit the pre-worker behaviour — no new
+        counters, no new ledger events.  The pool itself is cluster-scoped (lazily built
         at the executor's worker count) so node state persists across a
         workflow's jobs.
         """
-        if not recovery_active:
-            return None
         engaged = (
             self.worker_pool is not None
             or self.replication is not None
@@ -1241,9 +1232,10 @@ class Cluster:
         consumed.  Only the non-canonical recovery-overhead charge and
         the worker telemetry observe that the work happened — exactly
         Hadoop re-running maps of a lost TaskTracker while the job's
-        output stays the same.
+        output stays the same.  They run the job's one map body, on the
+        same staged columns (cached per file version).
         """
-        sub = _MapPhase(job, [splits[t] for t in tasks], self.memory_budget)
+        sub = self._map_phase(job, [splits[t] for t in tasks])
         executor.run_phase(_run_map_task, len(tasks), sub)
         if self.recorder.enabled:
             self.recorder.instant(
@@ -1602,36 +1594,13 @@ class Cluster:
         workers: WorkerManager | None = None,
         localities: dict[int, tuple[tuple[str, ...], int]] | None = None,
     ) -> tuple[list[_MapTaskResult], list[TaskStats], PhaseReport | None]:
-        # The batch path bypasses the per-record loop, so it is only
-        # safe when nothing needs per-record hooks: no fault injection
-        # or retry recovery (record skipping / poison offsets).  A
-        # memory budget is fine — the spilling context replays batch
-        # emissions record by record, keeping spill points identical.
-        recovery_active = (
-            self.fault_plan is not None and not self.fault_plan.is_empty
-        ) or self.retry.active
-        use_batch = (
-            job.batch_mapper is not None
-            and not recovery_active
-            and self.resolved_kernel == "numpy"
-        )
-        split_batches = (
-            self._stage_split_batches(job, splits) if use_batch else None
-        )
         if workers is not None:
             workers.begin_phase("map", localities=localities)
         results, report = run_phase_with_recovery(
             executor,
             _run_map_task,
             len(splits),
-            _MapPhase(
-                job,
-                splits,
-                self.memory_budget,
-                use_batch,
-                split_batches=split_batches,
-                profile=self.profiler is not None,
-            ),
+            self._map_phase(job, splits, profile=self.profiler is not None),
             job=job.name,
             phase="map",
             policy=self.retry,
@@ -1666,6 +1635,12 @@ class Cluster:
                 for i, s in enumerate(stats)
             ]
         return results, stats, report
+
+    def _map_phase(self, job: MapReduceJob, splits, profile: bool = False) -> _MapPhase:
+        """The payload of ``job``'s map tasks over ``splits``: with their
+        staged columns when the job declares a batch mapper."""
+        batches = None if job.batch_mapper is None else self._stage_split_batches(job, splits)
+        return _MapPhase(job, splits, self.memory_budget, batches, profile)
 
     def _stage_split_batches(
         self,

@@ -692,12 +692,13 @@ class MapReduceJob:
         order) and counter totals as running ``mapper`` over the split
         record by record — emitting through
         :meth:`MapContext.emit_batch` guarantees this by construction.
-        The engine only uses it when the resolved kernel is ``numpy``
-        and neither fault injection nor retry recovery is active (their
-        skipping/poison hooks are per-record); under a ``memory_budget``
-        it runs with batch emissions replayed record by record so spill
-        points are unchanged.  The scalar ``mapper`` remains the
-        reference implementation and must always be provided.
+        When set (and the job has no combiner) it is the job's one map
+        body: retries, fault plans and worker loss run it too, record
+        skipping hands it the split with the skipped rows taken out of
+        the entries and the columns, and under a ``memory_budget`` its
+        emissions are replayed record by record so spill points are
+        unchanged.  Leave it ``None`` to run ``mapper``, which remains
+        the reference implementation and must always be provided.
     """
 
     name: str

@@ -9,10 +9,11 @@ job's batch mapper is handed the bundle slice and ``_collect_tuples``
 reads id columns.  ``kernel="python"`` emits, writes and reads record
 objects and is the reference.  The contract: every part file of every
 job directory (``marked``, ``step-*``, ``output``), every counter and the
-simulated seconds are identical — on every executor, and on every path
-whose consumers read the bundle's lazy row view instead (spill replay,
-the scalar mappers an active ``RetryPolicy`` forces, string rids, the
-file-system DFS).
+simulated seconds are identical — on every executor, under recovery
+(an active ``RetryPolicy``; poison records quarantined by skipping mode,
+whose rows are masked out of the bundle slice), and on every path whose
+consumers read the bundle's lazy row view instead (spill replay, string
+rids, the file-system DFS).
 
 Geometry is adversarial on purpose: coordinates come from a lattice that
 contains the cell boundaries (edges on boundaries, rectangles that
@@ -44,7 +45,7 @@ from repro.kernels.batch import (
     TupleFileColumns,
 )
 from repro.mapreduce.engine import Cluster
-from repro.mapreduce.faults import RetryPolicy
+from repro.mapreduce.faults import FaultPlan, RetryPolicy
 from repro.mapreduce.localfs import LocalFSDFS
 from repro.query.predicates import Overlap, Range
 from repro.query.query import Query, Triple
@@ -116,6 +117,18 @@ MODES = {
     "default": ({}, None, False),
     "spill": ({"memory_budget": 256}, None, False),
     "retry": ({"retry": RetryPolicy(max_attempts=3)}, None, False),
+    # poisoned offsets land in staged RectBatch splits and in bundle
+    # (TaggedColumns / TupleFileColumns) splits alike
+    "skipping": (
+        {
+            "fault_plan": FaultPlan()
+            .poison_record(0, 3, job=None)
+            .poison_record(1, 0, job=None),
+            "retry": RetryPolicy(max_attempts=4, max_skipped_records=3),
+        },
+        None,
+        False,
+    ),
     "string-rids": ({}, _string_rids, False),
     "localfs": ({}, None, True),
 }
@@ -134,6 +147,8 @@ def _run(name, query, datasets, *, mode="default", **cluster_kwargs):
         algorithm = make_algorithm(name, query=query, d_max=d_max)
         result = algorithm.run(query, datasets, GRID, cluster)
         files = cluster.dfs.list_dir(ALGORITHMS[name])
+        if cluster.dfs.exists("_quarantine"):
+            files += cluster.dfs.list_dir("_quarantine")
         parts = {path: tuple(cluster.dfs.read_file(path)) for path in files}
     output = [
         line
@@ -144,7 +159,7 @@ def _run(name, query, datasets, *, mode="default", **cluster_kwargs):
     # However the result set was collected, it is what the lines say.
     assert result.tuples == {decode_result(line) for line in output}
     return {
-        # marked / step-* intermediates and the output
+        # marked / step-* intermediates, the output and skipped records
         "parts": parts,
         "tuples": result.tuples,
         "counters": result.workflow.counters.as_dict(),
@@ -245,22 +260,14 @@ def _spy_on_batch_mappers(monkeypatch, seen):
 
 
 @numpy_only
-@pytest.mark.parametrize(
-    ("mode", "handed"),
-    [
-        ("default", "bundle"),
-        ("spill", "bundle"),
-        ("string-rids", "bundle"),
-        ("localfs", "bundle"),
-        ("retry", "nothing"),
-    ],
-)
+@pytest.mark.parametrize("mode", MODES)
 def test_next_job_mappers_get_a_bundle_slice_exactly_on_the_columnar_path(
-    monkeypatch, mode, handed
+    monkeypatch, mode
 ):
     """The next job's batch mapper is handed the slice of the bundle the
-    upstream reducer wrote; under recovery dispatch the scalar mapper
-    runs instead."""
+    upstream reducer wrote — in every mode: recovery dispatch runs the
+    same batch mappers, skipping mode hands them the slice without the
+    quarantined rows."""
     seen = []
     _spy_on_batch_mappers(monkeypatch, seen)
     query, datasets = _fixed_workload("chain4")
@@ -274,23 +281,44 @@ def test_next_job_mappers_get_a_bundle_slice_exactly_on_the_columnar_path(
         reference = _run(name, query, datasets, mode=mode, kernel="python")
         assert not seen  # the reference has no batch mappers
         assert _run(name, query, datasets, mode=mode, kernel="numpy") == reference
-        if handed == "nothing":
-            assert not seen
-        else:
-            assert seen
-            assert set(seen) == {bundle}, f"{name} / {mode}"
+        assert seen
+        assert set(seen) == {bundle}, f"{name} / {mode}"
+        if mode == "skipping":
+            # records were really quarantined, in the next job's splits too
+            quarantined = {p.split("/")[1] for p in reference["parts"] if p[0] == "_"}
+            assert len(quarantined) >= 2, name
+
+
+#: cluster settings that keep the default path: none, Hadoop's default
+#: retry policy, and an absorbed task failure in every job
+RECOVERY = {
+    "": {},
+    "retry": {"retry": RetryPolicy(max_attempts=4)},
+    "absorbed-fail": {
+        "retry": RetryPolicy(max_attempts=4),
+        "fault_plan": FaultPlan().fail_task("map", 0, job=None),
+    },
+}
 
 
 @numpy_only
-@pytest.mark.parametrize("name", ALGORITHMS)
-def test_no_record_object_is_built_on_the_default_path(monkeypatch, name):
+@pytest.mark.parametrize(
+    ("name", "recovery"),
+    [
+        pytest.param(name, knobs, id="-".join(filter(None, (name, setting))))
+        for name in ALGORITHMS
+        for setting, knobs in RECOVERY.items()
+    ],
+)
+def test_no_record_object_is_built_on_the_default_path(monkeypatch, name, recovery):
     """Between a reducer's columns and the next mapper's columns — and
     the collected result set — nothing constructs a ``TaggedRect``, a
     ``TupleRecord`` or a ``Rect``, no bundle's row view is read, and no
     tagged or result line is formatted: the DFS sizes those part files
     by column and formats their text only when it is read.  (The
     Cascade spells rectangles for its tuple lines, which size its
-    shuffle and are its step files' text; nothing else does.)"""
+    shuffle and are its step files' text; nothing else does.)  Retries
+    and absorbed faults keep that path: they run the same map body."""
     query, datasets = _fixed_workload("chain4")
     reference = _run(name, query, datasets, kernel="python")
     built = []
@@ -317,7 +345,7 @@ def test_no_record_object_is_built_on_the_default_path(monkeypatch, name):
     spellings = []
     counting(RectBatch, "csvs", spellings)
     counting(cascade, "tuple_fragments", spellings)
-    cluster = Cluster(kernel="numpy")
+    cluster = Cluster(kernel="numpy", **recovery)
     algorithm = make_algorithm(name, query=query, d_max=max_diagonal(datasets))
     result = algorithm.run(query, datasets, GRID, cluster)
     assert not built

@@ -8,9 +8,9 @@ rid distinctness, bound-edge checks); ``kernel="python"`` maps and joins
 record at a time and is the reference.  The contract: every
 ``two-way-cascade/step-*`` part file and the output, every counter total
 and the simulated seconds are identical — for every query shape, on
-every executor, and on every path that hands the one numpy reducer a
-plain value list instead of columns (spill merge, the scalar mapper an
-active ``RetryPolicy`` forces, string rids).
+every executor, under an active ``RetryPolicy`` (which runs the same
+batch mappers), and on every path that hands the one numpy reducer a
+plain value list instead of columns (spill merge, string rids).
 
 Geometry is adversarial on purpose: coordinates come from a lattice that
 contains the cell boundaries (edges on boundaries, rectangles that
@@ -264,12 +264,13 @@ def _fixed_workload():
 )
 @pytest.mark.parametrize(
     ("mode", "columnar"),
-    [("columnar", True), ("spill", False), ("retry", False)],
+    [("columnar", True), ("spill", False), ("retry", True)],
 )
 def test_reducer_sees_columns_exactly_on_the_columnar_path(monkeypatch, mode, columnar):
     """The numpy step reducer enters through one function; what reaches
     it is the group's column runs on the columnar shuffle — tuple side,
-    then base side — and a plain list otherwise."""
+    then base side — also under an active retry policy, which runs the
+    same batch mappers; a spill merge hands it a plain list."""
     seen = []
     real = cascade._group_columns
 

@@ -281,6 +281,28 @@ class TestFailures:
                 )
             )
 
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("split_records", 0, "split_records must be >= 1, got 0"),
+            ("split_records", -5, "split_records must be >= 1, got -5"),
+            ("num_workers", 0, "num_workers must be None or >= 1, got 0"),
+            ("num_workers", -1, "num_workers must be None or >= 1, got -1"),
+            ("kernel", "fast", "unknown kernel 'fast'; expected one of numpy, python"),
+        ],
+        ids=["split_records=0", "split_records=-5", "num_workers=0", "num_workers=-1",
+             "kernel=fast"],
+    )
+    def test_cluster_rejects_settings_it_cannot_run(self, field, value, message):
+        """One JobError naming the field and the value, raised before any
+        job runs — not a bare ValueError at the first split, an empty
+        committed output, or a silently serial run."""
+        dfs = InMemoryDFS()
+        dfs.write_file("in", ["a b a", "b c"])
+        with pytest.raises(JobError, match=f"^{message}$"):
+            Cluster(dfs=dfs, **{field: value}).run_job(word_count_job())
+        assert not dfs.exists("out")
+
     def test_missing_input(self, cluster):
         with pytest.raises(Exception):
             cluster.run_job(word_count_job())

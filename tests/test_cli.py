@@ -45,6 +45,12 @@ class TestJoinCommand:
         assert err.value.code == 2
         assert "'numpy', 'python'" in capsys.readouterr().err
 
+    def test_workers_below_one_rejected(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["join", "--executor", "thread", "--workers", "0"])
+        assert err.value.code == 2
+        assert "worker count must be an integer >= 1, got '0'" in capsys.readouterr().err
+
 
 class TestTableCommands:
     def test_single_table(self, capsys):
