@@ -330,8 +330,8 @@ def _add_fault_args(p: argparse.ArgumentParser) -> None:
         metavar="BYTES",
         help=(
             "per-map-task shuffle buffer bound (suffix k/m/g; Hadoop's "
-            "io.sort.mb) — tasks over budget spill sorted runs to the "
-            "DFS; output stays byte-identical"
+            "io.sort.mb) — tasks over budget spill their buffered "
+            "emissions to the DFS; output stays byte-identical"
         ),
     )
     p.add_argument(

@@ -131,7 +131,7 @@ class CascadeJoin(MultiWayJoinAlgorithm):
                 input_codec = RECT_CODEC  # both sides are base relations
             # A first step reading one dataset on both sides emits T and
             # B per record, interleaved: only the scalar mapper keeps
-            # that per-bucket emission order (and its spill points).
+            # that per-bucket emission order.
             self_first = left_path == right_path and not left_is_tuples
             bound = tuple(p.slot for p in plans[: i + 1])
             job = MapReduceJob(

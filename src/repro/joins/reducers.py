@@ -119,7 +119,7 @@ def dataset_batches(np, values) -> dict[str, RectBatch]:
     order within a dataset, datasets in order of first appearance.
 
     A columnar group is split with one code mask per dataset; a plain
-    value list (spill merge, the scalar mapper, non-integer rids) is
+    value list (the scalar mapper, non-integer rids) is
     walked once.  Either way the numpy reducers run the same code
     downstream.
     """

@@ -351,8 +351,8 @@ class RectColumns(_ColumnRows):
     bundle is what a batch mapper hands :meth:`MapContext.emit_batch` as
     its ``values`` and what a columnar reduce group arrives as — as a
     ``Sequence`` it also *is* those tuples, materialised on first row
-    access, for every consumer that reads rows (the row shuffle, spill
-    replay, map-only output, scalar reducers).
+    access, for every consumer that reads rows (the row shuffle,
+    map-only output, scalar reducers).
 
     ``take`` / ``concat`` are the engine's columnar-source protocol: a
     reduce group is ``concat`` of each segment's ``take``.

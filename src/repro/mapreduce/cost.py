@@ -264,10 +264,12 @@ class CostModel:
     def spill_overhead_seconds(self, spill_bytes: int) -> float:
         """Simulated cost of memory-budget spills: write + read-back.
 
-        Each spilled byte hits local scratch disk twice (the map side
-        writes the sorted run, the reduce-side external merge reads it
-        back).  Reported on :attr:`JobCostBreakdown.spill_overhead_s`,
-        outside the canonical total — see that field's docstring.
+        ``spill_bytes`` are the spilled emissions' shuffle bytes — the
+        unit the budget and ``MAP_OUTPUT_BYTES`` count.  Each spilled
+        byte hits local scratch disk twice (the map side writes the run,
+        the reduce task reads it back where it was emitted).  Reported
+        on :attr:`JobCostBreakdown.spill_overhead_s`, outside the
+        canonical total — see that field's docstring.
         """
         return 2.0 * spill_bytes / self.spill_bytes_per_s
 

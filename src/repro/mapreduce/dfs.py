@@ -291,9 +291,9 @@ class InMemoryDFS:
     def read_side_file(self, path: str) -> list[str]:
         """All lines of a task side file — no read accounting.
 
-        The unaccounted twin of :meth:`read_file`, used by the
-        reduce-side external merge to stream spill runs back without
-        disturbing the canonical ``DFS_BYTES_READ`` counter.
+        The unaccounted twin of :meth:`read_file`, for reading task
+        side files (spill runs, quarantines) back without disturbing
+        the canonical ``DFS_BYTES_READ`` counter.
         """
         path = _normalize(path)
         if path not in self._files:

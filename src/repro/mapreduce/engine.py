@@ -22,13 +22,14 @@ always the encoded lines).
 With a ``memory_budget`` the engine runs under *memory governance*
 (Hadoop's ``io.sort.mb``): each map task bounds its buffered shuffle
 bytes — measured by the job's shuffle codec, the same sizing the
-canonical ``MAP_OUTPUT_BYTES`` counter charges — and spills sorted runs
-to the DFS when the budget is exceeded; the reduce side then k-way
-merges runs instead of sorting one resident bucket.  Spill points are a
-pure function of the emission sequence and the merge key reproduces the
-unbounded stable sort exactly (see :mod:`repro.mapreduce.spill`), so a
-budgeted run writes byte-identical part files and differs only in the
-``spill*`` telemetry and the non-canonical spill-overhead cost term.
+canonical ``MAP_OUTPUT_BYTES`` counter charges — and spills its buffered
+bucket slices to the DFS, in emission order, when the budget is
+exceeded.  A task's runs followed by its resident remainder are its
+unbounded bucket, so the reduce task reads each run back in place and
+groups exactly as an unbudgeted run does (see
+:mod:`repro.mapreduce.spill`): a budgeted run writes byte-identical part
+files and differs only in the ``spill*`` telemetry and the
+non-canonical spill-overhead cost term.
 
 Tasks are dispatched through a pluggable
 :class:`~repro.mapreduce.executor.TaskExecutor` (``serial``, ``thread``
@@ -79,7 +80,7 @@ from repro.mapreduce.job import (
     default_sort_key,
     gather_values,
 )
-from repro.mapreduce.spill import SpillRun, SpillStore, merge_runs, spill_dir
+from repro.mapreduce.spill import SpillRun, SpillStore, spill_dir
 from repro.mapreduce.workers import WorkerPool
 from repro.obs.ledger import NullLedger
 from repro.obs.profile import TaskProfiler, run_profiled
@@ -173,8 +174,8 @@ class _MapPhase:
     :class:`~repro.mapreduce.job.SplitEntries` over a column bundle.
     ``memory_budget`` (bytes, ``None`` =
     unbounded) switches emission buffering to the spilling context,
-    which replays batch emissions record by record so spill points do
-    not depend on the map body.
+    which spills at the same points whether the map body emits record
+    by record or in batches.
     ``split_batches`` optionally carries each split's columns — a
     :class:`~repro.kernels.batch.RectBatch` slice of a rectangle file,
     or the slice of the bundle an upstream reducer wrote.
@@ -205,12 +206,11 @@ class _MapTaskResult:
     stats: TaskStats
     t_start: float = 0.0
     t_end: float = 0.0
-    #: serialized sorted runs per reducer (budgeted tasks only) — the
-    #: lines ride the result because process-pool children write to a
-    #: *copy* of the DFS; the engine persists them parent-side
-    spill_runs: list[list[list[str]]] | None = None
-    #: bucket-local sequence number of the first resident record
-    spill_base: list[int] | None = None
+    #: encoded runs per reducer (tasks that spilled only) — the lines
+    #: ride the result because process-pool children write to a *copy*
+    #: of the DFS; the engine persists them parent-side and puts the
+    #: :class:`SpillRun` naming each file in its line's place
+    spill_runs: list[list[str | SpillRun]] | None = None
     #: columnar buckets (per-reducer :class:`BucketSegment` runs) from
     #: tasks that emitted through ``emit_batch`` — ``buckets`` is then
     #: all-empty and the shuffle merges segments instead of pairs
@@ -225,20 +225,19 @@ class _ReducePhase:
     """Immutable payload shared by every reduce task of one job.
 
     ``buckets[r]`` is reducer ``r``'s merged (map-task order) but not
-    yet sorted input.  Under a memory budget that spilled, ``runs[r]``
-    instead holds reducer ``r``'s sorted runs (``buckets`` is empty) and
-    ``store`` snapshots the spill side files for :func:`merge_runs`.
-    When every map task emitted columnar, ``seg_buckets[r]`` holds
-    reducer ``r``'s :class:`BucketSegment` runs in map-task order
-    (``buckets`` is empty) and the reduce task groups keys with a numpy
-    stable argsort instead of the Python sort.
+    yet sorted input.  When every map task emitted columnar,
+    ``seg_buckets[r]`` holds reducer ``r``'s :class:`BucketSegment` runs
+    in map-task order (``buckets`` is empty) and the reduce task groups
+    keys with a numpy stable argsort instead of the Python sort.  Under
+    a memory budget that spilled, either form holds a
+    :class:`~repro.mapreduce.spill.SpillRun` where each spilled run was
+    emitted, and ``store`` snapshots the spill side files they name.
     """
 
     job: MapReduceJob
     buckets: list[list[tuple[Any, Any]]]
-    runs: list[list[SpillRun]] | None = None
-    store: SpillStore | None = None
     seg_buckets: list[list[BucketSegment]] | None = None
+    store: SpillStore | None = None
     profile: bool = False
 
 
@@ -393,7 +392,6 @@ def _map_task_body(
             job.partitioner,
             job.shuffle_codec,
             budget=budget,
-            sort_key=job.sort_key,
         )
     else:
         ctx = MapContext(
@@ -416,7 +414,7 @@ def _map_task_body(
             raise JobError(
                 f"map task failed in job {job.name!r}: {exc}"
             ) from exc
-        if ctx.segments is not None and any(ctx.buckets):
+        if ctx.mixed_emission():
             raise JobError(
                 f"batch mapper of job {job.name!r} mixed emit() and "
                 f"emit_batch() in one task"
@@ -441,16 +439,15 @@ def _map_task_body(
     # One add per task, not one per record — the map inner loop stays
     # free of counter bookkeeping.
     counters.add(C.GROUP_ENGINE, C.MAP_INPUT_RECORDS, processed)
-    spill_runs = spill_base = None
+    spill_runs = None
     if isinstance(ctx, SpillingMapContext):
-        if job.combiner is not None and ctx.spilled:
+        if job.combiner is not None:
             # The combiner contract is whole-bucket grouping: restore
             # the unbounded bucket shape first (spill telemetry stays —
             # the spills did happen).
             ctx.unspill()
-        elif job.combiner is None:
+        elif ctx.spilled:
             spill_runs = ctx.spill_runs
-            spill_base = ctx.spill_base
     if job.combiner is not None:
         _apply_combiner(job, ctx, counters)
     return _MapTaskResult(
@@ -467,7 +464,6 @@ def _map_task_body(
         t_start=t_start,
         t_end=time.perf_counter(),
         spill_runs=spill_runs,
-        spill_base=spill_base,
         segments=ctx.segments,
     )
 
@@ -560,18 +556,21 @@ def _reduce_task_body(phase: _ReducePhase, r: int) -> _ReduceTaskResult:
     rctx = ReduceContext(counters, r)
     reducer = job.reducer
     groups = 0
-    if phase.runs is not None:
-        # Budgeted shuffle: k-way merge the sorted runs — byte-identical
-        # to the resident stable sort (see repro.mapreduce.spill).
-        groups_iter = _grouped(merge_runs(phase.runs[r], phase.store, job.sort_key))
-    elif phase.seg_buckets is not None:
+    store = phase.store
+    if phase.seg_buckets is not None:
         # Columnar shuffle: group contiguous key slices of the
         # concatenated segments (numpy stable argsort, or the scalar
         # sort when the job customises its ordering).
-        groups_iter = _segment_groups(phase.seg_buckets[r], job.sort_key)
+        segs = phase.seg_buckets[r]
+        if store is not None:
+            segs = store.read_back(segs)
+        groups_iter = _segment_groups(segs, job.sort_key)
     else:
         # Stable sort: same-key values keep map emission order.
-        groups_iter = _grouped(_sorted_by_key(phase.buckets[r], job.sort_key))
+        bucket = phase.buckets[r]
+        if store is not None:
+            bucket = store.read_back(bucket, rows=True)
+        groups_iter = _grouped(_sorted_by_key(bucket, job.sort_key))
     for key, values in groups_iter:
         groups += 1
         rctx.input_records += len(values)
@@ -747,12 +746,15 @@ class Cluster:
         in-memory DFS raises immediately (use a ``LocalFSDFS`` root).
     memory_budget:
         Per-map-task shuffle buffer bound in bytes (``None`` =
-        unbounded, the seed behaviour).  Tasks exceeding it spill sorted
-        runs to the DFS and reduce tasks switch to an external k-way
-        merge; output stays byte-identical and the canonical counters
-        and simulated seconds are unchanged — the pressure shows up only
-        in ``spilled_records``/``spill_files``/``spill_bytes`` and the
-        cost breakdown's non-canonical ``spill_overhead_s``.
+        unbounded, the seed behaviour), measured in the job's shuffle
+        bytes like ``MAP_OUTPUT_BYTES``.  A task exceeding it spills its
+        buffered bucket slices, in emission order, to the DFS, and the
+        reduce task reads each run back where it was emitted; output
+        stays byte-identical and the canonical counters and simulated
+        seconds are unchanged — the pressure shows up only in
+        ``spilled_records``/``spill_files``/``spill_bytes`` (the spilled
+        emissions' shuffle bytes) and the cost breakdown's non-canonical
+        ``spill_overhead_s``.
     kernel:
         Compute kernel for the join algorithms and batch map paths:
         ``"numpy"`` (default) or ``"python"``, the scalar reference.
@@ -954,48 +956,23 @@ class Cluster:
             else:
                 t0 = time.perf_counter()
                 with rec.span("shuffle", cat="phase", track="engine") as sp:
+                    store = self._stage_spills(job, map_results, rec)
                     merged, seg_buckets, input_bytes = self._shuffle_merge(
                         job, map_results
                     )
-                    runs, store = self._stage_spills(job, map_results, rec)
-                    if runs is None and seg_buckets is not None:
-                        shuffle_records = sum(
-                            len(seg) for per_r in seg_buckets for seg in per_r
-                        )
-                    elif runs is None:
-                        shuffle_records = sum(len(b) for b in merged)
-                    else:
-                        # Resident buckets exclude the spilled slices;
-                        # count both so the span reports the true
-                        # shuffled volume under a budget.
-                        shuffle_records = sum(
-                            run.count if run.path is not None else len(run.records)
-                            for per_r in runs
-                            for run in per_r
-                        )
-                    sp.set("records", shuffle_records)
+                    sp.set("records", counters.engine(C.MAP_OUTPUT_RECORDS))
                     sp.set("bytes", sum(input_bytes))
                 timings.shuffle_s = time.perf_counter() - t0
 
                 t0 = time.perf_counter()
                 with rec.span("reduce", cat="phase", track="engine") as sp:
-                    if runs is None:
-                        reduce_phase = _ReducePhase(
-                            job,
-                            merged,
-                            seg_buckets=seg_buckets,
-                            profile=self.profiler is not None,
-                        )
-                    else:
-                        # Runs carry the resident remainders too, so the
-                        # merged buckets would only duplicate payload.
-                        reduce_phase = _ReducePhase(
-                            job,
-                            [[] for __ in range(job.num_reducers)],
-                            runs=runs,
-                            store=store,
-                            profile=self.profiler is not None,
-                        )
+                    reduce_phase = _ReducePhase(
+                        job,
+                        merged,
+                        seg_buckets=seg_buckets,
+                        store=store,
+                        profile=self.profiler is not None,
+                    )
                     if workers is not None:
                         workers.begin_phase(
                             "reduce",
@@ -1077,7 +1054,7 @@ class Cluster:
                 job_span.set("spilled_records", counters.engine(C.SPILLED_RECORDS))
                 job_span.set("spill_files", counters.engine(C.SPILL_FILES))
                 job_span.set("spill_overhead_s", overhead)
-                # The runs were merged into committed part files above;
+                # The runs were read into committed part files above;
                 # drop the scratch dir like Hadoop's task cleanup.
                 self.dfs.delete(spill_dir(job.name))
             # Advance the simulated clock ``at_s`` worker faults fire
@@ -1381,54 +1358,34 @@ class Cluster:
 
     def _stage_spills(
         self, job: MapReduceJob, map_results: list[_MapTaskResult], rec: NullRecorder
-    ) -> tuple[list[list[SpillRun]] | None, SpillStore | None]:
-        """Persist map-side spill runs and build the reduce merge plan.
+    ) -> SpillStore | None:
+        """Persist map-side spill runs for the reduce phase to read back.
 
         Spilled lines travel in the task results (process-pool children
         write to a DFS *copy*), so the engine commits them to the real
-        DFS here, parent-side, before the reduce phase forks.  Returns
-        ``(None, None)`` when no task spilled — the reduce phase then
-        takes the resident sort path untouched.  Otherwise ``runs[r]``
-        lists reducer ``r``'s sorted runs in map-task order: each task's
-        spilled side files first (spill order), then its resident
-        remainder — exactly the run set :func:`merge_runs` needs.
+        DFS here, parent-side, before the reduce phase forks, replacing
+        each line in its result by the :class:`SpillRun` naming its
+        file.  Returns the snapshot of the files, ``None`` when no task
+        spilled.
         """
-        if not any(
-            result.spill_runs is not None and any(result.spill_runs)
-            for result in map_results
-        ):
-            return None, None
-        runs: list[list[SpillRun]] = [[] for __ in range(job.num_reducers)]
         store = SpillStore()
-        files = 0
         for t, result in enumerate(map_results):
-            task_runs = result.spill_runs
-            for r in range(job.num_reducers):
-                if task_runs is not None:
-                    for j, lines in enumerate(task_runs[r]):
-                        path = (
-                            f"{spill_dir(job.name)}/map-{t:05d}/"
-                            f"r-{r:05d}-run-{j:03d}"
-                        )
-                        self.dfs.write_side_file(path, lines)
-                        store.files[path] = lines
-                        files += 1
-                        runs[r].append(
-                            SpillRun(task=t, path=path, count=len(lines))
-                        )
-                base = result.spill_base[r] if result.spill_base is not None else 0
-                if result.buckets[r]:
-                    runs[r].append(
-                        SpillRun(task=t, records=result.buckets[r], base=base)
-                    )
+            for r, runs in enumerate(result.spill_runs or ()):
+                for j, line in enumerate(runs):
+                    path = f"{spill_dir(job.name)}/map-{t:05d}/r-{r:05d}-run-{j:03d}"
+                    self.dfs.write_side_file(path, [line])
+                    store.files[path] = [line]
+                    runs[j] = SpillRun(path)
+        if not store.files:
+            return None
         if rec.enabled:
             rec.instant(
                 "spill-runs-staged",
                 cat="phase",
                 track="engine",
-                args={"files": files},
+                args={"files": len(store.files)},
             )
-        return runs, store
+        return store
 
     def _counter_timeline(
         self, rec: NullRecorder, phase: str, results: list
@@ -1462,9 +1419,9 @@ class Cluster:
             if budgeted:
                 spilled = r.counters.engine(C.SPILL_BYTES)
                 rec.counter_add("spill bytes (cumulative)", r.t_end, spilled)
-                rec.counter_add(
-                    "shuffle buffer bytes", r.t_end, out_bytes - spilled
-                )
+                # A combiner task un-spilled before combining: all resident.
+                resident = out_bytes if r.spill_runs is None else out_bytes - spilled
+                rec.counter_add("shuffle buffer bytes", r.t_end, resident)
 
     @staticmethod
     def _task_wall(
@@ -1705,22 +1662,27 @@ class Cluster:
         emission order inside a task — the same total order the row
         concatenation would have) and ``merged`` stays empty; any task
         on the row path degrades the whole merge to row form, converting
-        segments back to pairs so order is preserved regardless.
+        segments back to pairs so order is preserved regardless.  A
+        task's staged spill runs go in front of its resident slice,
+        where they were emitted.
         """
         num_reducers = job.num_reducers
         input_bytes = [0] * num_reducers
         for result in map_results:
             for r, nbytes in enumerate(result.bucket_bytes):
                 input_bytes[r] += nbytes
-        any_segments = any(result.segments is not None for result in map_results)
         merged: list[list[tuple]] = [[] for __ in range(num_reducers)]
-        if any_segments and not any(
-            any(bucket for bucket in result.buckets) for result in map_results
+        if any(result.segments is not None for result in map_results) and not any(
+            result.segments is None
+            and (result.spill_runs is not None or any(result.buckets))
+            for result in map_results
         ):
             seg_buckets: list[list[BucketSegment]] = [
                 [] for __ in range(num_reducers)
             ]
             for result in map_results:
+                for r, runs in enumerate(result.spill_runs or ()):
+                    seg_buckets[r].extend(runs)
                 if result.segments is None:
                     continue
                 for r, segs in enumerate(result.segments):
@@ -1728,6 +1690,8 @@ class Cluster:
                         seg_buckets[r].extend(segs)
             return merged, seg_buckets, input_bytes
         for result in map_results:
+            for r, runs in enumerate(result.spill_runs or ()):
+                merged[r].extend(runs)
             if result.segments is not None:
                 for r, segs in enumerate(result.segments):
                     for seg in segs:

@@ -272,8 +272,8 @@ def pack_task_result(result) -> tuple[bytes, list[bytes]]:
     """Serialize a task result for the pipe: protocol 5, out-of-band.
 
     The worker serializes once with pickle protocol 5, exporting large
-    contiguous buffers (numpy key arrays of columnar bucket segments,
-    spill-run frames) out-of-band via ``buffer_callback`` instead of
+    contiguous buffers (numpy key arrays of columnar bucket segments)
+    out-of-band via ``buffer_callback`` instead of
     re-framing them inside the stream.  The pipe then carries
     ``(data, buffers)`` — two flat byte payloads — rather than
     re-pickling the whole object graph at the transport's default

@@ -39,6 +39,7 @@ import numpy as np
 from repro.data.io import RecordCodec
 from repro.errors import JobError
 from repro.mapreduce.counters import C, Counters
+from repro.mapreduce.spill import decode_run, encode_run
 
 __all__ = [
     "MapReduceJob",
@@ -401,6 +402,12 @@ class MapContext:
         argsort and stored as per-bucket :class:`BucketSegment` runs —
         row indices into ``values`` — instead of ``(key, value)`` pairs.
         """
+        self._route(*self._flatten(keys, counts, values, sizes), values)
+
+    def _flatten(self, keys, counts, values, sizes):
+        """The argument setup of :meth:`emit_batch`: ``(keys, routed,
+        group_of, pair_sizes)``, one entry per flattened emission — its
+        key, reducer, group index and charged bytes."""
         num_reducers = self._num_reducers
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
@@ -419,9 +426,12 @@ class MapContext:
                     f"partitioner routed key {k!r} to invalid reducer "
                     f"{self._partitioner(k, num_reducers)}"
                 )
-        # Group index and per-pair size of every flattened emission.
         group_of = np.repeat(np.arange(len(values), dtype=np.int64), counts)
         pair_sizes = np.repeat(np.asarray(sizes, dtype=np.int64), counts)
+        return keys, routed, group_of, pair_sizes
+
+    def _route(self, keys, routed, group_of, pair_sizes, values) -> None:
+        """Store flattened emissions as per-bucket segments; count them."""
         # Stable sort by reducer: within one bucket the emissions stay
         # in flattened (group, target) order — the scalar emission order.
         order = np.argsort(routed, kind="stable")
@@ -430,7 +440,7 @@ class MapContext:
         sorted_groups = group_of[order]
         sorted_sizes = pair_sizes[order]
         if self.segments is None:
-            self.segments = [[] for __ in range(num_reducers)]
+            self.segments = [[] for __ in range(self._num_reducers)]
         segments = self.segments
         bucket_bytes = self.bucket_bytes
         n = len(sorted_buckets)
@@ -452,6 +462,11 @@ class MapContext:
         self._counters.add(C.GROUP_ENGINE, C.MAP_OUTPUT_RECORDS, n)
         self._counters.add(C.GROUP_ENGINE, C.MAP_OUTPUT_BYTES, nbytes)
 
+    def mixed_emission(self) -> bool:
+        """Whether the task emitted through both :meth:`emit` and
+        :meth:`emit_batch` — which a batch mapper must not."""
+        return self.segments is not None and any(self.buckets)
+
 
 class SpillingMapContext(MapContext):
     """A :class:`MapContext` with a per-task memory budget.
@@ -459,13 +474,14 @@ class SpillingMapContext(MapContext):
     ``budget`` bounds the estimated bytes of *buffered* emissions (the
     same :class:`ShuffleCodec` sizing the canonical ``MAP_OUTPUT_BYTES``
     counter charges, so accounting is free on the typed path).  Crossing
-    the budget spills every bucket's buffered slice as a sorted run —
-    the engine writes the runs to the DFS and the reduce side merges
-    them back with :func:`repro.mapreduce.spill.merge_runs`.
+    the budget spills every bucket's buffered slice as a run in emission
+    order (:mod:`repro.mapreduce.spill`) — the engine writes the runs to
+    the DFS and the reduce task reads each back where it was emitted.
 
     Spill points are a pure function of the emission sequence, so they
-    are identical on the serial, thread and process executors; the only
-    observable difference of a budgeted run is the ``spill*`` telemetry.
+    are identical on the serial, thread and process executors and for
+    the scalar and batch emission APIs; the only observable difference
+    of a budgeted run is the ``spill*`` telemetry.
     """
 
     def __init__(
@@ -476,18 +492,15 @@ class SpillingMapContext(MapContext):
         shuffle_codec: ShuffleCodec = DEFAULT_SHUFFLE_CODEC,
         *,
         budget: int,
-        sort_key,
     ) -> None:
         super().__init__(counters, num_reducers, partitioner, shuffle_codec)
         if budget <= 0:
             raise JobError(f"memory budget must be positive, got {budget}")
         self._budget = budget
-        self._sort_key = sort_key
         self._flushed_bytes = 0
-        #: serialized sorted runs per bucket, in spill order
-        self.spill_runs: list[list[list[str]]] = [[] for __ in range(num_reducers)]
-        #: bucket-local sequence number of the first *buffered* record
-        self.spill_base: list[int] = [0] * num_reducers
+        self._row_spills = False
+        #: encoded runs per bucket (one line each), in spill order
+        self.spill_runs: list[list[str]] = [[] for __ in range(num_reducers)]
 
     @property
     def spilled(self) -> bool:
@@ -499,72 +512,78 @@ class SpillingMapContext(MapContext):
             self._spill()
 
     def emit_batch(self, keys, counts, values, sizes) -> None:
-        """Batch emission under a budget: replay the scalar sequence.
+        """Batch emission under a budget, spilling where :meth:`emit` would.
 
-        Spill points are a pure function of the emission sequence, so a
-        budgeted task must observe every emission individually — the
-        batch collapses to the equivalent :meth:`emit` loop (identical
-        spill files, ``SPILL*`` counters and byte accounting), while the
-        *mapper* still gets to compute its routing columnarly.
+        :meth:`emit` spills right after the emission that takes the
+        buffered bytes past the budget.  The output bytes after each
+        flattened emission are a running sum, so each such spill point
+        is one binary search; the emissions between consecutive points
+        take the ordinary batch route.  Runs, ``SPILL*`` counters and
+        byte accounting equal those of the equivalent :meth:`emit` loop.
         """
-        if not isinstance(keys, list):
-            keys = keys.tolist()
-        emit = self.emit
-        pos = 0
-        for g, value in enumerate(values):
-            cnt = counts[g]
-            for key in keys[pos : pos + cnt]:
-                emit(key, value)
-            pos += cnt
+        keys, routed, group_of, pair_sizes = self._flatten(keys, counts, values, sizes)
+        after = self.output_bytes + np.cumsum(pair_sizes)
+        n = len(keys)
+        lo = 0
+        while True:
+            cut = int(
+                np.searchsorted(after, self._flushed_bytes + self._budget, side="right")
+            )
+            hi = min(cut + 1, n)
+            self._route(
+                keys[lo:hi], routed[lo:hi], group_of[lo:hi], pair_sizes[lo:hi], values
+            )
+            if cut >= n:
+                return
+            self._spill()
+            lo = hi
 
     def _spill(self) -> None:
-        from repro.mapreduce.spill import encode_spill_record, sort_run
-
         counters = self._counters
+        segments = self.segments
         for r, bucket in enumerate(self.buckets):
-            if not bucket:
+            if bucket:
+                run = bucket
+                self.buckets[r] = []
+                self._row_spills = True
+            elif segments is not None and segments[r]:
+                run = _compact(segments[r])
+                segments[r] = []
+            else:
                 continue
-            base = self.spill_base[r]
-            lines = [
-                encode_spill_record(seq, key, value)
-                for seq, key, value in sort_run(bucket, base, self._sort_key)
-            ]
-            self.spill_runs[r].append(lines)
-            self.spill_base[r] = base + len(bucket)
-            self.buckets[r] = []
-            counters.add(C.GROUP_ENGINE, C.SPILLED_RECORDS, len(lines))
+            self.spill_runs[r].append(encode_run(run))
+            counters.add(C.GROUP_ENGINE, C.SPILLED_RECORDS, len(run))
             counters.add(C.GROUP_ENGINE, C.SPILL_FILES)
-            counters.add(
-                C.GROUP_ENGINE,
-                C.SPILL_BYTES,
-                sum(len(line) + 1 for line in lines),
-            )
+        # The budget's own unit: the buffered emissions' shuffle bytes.
+        counters.add(
+            C.GROUP_ENGINE, C.SPILL_BYTES, self.output_bytes - self._flushed_bytes
+        )
         self._flushed_bytes = self.output_bytes
+
+    def mixed_emission(self) -> bool:
+        return self.segments is not None and (self._row_spills or any(self.buckets))
 
     def unspill(self) -> None:
         """Rebuild full in-memory buckets in original emission order.
 
         Used before a combiner runs: the combiner contract is whole-
-        bucket grouping, so the engine restores the unbounded bucket
-        shape (the spill telemetry stays — the spills did happen).
+        bucket grouping, so the engine prepends each bucket's runs to
+        its resident remainder (the spill telemetry stays — the spills
+        did happen).
         """
-        from repro.mapreduce.spill import decode_spill_record
-
         for r, runs in enumerate(self.spill_runs):
-            if not runs:
-                continue
-            base = self.spill_base[r]
-            records = [
-                decode_spill_record(line) for run in runs for line in run
-            ]
-            records.extend(
-                (base + i, key, value)
-                for i, (key, value) in enumerate(self.buckets[r])
-            )
-            records.sort(key=lambda rec: rec[0])
-            self.buckets[r] = [(key, value) for __, key, value in records]
-            self.spill_runs[r] = []
-            self.spill_base[r] = 0
+            if runs:
+                spilled = [pair for line in runs for pair in decode_run(line)]
+                self.buckets[r] = spilled + self.buckets[r]
+                self.spill_runs[r] = []
+
+
+def _compact(segs: list[BucketSegment]) -> BucketSegment:
+    """One segment over just the values of ``segs`` — a bucket's
+    buffered slice, so its run carries none of the task's other rows."""
+    keys = np.concatenate([seg.keys for seg in segs])
+    values = gather_values([seg.gather() for seg in segs])
+    return BucketSegment(keys, values, np.arange(len(keys), dtype=np.int64))
 
 
 class ReduceContext:
@@ -695,10 +714,10 @@ class MapReduceJob:
         When set (and the job has no combiner) it is the job's one map
         body: retries, fault plans and worker loss run it too, record
         skipping hands it the split with the skipped rows taken out of
-        the entries and the columns, and under a ``memory_budget`` its
-        emissions are replayed record by record so spill points are
-        unchanged.  Leave it ``None`` to run ``mapper``, which remains
-        the reference implementation and must always be provided.
+        the entries and the columns, and a ``memory_budget`` spills its
+        emissions at the points the record loop would.  Leave it
+        ``None`` to run ``mapper``, which remains the reference
+        implementation and must always be provided.
     """
 
     name: str

@@ -1,48 +1,34 @@
-"""Spill-run format and the reduce-side external merge.
+"""Spill-run format and the reduce-side read-back.
 
 Memory governance splits a map task's shuffle buffer into *runs*: when
 the buffered bytes (measured by the job's :class:`ShuffleCodec` sizers,
 the same accounting the canonical ``MAP_OUTPUT_BYTES`` counter uses)
-exceed the task's budget, the buffered slice of every bucket is sorted
-and written to the DFS as a side file; the final unspilled remainder
-travels in the task result as before.
+exceed the task's budget, the buffered slice of every bucket is written
+to the DFS as a side file; the final unspilled remainder travels in the
+task result as before.
 
-The determinism contract survives because of one invariant: the
-unbounded reduce path orders a bucket by the stable sort
-``(sort_key(key), global emission index)``, and within one map task the
-bucket-local emission index ``seq`` is a monotone relabelling of the
-global one.  Every run — spilled or resident — is therefore merged on
-the key
+A run is its bucket slice in *emission order*: the ``(key, value)``
+list of a row bucket, or one :class:`~repro.mapreduce.job.BucketSegment`
+over just the slice's values for a columnar bucket.  A task's spilled
+runs followed by its resident remainder are therefore exactly its
+unbounded bucket, so the reduce task reads each run back where it was
+emitted (:meth:`SpillStore.read_back`) and groups with the same stable
+sort an unbudgeted run uses.  Byte-for-byte part files, identical
+counters, identical canonical simulated seconds.
 
-    ``(sort_key(key), map_task_id, seq)``
-
-which is unique per record (so heap comparisons never reach the key or
-value objects) and reproduces the stable sort exactly.  Byte-for-byte
-part files, identical counters, identical canonical simulated seconds.
-
-Spill files serialize one record per line as
-``base64(pickle((seq, key, value)))`` — pickling because shuffle records
-are arbitrary Python objects on the typed path, base64 because DFS lines
+A run file is one line, ``base64(pickle(run))`` — pickling because
+shuffle values are arbitrary Python objects, base64 because DFS lines
 must stay newline-free text.
 """
 
 from __future__ import annotations
 
 import base64
-import heapq
 import pickle
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = [
-    "SpillRun",
-    "SpillStore",
-    "encode_spill_record",
-    "decode_spill_record",
-    "merge_runs",
-    "sort_run",
-    "spill_dir",
-]
+__all__ = ["SpillRun", "SpillStore", "decode_run", "encode_run", "spill_dir"]
 
 
 def spill_dir(job_name: str) -> str:
@@ -50,32 +36,23 @@ def spill_dir(job_name: str) -> str:
     return f"_spill/{job_name}"
 
 
-def encode_spill_record(seq: int, key: Any, value: Any) -> str:
-    """One spill-file line: newline-free text for a ``(seq, key, value)``."""
-    blob = pickle.dumps((seq, key, value), protocol=pickle.HIGHEST_PROTOCOL)
+def encode_run(run: Any) -> str:
+    """A run file's one line: newline-free text for a bucket slice."""
+    blob = pickle.dumps(run, protocol=pickle.HIGHEST_PROTOCOL)
     return base64.b64encode(blob).decode("ascii")
 
 
-def decode_spill_record(line: str) -> tuple[int, Any, Any]:
-    """Inverse of :func:`encode_spill_record`."""
+def decode_run(line: str) -> Any:
+    """Inverse of :func:`encode_run`."""
     return pickle.loads(base64.b64decode(line.encode("ascii")))
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class SpillRun:
-    """One sorted run of a reducer's input.
+    """A reference to one spilled run, standing in a reducer's input
+    where the run's emissions were made."""
 
-    Either a spilled side file (``path`` set, ``count`` records, already
-    sorted when written) or the map task's resident remainder
-    (``records`` set — raw ``(key, value)`` pairs in emission order
-    whose bucket-local sequence numbers start at ``base``).
-    """
-
-    task: int
-    path: str | None = None
-    count: int = 0
-    records: list = field(default_factory=list)
-    base: int = 0
+    path: str
 
 
 @dataclass(slots=True)
@@ -84,55 +61,26 @@ class SpillStore:
 
     The engine writes every run to the DFS (durability — the files are
     inspectable until the job commits) and hands reduce tasks this
-    snapshot instead: it exposes the one method the merge needs,
-    :meth:`read_side_file`, and pickles at the size of the spilled data
+    snapshot instead, which pickles at the size of the spilled data
     alone, so process-pool workers never serialize the whole DFS.
     """
 
     files: dict[str, list[str]] = field(default_factory=dict)
 
-    def read_side_file(self, path: str) -> list[str]:
-        return self.files[path]
-
-
-def _iter_run(run: SpillRun, dfs, sort_key):
-    """Yield ``(skey, task, seq, key, value)`` in ascending merge order."""
-    if run.path is not None:
-        for line in dfs.read_side_file(run.path):
-            seq, key, value = decode_spill_record(line)
-            yield (sort_key(key), run.task, seq, key, value)
-    else:
-        # The resident remainder is in emission order; decorate-sort it
-        # exactly like the unbounded path's stable sort.
-        yield from sorted(
-            (sort_key(key), run.task, run.base + i, key, value)
-            for i, (key, value) in enumerate(run.records)
-        )
-
-
-def merge_runs(runs: list[SpillRun], dfs, sort_key) -> list[tuple[Any, Any]]:
-    """K-way heap merge of sorted runs back into stable-sort order.
-
-    Returns ``(key, value)`` pairs ordered exactly as
-    ``_sorted_by_key`` would order the concatenated unbounded buckets —
-    see the module docstring for why the merge key reproduces it.
-    """
-    merged = heapq.merge(*(_iter_run(run, dfs, sort_key) for run in runs))
-    return [(key, value) for (__, __, __, key, value) in merged]
-
-
-def sort_run(records: list, base: int, sort_key) -> list[tuple[int, Any, Any]]:
-    """Sort one buffered bucket slice for spilling.
-
-    ``records`` are ``(key, value)`` pairs in emission order whose
-    bucket-local sequence numbers start at ``base``; the result is
-    ``(seq, key, value)`` in ``(sort_key(key), seq)`` order, ready for
-    :func:`encode_spill_record`.
-    """
-    decorated = sorted(
-        (sort_key(key), base + i) for i, (key, __) in enumerate(records)
-    )
-    return [
-        (seq, records[seq - base][0], records[seq - base][1])
-        for __, seq in decorated
-    ]
+    def read_back(self, items: list, rows: bool = False) -> list:
+        """``items`` with every :class:`SpillRun` replaced in place by its
+        run: a row run's pairs, or its segment — as pairs when ``rows``
+        (a reducer on the row shuffle)."""
+        out: list = []
+        for item in items:
+            if type(item) is not SpillRun:
+                out.append(item)
+                continue
+            run = decode_run(self.files[item.path][0])
+            if isinstance(run, list):
+                out.extend(run)
+            elif rows:
+                out.extend(run.pairs())
+            else:
+                out.append(run)
+        return out

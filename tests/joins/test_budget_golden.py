@@ -4,8 +4,9 @@ The acceptance contract: a ``memory_budget`` small enough to force
 map-side spills in every algorithm changes *nothing canonical* — part
 files byte-identical to the unbounded run, identical counters modulo
 the new ``spill*`` telemetry, identical canonical simulated seconds —
-on all three executors.  The external merge must therefore reproduce
-the unbounded path's stable sort exactly, duplicate keys included.
+on all three executors.  A task's runs are read back where they were
+emitted, so the reduce side's stable sort sees the unbounded bucket,
+duplicate keys included.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ import pytest
 from repro.experiments.common import derive_grid
 from repro.experiments.workloads import synthetic_chain
 from repro.joins.registry import ALGORITHMS, make_algorithm
+from repro.kernels import resolve_kernel
+from repro.mapreduce.counters import C
 from repro.mapreduce.engine import Cluster
+from repro.mapreduce.job import SpillingMapContext
 from repro.query.predicates import Overlap
 from repro.query.query import Query
 
@@ -117,3 +121,41 @@ def test_golden_run_is_unspilled(golden, algorithm_name):
     assert any(lines for lines in snapshot.values())
     eng_counters = ref.workflow.counters.as_dict()["engine"]
     assert not any(k.startswith("spill") for k in eng_counters)
+
+
+@pytest.mark.skipif(
+    resolve_kernel("numpy") != "numpy", reason="REPRO_KERNEL forces the scalar kernel"
+)
+@pytest.mark.parametrize("algorithm_name", ALGORITHMS)
+@pytest.mark.parametrize(("executor", "workers"), EXECUTORS)
+def test_budgeted_batch_mappers_never_emit_record_by_record(
+    monkeypatch, workload, algorithm_name, executor, workers
+):
+    """Spilling is a property of the batch: under a spill-forcing budget
+    no job that declares a batch mapper calls ``SpillingMapContext.emit``.
+    (The Cascade's ``self_first`` step declares none.)  Calls are counted
+    in the task's counter shard, so forked workers report them too."""
+    real_emit = SpillingMapContext.emit
+
+    def emit(self, key, value):
+        self.counter("spy", "emit")
+        real_emit(self, key, value)
+
+    batch_jobs: dict[str, bool] = {}
+    real_run_job = Cluster.run_job
+
+    def run_job(self, job, *args, **kwargs):
+        batch_jobs[job.name] = job.batch_mapper is not None
+        return real_run_job(self, job, *args, **kwargs)
+
+    monkeypatch.setattr(SpillingMapContext, "emit", emit)
+    monkeypatch.setattr(Cluster, "run_job", run_job)
+    __, result = _run(
+        workload, algorithm_name, budget=BUDGET, executor=executor, workers=workers
+    )
+    assert result.workflow.counters.engine(C.SPILLED_RECORDS) > 0
+    jobs = result.workflow.job_results
+    assert any(batch_jobs[job.job_name] for job in jobs)
+    for job in jobs:
+        if batch_jobs[job.job_name]:
+            assert job.counters.get("spy", "emit") == 0, job.job_name

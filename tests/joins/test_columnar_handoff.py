@@ -11,9 +11,9 @@ objects and is the reference.  The contract: every part file of every
 job directory (``marked``, ``step-*``, ``output``), every counter and the
 simulated seconds are identical — on every executor, under recovery
 (an active ``RetryPolicy``; poison records quarantined by skipping mode,
-whose rows are masked out of the bundle slice), and on every path whose
-consumers read the bundle's lazy row view instead (spill replay, string
-rids, the file-system DFS).
+whose rows are masked out of the bundle slice), under a spilling memory
+budget, and on every path whose consumers read the bundle's lazy row
+view instead (string rids, the file-system DFS).
 
 Geometry is adversarial on purpose: coordinates come from a lattice that
 contains the cell boundaries (edges on boundaries, rectangles that

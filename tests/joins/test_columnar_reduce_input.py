@@ -8,9 +8,9 @@ of ``(dataset, rid, rect)`` tuples.  ``kernel="python"`` still walks the
 tuples and is the reference.  The contract, per algorithm that takes the
 columnar path (All-Replicate, C-Rep, C-Rep-L): part files, canonical
 counters and simulated seconds are byte-identical to the reference — on
-the columnar path proper, and on every path that hands the same numpy
-reducers a plain value list instead (spill merge, non-integer rids), on
-every executor.
+the columnar path proper (also under a spilling budget), and on every
+path that hands the same numpy reducers a plain value list instead
+(non-integer rids), on every executor.
 
 Geometry is adversarial on purpose: coordinates come from a lattice that
 contains the cell boundaries (edges on boundaries, rectangles that
@@ -188,12 +188,13 @@ def _fixed_workload():
 )
 @pytest.mark.parametrize(
     ("mode", "columnar"),
-    [("columnar", True), ("spill", False)],
+    [("columnar", True), ("spill", True)],
 )
 def test_reducers_see_columns_exactly_on_the_columnar_path(monkeypatch, mode, columnar):
     """The numpy reducers enter through one function; what reaches it is
-    gathered columns on the columnar shuffle and a plain list after a
-    spill merge."""
+    gathered columns on the columnar shuffle — also under a spilling
+    budget, whose runs are read back as segments where they were
+    emitted."""
     seen = []
     real = reducers.dataset_batches
 

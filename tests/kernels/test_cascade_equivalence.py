@@ -264,13 +264,14 @@ def _fixed_workload():
 )
 @pytest.mark.parametrize(
     ("mode", "columnar"),
-    [("columnar", True), ("spill", False), ("retry", True)],
+    [("columnar", True), ("spill", True), ("retry", True)],
 )
 def test_reducer_sees_columns_exactly_on_the_columnar_path(monkeypatch, mode, columnar):
     """The numpy step reducer enters through one function; what reaches
     it is the group's column runs on the columnar shuffle — tuple side,
-    then base side — also under an active retry policy, which runs the
-    same batch mappers; a spill merge hands it a plain list."""
+    then base side — also under an active retry policy and under a
+    spilling budget, which run the same batch mappers and read spilled
+    runs back as segments where they were emitted."""
     seen = []
     real = cascade._group_columns
 

@@ -74,6 +74,18 @@ def _canonical(counters) -> dict:
     }
 
 
+def _traced_run(combiner=None):
+    """The recorder of a spilling word-count run."""
+    from repro.obs.trace import TraceRecorder
+
+    recorder = TraceRecorder()
+    cluster = Cluster(dfs=InMemoryDFS(), memory_budget=TINY_BUDGET, recorder=recorder)
+    cluster.dfs.write_file("in", _input_lines())
+    result = cluster.run_job(_word_count_job(combiner=combiner))
+    assert result.counters.engine(C.SPILLED_RECORDS) > 0
+    return recorder
+
+
 class TestBudgetedEquivalence:
     @pytest.mark.parametrize(("executor", "workers"), EXECUTORS)
     def test_byte_identical_under_pressure(self, executor, workers):
@@ -114,6 +126,17 @@ class TestBudgetedEquivalence:
         )
         assert job_span.args["spill_overhead_s"] == result.cost.spill_overhead_s
 
+    def test_shuffle_buffer_gauge_never_goes_negative(self):
+        """Spill bytes are counted in the budget's own unit — the shuffle
+        bytes the spilled emissions were charged — so the trace's buffer
+        gauge (shuffled minus spilled) stays non-negative."""
+        recorder = _traced_run()
+        gauge = [value for __, value in recorder.counters["shuffle buffer bytes"]]
+        assert min(gauge) >= 0
+        spilled = recorder.counters["spill bytes (cumulative)"][-1][1]
+        shuffled = recorder.counters["shuffle bytes (cumulative)"][-1][1]
+        assert 0 < spilled <= shuffled
+
     def test_dfs_byte_counters_stay_canonical(self):
         """Spill runs travel as unaccounted side files: the canonical
         DFS read/write counters must not see them."""
@@ -140,6 +163,79 @@ class TestBudgetedCombiner:
         assert result.counters.engine(C.SPILLED_RECORDS) > 0
         assert _canonical(result.counters) == _canonical(ref.counters)
         assert not cluster.dfs.list_dir("_spill/wc")
+
+    def test_unspilled_buffer_gauge_never_goes_negative(self):
+        """A combiner task holds its whole combined output once it
+        un-spills, however many pre-combine bytes it spilled."""
+        recorder = _traced_run(
+            combiner=lambda word, counts: [str(sum(int(c) for c in counts))]
+        )
+        gauge = [value for __, value in recorder.counters["shuffle buffer bytes"]]
+        assert min(gauge) >= 0
+
+
+@pytest.mark.parametrize("budget", [None, 16])
+def test_mixed_emission_is_rejected_whatever_the_budget(budget):
+    """A batch mapper must emit through one API per task; a budget that
+    spills the row emissions away must not hide the mix."""
+
+    def batch_mapper(split, ctx, batch):
+        ctx.emit(0, "row" * 10)  # over the 16-byte budget: spills
+        ctx.emit_batch([1], [1], ["col"], [ctx.pair_nbytes(1, "col")])
+
+    job = MapReduceJob(
+        name="mixed",
+        input_paths=["in"],
+        output_path="out",
+        mapper=lambda key, line, ctx: None,
+        reducer=lambda key, values, ctx: None,
+        num_reducers=2,
+        batch_mapper=batch_mapper,
+    )
+    cluster = Cluster(dfs=InMemoryDFS(), memory_budget=budget)
+    cluster.dfs.write_file("in", _input_lines())
+    with pytest.raises(JobError, match=r"mixed emit\(\) and emit_batch\(\)"):
+        cluster.run_job(job)
+
+
+@pytest.mark.parametrize("budget", [None, 16])
+def test_row_and_batch_tasks_merge_in_emission_order(budget):
+    """Tasks of one job may use different emission APIs: the shuffle
+    then degrades to rows, spilled segment runs included, and reducers
+    still see every task's values in emission order."""
+
+    def mapper(key, line, ctx):
+        for word in line.split():
+            ctx.emit(len(word) % 3, word)
+
+    def batch_mapper(split, ctx, batch):
+        if split[0][1] // 10 % 2 == 0:  # every other task: rows
+            for path, lineno, line, __ in split:
+                mapper((path, lineno), line, ctx)
+            return
+        words = [word for entry in split for word in entry[2].split()]
+        keys = [len(word) % 3 for word in words]
+        sizes = [ctx.pair_nbytes(k, word) for k, word in zip(keys, words)]
+        ctx.emit_batch(keys, [1] * len(words), words, sizes)
+
+    def run(budget, batch):
+        job = MapReduceJob(
+            name="mixed-tasks",
+            input_paths=["in"],
+            output_path="out",
+            mapper=mapper,
+            reducer=lambda key, values, ctx: ctx.emit(f"{key}\t{','.join(values)}"),
+            num_reducers=2,
+            batch_mapper=batch_mapper if batch else None,
+        )
+        cluster = Cluster(dfs=InMemoryDFS(), memory_budget=budget, split_records=10)
+        cluster.dfs.write_file("in", _input_lines())
+        result = cluster.run_job(job)
+        return result, [cluster.dfs.read_file(p) for p in cluster.dfs.list_dir("out")]
+
+    result, output = run(budget, batch=True)
+    assert output == run(None, batch=False)[1]
+    assert (result.counters.engine(C.SPILLED_RECORDS) > 0) == (budget is not None)
 
 
 class TestBudgetScope:

@@ -1,27 +1,32 @@
-"""Spill primitives: run format, external merge, budgeted map context.
+"""Spill primitives: run format, read-back, budgeted map context.
 
-The memory-governance invariant under test: merging sorted runs on
-``(sort_key(key), map_task_id, seq)`` reproduces the unbounded path's
-stable sort exactly, for any placement of the spill points.
+The memory-governance invariant under test: a task's spilled runs, in
+emission order, followed by its resident remainder are exactly its
+unbounded buckets — for any placement of the spill points and whether
+the task emits record by record or in batches.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import JobError
 from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.engine import _sorted_by_key
-from repro.mapreduce.job import SpillingMapContext
+from repro.mapreduce.job import (
+    BucketSegment,
+    MapContext,
+    SpillingMapContext,
+    identity_partitioner,
+)
 from repro.mapreduce.spill import (
     SpillRun,
     SpillStore,
-    decode_spill_record,
-    encode_spill_record,
-    merge_runs,
-    sort_run,
+    decode_run,
+    encode_run,
     spill_dir,
 )
 
@@ -31,38 +36,40 @@ def _identity_sort_key(key):
 
 
 class TestSpillRecordCodec:
+    """A run file is one line: ``base64(pickle(run))``."""
+
     def test_round_trip_arbitrary_objects(self):
-        record = (7, ("cell", 3), {"payload": [1.5, None, "x"]})
-        line = encode_spill_record(*record)
+        run = [(7, ("cell", 3)), (2, {"payload": [1.5, None, "x"]})]
+        line = encode_run(run)
         assert "\n" not in line
-        assert decode_spill_record(line) == record
+        assert decode_run(line) == run
 
     def test_spill_dir_is_job_scoped(self):
         assert spill_dir("my-job") == "_spill/my-job"
 
-
-class TestSortRun:
-    def test_orders_by_sort_key_then_sequence(self):
-        # Emission order: keys 3, 1, 3, 2 with bucket-local seqs 10..13.
-        records = [(3, "a"), (1, "b"), (3, "c"), (2, "d")]
-        out = sort_run(records, base=10, sort_key=_identity_sort_key)
-        assert out == [(11, 1, "b"), (13, 2, "d"), (10, 3, "a"), (12, 3, "c")]
-
-    def test_equal_keys_keep_emission_order(self):
-        records = [(0, "first"), (0, "second"), (0, "third")]
-        out = sort_run(records, base=0, sort_key=_identity_sort_key)
-        assert [v for __, __, v in out] == ["first", "second", "third"]
+    def test_read_back_puts_each_run_where_it_was_emitted(self):
+        segment = BucketSegment(np.array([4, 4]), ["c", "d"], np.arange(2))
+        store = SpillStore(
+            {"rows": [encode_run([(1, "a"), (2, "b")])], "seg": [encode_run(segment)]}
+        )
+        items = [SpillRun("rows"), (3, "x"), SpillRun("seg")]
+        assert store.read_back(items, rows=True) == [
+            (1, "a"), (2, "b"), (3, "x"), (4, "c"), (4, "d")
+        ]
+        back = store.read_back([SpillRun("seg")])
+        assert len(back) == 1 and back[0].pairs() == [(4, "c"), (4, "d")]
 
 
 class TestMergeRuns:
-    """merge_runs == _sorted_by_key of the concatenated buckets, always."""
+    """Runs read back in place, then the reduce task's stable sort ==
+    ``_sorted_by_key`` of the concatenated unbounded buckets, always."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("spill_every", [1, 3, 7])
     def test_reproduces_stable_sort(self, seed, spill_every):
         rng = random.Random(seed)
         store = SpillStore()
-        runs = []
+        bucket = []  # the reducer's merged input: runs, then resident, per task
         combined = []  # records in (task, emission) order, the unbounded bucket
         for task in range(3):
             emitted = [
@@ -71,29 +78,98 @@ class TestMergeRuns:
             combined.extend(emitted)
             # Cut this task's emissions into spilled runs of spill_every
             # records plus a resident remainder (possibly empty).
-            base = 0
-            for lo in range(0, len(emitted) - spill_every, spill_every):
-                chunk = emitted[lo : lo + spill_every]
+            lo = 0
+            while len(emitted) - lo > spill_every:
                 path = f"run-{task}-{lo}"
-                store.files[path] = [
-                    encode_spill_record(seq, key, value)
-                    for seq, key, value in sort_run(chunk, base, _identity_sort_key)
-                ]
-                runs.append(SpillRun(task=task, path=path, count=len(chunk)))
-                base += len(chunk)
-            remainder = emitted[base:]
-            if remainder:
-                runs.append(SpillRun(task=task, records=remainder, base=base))
-        merged = merge_runs(runs, store, _identity_sort_key)
-        assert merged == _sorted_by_key(combined, _identity_sort_key)
+                store.files[path] = [encode_run(emitted[lo : lo + spill_every])]
+                bucket.append(SpillRun(path))
+                lo += spill_every
+            bucket.extend(emitted[lo:])
+        read = store.read_back(bucket, rows=True)
+        assert read == combined
+        assert _sorted_by_key(read, _identity_sort_key) == _sorted_by_key(
+            combined, _identity_sort_key
+        )
 
     def test_resident_only_runs_merge(self):
-        runs = [
-            SpillRun(task=0, records=[(2, "a"), (1, "b")], base=0),
-            SpillRun(task=1, records=[(1, "c"), (2, "d")], base=0),
+        bucket = [(2, "a"), (1, "b"), (1, "c"), (2, "d")]
+        read = SpillStore().read_back(bucket, rows=True)
+        assert _sorted_by_key(read, _identity_sort_key) == [
+            (1, "b"), (1, "c"), (2, "a"), (2, "d")
         ]
-        merged = merge_runs(runs, SpillStore(), _identity_sort_key)
-        assert merged == [(1, "b"), (1, "c"), (2, "a"), (2, "d")]
+
+
+def _nonzero(counters):
+    return {k: v for k, v in counters.as_dict().get("engine", {}).items() if v}
+
+
+def _as_pairs(run):
+    return run if isinstance(run, list) else run.pairs()
+
+
+def _emission_sequence(rng):
+    """Random batch-emission calls: ``(keys, counts, values)`` each."""
+    calls = []
+    for __ in range(rng.randint(1, 3)):
+        values = [
+            f"v{rng.randrange(100)}" * rng.randint(1, 4)
+            for __ in range(rng.randint(0, 12))
+        ]
+        counts = [rng.randint(0, 4) for __ in values]
+        keys = [rng.randrange(10) for __ in range(sum(counts))]
+        calls.append((keys, counts, values))
+    return calls
+
+
+class TestBatchSpillEqualsRecordSpill:
+    """A budgeted ``emit_batch`` spills exactly where the ``emit`` loop
+    would, and a task's runs followed by its resident remainder are its
+    unbounded buckets."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_runs_and_counters_match_the_emit_loop(self, seed):
+        rng = random.Random(seed)
+        num_reducers = rng.randint(1, 4)
+        budget = rng.randint(1, 120)
+        partitioner = identity_partitioner if seed % 2 else (lambda key, n: (key * 7) % n)
+        calls = _emission_sequence(rng)
+
+        def ctx_of(budget):
+            counters = Counters()
+            if budget is None:
+                return MapContext(counters, num_reducers, partitioner), counters
+            return (
+                SpillingMapContext(counters, num_reducers, partitioner, budget=budget),
+                counters,
+            )
+
+        batch, batch_counters = ctx_of(budget)
+        loop, loop_counters = ctx_of(budget)
+        unbounded, __ = ctx_of(None)
+        for keys, counts, values in calls:
+            sizes = [loop.pair_nbytes(0, value) for value in values]
+            batch.emit_batch(np.array(keys, dtype=np.int64), counts, values, sizes)
+            pos = 0
+            for value, count in zip(values, counts):
+                for key in keys[pos : pos + count]:
+                    loop.emit(key, value)
+                    unbounded.emit(key, value)
+                pos += count
+
+        # (An empty batch adds zero-valued counters; the loop adds none.)
+        assert _nonzero(batch_counters) == _nonzero(loop_counters)
+        assert batch.bucket_bytes == loop.bucket_bytes == unbounded.bucket_bytes
+        batch_runs = [
+            [_as_pairs(decode_run(line)) for line in runs] for runs in batch.spill_runs
+        ]
+        loop_runs = [[decode_run(line) for line in runs] for runs in loop.spill_runs]
+        assert batch_runs == loop_runs
+        for r in range(num_reducers):
+            resident = [pair for seg in batch.segments[r] for pair in seg.pairs()]
+            assert resident == loop.buckets[r]
+            spilled = [pair for run in batch_runs[r] for pair in run]
+            assert spilled + resident == unbounded.buckets[r]
+        assert not batch.mixed_emission()
 
 
 def _make_ctx(budget, num_reducers=2):
@@ -103,7 +179,6 @@ def _make_ctx(budget, num_reducers=2):
         num_reducers,
         partitioner=lambda key, n: key % n,
         budget=budget,
-        sort_key=_identity_sort_key,
     )
     return ctx, counters
 
@@ -124,7 +199,7 @@ class TestSpillingMapContext:
         assert eng(C.SPILL_BYTES) > 0
         # Canonical counters are untouched by spilling.
         assert eng(C.MAP_OUTPUT_RECORDS) == 100
-        spilled = sum(len(run) for runs in ctx.spill_runs for run in runs)
+        spilled = sum(len(decode_run(run)) for runs in ctx.spill_runs for run in runs)
         resident = sum(len(bucket) for bucket in ctx.buckets)
         assert spilled == eng(C.SPILLED_RECORDS)
         assert spilled + resident == 100
@@ -146,7 +221,7 @@ class TestSpillingMapContext:
             ctx, __counters = _make_ctx(budget=64)
             for i in range(100):
                 ctx.emit(i % 2, f"value-{i}")
-            runs.append((ctx.spill_runs, ctx.spill_base, ctx.buckets))
+            runs.append((ctx.spill_runs, ctx.buckets))
         assert runs[0] == runs[1]
 
     def test_unspill_restores_emission_order(self):
