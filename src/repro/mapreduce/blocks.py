@@ -7,8 +7,9 @@ re-replicating when a node dies.  This module supplies that layer under
 both DFS backends:
 
 * every tracked file is chunked into line-range blocks of
-  ``block_records`` records, each with a CRC32C checksum over its
-  encoded bytes;
+  ``block_records`` records, each with a CRC-32 checksum over its
+  encoded bytes (``zlib.crc32``: Hadoop 0.20.2, the paper's substrate,
+  checksums HDFS blocks with plain CRC-32);
 * each block is copied onto ``replication`` distinct workers from the
   cluster's :class:`~repro.mapreduce.workers.WorkerPool` — replica
   copies live in the DFS's *side-file* namespace under ``_blocks/``
@@ -36,9 +37,12 @@ layers before it.
 
 from __future__ import annotations
 
+import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import DFSError
+from repro.mapreduce.job import SplitEntries
 from repro.mapreduce.placement import (
     PLACEMENT_PATH,
     REPLICA_ROOT,
@@ -47,7 +51,6 @@ from repro.mapreduce.placement import (
 )
 
 __all__ = [
-    "crc32c",
     "block_payload",
     "chunk_blocks",
     "BlockPlane",
@@ -55,44 +58,13 @@ __all__ = [
     "FsckReport",
 ]
 
-# ----------------------------------------------------------------------
-# CRC32C (Castagnoli) — pure python, no external deps.  zlib.crc32 is
-# plain CRC32 (IEEE); HDFS checksums blocks with CRC32C, so we match.
-# ----------------------------------------------------------------------
-_CRC32C_POLY = 0x82F63B78  # Castagnoli polynomial, reversed form
-
-
-def _build_table() -> list[int]:
-    table = []
-    for i in range(256):
-        crc = i
-        for _ in range(8):
-            crc = (crc >> 1) ^ _CRC32C_POLY if crc & 1 else crc >> 1
-        table.append(crc)
-    return table
-
-
-_CRC32C_TABLE = _build_table()
-
-
-def crc32c(data: bytes, crc: int = 0) -> int:
-    """CRC32C (Castagnoli) of ``data``; chainable via ``crc``.
-
-    Standard test vector: ``crc32c(b"123456789") == 0xE3069283``.
-    """
-    crc ^= 0xFFFFFFFF
-    table = _CRC32C_TABLE
-    for byte in data:
-        crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
-    return crc ^ 0xFFFFFFFF
-
 
 def block_payload(lines: list[str]) -> bytes:
     """The encoded bytes a block checksums: lines + trailing newlines."""
-    return "".join(line + "\n" for line in lines).encode("utf-8")
+    return "\n".join([*lines, ""]).encode("utf-8")
 
 
-def chunk_blocks(lines: list[str], block_records: int) -> list[tuple[int, list[str]]]:
+def chunk_blocks(lines: Sequence[str], block_records: int) -> list[tuple[int, list[str]]]:
     """Chunk a file's lines into ``(start_line, block_lines)`` pairs.
 
     An empty file has zero blocks; blocks never span files (like HDFS
@@ -167,7 +139,7 @@ class BlockPlane:
 
     The engine attaches one plane per cluster (``dfs.block_plane``)
     when ``Cluster(replication=N)`` is set; the DFS write/read/delete
-    paths call the ``on_write``/``read``/``verify``/``on_delete`` hooks.
+    paths call the ``on_write``/``read``/``on_delete`` hooks.
     ``pool`` may be ``None`` for offline audits (``fsck`` in a fresh
     process) — placement then comes entirely from the persisted map —
     and ``replication`` may be ``None`` there too, deferring to the
@@ -243,13 +215,20 @@ class BlockPlane:
         return list(self.placement.workers)
 
     # -- write path ----------------------------------------------------
-    def on_write(self, path: str, lines: list[str]) -> None:
-        """(Re)place every block of a freshly written file."""
+    def on_write(self, path: str, lines: Sequence[str]) -> None:
+        """(Re)place every block of a freshly written file.
+
+        ``lines`` may be a bundle's lazy text: chunking formats it once.
+        """
         if self._is_internal(path):
             return
         self._drop_replicas(path)
         blocks: list[BlockMeta] = []
         active = self._active_workers()
+        # Deterministic placement: the first replica offset comes from a
+        # CRC of the path (process-salted hash() would break replays),
+        # subsequent replicas walk the active list.
+        path_crc = zlib.crc32(path.encode("utf-8"))
         for index, (start, chunk) in enumerate(
             chunk_blocks(lines, self.block_records)
         ):
@@ -259,13 +238,10 @@ class BlockPlane:
                 start=start,
                 count=len(chunk),
                 nbytes=len(payload),
-                crc=crc32c(payload),
+                crc=zlib.crc32(payload),
             )
             if active:
-                # Deterministic placement: first replica offset from a
-                # CRC of the path (process-salted hash() would break
-                # replays), subsequent replicas walk the active list.
-                offset = (crc32c(path.encode("utf-8")) + index) % len(active)
+                offset = (path_crc + index) % len(active)
                 for k in range(min(self.replication, len(active))):
                     worker = active[(offset + k) % len(active)]
                     self.dfs.write_side_file(
@@ -322,47 +298,41 @@ class BlockPlane:
             out.extend(self._read_block(path, block))
         return out
 
-    def verify(self, path: str) -> None:
-        """Checksum-verify every replica a read of ``path`` would use.
-
-        The :meth:`read` loop without materialising the result — the
-        DFS ``charge_read`` cache-hit path calls this so corruption is
-        detected at identical points whether or not lines materialise.
-        """
-        if not self.ensure(path):
-            return
-        for block in list(self.placement.blocks(path)):
-            self._read_block(path, block)
-
     def _read_block(self, path: str, block: BlockMeta) -> list[str]:
         """One block's lines from its first healthy replica (failover)."""
         for worker in list(block.replicas):
             if not self._alive(worker):
                 continue  # the sweep will count the node's losses
-            rpath = self._replica_path(worker, path, block.index)
             try:
-                lines = self.dfs.read_side_file(rpath)
+                lines = self._replica_lines(path, block, worker)
             except DFSError:
                 self._lose(path, block, worker, reason="missing")
                 continue
-            if crc32c(block_payload(lines)) != block.crc:
-                self.report.block_corruptions += 1
-                if self.ledger is not None:
-                    self.ledger.event(
-                        "block_corruption",
-                        path=path,
-                        block=block.index,
-                        worker=worker,
-                    )
-                block.replicas.remove(worker)
-                self.dfs.delete(rpath)
-                self._persist()
-                continue
-            return lines
+            if lines is not None:
+                return lines
+            self.report.block_corruptions += 1
+            if self.ledger is not None:
+                self.ledger.event(
+                    "block_corruption",
+                    path=path,
+                    block=block.index,
+                    worker=worker,
+                )
+            block.replicas.remove(worker)
+            self.dfs.delete(self._replica_path(worker, path, block.index))
+            self._persist()
         raise DFSError(
             f"block lost: {path!r} block {block.index} has no healthy "
             f"replica (holders tried: {block.replicas})"
         )
+
+    def _replica_lines(self, path: str, block: BlockMeta, worker: str) -> list[str] | None:
+        """``worker``'s copy of ``block``, or ``None`` if it fails its
+        checksum; a missing copy raises :class:`DFSError`."""
+        lines = self.dfs.read_side_file(
+            self._replica_path(worker, path, block.index)
+        )
+        return lines if zlib.crc32(block_payload(lines)) == block.crc else None
 
     # -- fault enactment -----------------------------------------------
     def enact_faults(self, plan, job: str) -> None:
@@ -464,19 +434,9 @@ class BlockPlane:
             for block in blocks:
                 if len(block.replicas) >= self.replication:
                     continue
-                lines = self._healthy_copy(path, block)
-                if lines is None:
-                    # No healthy source: the next read raises data loss.
-                    self.report.under_replicated += 1
-                    self._warn_under_replicated(path, block)
-                    continue
-                candidates = [w for w in active if w not in block.replicas]
-                while len(block.replicas) < self.replication and candidates:
-                    worker = candidates.pop(0)
-                    self.dfs.write_side_file(
-                        self._replica_path(worker, path, block.index), lines
-                    )
-                    block.replicas.append(worker)
+                # No healthy source copies nothing: the next read of
+                # the block raises data loss.
+                for worker in self._top_up(path, block, active):
                     self.placement.note_worker(worker)
                     self.report.blocks_rereplicated += 1
                     self.report.rereplicated_bytes += block.nbytes
@@ -493,18 +453,32 @@ class BlockPlane:
                     self._warn_under_replicated(path, block)
         self._persist()
 
-    def _healthy_copy(self, path: str, block: BlockMeta) -> list[str] | None:
-        """The block's lines from any checksum-clean replica, or None."""
-        for worker in list(block.replicas):
+    def _top_up(self, path: str, block: BlockMeta, candidates: list[str]) -> list[str]:
+        """Copy ``block`` from a checksum-clean replica onto candidates
+        not yet holding it until the factor is met; returns the workers
+        copied onto (none when no replica is clean)."""
+        lines = None
+        for worker in block.replicas:
             try:
-                lines = self.dfs.read_side_file(
-                    self._replica_path(worker, path, block.index)
-                )
+                lines = self._replica_lines(path, block, worker)
             except DFSError:
                 continue
-            if crc32c(block_payload(lines)) == block.crc:
-                return lines
-        return None
+            if lines is not None:
+                break
+        if lines is None:
+            return []
+        added: list[str] = []
+        for worker in candidates:
+            if len(block.replicas) >= self.replication:
+                break
+            if worker in block.replicas:
+                continue
+            self.dfs.write_side_file(
+                self._replica_path(worker, path, block.index), lines
+            )
+            block.replicas.append(worker)
+            added.append(worker)
+        return added
 
     def _warn_under_replicated(self, path: str, block: BlockMeta) -> None:
         if self.ledger is not None:
@@ -524,28 +498,30 @@ class BlockPlane:
 
     # -- locality ------------------------------------------------------
     def split_localities(
-        self, splits: list[list[tuple[str, int, object, int]]]
+        self, splits: list[list[tuple[str, int, object, int]] | SplitEntries]
     ) -> dict[int, tuple[tuple[str, ...], int]]:
         """Preferred workers per map split: ``{task: (workers, bytes)}``.
 
         A split's entries are ``(path, lineno, record, nbytes)`` rows of
         one file (splits never span files), so the holders of the
         overlapping blocks are the workers that can run the map task
-        without a remote read.  Splits of untracked files are omitted
-        (the scheduler falls back rack-blind without counting a miss).
+        without a remote read.  A :class:`SplitEntries` gives its path,
+        line range and size from its metadata, without building rows.
+        Splits of untracked files are omitted (the scheduler falls back
+        rack-blind without counting a miss).
         """
         localities: dict[int, tuple[tuple[str, ...], int]] = {}
         for i, split in enumerate(splits):
             if not split:
                 continue
-            path = split[0][0]
-            if not self.placement.tracks(path):
-                continue
-            holders = self.placement.holders(
-                path, split[0][1], split[-1][1]
-            )
-            nbytes = sum(entry[3] for entry in split)
-            localities[i] = (holders, nbytes)
+            if isinstance(split, SplitEntries):
+                path, first, nbytes = split.path, split.lo, split.nbytes
+                last = first + len(split) - 1
+            else:
+                path, first, last = split[0][0], split[0][1], split[-1][1]
+                nbytes = sum(entry[3] for entry in split)
+            if self.placement.tracks(path):
+                localities[i] = (self.placement.holders(path, first, last), nbytes)
         return localities
 
     # -- audit ---------------------------------------------------------
@@ -564,10 +540,9 @@ class BlockPlane:
                 report.blocks += 1
                 healthy: list[str] = []
                 bad: list[str] = []
-                for worker in list(block.replicas):
-                    rpath = self._replica_path(worker, path, block.index)
+                for worker in block.replicas:
                     try:
-                        lines = self.dfs.read_side_file(rpath)
+                        lines = self._replica_lines(path, block, worker)
                     except DFSError:
                         report.problems.append(
                             f"missing: {path} block {block.index} replica "
@@ -575,7 +550,7 @@ class BlockPlane:
                         )
                         bad.append(worker)
                         continue
-                    if crc32c(block_payload(lines)) != block.crc:
+                    if lines is None:
                         report.problems.append(
                             f"corrupt: {path} block {block.index} replica "
                             f"on {worker} fails its checksum"
@@ -599,8 +574,13 @@ class BlockPlane:
                             "replica(s)"
                         )
                     if repair:
-                        report.repaired += self._repair_block(
-                            path, block, healthy, bad
+                        for worker in bad:
+                            self.dfs.delete(
+                                self._replica_path(worker, path, block.index)
+                            )
+                            block.replicas.remove(worker)
+                        report.repaired += len(
+                            self._top_up(path, block, self._active_workers())
                         )
                 else:
                     report.healthy += 1
@@ -612,30 +592,6 @@ class BlockPlane:
             fixed.repaired = report.repaired
             return fixed
         return report
-
-    def _repair_block(
-        self, path: str, block: BlockMeta, healthy: list[str], bad: list[str]
-    ) -> int:
-        """Drop bad replicas, restore the factor from a healthy copy."""
-        for worker in bad:
-            self.dfs.delete(self._replica_path(worker, path, block.index))
-            if worker in block.replicas:
-                block.replicas.remove(worker)
-        lines = self._healthy_copy(path, block)
-        if lines is None:
-            return 0
-        repaired = 0
-        candidates = [
-            w for w in self._active_workers() if w not in block.replicas
-        ]
-        while len(block.replicas) < self.replication and candidates:
-            worker = candidates.pop(0)
-            self.dfs.write_side_file(
-                self._replica_path(worker, path, block.index), lines
-            )
-            block.replicas.append(worker)
-            repaired += 1
-        return repaired
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -27,9 +27,8 @@ need not exist to be sized.  A bundle that measures its own lines by
 column (``line_sizes``) is stored without text: its size is the sum of
 those measures, and the text is formatted from the bundle by the codec
 the first time something reads it (:meth:`InMemoryDFS.read_file`,
-:meth:`~InMemoryDFS.read_side_file`, the block plane's ingest).  Where
-the bytes must exist at write time — the block plane checksums them —
-the lines are encoded on write, as for any other records.
+:meth:`~InMemoryDFS.read_side_file`, or the block plane, which formats
+it at write time to checksum its blocks and leaves it for later reads).
 
 Paths behave like HDFS paths: plain strings with ``/`` separators.  A job
 writes one ``part-NNNNN`` file per reducer under its output directory and
@@ -187,11 +186,11 @@ class InMemoryDFS:
 
         A bundle passed without ``lines`` that sizes its own lines
         (``line_sizes()`` not ``None``) is charged the sum of those sizes
-        and its text is left to the first read — unless the block plane
-        is engaged, which checksums the bytes as they are written.
+        and its text is formatted only when first needed: by a read, or
+        by the block plane's checksums when the plane is engaged.
         """
         sizes = None
-        if lines is None and self.block_plane is None and hasattr(records, "line_sizes"):
+        if lines is None and hasattr(records, "line_sizes"):
             sizes = records.line_sizes()
         norm = _normalize(path)
         if sizes is None:
@@ -201,6 +200,8 @@ class InMemoryDFS:
             name, nbytes = codec_name(codec), int(sizes.sum())
             self._keep(norm, _BundleText(records, codec), nbytes)
             self.bytes_written += nbytes
+            if self.block_plane is not None:
+                self.block_plane.on_write(norm, self._files[norm])
         self._records[norm] = (name, records)
         return nbytes
 
@@ -273,7 +274,7 @@ class InMemoryDFS:
             # Cache hits still verify checksums end to end, so corrupt
             # replicas are detected at identical points whether or not
             # the lines materialise.
-            self.block_plane.verify(path)
+            self.block_plane.read(path)
         self.bytes_read += self.file_size(path)
 
     def write_side_file(self, path: str, lines: Iterable[str]) -> int:
@@ -311,14 +312,9 @@ class InMemoryDFS:
         path = _normalize(path)
         if path not in self._files:
             raise DFSError(f"no such file: {path!r}")
-        if self.block_plane is not None:
-            served = self.block_plane.read(path)
-            if served is not None:
-                self.bytes_read += sum(len(line) + 1 for line in served)
-                return served
-        lines = self._files[path]
+        served = None if self.block_plane is None else self.block_plane.read(path)
         self.bytes_read += self.file_size(path)
-        return list(lines)
+        return list(self._files[path]) if served is None else served
 
     def iter_records(self, path: str) -> Iterator[tuple[int, str]]:
         """Yield ``(line_number, line)`` pairs, the map-input record form."""

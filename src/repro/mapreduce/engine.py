@@ -785,7 +785,7 @@ class Cluster:
         DFS exactly as before — no blocks, no checksums, byte-for-byte
         the unreplicated dispatch.  Setting ``N >= 1`` chunks every DFS
         file into ``split_records``-record blocks placed on ``N``
-        distinct workers of the pool, verifies a CRC32C checksum on
+        distinct workers of the pool, verifies a CRC-32 checksum on
         every read (corrupt replicas fail over and count
         ``BLOCK_CORRUPTIONS``), re-replicates after worker deaths
         before the next job's barrier, and makes map scheduling

@@ -162,7 +162,7 @@ class LocalFSDFS:
         See :meth:`repro.mapreduce.dfs.InMemoryDFS.charge_read`.
         """
         if self.block_plane is not None:
-            self.block_plane.verify(self._normalized(path))
+            self.block_plane.read(self._normalized(path))
         self.bytes_read += self.file_size(path)
 
     def write_side_file(self, path: str, lines: Iterable[str]) -> int:
@@ -276,12 +276,8 @@ class LocalFSDFS:
     def num_records(self, path: str) -> int:
         """Record (line) count of a file or directory."""
         target = self._resolve_path(path)
-        if target.is_file():
-            return len(self.read_file(path))
-        total = 0
-        for f in self.list_dir(path):
-            total += len(self.read_file(f))
-        return total
+        files = [path] if target.is_file() else self.list_dir(path)
+        return sum(len(self.read_side_file(f)) for f in files)
 
     def delete(self, path: str) -> int:
         """Delete a file or directory subtree; returns #files removed."""

@@ -5,7 +5,7 @@ DFS file into line-range blocks and stores ``replication`` checksummed
 copies of each block on distinct workers from the cluster's
 :class:`~repro.mapreduce.workers.WorkerPool`.  This module is the pure
 bookkeeping half: :class:`BlockMeta` describes one block (line range,
-byte size, CRC32C, replica holders in failover order) and
+byte size, CRC-32, replica holders in failover order) and
 :class:`PlacementMap` is the namenode-style table mapping file paths to
 their block lists.
 
@@ -18,7 +18,10 @@ golden tests assert byte-identical telemetry.
 The map serializes to a single JSON line and persists as a DFS *side
 file* (``_blocks/placement.json``), so a ``LocalFSDFS`` root carries its
 placement across processes and ``python -m repro fsck`` can audit a
-store long after the cluster object is gone.
+store long after the cluster object is gone.  The map names its block
+checksum (``"checksum": "crc32"``); a map without that tag was written
+with CRC32C block checksums and is refused rather than audited as
+corrupt.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ __all__ = ["BlockMeta", "PlacementMap", "PLACEMENT_PATH", "REPLICA_ROOT"]
 REPLICA_ROOT = "_blocks"
 #: side-file path of the persisted placement map (one JSON line)
 PLACEMENT_PATH = f"{REPLICA_ROOT}/placement.json"
+#: the block checksum a persisted map declares (``zlib.crc32``)
+CHECKSUM = "crc32"
 
 
 @dataclass
@@ -155,6 +160,7 @@ class PlacementMap:
         """Single-line JSON form (side files reject embedded newlines)."""
         return json.dumps(
             {
+                "checksum": CHECKSUM,
                 "replication": self.replication,
                 "workers": list(self.workers),
                 "files": {
@@ -173,6 +179,11 @@ class PlacementMap:
             raise DFSError(f"corrupt placement map: {exc}") from exc
         if not isinstance(data, dict) or "replication" not in data:
             raise DFSError("corrupt placement map: missing 'replication'")
+        if data.get("checksum") != CHECKSUM:
+            raise DFSError(
+                "placement map was written with CRC32C block checksums "
+                f"(no 'checksum': {CHECKSUM!r} tag): re-stage the store"
+            )
         pmap = cls(int(data["replication"]))
         pmap.workers = [str(w) for w in data.get("workers", [])]
         for path, blocks in data.get("files", {}).items():

@@ -16,8 +16,10 @@ import pytest
 from repro.experiments.common import derive_grid
 from repro.experiments.workloads import synthetic_chain
 from repro.joins.registry import ALGORITHMS, make_algorithm
+from repro.mapreduce.dfs import _BundleText
 from repro.mapreduce.engine import Cluster
 from repro.mapreduce.faults import FaultPlan, RetryPolicy
+from repro.mapreduce.job import SplitEntries
 from repro.obs.ledger import LedgerRun, MemorySink, RunLedger
 from repro.query.predicates import Overlap
 from repro.query.query import Query
@@ -237,3 +239,44 @@ def test_counters_reconcile_with_ledger(workload):
     )
     assert eng("locality_hits") + eng("locality_misses") > 0
     assert eng("replicas_lost") > 0
+
+
+@pytest.mark.parametrize("algorithm_name", ALGORITHMS)
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_replicated_runs_never_materialise_split_rows(
+    workload, monkeypatch, algorithm_name, executor
+):
+    """Locality planning reads a columnar split's path, line range and
+    size from its metadata: a replicated numpy run never builds the
+    entry rows of a :class:`SplitEntries`.  The spy raises, so a call
+    inside a forked worker fails the run too."""
+    calls = []
+
+    def spy(self):
+        calls.append(self.path)
+        raise AssertionError(f"SplitEntries rows built for {self.path!r}")
+
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    monkeypatch.setattr(SplitEntries, "_materialise", spy)
+    snapshot, __, __cl = _run(
+        workload, algorithm_name, executor=executor, workers=2, replication=2
+    )
+    assert calls == []
+    assert snapshot
+
+
+def test_bundle_part_sizes_match_their_checksummed_blocks(workload):
+    """A part file written as a column bundle is sized by column; under
+    the plane its text is formatted once for the block checksums.  The
+    two measures of the same file agree."""
+    __, __, cluster = _run(workload, "c-rep-l", replication=2)
+    dfs, placement = cluster.dfs, cluster._block_plane.placement
+    bundled = [
+        path for path in dfs.list_dir("controlled-replicate-limit")
+        if isinstance(dfs._files[path], _BundleText)
+    ]
+    assert bundled
+    for path in bundled:
+        assert dfs.file_size(path) == sum(
+            block.nbytes for block in placement.blocks(path)
+        )

@@ -3,13 +3,15 @@
 The end-to-end contract (algorithms × executors byte-identical under
 storage chaos at replication=2) lives in
 ``tests/joins/test_storage_chaos_golden.py``; this module covers the
-pieces: CRC32C, chunking, deterministic placement, read failover,
+pieces: chunking, deterministic placement, read failover,
 corruption/loss accounting, re-replication, fsck + repair, lazy
 ingestion, placement persistence and the disengaged byte-identity
 guarantee.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -18,7 +20,6 @@ from repro.mapreduce.blocks import (
     BlockPlane,
     block_payload,
     chunk_blocks,
-    crc32c,
 )
 from repro.mapreduce.dfs import InMemoryDFS
 from repro.mapreduce.localfs import LocalFSDFS
@@ -41,27 +42,8 @@ def _plane(dfs=None, pool=None, replication=2, block_records=4, ledger=None):
 
 
 # ----------------------------------------------------------------------
-# CRC32C and chunking
+# Chunking
 # ----------------------------------------------------------------------
-class TestCrc32c:
-    def test_standard_vector(self):
-        # The canonical Castagnoli check value (RFC 3720 appendix B.4).
-        assert crc32c(b"123456789") == 0xE3069283
-
-    def test_empty_and_zeroes(self):
-        assert crc32c(b"") == 0
-        assert crc32c(b"\x00" * 32) == 0x8A9136AA
-
-    def test_chaining_equals_whole(self):
-        data = b"the quick brown fox jumps over the lazy dog"
-        assert crc32c(data[10:], crc32c(data[:10])) == crc32c(data)
-
-    def test_differs_from_ieee_crc32(self):
-        import zlib
-
-        assert crc32c(b"123456789") != zlib.crc32(b"123456789")
-
-
 class TestChunking:
     def test_exact_and_ragged(self):
         lines = [f"l{i}" for i in range(10)]
@@ -101,6 +83,17 @@ class TestPlacementMap:
         assert [b.as_dict() for b in back.blocks("d/f")] == [
             b.as_dict() for b in pmap.blocks("d/f")
         ]
+
+    def test_json_declares_crc32_checksum(self):
+        assert json.loads(PlacementMap(2).to_json())["checksum"] == "crc32"
+
+    def test_from_json_refuses_untagged_map(self):
+        # A map persisted before block checksums were CRC-32 carries no
+        # tag; auditing it would report every block corrupt.
+        data = json.loads(PlacementMap(2).to_json())
+        del data["checksum"]
+        with pytest.raises(DFSError, match="CRC32C.*re-stage the store"):
+            PlacementMap.from_json(json.dumps(data))
 
     def test_from_json_rejects_garbage(self):
         with pytest.raises(DFSError, match="corrupt placement map"):

@@ -161,8 +161,11 @@ class TestAccounting:
     def test_num_records(self, dfs):
         dfs.write_file("d/p1", ["a", "b"])
         dfs.write_file("d/p2", ["c"])
+        read = dfs.bytes_read
         assert dfs.num_records("d/p1") == 2
         assert dfs.num_records("d") == 3
+        # Counting lines is metadata, not a job read.
+        assert dfs.bytes_read == read
 
 
 class TestBundleFiles:

@@ -387,6 +387,25 @@ class TestStorageFlags:
         assert "repaired" in capsys.readouterr().out
         assert main(["fsck", "--dfs-root", str(root)]) == 0
 
+    def test_fsck_refuses_untagged_placement_map(self, tmp_path, capsys):
+        root = tmp_path / "store"
+        assert main(self.BASE + [
+            "--dfs-root", str(root), "--replication", "2", "--workers", "4",
+        ]) == 0
+        capsys.readouterr()
+        placement = root / "_blocks" / "placement.json"
+        data = json.loads(placement.read_text(encoding="utf-8"))
+        del data["checksum"]
+        placement.write_text(json.dumps(data) + "\n", encoding="utf-8")
+
+        assert main(["fsck", "--dfs-root", str(root)]) != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = captured.err.splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith("error: ")
+        assert "CRC32C" in errors[0] and "re-stage" in errors[0]
+
     def test_fsck_empty_root_is_healthy(self, tmp_path, capsys):
         assert main(["fsck", "--dfs-root", str(tmp_path / "nothing")]) == 0
 
