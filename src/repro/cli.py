@@ -296,7 +296,10 @@ def _add_fault_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--speculate",
         action="store_true",
-        help="launch backup attempts for stragglers (first finisher wins)",
+        help=(
+            "launch backup attempts for stragglers, picked on the "
+            "simulated clock (earlier simulated finisher wins)"
+        ),
     )
     p.add_argument(
         "--fault-plan",
@@ -340,9 +343,9 @@ def _add_fault_args(p: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SECONDS",
         help=(
-            "hung-task watchdog: cancel and re-dispatch any attempt "
-            "exceeding this wall clock (thread/process executors; "
-            "Hadoop's mapred.task.timeout)"
+            "hung-task watchdog: reclaim and re-dispatch any attempt "
+            "that hangs longer than this many simulated seconds (every "
+            "executor; Hadoop's mapred.task.timeout)"
         ),
     )
     p.add_argument(
@@ -687,11 +690,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                     if eng("blocks_under_replicated")
                     else ""
                 )
-            )
-        if eng("watchdog_degraded"):
-            print(
-                "EFFECTIVE_WATCHDOG=off: --task-timeout degraded to retry "
-                "rounds (no streaming session on this executor)"
             )
         if eng("spilled_records"):
             print(

@@ -41,7 +41,7 @@ import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.errors import DFSError
+from repro.errors import DFSError, FaultPlanError
 from repro.mapreduce.job import SplitEntries
 from repro.mapreduce.placement import (
     PLACEMENT_PATH,
@@ -342,7 +342,10 @@ class BlockPlane:
         detection (and its counters) happens deterministically during
         this job's reads.  One-shot per cluster lifetime, tracked in
         the pool's fired set like worker specs; a spec whose path does
-        not exist yet stays pending for a later job.
+        not exist yet stays pending for a later job.  Once the path
+        exists, a spec naming a block past its last or a replica past
+        the replication factor could never fire: it raises
+        :class:`~repro.errors.FaultPlanError`.
         """
         if plan is None or self.pool is None:
             return
@@ -353,6 +356,14 @@ class BlockPlane:
                 continue
             if not self.ensure(spec.path):
                 continue  # path not written yet: try again next job
+            nblocks = len(self.placement.blocks(spec.path))
+            if spec.block >= nblocks or spec.replica >= self.replication:
+                raise FaultPlanError(
+                    f"{spec.kind} fault on {spec.path!r} names block "
+                    f"{spec.block}, replica {spec.replica}, but the file "
+                    f"has {nblocks} block(s) at replication "
+                    f"{self.replication}"
+                )
             if spec.kind == "corrupt-block":
                 if self._corrupt_replica(spec.path, spec.block, spec.replica):
                     self.pool.fired.add(spec)

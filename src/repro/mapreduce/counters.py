@@ -55,14 +55,13 @@ class C:
     # an engaged worker pool — a ``fail-worker``/``join-worker`` fault
     # spec or ``blacklist_after > 0``; inert clusters emit none of
     # these, and chaos golden tests strip the ``worker``/
-    # ``map_output_lost``/``tasks_reexecuted``/``watchdog_`` prefixes
-    # alongside the recovery block above).
+    # ``map_output_lost``/``tasks_reexecuted`` prefixes alongside the
+    # recovery block above).
     WORKER_FAILURES = "worker_failures"
     WORKERS_BLACKLISTED = "workers_blacklisted"
     WORKERS_JOINED = "workers_joined"
     MAP_OUTPUT_LOST = "map_output_lost"
     TASKS_REEXECUTED = "tasks_reexecuted"
-    WATCHDOG_DEGRADED = "watchdog_degraded"
 
     # Durable-storage telemetry (only present when the block plane is
     # engaged via ``Cluster(replication=N)``; unreplicated clusters emit

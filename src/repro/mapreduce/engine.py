@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Any
@@ -61,7 +62,7 @@ from repro.kernels.batch import RectBatch
 from repro.mapreduce.blocks import BlockPlane
 from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.cost import CostModel, JobCostBreakdown, TaskStats
-from repro.mapreduce.dfs import InMemoryDFS, codec_name
+from repro.mapreduce.dfs import InMemoryDFS, codec_name, typed_form
 from repro.mapreduce.executor import default_workers, make_executor
 from repro.mapreduce.faults import (
     FaultPlan,
@@ -862,7 +863,9 @@ class Cluster:
         recovery dispatch (:func:`repro.mapreduce.faults.run_phase_with_recovery`):
         failed attempts are retried up to ``retry.max_attempts``, part
         writes absorb injected commit failures, stragglers may race
-        speculative backups, and the recovery telemetry lands in the
+        speculative backups — every attempt priced by the cost model,
+        so those decisions are made on the simulated clock — and the
+        recovery telemetry lands in the
         ``task_*``/``speculative_*`` counters plus the cost breakdown's
         fault-overhead term.  Otherwise the dispatch is byte-for-byte
         the seed fast path.
@@ -992,11 +995,13 @@ class Cluster:
                         recorder=rec,
                         ledger=led,
                         workers=workers,
+                        price=partial(self._reduce_price, job.output_codec),
+                        slots=self.cost_model.reduce_slots,
                     )
                     sp.set("tasks", job.num_reducers)
                 timings.reduce_s = time.perf_counter() - t0
                 if workers is not None:
-                    # Upstream re-execution deferred past the session:
+                    # Upstream re-execution deferred past the rounds:
                     # map outputs invalidated *during* the reduce phase
                     # are recomputed now that the dispatch has drained.
                     workers.run_deferred_reexecution()
@@ -1310,16 +1315,6 @@ class Cluster:
         if skipped:
             counters.add(C.GROUP_ENGINE, C.SKIPPED_RECORDS, skipped)
             job_span.set("skipped_records", skipped)
-        degraded = sum(
-            1
-            for report in reports
-            if report is not None and report.watchdog_degraded
-        )
-        if degraded:
-            # EFFECTIVE_WATCHDOG=off: the timeout was requested but the
-            # executor had no streaming session to enforce it with.
-            counters.add(C.GROUP_ENGINE, C.WATCHDOG_DEGRADED, degraded)
-            job_span.set("watchdog_degraded", degraded)
         overhead = self.cost_model.fault_overhead_seconds(wasted, backoff_s)
         if overhead:
             job_span.set("fault_overhead_s", overhead)
@@ -1565,6 +1560,8 @@ class Cluster:
             recorder=self.recorder,
             ledger=self.ledger,
             workers=workers,
+            price=self._map_price,
+            slots=self.cost_model.map_slots,
         )
         led = self.ledger
         kern = self.resolved_kernel if self.profiler is not None else ""
@@ -1592,6 +1589,33 @@ class Cluster:
                 for i, s in enumerate(stats)
             ]
         return results, stats, report
+
+    def _map_price(self, result: _MapTaskResult | None) -> float:
+        """Simulated seconds of one map attempt (``None``: it failed)."""
+        if result is None:
+            return self.cost_model.task_startup_s
+        return self.cost_model.map_task_seconds(result.stats)
+
+    def _reduce_price(self, codec, result: _ReduceTaskResult | None) -> float:
+        """Simulated seconds of one reduce attempt (``None``: it failed),
+        its DFS write sized as the write stage will size it."""
+        if result is None:
+            return self.cost_model.task_startup_s
+        lines, sizes = result.lines, None
+        if lines is None:  # a column bundle: sized like write_records
+            sizes = getattr(result.records, "line_sizes", lambda: None)()
+            if sizes is None:
+                lines = typed_form(result.records, codec, None)[2]
+        nbytes = (
+            int(sizes.sum()) if sizes is not None else sum(map(len, lines)) + len(lines)
+        )
+        return self.cost_model.reduce_task_seconds(
+            TaskStats(
+                input_records=result.input_records,
+                output_bytes=nbytes,
+                compute_ops=result.compute_ops,
+            )
+        )
 
     def _map_phase(self, job: MapReduceJob, splits, profile: bool = False) -> _MapPhase:
         """The payload of ``job``'s map tasks over ``splits``: with their

@@ -26,10 +26,13 @@ Three back-ends are provided:
     Children inherit the payload through copy-on-write memory, so job
     closures (mappers capturing grids, marking engines, joiners) need
     not be picklable; only the children's task *results* cross a pipe.
-    Only streaming sessions (:meth:`TaskExecutor.open_session`) use a
-    :class:`multiprocessing.pool.Pool`, because they must be able to
-    abandon a running attempt.  On platforms without ``fork`` the
-    back-end degrades to threads.
+    On platforms without ``fork`` the back-end degrades to threads.
+
+``run_phase`` is the whole interface.  Executors never time, preempt or
+abandon a task: retries, speculation and the hung-task watchdog are
+decided by :mod:`repro.mapreduce.faults` on the simulated clock, one
+``run_phase`` round at a time, so they behave the same on every
+back-end.
 
 Determinism contract: ``run_phase`` returns results indexed by task id
 regardless of completion order, and workers must be pure functions of
@@ -58,7 +61,7 @@ Worker identity: executors know nothing about the *named* virtual
 workers of :mod:`repro.mapreduce.workers` — threads and processes here
 are anonymous interchangeable capacity.  The recovery dispatcher assigns
 each attempt a worker name parent-side and threads it through the
-opaque session tag (the 5-tuple ``(index, attempt, speculative, skips,
+round's slot table (the 5-tuple ``(index, attempt, speculative, skips,
 worker_name)``), so failure domains are identical on every back-end
 without the back-ends cooperating: killing virtual worker ``w2`` loses
 the same attempts and the same committed map outputs whether the tasks
@@ -74,10 +77,8 @@ import os
 import pickle
 import signal
 import sys
-import threading
-import time
 from collections.abc import Callable
-from concurrent.futures import FIRST_COMPLETED, FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from typing import Any
 
 from repro.errors import JobError
@@ -88,7 +89,6 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
-    "PhaseSession",
     "make_executor",
     "default_workers",
 ]
@@ -105,60 +105,6 @@ def default_workers() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-class PhaseSession(abc.ABC):
-    """Streaming task dispatch: submit tagged invocations, await completions.
-
-    The recovery layer (:mod:`repro.mapreduce.faults`) uses sessions for
-    speculative execution, where the task population grows *while* the
-    phase runs — a straggler gets a backup attempt submitted mid-flight
-    and the first finisher wins — and for the hung-task watchdog, which
-    sweeps between completions and re-dispatches any attempt past its
-    wall-clock bound (an abandoned attempt keeps occupying its pool slot
-    until it returns or the session closes; its late result is dropped
-    by the caller).  ``run_phase`` cannot express either (its task list
-    is fixed up front), so parallel back-ends expose this lower-level
-    API as well:
-
-    * :meth:`submit` enqueues ``worker(payload, tag)`` where ``tag`` is
-      an arbitrary (picklable) value identifying the invocation — the
-      recovery layer uses ``(task index, attempt id, speculative)``
-      tuples;
-    * :meth:`next_done` blocks until any submitted invocation finishes
-      and returns ``(tag, result)``, or ``None`` on timeout so the
-      caller can run its straggler monitor and watchdog sweep between
-      completions.
-
-    Sessions are context managers; leaving the ``with`` block releases
-    the pool, abandoning invocations that are still running (their
-    results are discarded — exactly the semantics a speculative loser
-    needs).
-    """
-
-    @abc.abstractmethod
-    def submit(self, tag: Any) -> None:
-        """Enqueue one ``worker(payload, tag)`` invocation."""
-
-    @abc.abstractmethod
-    def next_done(self, timeout: float | None = None):
-        """``(tag, result)`` of the next finished invocation, or ``None``.
-
-        Raises the invocation's exception if it raised.  ``None`` is
-        returned only on timeout; with no timeout the call blocks until
-        a completion arrives (calling with nothing outstanding is a
-        caller bug and raises :class:`~repro.errors.JobError`).
-        """
-
-    def __enter__(self) -> "PhaseSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    @abc.abstractmethod
-    def close(self) -> None:
-        """Release the pool, discarding unfinished invocations."""
-
-
 class TaskExecutor(abc.ABC):
     """Runs one phase of independent tasks, preserving task-id order."""
 
@@ -171,13 +117,6 @@ class TaskExecutor(abc.ABC):
         Returns the results ordered by task id.  A task exception
         aborts the phase and propagates to the caller.
         """
-
-    def open_session(self, worker: TaskWorker, payload: Any) -> PhaseSession | None:
-        """A streaming :class:`PhaseSession`, or ``None`` when the
-        back-end has no useful concurrency to offer (serial execution,
-        or a single worker).  Callers must fall back to :meth:`run_phase`
-        on ``None``."""
-        return None
 
 
 class SerialExecutor(TaskExecutor):
@@ -219,54 +158,6 @@ class ThreadExecutor(TaskExecutor):
             # and the lowest failing task id is the one that raises.
             return [f.result() for f in futures if not f.cancelled()]
 
-    def open_session(self, worker: TaskWorker, payload: Any) -> PhaseSession | None:
-        if self.num_workers <= 1:
-            return None
-        return _ThreadSession(worker, payload, self.num_workers)
-
-
-class _ThreadSession(PhaseSession):
-    """Thread-pool session: payload shared by reference, tags by value."""
-
-    def __init__(self, worker: TaskWorker, payload: Any, num_workers: int) -> None:
-        self._pool = ThreadPoolExecutor(max_workers=num_workers)
-        self._worker = worker
-        self._payload = payload
-        self._pending: dict[Any, Any] = {}  # future -> tag
-
-    def submit(self, tag: Any) -> None:
-        self._pending[self._pool.submit(self._worker, self._payload, tag)] = tag
-
-    def next_done(self, timeout: float | None = None):
-        if not self._pending:
-            raise JobError("next_done called with no outstanding invocations")
-        done, __ = wait(self._pending, timeout=timeout, return_when=FIRST_COMPLETED)
-        if not done:
-            return None
-        future = next(iter(done))
-        tag = self._pending.pop(future)
-        return tag, future.result()
-
-    def close(self) -> None:
-        # Unstarted invocations are dropped; running ones finish in the
-        # background with their results discarded (speculative losers).
-        for future in self._pending:
-            future.cancel()
-        self._pool.shutdown(wait=False)
-        self._pending.clear()
-
-
-# Payload handoff for session pools.  Set in the parent immediately
-# before a session's pool forks; its workers inherit it through
-# copy-on-write, so nothing here is ever pickled.  The lock serializes
-# the set-fork-restore window so concurrent sessions (two clusters on
-# two threads) can never fork a pool against another call's payload;
-# save-and-restore (instead of resetting to ``None``) keeps an outer
-# call's state intact across an inner one.  ``run_phase`` needs none of
-# this: its children inherit the worker and payload as locals.
-_FORK_STATE: tuple[TaskWorker, Any] | None = None
-_FORK_LOCK = threading.Lock()
-
 
 def pack_task_result(result) -> tuple[bytes, list[bytes]]:
     """Serialize a task result for the pipe: protocol 5, out-of-band.
@@ -290,11 +181,6 @@ def unpack_task_result(packed: tuple[bytes, list[bytes]]):
     """Inverse of :func:`pack_task_result`."""
     data, buffers = packed
     return pickle.loads(data, buffers=buffers)
-
-
-def _run_forked_task(tag):
-    worker, payload = _FORK_STATE  # type: ignore[misc] - set before fork
-    return pack_task_result(worker(payload, tag))
 
 
 def _flush_std_streams() -> None:
@@ -470,10 +356,7 @@ class ProcessExecutor(TaskExecutor):
 
     ``run_phase`` forks ``min(num_workers, num_tasks) - 1`` children and
     works alongside them (:class:`_ForkedPhase`), so ``process`` x 2 is
-    the parent plus one child.  Sessions fork a ``num_workers``-process
-    :class:`multiprocessing.pool.Pool` instead: speculation and the
-    watchdog abandon running attempts, and a task running in the parent
-    cannot be abandoned.
+    the parent plus one child.
     """
 
     name = "process"
@@ -492,58 +375,6 @@ class ProcessExecutor(TaskExecutor):
             )
         phase = _ForkedPhase(worker, num_tasks, payload)
         return phase.run(min(self.num_workers, num_tasks) - 1)
-
-    def open_session(self, worker: TaskWorker, payload: Any) -> PhaseSession | None:
-        if self.num_workers <= 1:
-            return None
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return ThreadExecutor(self.num_workers).open_session(worker, payload)
-        # The pool's workers inherit ``(worker, payload)`` through
-        # _FORK_STATE, published only for the duration of the fork.
-        global _FORK_STATE
-        with _FORK_LOCK:
-            saved = _FORK_STATE
-            _FORK_STATE = (worker, payload)
-            try:
-                pool = multiprocessing.get_context("fork").Pool(self.num_workers)
-            finally:
-                _FORK_STATE = saved
-        return _ProcessSession(pool)
-
-
-class _ProcessSession(PhaseSession):
-    """Forked-pool session: workers inherited the payload at fork time;
-    each submit ships only the (small, picklable) tag."""
-
-    #: polling interval for completion checks (``AsyncResult`` has no
-    #: select()-style multiplexed wait)
-    _POLL_S = 0.002
-
-    def __init__(self, pool) -> None:
-        self._pool = pool
-        self._pending: list[tuple[Any, Any]] = []  # (tag, AsyncResult)
-
-    def submit(self, tag: Any) -> None:
-        self._pending.append((tag, self._pool.apply_async(_run_forked_task, (tag,))))
-
-    def next_done(self, timeout: float | None = None):
-        if not self._pending:
-            raise JobError("next_done called with no outstanding invocations")
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            for i, (tag, ar) in enumerate(self._pending):
-                if ar.ready():
-                    del self._pending[i]
-                    return tag, unpack_task_result(ar.get())
-            if deadline is not None and time.monotonic() >= deadline:
-                return None
-            time.sleep(self._POLL_S)
-
-    def close(self) -> None:
-        # terminate (not close): running losers are killed, not awaited.
-        self._pool.terminate()
-        self._pool.join()
-        self._pending.clear()
 
 
 EXECUTORS: dict[str, type[TaskExecutor]] = {

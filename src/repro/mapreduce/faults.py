@@ -12,7 +12,9 @@ one headline guarantee:
     absorbs (every task succeeds within ``max_attempts``), part files,
     counters (modulo the ``task_*``/``speculative_*`` telemetry) and
     simulated seconds are byte-identical to the fault-free run, on every
-    executor.
+    executor.  The recovery telemetry itself — which attempts ran, which
+    won, the fault overhead — is identical on every executor too:
+    retries, speculation and the watchdog decide on the simulated clock.
 
 The contract holds because task workers are pure functions of
 ``(payload, index)``: a retried or speculative attempt recomputes the
@@ -35,7 +37,7 @@ Pieces:
     The dispatch wrapper the engine calls instead of
     ``executor.run_phase``: capture failures in envelopes, re-dispatch
     failed tasks in deterministic rounds, optionally race backup
-    attempts against stragglers, and raise
+    attempts against stragglers picked on the simulated clock, and raise
     :class:`~repro.errors.TaskRetryExhausted` (with the full attempt
     log) only after a task burned every allowed attempt.
 
@@ -43,8 +45,9 @@ Injection semantics mirror what real clusters detect:
 
 * ``fail`` — the attempt dies before producing a result (a lost
   TaskTracker);
-* ``delay`` — the attempt sleeps first (a straggling node; this is what
-  speculative execution races against);
+* ``delay`` — the attempt takes ``delay_s`` more simulated seconds (a
+  straggling node that still makes progress; this is what speculative
+  execution races against);
 * ``corrupt`` — the attempt completes but its result fails the
   (simulated) checksum, so the engine discards it and retries — Hadoop's
   shuffle/IFile checksum path;
@@ -54,11 +57,11 @@ Injection semantics mirror what real clusters detect:
 * ``oom`` — the attempt dies with a memory-exhaustion diagnosis (a
   container killed by the memory cgroup); recovery-wise identical to
   ``fail`` but distinguishable in attempt logs and chaos assertions;
-* ``hang`` — the attempt wedges for ``delay_s`` wall seconds and then
-  dies.  Under a :attr:`RetryPolicy.task_timeout_s` watchdog the hung
-  attempt is reclaimed *before* it unwedges: abandoned, logged with
-  outcome ``"timeout"``, and re-dispatched through the normal retry
-  path (Hadoop's ``mapred.task.timeout``);
+* ``hang`` — the attempt wedges for ``delay_s`` simulated seconds, making
+  no progress, and then dies.  Under a :attr:`RetryPolicy.task_timeout_s`
+  watchdog shorter than the hang, the attempt is reclaimed at the bound:
+  logged with outcome ``"timeout"`` and re-dispatched through the normal
+  retry path (Hadoop's ``mapred.task.timeout``);
 * ``poison-record`` — map task ``index`` dies on split record
   ``record`` (a :class:`~repro.errors.BadRecordError`).  With
   :attr:`RetryPolicy.max_skipped_records` > 0 the retry *quarantines*
@@ -80,9 +83,12 @@ Injection semantics mirror what real clusters detect:
 
 from __future__ import annotations
 
+import heapq
 import json
+import math
 import random
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
@@ -143,6 +149,8 @@ class FaultSpec:
     index: int
     attempt: int | None = 0
     job: str | None = None
+    #: ``delay``/``hang`` only: the simulated seconds the attempt
+    #: straggles, or wedges before it dies
     delay_s: float = 0.0
     #: split-record offset a ``poison-record`` spec poisons (map phase
     #: only): the 0-based position within the task's input split
@@ -297,7 +305,7 @@ class FaultPlan:
         attempt: int | None = 0,
         job: str | None = None,
     ) -> "FaultPlan":
-        """Make one attempt of a task straggle by ``delay_s`` wall seconds."""
+        """Make one attempt of a task straggle by ``delay_s`` simulated seconds."""
         return self.add(FaultSpec("delay", phase, index, attempt, job, delay_s))
 
     def corrupt_result(
@@ -334,10 +342,10 @@ class FaultPlan:
         attempt: int | None = 0,
         job: str | None = None,
     ) -> "FaultPlan":
-        """Wedge one attempt for ``hang_s`` wall seconds, then kill it.
+        """Wedge one attempt for ``hang_s`` simulated seconds, then kill it.
 
-        The hang is finite so executors always drain; a watchdog with
-        ``task_timeout_s < hang_s`` reclaims the attempt first.
+        A watchdog with ``task_timeout_s < hang_s`` reclaims the attempt
+        at ``task_timeout_s`` instead.
         """
         return self.add(FaultSpec("hang", phase, index, attempt, job, hang_s))
 
@@ -593,23 +601,23 @@ class RetryPolicy:
     fault-overhead term, keeping test wall time unaffected and the
     charge deterministic.
 
+    Every time below is in *simulated* seconds: an attempt lasts its
+    task's priced seconds (the engine's cost model) plus any injected
+    ``delay``, so the decisions are the same on every executor.
+
     Speculation (off by default) launches a backup attempt for a running
     task once the phase is at least ``speculation_threshold`` complete
     and the task has been running longer than ``speculation_factor``
-    times the median completed-task duration (and at least
-    ``speculation_min_runtime_s`` — sub-millisecond tasks never earn
-    backups).  The first finisher wins; the loser's result and counter
-    shard are discarded, so speculation can change *telemetry* but never
-    output.
+    times the median finished-task duration.  The earlier finisher wins
+    (ties go to the original); the loser's result and counter shard are
+    discarded, so speculation can change *telemetry* but never output.
 
-    ``task_timeout_s`` (off by default) arms the hung-task watchdog:
-    an attempt running longer than this wall-clock bound is abandoned,
-    logged with outcome ``"timeout"``, charged as a failure, and
-    re-dispatched through the retry path — Hadoop's
-    ``mapred.task.timeout``.  Like speculation it needs a streaming
-    :class:`~repro.mapreduce.executor.PhaseSession`, so it is inert on
-    the serial executor (a single-threaded runner cannot preempt its
-    own task).
+    ``task_timeout_s`` (off by default) arms the hung-task watchdog: an
+    attempt that stops making progress (a ``hang``) for longer than this
+    bound is reclaimed at it, logged with outcome ``"timeout"``, charged
+    as a failure, and re-dispatched through the retry path — Hadoop's
+    ``mapred.task.timeout``.  A slow attempt that keeps making progress
+    (a ``delay``) is left to speculation.
 
     ``max_skipped_records`` (0 = off) enables Hadoop-style skipping
     mode: a map attempt that dies on one identifiable record
@@ -635,7 +643,6 @@ class RetryPolicy:
     speculate: bool = False
     speculation_threshold: float = 0.75
     speculation_factor: float = 1.5
-    speculation_min_runtime_s: float = 0.05
     task_timeout_s: float | None = None
     max_skipped_records: int = 0
     blacklist_after: int = 0
@@ -687,15 +694,15 @@ class TaskAttempt:
 
     ``outcome`` is ``"ok"`` (the winning attempt), ``"failed"`` (raised),
     ``"corrupt"`` (completed but failed the simulated checksum),
-    ``"lost"`` (completed fine but a sibling attempt had already won —
-    a discarded speculative loser), ``"timeout"`` (abandoned by the
+    ``"lost"`` (killed because its race partner finished first — a
+    discarded speculative loser), ``"timeout"`` (reclaimed by the
     hung-task watchdog), ``"worker_lost"`` (the attempt's worker died
     under it — never charged: the attempt did nothing wrong, so Hadoop
     reschedules it without burning one of the task's allowed failures)
     or ``"skipped"`` (died on one bad record that skipping mode
     quarantined — the follow-up dispatch does not count as a failure).
-    ``backoff_s`` is the simulated backoff charged before this attempt
-    launched.
+    ``duration_s`` is the attempt's simulated seconds and ``backoff_s``
+    the simulated backoff charged before it launched.
     """
 
     attempt: int
@@ -722,10 +729,6 @@ class PhaseReport:
     #: per task: quarantined ``(offset, path, lineno, record_repr)``
     #: tuples, in skip order (empty when skipping mode never fired)
     skipped: list[list[tuple]] = field(default_factory=list)
-    #: set when ``task_timeout_s`` was requested but the executor has
-    #: no streaming session, so the watchdog degraded to retry rounds
-    #: (``EFFECTIVE_WATCHDOG=off`` — hung attempts cannot be preempted)
-    watchdog_degraded: bool = False
 
     @property
     def extra_attempts(self) -> int:
@@ -967,8 +970,8 @@ class WorkerManager:
 
         The second element lists map task ids whose committed output
         the *current map phase* must re-dispatch; reduce-phase
-        invalidations are deferred to the engine callback instead
-        (re-entering the executor mid-session is not safe).
+        invalidations are deferred to the engine callback instead,
+        which re-runs them once the reduce rounds have drained.
         """
         victims: list[str] = []
         invalidated: list[int] = []
@@ -1133,17 +1136,17 @@ def _mark_worker_lost(
 # ----------------------------------------------------------------------
 @dataclass
 class _AttemptPhase:
-    """Payload wrapper carrying the real worker plus the slot table.
+    """Payload wrapper carrying the real worker plus one round's slots.
 
-    Batch rounds address tasks by *slot* (an index into ``slots``);
-    session dispatch passes the ``(index, attempt, speculative, skips,
-    worker_name)`` tag directly.  ``skips`` is the tuple of quarantined
-    split offsets a skipping-mode retry must not touch; ``worker_name``
-    is the virtual worker the scheduler assigned the attempt to
-    (``None`` when the pool is disengaged) — it rides the tag through
-    every executor so worker-loss bookkeeping is identical on all of
-    them, but the attempt body itself never consults it (workers are
-    virtual).  Everything here is fork-inherited or picklable.
+    A round addresses its attempts by *slot* (an index into ``slots``),
+    each an ``(index, attempt, speculative, skips, worker_name)`` tag.
+    ``skips`` is the tuple of quarantined split offsets a skipping-mode
+    retry must not touch; ``worker_name`` is the virtual worker the
+    scheduler assigned the attempt to (``None`` when the pool is
+    disengaged) — it rides the tag so worker-loss bookkeeping is
+    identical on every executor, but the attempt body itself never
+    consults it (workers are virtual).  Everything here is
+    fork-inherited or picklable.
     """
 
     inner: Any
@@ -1156,12 +1159,17 @@ class _AttemptPhase:
 
 @dataclass
 class _Outcome:
-    """What one attempt hands back (picklable; ``value`` only when ok)."""
+    """What one attempt hands back (picklable; ``value`` only when ok).
+
+    ``t_start``/``t_end`` are worker-side wall stamps for the trace;
+    every scheduling decision uses ``duration_s``, the attempt's
+    simulated seconds, priced parent-side once its round is back.
+    """
 
     index: int
     attempt: int
     speculative: bool
-    ok: bool
+    ok: bool = False
     value: Any = None
     corrupt: bool = False
     error: str = ""
@@ -1170,57 +1178,53 @@ class _Outcome:
     #: set when the failure was a BadRecordError — the skipping-mode
     #: quarantine entry ``(offset, path, lineno, record_repr)``
     bad_record: tuple | None = None
-
-    @property
-    def duration_s(self) -> float:
-        return self.t_end - self.t_start
+    #: simulated seconds the attempt's ``delay`` specs add
+    delay_s: float = 0.0
+    #: simulated seconds a ``hang`` spec wedges the attempt (0: none)
+    hang_s: float = 0.0
+    duration_s: float = 0.0
+    #: the watchdog reclaimed the hung attempt
+    timed_out: bool = False
 
     @property
     def outcome_name(self) -> str:
         if self.ok:
             return "ok"
+        if self.timed_out:
+            return "timeout"
         return "corrupt" if self.corrupt else "failed"
 
 
-def _run_attempt(phase: _AttemptPhase, slot: Any) -> _Outcome:
+def _run_attempt(phase: _AttemptPhase, slot: int) -> _Outcome:
     """One fault-instrumented attempt: inject, run, capture.
 
-    ``slot`` is an int (batch rounds: index into the slot table) or the
-    ``(index, attempt, speculative, skips, worker_name)`` tag itself
-    (session dispatch).  Worker-kind specs are scheduler-level faults:
-    they match attempts (as triggers) but inject nothing here.
+    Nothing here waits: ``delay`` and ``hang`` specs only stamp their
+    simulated seconds on the outcome, and a hung attempt dies at once.
+    Worker-kind specs are scheduler-level faults: they match attempts
+    (as triggers) but inject nothing here.
     """
-    index, attempt, speculative, skips, __ = (
-        phase.slots[slot] if isinstance(slot, int) else slot
-    )
-    t_start = time.perf_counter()
+    index, attempt, speculative, skips, __ = phase.slots[slot]
+    out = _Outcome(index, attempt, speculative, t_start=time.perf_counter())
     specs = (
         phase.plan.matching(phase.job, phase.phase, index, attempt)
         if phase.plan is not None
         else ()
     )
+    where = f"{phase.phase} task {index} attempt {attempt} of job {phase.job!r}"
+    out.delay_s = sum(spec.delay_s for spec in specs if spec.kind == "delay")
     try:
         for spec in specs:
-            if spec.kind == "delay":
-                time.sleep(spec.delay_s)
-            elif spec.kind == "hang":
-                time.sleep(spec.delay_s)
+            if spec.kind == "hang":
+                out.hang_s = spec.delay_s
                 raise InjectedFault(
-                    f"injected hang: {phase.phase} task {index} attempt "
-                    f"{attempt} of job {phase.job!r} wedged for "
-                    f"{spec.delay_s}s and died"
+                    f"injected hang: {where} wedged for {spec.delay_s}s and died"
                 )
         for spec in specs:
             if spec.kind == "fail":
-                raise InjectedFault(
-                    f"injected failure: {phase.phase} task {index} attempt "
-                    f"{attempt} of job {phase.job!r}"
-                )
+                raise InjectedFault(f"injected failure: {where}")
             if spec.kind == "oom":
                 raise InjectedFault(
-                    f"injected OOM: {phase.phase} task {index} attempt "
-                    f"{attempt} of job {phase.job!r} exceeded its container "
-                    "memory limit"
+                    f"injected OOM: {where} exceeded its container memory limit"
                 )
         if getattr(phase.worker, "supports_record_skipping", False):
             poison = tuple(
@@ -1230,49 +1234,101 @@ def _run_attempt(phase: _AttemptPhase, slot: Any) -> _Outcome:
         else:
             value = phase.worker(phase.inner, index)
     except BadRecordError as exc:
-        return _Outcome(
-            index,
-            attempt,
-            speculative,
-            ok=False,
-            error=str(exc),
-            t_start=t_start,
-            t_end=time.perf_counter(),
-            bad_record=(exc.offset, exc.path, exc.lineno, exc.record),
-        )
+        out.error = str(exc)
+        out.bad_record = (exc.offset, exc.path, exc.lineno, exc.record)
     except Exception as exc:  # noqa: BLE001 - captured, not propagated
-        return _Outcome(
-            index,
-            attempt,
-            speculative,
-            ok=False,
-            error=str(exc),
-            t_start=t_start,
-            t_end=time.perf_counter(),
-        )
-    if any(spec.kind == "corrupt" for spec in specs):
-        return _Outcome(
-            index,
-            attempt,
-            speculative,
-            ok=False,
-            corrupt=True,
-            error=(
-                f"injected corruption: {phase.phase} task {index} attempt "
-                f"{attempt} of job {phase.job!r} failed its result checksum"
-            ),
-            t_start=t_start,
-            t_end=time.perf_counter(),
-        )
-    return _Outcome(
-        index,
-        attempt,
-        speculative,
-        ok=True,
-        value=value,
-        t_start=t_start,
-        t_end=time.perf_counter(),
+        out.error = str(exc)
+    else:
+        if any(spec.kind == "corrupt" for spec in specs):
+            out.corrupt = True
+            out.error = f"injected corruption: {where} failed its result checksum"
+        else:
+            out.ok = True
+            out.value = value
+    out.t_end = time.perf_counter()
+    return out
+
+
+def _flat_price(value: Any) -> float:
+    """The default attempt price: one simulated second, whatever ran."""
+    return 1.0
+
+
+def _price_round(
+    outcomes: list[_Outcome], policy: RetryPolicy, price: Callable[[Any], float]
+) -> None:
+    """Stamp each outcome's simulated seconds (and the watchdog's verdict).
+
+    An attempt costs its task's priced seconds (``price(value)``; a
+    failed attempt has no value and costs ``price(None)``) plus its
+    ``delay`` specs.  A hung attempt costs its hang instead — or, when
+    the watchdog's ``task_timeout_s`` is shorter, that bound: the
+    watchdog reclaims it as ``"timeout"``.
+    """
+    timeout = policy.task_timeout_s
+    for out in outcomes:
+        if out.hang_s:
+            out.timed_out = timeout is not None and timeout < out.hang_s
+            base = timeout if out.timed_out else out.hang_s
+        else:
+            base = price(out.value if out.ok else None)
+        out.duration_s = out.delay_s + base
+        if out.timed_out:
+            out.error = f"watchdog: attempt exceeded task_timeout_s={timeout}"
+
+
+def _stragglers(
+    attempts: list[tuple[int, float, bool]],
+    finished: list[float],
+    num_tasks: int,
+    policy: RetryPolicy,
+    slots: int | None,
+) -> dict[int, tuple[float, float]]:
+    """Hadoop's speculation rule, applied to one round on the simulated clock.
+
+    ``attempts`` are the round's ``(index, seconds, ok)`` in task-id
+    order; they are list-scheduled onto ``slots`` cluster slots (``None``:
+    one each).  ``finished`` holds the simulated seconds of tasks settled
+    in earlier rounds.  Once ``speculation_threshold`` of the phase has
+    finished, an attempt still running longer than ``speculation_factor``
+    times the median finished duration earns a backup, which takes the
+    first slot that frees after that moment and holds it.  Returns
+    ``{index: (original's end, backup's start)}``.
+    """
+    free = [0.0] * (slots or len(attempts))
+    placed = []
+    for index, seconds, ok in attempts:
+        start = heapq.heappop(free)
+        heapq.heappush(free, start + seconds)
+        placed.append((index, start, start + seconds, ok))
+    need = max(1, int(num_tasks * policy.speculation_threshold))
+    done = list(finished)
+    # Between two completions the median is constant, so each epoch
+    # [t0, t1) fires a backup at the first moment its rule holds.
+    epochs = [(0.0, None)] + sorted(
+        (end, end - start) for __, start, end, ok in placed if ok
     )
+    fires: dict[int, tuple[float, float]] = {}
+    for k, (t0, seconds) in enumerate(epochs):
+        if seconds is not None:
+            done.append(seconds)
+        if len(done) < need:
+            continue
+        t1 = epochs[k + 1][0] if k + 1 < len(epochs) else math.inf
+        median = sorted(done)[len(done) // 2]
+        for index, start, end, __ in placed:
+            t = max(t0, start + policy.speculation_factor * median)
+            if index not in fires and t < t1 and t < end:
+                fires[index] = (t, end)
+    backups = {}
+    for index, (t, end) in sorted(fires.items(), key=lambda kv: (kv[1][0], kv[0])):
+        slot_free = heapq.heappop(free)
+        start = max(t, slot_free)
+        if start < end:  # else the original finished before a slot freed
+            backups[index] = (end, start)
+            slot_free = math.inf
+        heapq.heappush(free, slot_free)
+    return backups
 
 
 # ----------------------------------------------------------------------
@@ -1291,32 +1347,38 @@ def run_phase_with_recovery(
     recorder=None,
     ledger=None,
     workers: WorkerManager | None = None,
+    price: Callable[[Any], float] = _flat_price,
+    slots: int | None = None,
 ) -> tuple[list, PhaseReport | None]:
     """Run a phase with retry/speculation; returns (results, report).
 
-    The fast path — no fault plan, ``max_attempts == 1``, no speculation
-    — is a direct ``executor.run_phase`` call: byte-for-byte the seed
+    The fast path — no fault plan, an inactive policy, no worker pool —
+    is a direct ``executor.run_phase`` call: byte-for-byte the seed
     dispatch, no envelopes, no telemetry (``report`` is ``None``).
-    Otherwise tasks run inside attempt envelopes: failures are captured
-    and re-dispatched (fresh attempt id, simulated backoff) until they
+    Otherwise tasks run inside attempt envelopes, in deterministic
+    rounds (:func:`_run_retry_rounds`): failures are captured and
+    re-dispatched (fresh attempt id, simulated backoff) until they
     succeed or burn ``policy.max_attempts`` failures, at which point
     :class:`~repro.errors.TaskRetryExhausted` carries the task's full
-    attempt log out of the phase.  With ``policy.speculate`` and a
-    parallel executor, a straggler monitor races backup attempts against
-    slow tasks and keeps whichever finishes first.
+    attempt log out of the phase.
+
+    ``price(task_result)`` gives a successful attempt's simulated
+    seconds and ``price(None)`` a failed one's; the engine passes its
+    cost model's task pricing and the phase's ``slots``.  Speculation
+    and the watchdog decide on those simulated seconds alone, so every
+    executor, at every worker count, runs the same attempts.
 
     ``ledger`` (a :class:`repro.obs.ledger.NullLedger`-compatible
     object, or ``None``) receives one ``task_attempt`` event per
     recorded attempt — carrying an explicit ``charged`` flag, since an
-    attempt can log outcome ``"failed"`` without being charged as a
-    task failure (a speculative loser that raised after its sibling
-    won) — plus ``task_retry``, ``task_skip`` and
-    ``speculation_launch`` events from the paths that emit them.
+    attempt can fail without being charged (a speculative loser) — plus
+    ``task_retry``, ``task_skip`` and ``speculation_launch`` events from
+    the paths that emit them.
 
     ``workers`` (a :class:`WorkerManager`, engine-built when the pool
     is engaged) threads the named-worker assignment through every
-    attempt tag and lets the dispatch loops enact worker deaths,
-    output invalidation and blacklisting; ``None`` leaves behaviour
+    attempt tag and lets the rounds enact worker deaths, output
+    invalidation and blacklisting; ``None`` leaves behaviour
     bit-for-bit unchanged.
     """
     if ledger is not None and not ledger.enabled:
@@ -1328,55 +1390,9 @@ def run_phase_with_recovery(
     env = _AttemptPhase(
         inner=payload, worker=worker, slots=(), plan=plan, job=job, phase=phase
     )
-    degraded = False
-    if policy.speculate or policy.task_timeout_s is not None:
-        # Both speculation and the watchdog need streaming completions;
-        # a serial executor has no session, so they degrade to rounds.
-        session = executor.open_session(_run_attempt, env)
-        if session is not None:
-            with session:
-                return _run_session(
-                    session, env, num_tasks, policy, recorder, ledger, workers
-                )
-        if policy.task_timeout_s is not None:
-            # Satellite fix: a silently-toothless watchdog (1-CPU boxes,
-            # serial executor) now announces itself instead of letting
-            # hung tasks run to completion unremarked.
-            _warn_watchdog_degraded(job, phase, policy, recorder, ledger)
-            degraded = True
-    results, report = _run_retry_rounds(
-        executor, env, num_tasks, policy, recorder, ledger, workers
+    return _run_retry_rounds(
+        executor, env, num_tasks, policy, recorder, ledger, workers, price, slots
     )
-    if degraded:
-        report.watchdog_degraded = True
-    return results, report
-
-
-def _warn_watchdog_degraded(
-    job: str, phase: str, policy: RetryPolicy, recorder, ledger
-) -> None:
-    """Announce EFFECTIVE_WATCHDOG=off in the ledger and the trace."""
-    detail = (
-        f"EFFECTIVE_WATCHDOG=off: task_timeout_s={policy.task_timeout_s} "
-        "degrades to retry rounds because the executor has no streaming "
-        "session (serial, or a single worker) — hung attempts cannot be "
-        "preempted"
-    )
-    if ledger is not None:
-        ledger.event(
-            "warning",
-            kind="watchdog_degraded",
-            job=job,
-            phase=phase,
-            detail=detail,
-        )
-    if recorder is not None and recorder.enabled:
-        recorder.instant(
-            "watchdog-degraded",
-            cat="attempt",
-            track=f"{phase} attempts",
-            args={"job": job, "detail": detail},
-        )
 
 
 def _record_attempt(
@@ -1387,25 +1403,26 @@ def _record_attempt(
     phase: str,
     outcome: str | None = None,
     ledger=None,
-) -> TaskAttempt:
+) -> None:
     """File one outcome into the report (and the trace/ledger, if on).
 
     ``outcome`` overrides the outcome name for dispositions the outcome
-    object cannot know about (``"skipped"``: the failure was one bad
-    record that skipping mode quarantines, so it does not count as a
-    task failure).
+    object cannot know about: ``"skipped"`` (the failure was one bad
+    record that skipping mode quarantines) and ``"lost"`` (a sibling
+    attempt finished first and this one was killed).  Neither is
+    charged as a task failure.
     """
     attempt = TaskAttempt(
         attempt=out.attempt,
         outcome=outcome or out.outcome_name,
         speculative=out.speculative,
-        error=out.error,
+        error="" if outcome == "lost" else out.error,
         duration_s=out.duration_s,
         backoff_s=backoff_s,
     )
     report.attempts[out.index].append(attempt)
     report.launched += 1
-    charged = not out.ok and attempt.outcome != "skipped"
+    charged = not out.ok and attempt.outcome not in ("skipped", "lost")
     if charged:
         report.failures += 1
     if ledger is not None:
@@ -1418,7 +1435,7 @@ def _record_attempt(
             speculative=out.speculative,
             charged=charged,
             duration_s=round(out.duration_s, 6),
-            **({"error": out.error} if out.error else {}),
+            **({"error": attempt.error} if attempt.error else {}),
         )
     if recorder is not None and recorder.enabled:
         recorder.add_span(
@@ -1432,59 +1449,7 @@ def _record_attempt(
                 "attempt": out.attempt,
                 "outcome": attempt.outcome,
                 "speculative": out.speculative,
-                **({"error": out.error} if out.error else {}),
-            },
-        )
-    return attempt
-
-
-def _mark_lost(
-    report: PhaseReport, out: _Outcome, recorder, phase: str, ledger=None
-) -> None:
-    """A sibling attempt already won; this one is a discarded loser."""
-    out = _Outcome(
-        index=out.index,
-        attempt=out.attempt,
-        speculative=out.speculative,
-        ok=False,
-        error="" if out.ok else out.error,
-        t_start=out.t_start,
-        t_end=out.t_end,
-    )
-    attempt = TaskAttempt(
-        attempt=out.attempt,
-        outcome="lost" if not out.error else "failed",
-        speculative=out.speculative,
-        error=out.error,
-        duration_s=out.duration_s,
-    )
-    report.attempts[out.index].append(attempt)
-    report.launched += 1
-    if ledger is not None:
-        # A loser never charges a failure, even when it logs "failed".
-        ledger.event(
-            "task_attempt",
-            phase=phase,
-            task=out.index,
-            attempt=out.attempt,
-            outcome=attempt.outcome,
-            speculative=out.speculative,
-            charged=False,
-            duration_s=round(out.duration_s, 6),
-            **({"error": out.error} if out.error else {}),
-        )
-    if recorder is not None and recorder.enabled:
-        recorder.add_span(
-            f"{phase}-{out.index}-a{out.attempt}",
-            cat="attempt",
-            track=f"{phase} attempts",
-            start=out.t_start,
-            end=out.t_end,
-            args={
-                "task": out.index,
-                "attempt": out.attempt,
-                "outcome": attempt.outcome,
-                "speculative": out.speculative,
+                **({"error": attempt.error} if attempt.error else {}),
             },
         )
 
@@ -1543,19 +1508,29 @@ def _run_retry_rounds(
     recorder,
     ledger=None,
     workers: WorkerManager | None = None,
+    price: Callable[[Any], float] = _flat_price,
+    slots: int | None = None,
 ) -> tuple[list, PhaseReport]:
-    """Deterministic round-based retries (the non-speculative path).
+    """Deterministic round-based recovery: the one dispatch loop.
 
-    Round 0 runs every task at attempt 0; round ``k`` re-dispatches the
-    tasks that failed round ``k-1`` in task-id order.  Results, attempt
-    logs and the raising task (the lowest exhausted id of the earliest
-    failing round) are therefore identical on every executor.
+    Round 0 runs every task at attempt 0; each later round re-dispatches,
+    in task-id order, the tasks the previous round left unsettled.  Each
+    round is one ``executor.run_phase`` call, and every decision is made
+    parent-side from the round's outcomes and their simulated seconds,
+    so results, attempt logs and the raising task (the lowest exhausted
+    id of the earliest failing round) are identical on every executor.
 
     Skipping mode rides the same rounds: an attempt that died on one
     bad record re-dispatches with the record quarantined instead of
     charging a failure, bounded per task by
     ``policy.max_skipped_records`` (past the bound the bad record is an
     ordinary failure again).
+
+    Under ``policy.speculate``, :func:`_stragglers` picks the round's
+    stragglers and their backups run in the next round.  The earlier
+    simulated finisher of a race wins (ties go to the original) and the
+    other is logged ``"lost"``; a first finisher that failed is charged,
+    and the sibling still decides the task.
 
     With an engaged ``workers`` manager, every slot carries its
     assigned worker name, and the between-rounds step doubles as the
@@ -1575,34 +1550,145 @@ def _run_retry_rounds(
     launch_counts = [0] * num_tasks  # next attempt id (skips included)
     skips: list[tuple[int, ...]] = [() for __ in range(num_tasks)]
     next_backoff = [0.0] * num_tasks
-    pending = list(range(num_tasks))
     supports_skip = getattr(env.worker, "supports_record_skipping", False)
+    #: simulated seconds of every settled task (the speculation median)
+    finished: list[float] = []
+    #: stragglers racing this round's backups: index -> (outcome,
+    #: worker, simulated end, the backup's simulated start)
+    racing: dict[int, tuple[_Outcome, str | None, float, float]] = {}
+    retry: list[int] = []
+
+    def accept(out: _Outcome, worker_name: str | None) -> None:
+        i = out.index
+        _record_attempt(
+            report, out, 0.0 if out.speculative else next_backoff[i],
+            recorder, env.phase, ledger=ledger,
+        )
+        results[i] = out.value
+        finished.append(out.duration_s)
+        if out.speculative:
+            report.speculative_wins += 1
+        if workers is not None:
+            workers.task_completed(i, worker_name)
+
+    def fail(out: _Outcome, worker_name: str | None, sibling: bool = False) -> None:
+        """Settle a failed attempt; ``sibling``: its race partner still runs."""
+        i = out.index
+        backoff = 0.0 if out.speculative else next_backoff[i]
+        if (
+            out.bad_record is not None
+            and supports_skip
+            and policy.max_skipped_records > 0
+            and out.bad_record[0] not in skips[i]
+            and len(report.skipped[i]) < policy.max_skipped_records
+        ):
+            # One bad record, quarantine budget left: log the attempt
+            # as "skipped" and re-dispatch without it — no failure
+            # charged, no backoff (the record is gone, the retry is
+            # expected to work).
+            _record_attempt(
+                report, out, backoff, recorder, env.phase,
+                outcome="skipped", ledger=ledger,
+            )
+            report.skipped[i].append(out.bad_record)
+            skips[i] = skips[i] + (out.bad_record[0],)
+            if ledger is not None:
+                offset, path, lineno, __ = out.bad_record
+                ledger.event(
+                    "task_skip",
+                    phase=env.phase,
+                    task=i,
+                    offset=offset,
+                    path=path,
+                    lineno=lineno,
+                )
+            if not sibling:
+                retry.append(i)
+            return
+        _record_attempt(report, out, backoff, recorder, env.phase, ledger=ledger)
+        report.timeouts += out.timed_out
+        failed_counts[i] += 1
+        if workers is not None:
+            workers.strike(worker_name)
+        if sibling:
+            return  # the sibling may yet win
+        if failed_counts[i] >= policy.max_attempts:
+            raise _exhausted_error(
+                env.job, env.phase, i, report.attempts[i], out.error
+            )
+        next_backoff[i] = _retry_backoff(
+            report, policy, i, failed_counts[i], recorder, env.phase, ledger
+        )
+        retry.append(i)
+
+    def settle(out: _Outcome, worker_name: str | None) -> None:
+        if out.ok:
+            accept(out, worker_name)
+        else:
+            fail(out, worker_name)
+
+    def race(backup: _Outcome, backup_worker: str | None, lost: set[str]) -> None:
+        """Resolve a straggler against its backup: first finisher wins."""
+        original, original_worker, end, start = racing.pop(backup.index)
+        runners = []
+        for rank, (out, name, finish) in enumerate(
+            (
+                (original, original_worker, end),
+                (backup, backup_worker, start + backup.duration_s),
+            )
+        ):
+            if name is not None and name in lost:
+                _mark_worker_lost(
+                    report, workers, out.index, out.attempt, out.speculative,
+                    out.duration_s, name, recorder, env.phase, ledger,
+                )
+            else:
+                runners.append((finish, rank, out, name))
+        runners.sort(key=lambda r: r[:2])
+        if not runners:
+            retry.append(backup.index)
+        elif len(runners) == 1:
+            settle(runners[0][2], runners[0][3])
+        else:
+            (__, __, first, first_worker), (__, __, second, second_worker) = runners
+            if first.ok:
+                accept(first, first_worker)
+                _record_attempt(
+                    report, second, 0.0, recorder, env.phase,
+                    outcome="lost", ledger=ledger,
+                )
+            else:
+                fail(first, first_worker, sibling=True)
+                settle(second, second_worker)
+
+    pending = list(range(num_tasks))
     while pending:
-        slots = []
+        table = []
         for i in pending:
             assigned = (
                 workers.assign(i, launch_counts[i])
                 if workers is not None
                 else None
             )
-            slots.append((i, launch_counts[i], False, skips[i], assigned))
+            table.append((i, launch_counts[i], i in racing, skips[i], assigned))
             launch_counts[i] += 1
         round_env = _AttemptPhase(
             inner=env.inner,
             worker=env.worker,
-            slots=tuple(slots),
+            slots=tuple(table),
             plan=env.plan,
             job=env.job,
             phase=env.phase,
         )
-        outcomes = executor.run_phase(_run_attempt, len(slots), round_env)
+        outcomes = executor.run_phase(_run_attempt, len(table), round_env)
+        _price_round(outcomes, policy, price)
         lost_workers: set[str] = set()
         invalidated: list[int] = []
         if workers is not None:
             # Scheduler-side pass first: worker faults trigger as the
             # round's attempts report in (slot order), then the sweep
             # enacts every queued death before results are accepted.
-            for out, slot in zip(outcomes, slots):
+            for out, slot in zip(outcomes, table):
                 for spec in workers.worker_events_for(out.index, out.attempt):
                     if spec.kind == "join-worker":
                         workers.enact_join(spec)
@@ -1610,10 +1696,32 @@ def _run_retry_rounds(
                         workers.queue_death(spec.worker or slot[4], spec)
             victims, invalidated = workers.enact_pending()
             lost_workers = set(victims)
-        retry: list[int] = []
-        for out, slot in zip(outcomes, slots):  # slot order == task-id order
+        held = {}
+        if policy.speculate:
+            # The round's own attempts on its timeline (backups belong
+            # to the last round's), minus those lost with their worker.
+            own = [
+                (out, slot[4])
+                for out, slot in zip(outcomes, table)
+                if not out.speculative and slot[4] not in lost_workers
+            ]
+            backups = _stragglers(
+                [(out.index, out.duration_s, out.ok) for out, __ in own],
+                finished, num_tasks, policy, slots,
+            )
+            for out, name in own:
+                if out.index in backups:
+                    held[out.index] = (out, name, *backups[out.index])
+                    _launch_backup(
+                        report, out.index, launch_counts[out.index],
+                        recorder, env.phase, ledger,
+                    )
+        retry = []
+        for out, slot in zip(outcomes, table):  # slot order == task-id order
             i = out.index
-            if slot[4] is not None and slot[4] in lost_workers:
+            if out.speculative:
+                race(out, slot[4], lost_workers)
+            elif slot[4] is not None and slot[4] in lost_workers:
                 # The attempt was in flight on the dying worker: its
                 # result died with the node — not charged, re-run.
                 _mark_worker_lost(
@@ -1621,438 +1729,29 @@ def _run_retry_rounds(
                     out.duration_s, slot[4], recorder, env.phase, ledger,
                 )
                 retry.append(i)
-                continue
-            if out.ok:
-                _record_attempt(
-                    report, out, next_backoff[i], recorder, env.phase,
-                    ledger=ledger,
-                )
-                results[i] = out.value
-                if workers is not None:
-                    workers.task_completed(i, slot[4])
-                continue
-            if (
-                out.bad_record is not None
-                and supports_skip
-                and policy.max_skipped_records > 0
-                and len(report.skipped[i]) < policy.max_skipped_records
-            ):
-                # One bad record, quarantine budget left: log the
-                # attempt as "skipped" and re-dispatch without it — no
-                # failure charged, no backoff (the record is gone, the
-                # retry is expected to work).
-                _record_attempt(
-                    report, out, next_backoff[i], recorder, env.phase,
-                    outcome="skipped", ledger=ledger,
-                )
-                report.skipped[i].append(out.bad_record)
-                skips[i] = skips[i] + (out.bad_record[0],)
-                if ledger is not None:
-                    offset, path, lineno, __ = out.bad_record
-                    ledger.event(
-                        "task_skip",
-                        phase=env.phase,
-                        task=i,
-                        offset=offset,
-                        path=path,
-                        lineno=lineno,
-                    )
-                retry.append(i)
-                continue
-            _record_attempt(
-                report, out, next_backoff[i], recorder, env.phase, ledger=ledger
-            )
-            failed_counts[i] += 1
-            if workers is not None:
-                workers.strike(slot[4])
-            if failed_counts[i] >= policy.max_attempts:
-                raise _exhausted_error(
-                    env.job, env.phase, i, report.attempts[i], out.error
-                )
-            next_backoff[i] = _retry_backoff(
-                report, policy, i, failed_counts[i], recorder, env.phase, ledger
-            )
-            retry.append(i)
+            elif i not in held:
+                settle(out, slot[4])
         for t in invalidated:
             # Committed output from an earlier round died with its
             # worker: the task runs again (fresh attempt id, uncharged).
             results[t] = None
             retry.append(t)
-        pending = sorted(set(retry))
+        racing = held
+        pending = sorted(set(retry) | set(racing))
     return results, report
 
 
-class _SessionState:
-    """Book-keeping of one streaming phase run (parent-side only)."""
-
-    __slots__ = (
-        "results",
-        "done",
-        "launched_ids",
-        "failed_counts",
-        "running",
-        "abandoned",
-        "skips",
-        "has_backup",
-        "pending_backoff",
-        "winner_speculative",
-    )
-
-    def __init__(self, num_tasks: int) -> None:
-        self.results: list[Any] = [None] * num_tasks
-        self.done = [False] * num_tasks
-        self.launched_ids = [0] * num_tasks  # next attempt id per task
-        self.failed_counts = [0] * num_tasks
-        #: attempt id -> (submit wall-stamp, speculative), per task
-        self.running: list[dict[int, tuple[float, bool]]] = [
-            {} for __ in range(num_tasks)
-        ]
-        #: attempt ids the watchdog declared dead — late arrivals from
-        #: these are dropped on the floor (their replacement already
-        #: owns the task)
-        self.abandoned: list[set[int]] = [set() for __ in range(num_tasks)]
-        #: quarantined split offsets per task (skipping mode)
-        self.skips: list[tuple[int, ...]] = [() for __ in range(num_tasks)]
-        self.has_backup = [False] * num_tasks
-        self.pending_backoff: list[float] = [0.0] * num_tasks
-        self.winner_speculative = [False] * num_tasks
-
-
-def _run_session(
-    session,
-    env: _AttemptPhase,
-    num_tasks: int,
-    policy: RetryPolicy,
-    recorder,
-    ledger=None,
-    workers: WorkerManager | None = None,
-) -> tuple[list, PhaseReport]:
-    """Event-loop dispatch: speculation and/or watchdog (thread/process).
-
-    Tags are ``(index, attempt, speculative, skips, worker_name)``.
-    First successful finisher per task wins; siblings are discarded as
-    ``lost``.  With ``policy.task_timeout_s`` set, a watchdog sweep
-    abandons any attempt past the wall-clock bound (outcome
-    ``"timeout"``, charged as a failure) and re-dispatches the task
-    through the retry path; a result that straggles in from an
-    abandoned attempt is ignored.  Output stays byte-identical to the
-    batch path because every clean attempt of a task computes the
-    identical result — only the telemetry (attempt counts, speculative
-    wins, timeouts) depends on timing.
-
-    With an engaged ``workers`` manager the loop also runs a liveness
-    sweep each iteration (the simulated heartbeat, distinct from the
-    per-task watchdog): queued worker deaths are enacted, in-flight
-    attempts on the victim are written off as ``worker_lost``
-    (uncharged — including speculative losers), committed map outputs
-    it owned rejoin the pending set, and a completion report arriving
-    from a dead or dying worker is withheld rather than accepted.
-    """
-    report = PhaseReport(
-        attempts=[[] for __ in range(num_tasks)],
-        skipped=[[] for __ in range(num_tasks)],
-    )
-    state = _SessionState(num_tasks)
-    supports_skip = getattr(env.worker, "supports_record_skipping", False)
-    completed_durations: list[float] = []
-    done_count = 0
-    #: worker assigned to each launched attempt: (index, attempt) -> name
-    tag_workers: dict[tuple[int, int], str | None] = {}
-
-    def launch(index: int, speculative: bool) -> None:
-        attempt = state.launched_ids[index]
-        state.launched_ids[index] += 1
-        assigned = (
-            workers.assign(index, attempt) if workers is not None else None
+def _launch_backup(
+    report: PhaseReport, index: int, attempt: int, recorder, phase: str, ledger
+) -> None:
+    """Count (and log) one speculative backup, run in the next round."""
+    report.speculative_launched += 1
+    if ledger is not None:
+        ledger.event("speculation_launch", phase=phase, task=index, attempt=attempt)
+    if recorder is not None and recorder.enabled:
+        recorder.instant(
+            "speculative-launch",
+            cat="attempt",
+            track=f"{phase} attempts",
+            args={"task": index, "attempt": attempt},
         )
-        tag_workers[(index, attempt)] = assigned
-        state.running[index][attempt] = (time.monotonic(), speculative)
-        session.submit(
-            (index, attempt, speculative, state.skips[index], assigned)
-        )
-        if speculative:
-            report.speculative_launched += 1
-            state.has_backup[index] = True
-            if ledger is not None:
-                ledger.event(
-                    "speculation_launch",
-                    phase=env.phase,
-                    task=index,
-                    attempt=attempt,
-                )
-            if recorder is not None and recorder.enabled:
-                recorder.instant(
-                    "speculative-launch",
-                    cat="attempt",
-                    track=f"{env.phase} attempts",
-                    args={"task": index, "attempt": attempt},
-                )
-
-    def monitor() -> None:
-        """Launch backups for stragglers once the phase is mostly done."""
-        if not policy.speculate:
-            return
-        if done_count < max(1, int(num_tasks * policy.speculation_threshold)):
-            return
-        if not completed_durations:
-            return
-        ordered = sorted(completed_durations)
-        median = ordered[len(ordered) // 2]
-        threshold = max(
-            policy.speculation_factor * median, policy.speculation_min_runtime_s
-        )
-        now = time.monotonic()
-        for index in range(num_tasks):
-            if state.done[index] or state.has_backup[index]:
-                continue
-            if len(state.running[index]) != 1:
-                continue  # nothing running (about to retry) or already racing
-            started, __ = next(iter(state.running[index].values()))
-            if now - started > threshold:
-                launch(index, speculative=True)
-
-    def reap_timeouts() -> None:
-        """Abandon attempts past the watchdog bound and re-dispatch."""
-        if policy.task_timeout_s is None:
-            return
-        now = time.monotonic()
-        for index in range(num_tasks):
-            if state.done[index]:
-                continue
-            for attempt, (started, speculative) in list(
-                state.running[index].items()
-            ):
-                if now - started <= policy.task_timeout_s:
-                    continue
-                del state.running[index][attempt]
-                state.abandoned[index].add(attempt)
-                if speculative:
-                    state.has_backup[index] = False
-                report.attempts[index].append(
-                    TaskAttempt(
-                        attempt=attempt,
-                        outcome="timeout",
-                        speculative=speculative,
-                        error=(
-                            f"watchdog: attempt exceeded task_timeout_s="
-                            f"{policy.task_timeout_s}"
-                        ),
-                        duration_s=now - started,
-                        backoff_s=state.pending_backoff[index],
-                    )
-                )
-                report.launched += 1
-                report.failures += 1
-                report.timeouts += 1
-                state.pending_backoff[index] = 0.0
-                if ledger is not None:
-                    ledger.event(
-                        "task_attempt",
-                        phase=env.phase,
-                        task=index,
-                        attempt=attempt,
-                        outcome="timeout",
-                        speculative=speculative,
-                        charged=True,
-                        duration_s=round(now - started, 6),
-                        error=(
-                            f"watchdog: attempt exceeded task_timeout_s="
-                            f"{policy.task_timeout_s}"
-                        ),
-                    )
-                if recorder is not None and recorder.enabled:
-                    recorder.instant(
-                        "watchdog-timeout",
-                        cat="attempt",
-                        track=f"{env.phase} attempts",
-                        args={
-                            "task": index,
-                            "attempt": attempt,
-                            "task_timeout_s": policy.task_timeout_s,
-                        },
-                    )
-                state.failed_counts[index] += 1
-                if workers is not None:
-                    workers.strike(tag_workers.get((index, attempt)))
-                if state.failed_counts[index] >= policy.max_attempts:
-                    if state.running[index]:
-                        continue  # a sibling may yet win
-                    raise _exhausted_error(
-                        env.job,
-                        env.phase,
-                        index,
-                        report.attempts[index],
-                        "task timed out",
-                    )
-                if not state.running[index]:
-                    state.pending_backoff[index] = _retry_backoff(
-                        report,
-                        policy,
-                        index,
-                        state.failed_counts[index],
-                        recorder,
-                        env.phase,
-                        ledger,
-                    )
-                    launch(index, speculative=False)
-
-    def worker_sweep() -> None:
-        """The liveness sweep: enact queued deaths, re-dispatch lost work.
-
-        This is the simulated heartbeat scan — it runs every loop
-        iteration, independent of task completions, which is how a
-        *silent* death (no failure report) still gets detected.
-        """
-        nonlocal done_count
-        if workers is None or not workers.has_pending_deaths:
-            return
-        victims, invalidated = workers.enact_pending()
-        vic = set(victims)
-        now = time.monotonic()
-        for index in range(num_tasks):
-            if state.done[index]:
-                continue
-            for attempt, (started, speculative) in list(
-                state.running[index].items()
-            ):
-                if tag_workers.get((index, attempt)) not in vic:
-                    continue
-                del state.running[index][attempt]
-                state.abandoned[index].add(attempt)
-                if speculative:
-                    state.has_backup[index] = False
-                _mark_worker_lost(
-                    report, workers, index, attempt, speculative,
-                    now - started, tag_workers[(index, attempt)],
-                    recorder, env.phase, ledger,
-                )
-        for t in invalidated:
-            # Committed map output died with its worker: the task is
-            # no longer done and must run again (fresh attempt id).
-            if state.done[t]:
-                state.done[t] = False
-                state.results[t] = None
-                done_count -= 1
-        for index in range(num_tasks):
-            if not state.done[index] and not state.running[index]:
-                launch(index, speculative=False)
-
-    for index in range(num_tasks):
-        launch(index, speculative=False)
-
-    while done_count < num_tasks or (
-        workers is not None and workers.has_pending_deaths
-    ):
-        worker_sweep()
-        if done_count >= num_tasks:
-            continue  # the sweep drained the queue or undid some tasks
-        item = session.next_done(timeout=0.01)
-        reap_timeouts()
-        if item is None:
-            monitor()
-            continue
-        (index, attempt, speculative, __, wname), out = item
-        if attempt in state.abandoned[index]:
-            continue  # the watchdog already wrote this attempt off
-        if workers is not None:
-            for spec in workers.worker_events_for(index, attempt):
-                if spec.kind == "join-worker":
-                    workers.enact_join(spec)
-                else:
-                    workers.queue_death(spec.worker or wname, spec)
-            if workers.is_lost_worker(wname):
-                # The worker died before delivering this result: the
-                # report is withheld — the next sweep enacts the death
-                # and re-dispatches the task (nothing charged).
-                state.running[index].pop(attempt, None)
-                state.abandoned[index].add(attempt)
-                if speculative:
-                    state.has_backup[index] = False
-                _mark_worker_lost(
-                    report, workers, index, attempt, speculative,
-                    out.duration_s, wname, recorder, env.phase, ledger,
-                )
-                continue
-        state.running[index].pop(attempt, None)
-        if state.done[index]:
-            _mark_lost(report, out, recorder, env.phase, ledger)
-            continue
-        if out.ok:
-            _record_attempt(
-                report, out, state.pending_backoff[index], recorder, env.phase,
-                ledger=ledger,
-            )
-            state.pending_backoff[index] = 0.0
-            state.results[index] = out.value
-            state.done[index] = True
-            state.winner_speculative[index] = out.speculative
-            if workers is not None:
-                workers.task_completed(index, wname)
-            if out.speculative:
-                report.speculative_wins += 1
-            done_count += 1
-            completed_durations.append(out.duration_s)
-            monitor()
-            continue
-        if (
-            out.bad_record is not None
-            and supports_skip
-            and policy.max_skipped_records > 0
-            and out.bad_record[0] not in state.skips[index]
-            and len(report.skipped[index]) < policy.max_skipped_records
-        ):
-            # Skipping mode: quarantine the record, re-dispatch at once.
-            _record_attempt(
-                report,
-                out,
-                state.pending_backoff[index],
-                recorder,
-                env.phase,
-                outcome="skipped",
-                ledger=ledger,
-            )
-            state.pending_backoff[index] = 0.0
-            report.skipped[index].append(out.bad_record)
-            state.skips[index] = state.skips[index] + (out.bad_record[0],)
-            if ledger is not None:
-                offset, path, lineno, __ = out.bad_record
-                ledger.event(
-                    "task_skip",
-                    phase=env.phase,
-                    task=index,
-                    offset=offset,
-                    path=path,
-                    lineno=lineno,
-                )
-            if not state.running[index]:
-                launch(index, speculative=False)
-            continue
-        # A failure (raised or corrupt).
-        _record_attempt(
-            report, out, state.pending_backoff[index], recorder, env.phase,
-            ledger=ledger,
-        )
-        state.pending_backoff[index] = 0.0
-        state.failed_counts[index] += 1
-        if workers is not None:
-            workers.strike(wname)
-        if state.failed_counts[index] >= policy.max_attempts:
-            if state.running[index]:
-                # A sibling attempt is still in flight; it may yet win.
-                continue
-            raise _exhausted_error(
-                env.job, env.phase, index, report.attempts[index], out.error
-            )
-        if not state.running[index]:
-            state.pending_backoff[index] = _retry_backoff(
-                report,
-                policy,
-                index,
-                state.failed_counts[index],
-                recorder,
-                env.phase,
-                ledger,
-            )
-            launch(index, speculative=False)
-        monitor()
-    return state.results, report

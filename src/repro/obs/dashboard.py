@@ -13,9 +13,8 @@ with ``--verbose``), one block per job:
   out, and the skew factor (max / mean) the makespan approximation
   turns into straggler time;
 * a ``workers:`` line when the worker pool engaged — lost/blacklisted/
-  joined workers, invalidated map outputs and re-executed tasks, the
-  simulated recovery overhead, and the ``EFFECTIVE_WATCHDOG=off``
-  notice when a task timeout silently degraded to retry rounds;
+  joined workers, invalidated map outputs and re-executed tasks, and
+  the simulated recovery overhead;
 * a ``storage:`` line when the block plane engaged — map-task data
   locality, corrupt replicas failed over, replicas lost, healing
   copies, the simulated network overhead, and a loud
@@ -136,8 +135,7 @@ def _workers_line(result: "JobResult") -> str | None:
     failures = eng(C.WORKER_FAILURES)
     blacklisted = eng(C.WORKERS_BLACKLISTED)
     joined = eng(C.WORKERS_JOINED)
-    degraded = eng(C.WATCHDOG_DEGRADED)
-    if not (failures or blacklisted or joined or degraded):
+    if not (failures or blacklisted or joined):
         return None
     parts = []
     if failures:
@@ -155,11 +153,6 @@ def _workers_line(result: "JobResult") -> str | None:
     if result.cost.recovery_overhead_s:
         parts.append(
             f"overhead {_fmt_s(result.cost.recovery_overhead_s)} simulated"
-        )
-    if degraded:
-        parts.append(
-            "EFFECTIVE_WATCHDOG=off (no streaming session: task timeout "
-            "degraded to retry rounds)"
         )
     return "  workers: " + ", ".join(parts)
 

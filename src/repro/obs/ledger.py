@@ -20,7 +20,7 @@ after the process is gone.  One run emits
   ``worker_lost`` (with its ``detected`` mode), ``output_invalidated``
   (the committed map outputs that died with the worker, and how many
   re-executed), ``worker_blacklisted``, ``worker_joined`` — plus
-  ``warning`` events such as the degraded-watchdog notice;
+  ``warning`` events such as the block plane's under-replication notice;
 * durable-storage events when the block plane is engaged
   (``Cluster(replication=N)``) — ``block_corruption`` (a checksum
   failure detected at read, failed over), ``replica_lost`` (with its
@@ -45,8 +45,8 @@ The reader half (:func:`read_ledger`, :class:`LedgerRun`) reconstructs
 a run from its journal.  Replay is exact by construction: the emitting
 sites are the same code paths that feed the engine counters, and each
 ``task_attempt`` event carries an explicit ``charged`` flag (an
-attempt can be recorded as ``failed`` without being charged as a task
-failure — a speculative loser that raised after its sibling won), so
+attempt can end without being charged as a task failure — a ``lost``
+speculative loser, a ``skipped`` bad record, a ``worker_lost``), so
 ``LedgerRun`` job tallies reproduce ``TASK_ATTEMPTS``/``TASK_FAILURES``
 et al. without re-deriving recovery policy.
 

@@ -51,7 +51,6 @@ _RECOVERY_PREFIXES = (
     "worker",
     "map_output_lost",
     "tasks_reexecuted",
-    "watchdog_",
 )
 
 

@@ -54,7 +54,6 @@ _TELEMETRY_PREFIXES = (
     "worker",
     "map_output_lost",
     "tasks_reexecuted",
-    "watchdog_",
     "block_",
     "blocks_",
     "replicas_",

@@ -15,13 +15,14 @@ import json
 
 import pytest
 
-from repro.errors import DFSError
+from repro.errors import DFSError, FaultPlanError
 from repro.mapreduce.blocks import (
     BlockPlane,
     block_payload,
     chunk_blocks,
 )
 from repro.mapreduce.dfs import InMemoryDFS
+from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.localfs import LocalFSDFS
 from repro.mapreduce.placement import (
     PLACEMENT_PATH,
@@ -218,6 +219,28 @@ class TestFailover:
         assert plane.report.replicas_lost == 1
         assert len(plane.placement.blocks("f")[0].replicas) == 1
         assert plane.read("f") == ["a", "b"]
+
+    @pytest.mark.parametrize(
+        "block,replica",
+        [(2, 0), (0, 2)],
+        ids=["block-past-the-file", "replica-past-the-factor"],
+    )
+    def test_out_of_range_storage_spec_is_rejected(self, block, replica):
+        """A spec that could never fire names itself instead of staying
+        pending forever with no event and no warning."""
+        plane = _plane()
+        plane.on_write("f", ["a", "b", "c"])  # one block of 4 records
+        plan = FaultPlan().corrupt_block("f", block=block, replica=replica)
+        with pytest.raises(FaultPlanError, match=f"block {block}, replica {replica}"):
+            plane.enact_faults(plan, "j")
+
+    def test_replica_slot_emptied_by_a_loss_stays_pending(self):
+        plane = _plane()
+        plane.on_write("f", ["a"])
+        assert plane._lose_replica("f", 0, 1)
+        plan = FaultPlan().lose_replica("f", block=0, replica=1)
+        plane.enact_faults(plan, "j")  # in range, just empty for now
+        assert plan.specs[0] not in plane.pool.fired
 
     def test_dead_worker_replicas_swept(self):
         pool = WorkerPool(3)

@@ -8,7 +8,6 @@ import time
 import numpy as np
 import pytest
 
-import repro.mapreduce.executor as executor_mod
 from repro.errors import JobError
 from repro.mapreduce.executor import (
     EXECUTORS,
@@ -157,66 +156,6 @@ class TestThreadCancelOnFailure:
             ThreadExecutor(num_workers=4).run_phase(failing_worker, 16, 2)
 
 
-class TestForkStateIsolation:
-    """_FORK_STATE is published only inside the locked fork window and
-    restored afterwards, so nested or concurrent run_phase calls can
-    never fork a pool against another call's payload."""
-
-    def test_state_restored_after_phase(self):
-        sentinel = ("outer-worker", {"outer": True})
-        executor_mod._FORK_STATE = sentinel
-        try:
-            result = ProcessExecutor(num_workers=2).run_phase(
-                square_worker, 4, {"base": 7}
-            )
-            assert result == [7, 8, 11, 16]
-            assert executor_mod._FORK_STATE is sentinel
-        finally:
-            executor_mod._FORK_STATE = None
-
-    def test_nested_run_phase_keeps_outer_payload(self):
-        """Process phases forked from inside an outer thread phase's
-        workers (two forks racing in one process) must each see their
-        own payload.  Pool workers are daemonic, so process-in-process
-        nesting is structurally impossible — thread-outer is the real
-        nested shape."""
-
-        def inner(payload, index):
-            return payload + index
-
-        def outer(payload, index):
-            base = ProcessExecutor(num_workers=2).run_phase(inner, 2, index * 100)
-            return sum(base)
-
-        results = ThreadExecutor(num_workers=3).run_phase(outer, 3, None)
-        assert results == [1, 201, 401]
-
-    def test_concurrent_clusters_do_not_cross_payloads(self):
-        """Two threads forking process pools at once: each phase must see
-        its own payload (the lock serializes the set-fork-restore
-        window)."""
-        errors: list[str] = []
-        barrier = threading.Barrier(2, timeout=10.0)
-
-        def drive(tag: int) -> None:
-            def worker(payload, index):
-                return (payload, index)
-
-            for round_no in range(4):
-                barrier.wait()
-                got = ProcessExecutor(num_workers=2).run_phase(worker, 3, tag)
-                want = [(tag, i) for i in range(3)]
-                if got != want:
-                    errors.append(f"thread {tag} round {round_no}: {got}")
-
-        threads = [threading.Thread(target=drive, args=(t,)) for t in (1, 2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(30.0)
-        assert errors == []
-
-
 class _Unpicklable(Exception):
     def __init__(self, index):
         super().__init__(f"task {index} cannot travel")
@@ -327,54 +266,44 @@ class TestForkedDispatch:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
 
+    def test_nested_run_phase_keeps_outer_payload(self):
+        """Process phases forked from inside an outer thread phase's
+        workers (two forks racing in one process) must each see their
+        own payload: the children inherit it as a local of the call."""
 
-class TestPhaseSessions:
-    @pytest.mark.parametrize("name", ["thread", "process"])
-    def test_streaming_results_tagged(self, name):
-        ex = make_executor(name, 2)
-        session = ex.open_session(square_worker, {"base": 100})
-        assert session is not None
-        with session:
-            for tag in range(4):
-                session.submit(tag)
-            seen = {}
-            while len(seen) < 4:
-                item = session.next_done(timeout=5.0)
-                assert item is not None
-                tag, result = item
-                seen[tag] = result
-        assert seen == {i: 100 + i * i for i in range(4)}
+        def inner(payload, index):
+            return payload + index
 
-    @pytest.mark.parametrize("name", ALL_EXECUTORS)
-    def test_single_worker_has_no_session(self, name):
-        assert make_executor(name, 1).open_session(square_worker, None) is None
+        def outer(payload, index):
+            base = ProcessExecutor(num_workers=2).run_phase(inner, 2, index * 100)
+            return sum(base)
 
-    def test_serial_never_opens_a_session(self):
-        assert SerialExecutor().open_session(square_worker, None) is None
+        results = ThreadExecutor(num_workers=3).run_phase(outer, 3, None)
+        assert results == [1, 201, 401]
 
-    @pytest.mark.parametrize("name", ["thread", "process"])
-    def test_next_done_with_nothing_outstanding_raises(self, name):
-        session = make_executor(name, 2).open_session(square_worker, None)
-        with session:
-            with pytest.raises(JobError, match="no outstanding"):
-                session.next_done()
+    def test_concurrent_clusters_do_not_cross_payloads(self):
+        """Two threads forking process phases at once: each phase must
+        see its own payload."""
+        errors: list[str] = []
+        barrier = threading.Barrier(2, timeout=10.0)
 
-    @pytest.mark.parametrize("name", ["thread", "process"])
-    def test_close_abandons_stragglers(self, name):
-        """Leaving the with-block discards unfinished invocations — the
-        speculative-loser semantics — without hanging."""
+        def drive(tag: int) -> None:
+            def worker(payload, index):
+                return (payload, index)
 
-        def slow(payload, tag):
-            time.sleep(30.0)
-            return tag
+            for round_no in range(4):
+                barrier.wait()
+                got = ProcessExecutor(num_workers=2).run_phase(worker, 3, tag)
+                want = [(tag, i) for i in range(3)]
+                if got != want:
+                    errors.append(f"thread {tag} round {round_no}: {got}")
 
-        ex = make_executor(name, 2)
-        started = time.monotonic()
-        with ex.open_session(slow, None) as session:
-            session.submit(0)
-            session.submit(1)
-            assert session.next_done(timeout=0.05) is None
-        assert time.monotonic() - started < 10.0
+        threads = [threading.Thread(target=drive, args=(t,)) for t in (1, 2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+        assert errors == []
 
 
 # Module-level twins of Rect/TaggedRect *without* the compact

@@ -452,7 +452,10 @@ class TestEngineIntegration:
         assert eng("task_failures") == 0
         assert result.cost.fault_overhead_s == 0.0
 
-    def test_delay_fault_slows_wall_not_simulation(self):
+    def test_delay_fault_stretches_the_attempt_not_the_job(self):
+        """A delay is simulated: the delayed attempt lasts its priced
+        seconds plus ``delay_s``, while the job's canonical simulated
+        seconds stay the clean run's."""
         clean = Cluster(split_records=20)
         base = _run(clean)
         cluster = Cluster(
@@ -462,8 +465,46 @@ class TestEngineIntegration:
         )
         result = _run(cluster)
         assert result.simulated_seconds == base.simulated_seconds
-        assert result.wall_clock_seconds >= 0.15
+        model = cluster.cost_model
+        delayed, plain = result.map_tasks[0], result.map_tasks[1]
+        assert [a.duration_s for a in delayed.attempts] == [
+            pytest.approx(model.map_task_seconds(delayed) + 0.15)
+        ]
+        assert [a.duration_s for a in plain.attempts] == [
+            pytest.approx(model.map_task_seconds(plain))
+        ]
         assert result.counters.engine("task_failures") == 0
+
+
+@pytest.mark.parametrize("algorithm", ["cascade", "c-rep"])
+def test_clean_attempts_are_priced_like_their_tasks(algorithm):
+    """A clean recovery attempt lasts exactly its task's priced seconds:
+    map tasks, reduce tasks writing text lines (Cascade) and column
+    bundles (C-Rep) alike — the write included."""
+    from repro.experiments.common import derive_grid
+    from repro.experiments.workloads import synthetic_chain
+    from repro.joins.registry import make_algorithm
+    from repro.query.predicates import Overlap
+    from repro.query.query import Query
+
+    workload = synthetic_chain(150, 2_000.0, names=("R1", "R2", "R3"), seed=3)
+    query = Query.chain(["R1", "R2", "R3"], Overlap())
+    cluster = Cluster(retry=RetryPolicy(max_attempts=2))
+    result = make_algorithm(algorithm, query=query, d_max=workload.d_max).run(
+        query, workload.datasets, derive_grid(workload.datasets), cluster
+    )
+    model = cluster.cost_model
+    jobs = result.workflow.job_results
+    assert jobs
+    for job in jobs:
+        for price, tasks in (
+            (model.map_task_seconds, job.map_tasks),
+            (model.reduce_task_seconds, job.reduce_tasks),
+        ):
+            for task in tasks:
+                assert [a.duration_s for a in task.attempts] == [
+                    pytest.approx(price(task))
+                ]
 
 
 class TestCostPlumbing:

@@ -191,7 +191,11 @@ class TestEngineJournal:
         assert job.spill_bytes == eng(C.SPILL_BYTES)
 
     def test_replay_speculation_and_timeouts(self):
-        plan = FaultPlan().delay_task("map", 1, delay_s=0.3)
+        plan = (
+            FaultPlan()
+            .delay_task("map", 1, delay_s=0.3)
+            .hang_task("reduce", 0, hang_s=5.0)
+        )
         sink = MemorySink()
         cluster = _cluster(
             RunLedger(sink),
@@ -202,7 +206,7 @@ class TestEngineJournal:
                 max_attempts=2,
                 speculate=True,
                 speculation_threshold=0.5,
-                speculation_min_runtime_s=0.01,
+                task_timeout_s=1.0,
             ),
         )
         result = cluster.run_job(_word_count_job())
