@@ -16,6 +16,15 @@ fed a ready :class:`RectBatch` (``batch=``), builds only the CSR arrays
 :meth:`probe_frontier` reads, and materialises the per-bucket lists,
 the ``(rid, rect)`` pairs and the ``Entry`` objects on the first call
 that needs them.
+
+A numpy index can also hold several independent *segments* in one CSR
+(``segments=``: row bounds of a batch laid out segment by segment) —
+one per partition-cell of a physical reduce range.  Each segment keeps
+its own extent, ``side``, ``bw`` and ``bh``, computed from its rows
+alone, and its bucket keys are offset by the running sum of the earlier
+segments' ``side**2``; :meth:`probe_frontier` reads each query row's
+segment parameters.  So a segment's buckets, scan order and ``probes``
+are exactly those of an index built over its rows alone.
 """
 
 from __future__ import annotations
@@ -51,6 +60,13 @@ class GridIndex:
         Alternative inputs: raw ``(rid, rect)`` pairs, or a ready
         :class:`RectBatch` (indexed as is by the numpy kernel — no
         per-entry work at build time).
+    segments:
+        Numpy kernel with a ``batch`` only: int64 row bounds
+        ``[0, ..., batch.n]`` cutting the batch into independently
+        bucketed segments (row ``i`` is in segment ``s`` when
+        ``segments[s] <= i < segments[s + 1]``).  ``probes`` is then an
+        int64 array, the charges of each segment, and only
+        :meth:`probe_frontier` may probe.
     """
 
     def __init__(
@@ -60,6 +76,7 @@ class GridIndex:
         kernel: str = "python",
         pairs: list[tuple[Any, Rect]] | None = None,
         batch: RectBatch | None = None,
+        segments=None,
     ) -> None:
         # The index can be fed ``(rid, rect)`` pairs or a columnar batch
         # instead of Entry objects; the row forms are then materialized
@@ -79,8 +96,9 @@ class GridIndex:
             self._ent = list(entries)
             n = len(self._ent)
         self._n = n
-        #: bucket entries examined across all searches (compute-cost measure)
-        self.probes = 0
+        #: bucket entries examined across all searches (compute-cost
+        #: measure) — per segment on a segmented index
+        self.probes = 0 if segments is None else np.zeros(len(segments) - 1, np.int64)
         #: columnar bound arrays (numpy kernel only; None on the scalar path)
         self.batch: RectBatch | None = batch
         self._rid_array: Any = None
@@ -95,7 +113,7 @@ class GridIndex:
                 self.batch = RectBatch.from_pairs(np, ())
             return
         if columnar:
-            self._build_numpy(np, n, target_per_bucket, batch)
+            self._build_numpy(np, n, target_per_bucket, batch, segments)
             return
         # Bounds are kept as exact corner floats: round-tripping them
         # through a Rect can shrink the box by an ulp and wrongly fail
@@ -160,13 +178,15 @@ class GridIndex:
             self._pairs = pairs
         return pairs
 
-    def _build_numpy(self, np, n: int, target_per_bucket: int, batch) -> None:
+    def _build_numpy(self, np, n: int, target_per_bucket: int, batch, segments) -> None:
         """Columnar build: same buckets, same order, no per-entry loop.
 
         A bucket's list is its member entry indices in ascending order —
         exactly what the scalar insertion loop produces, because each
         entry appears at most once per bucket.  The stable argsort over
         the expanded (bucket-key, entry) pairs preserves that order.
+        Every per-segment quantity is the scalar build's expression
+        evaluated on that segment's rows, elementwise.
         """
         if batch is None:
             batch = RectBatch.from_pairs(np, self._rid_rects)
@@ -175,50 +195,86 @@ class GridIndex:
         by_min, by_max = batch.y_min, batch.y_max
         self._bounds_list = None  # materialized on first scalar search
         self._rid_array = _UNSET  # materialized on first rid_array use
-        self._x_lo = float(bx_min.min())
-        self._x_hi = float(bx_max.max())
-        self._y_lo = float(by_min.min())
-        self._y_hi = float(by_max.max())
-        side = max(1, math.isqrt(max(1, n // max(1, target_per_bucket))))
-        self._nx = side
-        self._ny = side
-        self._bw = max((self._x_hi - self._x_lo) / self._nx, 1e-12)
-        self._bh = max((self._y_hi - self._y_lo) / self._ny, 1e-12)
+        bounds = np.array([0, n]) if segments is None else np.asarray(segments)
+        counts = np.diff(bounds)
+        nseg = len(counts)
+        # Per segment: extent, side and bucket size.  An empty segment
+        # gets a 1 x 1 grid at the origin that no query reaches.
+        live = np.flatnonzero(counts)
+        starts = bounds[live]
+        x_lo = np.zeros(nseg)
+        x_hi = np.zeros(nseg)
+        y_lo = np.zeros(nseg)
+        y_hi = np.zeros(nseg)
+        x_lo[live] = np.minimum.reduceat(bx_min, starts)
+        x_hi[live] = np.maximum.reduceat(bx_max, starts)
+        y_lo[live] = np.minimum.reduceat(by_min, starts)
+        y_hi[live] = np.maximum.reduceat(by_max, starts)
+        target = max(1, target_per_bucket)
+        side = np.array(
+            [max(1, math.isqrt(max(1, c // target))) for c in counts.tolist()],
+            dtype=np.int64,
+        )
+        bw = np.maximum((x_hi - x_lo) / side, 1e-12)
+        bh = np.maximum((y_hi - y_lo) / side, 1e-12)
+        bw[counts == 0] = bh[counts == 0] = 1.0
+        base = np.cumsum(side * side) - side * side
+        #: per segment: extent, ``side``, bucket size, first bucket key
+        self._seg = (x_lo, x_hi, y_lo, y_hi, side, bw, bh, base, counts > 0)
+        self._segmented = segments is not None
+        # The scalar probes' view: the (only) segment's parameters.
+        self._x_lo, self._x_hi = float(x_lo[0]), float(x_hi[0])
+        self._y_lo, self._y_hi = float(y_lo[0]), float(y_hi[0])
+        self._nx = self._ny = int(side[0])
+        self._bw, self._bh = float(bw[0]), float(bh[0])
+        if nseg == 1:
+            def at(column):
+                return column[0]
+        else:
+            seg_of = np.repeat(np.arange(nseg), counts)
+
+            def at(column):
+                return column[seg_of]
         # int() and astype(int64) both truncate toward zero; the offsets
         # are non-negative so the clamp reproduces _clamp_x/_clamp_y.
-        last = side - 1
-        ix_lo = np.minimum(np.maximum(((bx_min - self._x_lo) / self._bw).astype(np.int64), 0), last)
-        ix_hi = np.minimum(np.maximum(((bx_max - self._x_lo) / self._bw).astype(np.int64), 0), last)
-        iy_lo = np.minimum(np.maximum(((by_min - self._y_lo) / self._bh).astype(np.int64), 0), last)
-        iy_hi = np.minimum(np.maximum(((by_max - self._y_lo) / self._bh).astype(np.int64), 0), last)
+        e_x_lo, e_y_lo, e_bw, e_bh = at(x_lo), at(y_lo), at(bw), at(bh)
+        last = at(side) - 1
+        ix_lo = np.minimum(np.maximum(((bx_min - e_x_lo) / e_bw).astype(np.int64), 0), last)
+        ix_hi = np.minimum(np.maximum(((bx_max - e_x_lo) / e_bw).astype(np.int64), 0), last)
+        iy_lo = np.minimum(np.maximum(((by_min - e_y_lo) / e_bh).astype(np.int64), 0), last)
+        iy_hi = np.minimum(np.maximum(((by_max - e_y_lo) / e_bh).astype(np.int64), 0), last)
         # Kept for probe_frontier's reference-point dedup.
         self._ix_lo = ix_lo
         self._iy_lo = iy_lo
         ny_span = iy_hi - iy_lo + 1
         cnt = (ix_hi - ix_lo + 1) * ny_span
         total = int(cnt.sum())
-        ny = self._ny
+        ny, first_key = last + 1, at(base)
         if total == n:
             # No entry spans buckets: group directly.
-            keys = ix_lo * ny + iy_lo
+            keys = first_key + ix_lo * ny + iy_lo
             eidx = np.arange(n, dtype=np.int64)
         else:
             eidx = np.repeat(np.arange(n, dtype=np.int64), cnt)
             starts = np.cumsum(cnt) - cnt
             offs = np.arange(total, dtype=np.int64) - np.repeat(starts, cnt)
             nys = np.repeat(ny_span, cnt)
-            keys = (np.repeat(ix_lo, cnt) + offs // nys) * ny + (
+            if nseg > 1:
+                ny, first_key = np.repeat(ny, cnt), np.repeat(first_key, cnt)
+            keys = first_key + (np.repeat(ix_lo, cnt) + offs // nys) * ny + (
                 np.repeat(iy_lo, cnt) + offs % nys
             )
         # 16-bit keys take numpy's radix sort, ~10x faster and as stable.
-        small = side * side <= 1 << 16
+        self._num_keys = num_keys = int(base[-1] + side[-1] * side[-1])
+        small = num_keys <= 1 << 16
         order = np.argsort(keys.astype(np.uint16) if small else keys, kind="stable")
         # CSR form of the buckets: ``_csr_entries[_csr_offsets[b] :
-        # _csr_offsets[b + 1]]`` is bucket ``b``'s member list (b = ix *
-        # ny + iy).  ``_csr_keys`` is sorted, so a dense offsets table is
-        # one searchsorted — done lazily on the first
-        # :meth:`probe_frontier`; the dict views the scalar probes read
-        # are cut from the same two arrays on their first use.
+        # _csr_offsets[b + 1]]`` is bucket ``b``'s member list (b = its
+        # segment's first key + ix * side + iy).  ``_csr_keys`` is
+        # sorted, so a dense offsets table is one searchsorted — done
+        # lazily on the first :meth:`probe_frontier`; the dict views the
+        # scalar probes read are cut from the same two arrays on their
+        # first use.
         self._csr_keys = keys[order]
         self._csr_entries = eidx[order]
         self._csr_offsets_cache = None
@@ -276,7 +332,7 @@ class GridIndex:
         if offs is None:
             offs = self._csr_offsets_cache = np.searchsorted(
                 self._csr_keys,
-                np.arange(self._nx * self._ny + 1, dtype=np.int64),
+                np.arange(self._num_keys + 1, dtype=np.int64),
                 side="left",
             )
         return offs
@@ -547,7 +603,7 @@ class GridIndex:
         )
 
     def probe_frontier(
-        self, batch_q: RectBatch, pos=None, d: float = 0.0, scan: bool = False
+        self, batch_q: RectBatch, pos=None, d: float = 0.0, scan: bool = False, seg=None
     ):
         """Bulk probe: one query per row ``pos[i]`` of ``batch_q``
         (``pos=None``: one per row of the batch, in order).
@@ -560,6 +616,11 @@ class GridIndex:
         results.  ``probes`` is charged per scanned slot — duplicates
         included — as the individual searches would charge.  Only on a
         ``kernel="numpy"`` index.
+
+        On a segmented index ``seg`` gives the segment of every row of
+        ``batch_q``: a query probes its row's segment only, as it would
+        probe an index built over that segment alone, and is charged to
+        that segment.
 
         With ``scan=True`` nothing is charged and the result is
         ``(parents, entries, positions, scanned)``: per candidate its
@@ -600,20 +661,32 @@ class GridIndex:
             qx_max = qx_min + length
             qy_max = y
             qy_min = qy_max - breadth
+        # The parameters of each distinct row's segment.
+        row_seg = None
+        if seg is None and len(self._seg[0]) > 1:
+            raise ValueError("probing a segmented index needs each query row's segment")
+        if seg is not None and len(self._seg[0]) > 1:
+            row_seg = seg if rows is None else seg[rows]
+
+            def at(column):
+                return column[row_seg]
+        else:
+            def at(column):
+                return column[0]
+        x_lo, x_hi, y_lo, y_hi, side, bw, bh, base, live = map(at, self._seg)
         inb = ~(
-            (qx_max < self._x_lo)
-            | (qx_min > self._x_hi)
-            | (qy_max < self._y_lo)
-            | (qy_min > self._y_hi)
-        )
-        last_x = self._nx - 1
-        last_y = self._ny - 1
-        ix_lo = np.minimum(np.maximum(((qx_min - self._x_lo) / self._bw).astype(np.int64), 0), last_x)
-        ix_hi = np.minimum(np.maximum(((qx_max - self._x_lo) / self._bw).astype(np.int64), 0), last_x)
-        iy_lo = np.minimum(np.maximum(((qy_min - self._y_lo) / self._bh).astype(np.int64), 0), last_y)
-        iy_hi = np.minimum(np.maximum(((qy_max - self._y_lo) / self._bh).astype(np.int64), 0), last_y)
+            (qx_max < x_lo)
+            | (qx_min > x_hi)
+            | (qy_max < y_lo)
+            | (qy_min > y_hi)
+        ) & live
+        last = side - 1
+        ix_lo = np.minimum(np.maximum(((qx_min - x_lo) / bw).astype(np.int64), 0), last)
+        ix_hi = np.minimum(np.maximum(((qx_max - x_lo) / bw).astype(np.int64), 0), last)
+        iy_lo = np.minimum(np.maximum(((qy_min - y_lo) / bh).astype(np.int64), 0), last)
+        iy_hi = np.minimum(np.maximum(((qy_max - y_lo) / bh).astype(np.int64), 0), last)
         # Level 1: rows -> buckets, x-major within each row (the scalar
-        # scan order); a row outside the index extent has none.
+        # scan order); a row outside its segment's extent has none.
         wy = iy_hi - iy_lo + 1
         nb = np.where(inb, (ix_hi - ix_lo + 1) * wy, 0)
         nbuckets = int(nb.sum())
@@ -623,7 +696,10 @@ class GridIndex:
         wyq = wy[qidx]
         bx = ix_lo[qidx] + o // wyq
         by = iy_lo[qidx] + o % wyq
-        bsel = bx * self._ny + by
+        if row_seg is None:
+            bsel = base + bx * side + by
+        else:
+            bsel = base[qidx] + bx * side[qidx] + by
         offsets = self._csr_offsets
         start = offsets[bsel]
         cnt = offsets[bsel + 1] - start
@@ -674,7 +750,15 @@ class GridIndex:
                 position = position[src]
         if scan:
             return parent, e, position, scanned
-        self.probes += int(scanned.sum())
+        if not self._segmented:
+            self.probes += int(scanned.sum())
+        elif row_seg is None:
+            self.probes[0] += int(scanned.sum())
+        else:
+            query_seg = row_seg if row_of is None else row_seg[row_of]
+            self.probes += np.bincount(
+                query_seg, weights=scanned, minlength=len(self.probes)
+            ).astype(np.int64)
         return parent, e
 
     def entry_at(self, i: int) -> Entry:

@@ -33,6 +33,7 @@ from repro.joins.local import LocalJoiner
 from repro.joins.reducers import (
     RECT_SHUFFLE_CODEC,
     make_local_join_reducer,
+    per_cell,
     rect_value,
     staged_rect_values,
 )
@@ -71,12 +72,15 @@ class AllReplicateJoin(MultiWayJoinAlgorithm):
 
         kernel = cluster.resolved_kernel
         joiner = LocalJoiner(query, self.index_kind, kernel=kernel)
+        reducer = make_local_join_reducer(query, grid, joiner, kernel=kernel)
+        if kernel == "numpy":
+            reducer = per_cell(reducer)
         job = MapReduceJob(
             name=self.name,
             input_paths=[paths[k] for k in query.dataset_keys],
             output_path=output_path,
             mapper=_make_mapper(grid),
-            reducer=make_local_join_reducer(query, grid, joiner, kernel=kernel),
+            reducer=reducer,
             num_reducers=grid.num_cells,
             input_codec=RECT_CODEC,
             shuffle_codec=RECT_SHUFFLE_CODEC,

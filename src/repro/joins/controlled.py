@@ -50,8 +50,9 @@ from repro.kernels import transforms as _kt
 from repro.kernels.batch import RectBatch, RectColumns, TaggedColumns
 from repro.joins.reducers import (
     RECT_SHUFFLE_CODEC,
-    dataset_batches,
     dataset_codes,
+    group_values,
+    range_bags,
     make_local_join_reducer,
     rect_value,
     rect_values,
@@ -113,19 +114,19 @@ class ControlledReplicateJoin(MultiWayJoinAlgorithm):
             marking = self.marking_factory(query, grid)
         else:
             marking = MarkingEngine(query, grid, self.index_kind, kernel=kernel)
+        segmented_marking = batched and self.marking_factory is None
         round1 = MapReduceJob(
             name=f"{self.name}-mark",
             input_paths=[paths[k] for k in query.dataset_keys],
             output_path=marked_path,
             mapper=_make_mark_mapper(grid),
-            reducer=_make_mark_reducer(
-                grid, marking, columnar=batched and self.marking_factory is None
-            ),
+            reducer=_make_mark_reducer(grid, marking, segmented=segmented_marking),
             num_reducers=grid.num_cells,
             input_codec=RECT_CODEC,
             output_codec=TAGGED_CODEC,
             shuffle_codec=RECT_SHUFFLE_CODEC,
             batch_mapper=_make_mark_batch_mapper(grid) if batched else None,
+            segmented=segmented_marking,
         )
 
         joiner = LocalJoiner(query, self.index_kind, kernel=kernel)
@@ -141,6 +142,7 @@ class ControlledReplicateJoin(MultiWayJoinAlgorithm):
             batch_mapper=(
                 _make_route_batch_mapper(grid, self.limits) if batched else None
             ),
+            segmented=batched,
         )
 
         workflow = Workflow(cluster)
@@ -191,26 +193,25 @@ def _make_mark_batch_mapper(grid: GridPartitioning):
 
 
 def _make_mark_reducer(
-    grid: GridPartitioning, marking: MarkingEngine, columnar: bool = False
+    grid: GridPartitioning, marking: MarkingEngine, segmented: bool = False
 ):
     """Run C1-C4; emit each rectangle starting here, flagged.
 
-    When ``columnar`` (the numpy kernel and the stock
-    :class:`MarkingEngine`) the engine is handed one column batch per
-    dataset and its batched search answers in columns, emitted as one
-    :class:`TaggedColumns` bundle; a custom marking strategy gets the
-    ``(rid, rect)`` lists it was written against.
+    When ``segmented`` (the numpy kernel and the stock
+    :class:`MarkingEngine`; the job sets ``segmented``) one call marks
+    every cell of a physical reduce range: the engine is handed the
+    range's column bags and answers in columns, and each cell's slice
+    goes out as one :class:`TaggedColumns` bundle.  Where the batched
+    search cannot serve the range, and for a custom marking strategy,
+    each cell is decided on its own with the ``(rid, rect)`` lists a
+    strategy is written against.
     """
 
     def reducer(cell_id: int, values, ctx: ReduceContext) -> None:
-        cell = grid.cell_by_id(cell_id)
-        if columnar:
-            received = dataset_batches(np, values)
-        else:
-            received: dict[str, list] = {}
-            for dataset, rid, rect in values:
-                received.setdefault(dataset, []).append((rid, rect))
-        decision = marking.select_marked(cell, received)
+        received: dict[str, list] = {}
+        for dataset, rid, rect in values:
+            received.setdefault(dataset, []).append((rid, rect))
+        decision = marking.select_marked(grid.cell_by_id(cell_id), received)
         ctx.add_compute(decision.ops)
         # ``starts_here`` is exactly the received rectangles this cell
         # owns, in received order — the ownership filter already ran
@@ -244,7 +245,30 @@ def _make_mark_reducer(
             ctx.counter(JOIN_COUNTERS, CNT_MARKED, n_marked)
         ctx.emit_all(tagged)
 
-    return reducer
+    if not segmented:
+        return reducer
+
+    def segmented_reducer(cell_ids: list[int], values, bounds, contexts: list) -> None:
+        bags, bag_bounds, firsts = range_bags(np, values, bounds)
+        decision = marking.select_marked(
+            [grid.cell_by_id(cell_id) for cell_id in cell_ids], bags, bag_bounds, firsts
+        )
+        if decision is None:
+            for g, (cell_id, ctx) in enumerate(zip(cell_ids, contexts)):
+                reducer(cell_id, group_values(values, bounds, g), ctx)
+            return
+        starts = decision.starts_here
+        flags = decision.marked_flags
+        cuts = decision.start_bounds.tolist()
+        marked_before = np.concatenate(([0], np.cumsum(flags))).tolist()
+        for ctx, ops, lo, hi in zip(contexts, decision.ops.tolist(), cuts, cuts[1:]):
+            ctx.add_compute(ops)
+            n_marked = marked_before[hi] - marked_before[lo]
+            if n_marked:
+                ctx.counter(JOIN_COUNTERS, CNT_MARKED, n_marked)
+            ctx.emit_all(TaggedColumns(starts.take(slice(lo, hi)), flags[lo:hi]))
+
+    return segmented_reducer
 
 
 # ----------------------------------------------------------------------

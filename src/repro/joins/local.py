@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.errors import JoinError
 from repro.geometry.rectangle import Rect
-from repro.index import make_index
+from repro.index import GridIndex, make_index
 from repro.kernels.batch import RectBatch
 from repro.kernels.predicates import pair_mask, supports_triples, triple_mask
 from repro.query.graph import JoinGraph
@@ -48,17 +48,19 @@ class FrontierResult:
     bag's id and coordinate columns, so a caller can read the result
     rids (``batches[slot].ids_at(positions[slot])``) and compute per-row
     aggregates (e.g. the dedup owner cell) without materializing
-    assignment dicts.  Rows are in the exact depth-first order
-    :meth:`LocalJoiner.enumerate` would produce.
+    assignment dicts.  ``segments[i]`` is row ``i``'s segment; rows are
+    segment by segment, each segment's in the exact depth-first order
+    :meth:`LocalJoiner.enumerate` would produce over its bags alone.
     """
 
-    __slots__ = ("slots", "positions", "batches", "count")
+    __slots__ = ("slots", "positions", "batches", "segments", "count")
 
-    def __init__(self, slots, positions, batches) -> None:
+    def __init__(self, slots, positions, batches, segments) -> None:
         self.slots = slots
         self.positions = positions
         self.batches = batches
-        self.count = len(positions[slots[0]]) if slots else 0
+        self.segments = segments
+        self.count = len(segments)
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,9 @@ def _rows(pos, sel):
     return sel if pos is None else pos[sel]
 
 
-def frontier_level(np, plan: SlotPlan, idx, batches, frontier, rid_array_for, admit=None):
+def frontier_level(
+    np, plan: SlotPlan, idx, batches, frontier, rid_array_for, admit=None, segs=None
+):
     """Bind ``plan.slot`` for a whole frontier: one bulk probe, then masks.
 
     ``frontier[s]`` holds, per partial assignment, its row in
@@ -153,16 +157,30 @@ def frontier_level(np, plan: SlotPlan, idx, batches, frontier, rid_array_for, ad
     and the candidate checks the short-circuiting scalar loop counts —
     one per bucket-passed candidate plus, per bound-edge check, one per
     candidate still alive when that check runs.
+
+    On a segmented frontier ``segs`` is ``(anchor_seg, row_seg, nseg)``:
+    the segment of every row of the anchor slot's bag (what the
+    segmented ``idx`` probes by) and of every frontier row; ``checks``
+    is then an int64 array, the checks of each segment.
     """
     slot = plan.slot
     abatch = batches[plan.anchor_slot]
     apos = frontier[plan.anchor_slot]
-    p_flat, e_flat = idx.probe_frontier(abatch, apos, plan.anchor.predicate.distance)
-    checks = len(e_flat)
+    d = plan.anchor.predicate.distance
+    if segs is None:
+        p_flat, e_flat = idx.probe_frontier(abatch, apos, d)
+        checks = len(e_flat)
+    else:
+        anchor_seg, row_seg, nseg = segs
+        p_flat, e_flat = idx.probe_frontier(abatch, apos, d, seg=anchor_seg)
+        # Frontier rows come segment by segment and candidates parent by
+        # parent, so each segment's candidates are one run of them.
+        cut = np.searchsorted(p_flat, np.searchsorted(row_seg, np.arange(nseg + 1)))
+        checks = np.diff(cut)
     a_rows = _rows(apos, p_flat)
     if type(plan.anchor.predicate) is Overlap:
         # The d = 0 probe's extent test is that predicate already.
-        alive = np.ones(checks, dtype=bool)
+        alive = np.ones(len(e_flat), dtype=bool)
     else:
         alive = pair_mask(np, plan.anchor, slot, idx.batch, e_flat, abatch, a_rows)
     if admit is not None:
@@ -173,7 +191,11 @@ def frontier_level(np, plan: SlotPlan, idx, batches, frontier, rid_array_for, ad
         )
     for triple, other_slot in plan.checks:
         n_alive = int(np.count_nonzero(alive))
-        checks += n_alive
+        if segs is None:
+            checks += n_alive
+        elif n_alive:
+            alive_before = np.concatenate(([0], np.cumsum(alive)))
+            checks += np.diff(alive_before[cut])
         if not n_alive:
             break
         alive = alive & pair_mask(
@@ -228,35 +250,140 @@ class LocalJoiner:
         Returns ``(assignments, candidate_checks)``; the second value is
         the compute-cost measure reported to the engine.
         """
-        __, results, checks = self._enumerate_impl(rects_by_slot, False)
-        return results, checks
-
-    def enumerate_columnar(
-        self, rects_by_slot: dict[str, list[tuple[int, Rect]] | RectBatch]
-    ) -> tuple[FrontierResult | None, list[Assignment], int]:
-        """Like :meth:`enumerate`, but keep the result columnar when the
-        frontier path completed.
-
-        Returns ``(columnar, assignments, candidate_checks)``.  When
-        ``columnar`` is not None it holds every result row and
-        ``assignments`` is empty; otherwise (scalar search, or a
-        mid-frontier fallback) the rows are in ``assignments`` as usual.
-        Either way ``candidate_checks`` is identical to
-        :meth:`enumerate`'s.
-        """
-        return self._enumerate_impl(rects_by_slot, True)
-
-    def _enumerate_impl(
-        self,
-        rects_by_slot: dict[str, list[tuple[int, Rect]] | RectBatch],
-        want_columnar: bool,
-    ) -> tuple[FrontierResult | None, list[Assignment], int]:
         missing = [p.slot for p in self.plans if p.slot not in rects_by_slot]
         if missing:
             raise JoinError(f"missing slot bags: {missing}")
         if any(not rects_by_slot[p.slot] for p in self.plans):
-            return None, [], 0
+            return [], 0
+        if self._frontier_ok:
+            # One segment holding every row; bags stay shared by identity.
+            as_batch: dict[int, RectBatch] = {}
+            for bag in rects_by_slot.values():
+                if id(bag) not in as_batch:
+                    as_batch[id(bag)] = (
+                        bag if isinstance(bag, RectBatch) else RectBatch.from_pairs(np, bag)
+                    )
+            bags = {slot: as_batch[id(bag)] for slot, bag in rects_by_slot.items()}
+            bounds = {slot: np.array([0, bag.n]) for slot, bag in bags.items()}
+            fr, checks = self.enumerate_columnar(bags, bounds)
+            if fr is not None:
+                cols = [
+                    (slot, bags[slot].pairs(), fr.positions[slot].tolist())
+                    for slot in fr.slots
+                ]
+                results = [
+                    {slot: pairs[rows[i]] for slot, pairs, rows in cols}
+                    for i in range(fr.count)
+                ]
+                return results, int(checks[0])
+        return self._enumerate_scalar(rects_by_slot)
 
+    def enumerate_columnar(
+        self, bags: dict[str, RectBatch], bounds: dict[str, Any]
+    ) -> tuple[FrontierResult | None, Any]:
+        """The frontier search over every segment of a physical range at
+        once, one bulk index probe and one mask pass per depth.
+
+        ``bags[slot]`` holds the slot's rows of every segment, segment by
+        segment, and ``bounds[slot]`` their int64 row bounds ``[0, ...,
+        n]`` (slots reading one dataset share the bag and its bounds).
+        Each segment is searched exactly as :meth:`enumerate` searches
+        its rows alone: a segment with an empty bag finds nothing and
+        charges nothing, the indexes are segmented (one CSR, each
+        segment bucketed on its own rows), and checks and probe charges
+        are summed per segment.
+
+        Returns ``(result, checks)`` — a :class:`FrontierResult` and the
+        int64 candidate checks of each segment — or ``(None, None)``
+        when the frontier cannot serve these bags (a non-grid index,
+        non-integer rids under a distinctness filter) and the caller
+        must enumerate segment by segment.
+
+        Equivalence to the scalar search: parents are expanded in
+        frontier order with each parent's candidates in scan order, so
+        by induction the next frontier — and ultimately the result
+        list — is in depth-first order within each segment.  ``checks``
+        totals are sums of per-candidate contributions that do not
+        depend on visit order (one per bucket-passed candidate, plus one
+        per still-alive candidate per bound-edge check), and ``probes``
+        is the same scanned-slot total the per-parent searches charge.
+        """
+        plans = self.plans
+        if not self._frontier_ok or self.index_kind != "grid":
+            return None, None
+        distinct = {s for p in plans if p.same_dataset for s in (p.slot, *p.same_dataset)}
+        rid_arrays = {slot: bags[slot].int_ids(np) for slot in distinct}
+        if any(ids is None for ids in rid_arrays.values()):
+            return None, None
+        slot0 = plans[0].slot
+        nseg = len(bounds[slot0]) - 1
+        counts = {slot: np.diff(bounds[slot]) for slot in bags}
+        live = np.logical_and.reduce([counts[p.slot] > 0 for p in plans])
+        #: per bag: the segment of each of its rows
+        seg_of: dict[int, Any] = {}
+
+        def row_segments(slot: str):
+            key = id(bags[slot])
+            seg = seg_of.get(key)
+            if seg is None:
+                seg = seg_of[key] = np.repeat(np.arange(nseg), counts[slot])
+            return seg
+
+        # Depth 0: every row of the first bag in a segment that can join
+        # at all (``None``: every row, in order).
+        checks = np.where(live, counts[slot0], 0)
+        frontier: dict[str, Any] = {slot0: None}
+        row_seg = row_segments(slot0)
+        if not live.all():
+            rows = np.flatnonzero(live[row_seg])
+            frontier[slot0], row_seg = rows, row_seg[rows]
+        # Indexes are built on a bag's first probe, keyed by bag
+        # identity (slots reading one dataset share one).  An unbuilt
+        # index charges nothing.
+        indexes: dict[int, GridIndex] = {}
+        batches: dict[str, RectBatch] = {slot0: bags[slot0]}
+        for plan in plans[1:]:
+            if not len(row_seg):
+                break
+            slot = plan.slot
+            idx = indexes.get(id(bags[slot]))
+            if idx is None:
+                idx = indexes[id(bags[slot])] = GridIndex(
+                    kernel="numpy", batch=bags[slot], segments=bounds[slot]
+                )
+            keep, entries, level_checks = frontier_level(
+                np,
+                plan,
+                idx,
+                batches,
+                frontier,
+                rid_arrays.__getitem__,
+                segs=(row_segments(plan.anchor_slot), row_seg, nseg),
+            )
+            checks += level_checks
+            frontier = {s: _rows(arr, keep) for s, arr in frontier.items()}
+            frontier[slot] = entries
+            batches[slot] = idx.batch
+            row_seg = row_seg[keep]
+        # Index probe work is part of the reducer's compute cost: the
+        # nested-loop baseline examines every entry per probe while the
+        # spatial indexes touch only bucket/node candidates.
+        for idx in indexes.values():
+            checks += idx.probes
+        if len(frontier) < len(plans) or not len(row_seg):
+            return FrontierResult((), {}, batches, row_seg[:0]), checks
+        slots = tuple(p.slot for p in plans)
+        positions = {
+            s: np.arange(bags[s].n) if rows is None else rows
+            for s, rows in frontier.items()
+        }
+        return FrontierResult(slots, positions, batches, row_seg), checks
+
+    def _enumerate_scalar(
+        self, rects_by_slot: dict[str, list[tuple[int, Rect]] | RectBatch]
+    ) -> tuple[list[Assignment], int]:
+        """The backtracking search: :meth:`enumerate` wherever the
+        frontier does not apply."""
         # Indexes are built lazily, on a bag's first probe: when the
         # search never reaches a depth (every candidate of an earlier
         # slot was rejected), that slot's bag is never indexed at all.
@@ -292,7 +419,6 @@ class LocalJoiner:
         plans = self.plans
         nplans = len(plans)
         vec_plans = self._vec_plans
-
         # The same rectangle is re-probed under every parent binding it
         # survives with (a slot's anchor rect repeats across the
         # backtracking tree), so probe results — and, when no per-parent
@@ -420,111 +546,7 @@ class LocalJoiner:
                 bind(next_depth)
                 del assignment[slot]
 
-        # ------------------------------------------------------------------
-        # Frontier evaluation: breadth-first over the same search tree.
-        # The frontier at depth k is a set of parallel position arrays —
-        # one per bound slot — holding every partial assignment that
-        # survived depths 0..k-1, in depth-first visit order.  Expanding
-        # all parents of a depth at once turns the per-parent probes into
-        # one bulk CSR gather and the per-candidate predicate loop into a
-        # few array masks.
-        #
-        # Equivalence to the scalar search: parents are expanded in
-        # frontier order with each parent's candidates in scan order, so
-        # by induction the next frontier — and ultimately the result
-        # list — is in depth-first order.  ``checks`` totals are sums of
-        # per-candidate contributions that do not depend on visit order
-        # (one per bucket-passed candidate, plus one per still-alive
-        # candidate per bound-edge check), and ``probes`` is the same
-        # scanned-slot total the per-parent searches charge.
-        rid_arrays: dict[str, Any] = {}
-
-        def rid_array_for(slot: str):
-            """int64 rid column of a bound slot (None: non-integer rids)."""
-            if slot not in rid_arrays:
-                rid_arrays[slot] = batches[slot].int_ids(np)
-            return rid_arrays[slot]
-
-        def run_rows(depth: int, frontier: dict[str, Any]) -> None:
-            """Resume the scalar search at ``depth`` for every frontier
-            row, in order (used when an index can't serve the fast path —
-            non-grid kind, or non-integer rids under distinctness)."""
-            bound_slots = [p.slot for p in plans[:depth]]
-            cols = [
-                (s, bag, range(len(bag)) if pos is None else pos.tolist())
-                for s in bound_slots
-                for bag, pos in [(pairs_of(s), frontier[s])]
-            ]
-            for i in range(len(cols[0][2])):
-                for s, bag, poss in cols:
-                    assignment[s] = bag[poss[i]]
-                bind(depth)
-            for s in bound_slots:
-                assignment.pop(s, None)
-
-        #: coordinate/id columns of every slot the frontier has bound
-        batches: dict[str, RectBatch] = {}
-
-        def run_frontier():
-            """Returns the frontier on completion (``{}`` for an emptied
-            one), or None after a mid-depth fallback to :func:`run_rows`
-            (rows land in ``results``)."""
-            nonlocal checks
-            slot0 = plans[0].slot
-            bag0 = rects_by_slot[slot0]
-            m0 = len(bag0)
-            checks += m0
-            # ``None``: every row of the first bag, in order.
-            frontier: dict[str, Any] = {slot0: None}
-            batches[slot0] = (
-                bag0 if isinstance(bag0, RectBatch) else RectBatch.from_pairs(np, bag0)
-            )
-            alive_rows = m0
-            for depth in range(1, nplans):
-                plan = plans[depth]
-                slot = plan.slot
-                if not alive_rows:
-                    return {}
-                idx = index_for(slot)
-                ok = (
-                    getattr(idx, "batch", None) is not None
-                    and hasattr(idx, "probe_frontier")
-                )
-                if ok and plan.same_dataset:
-                    ok = idx.rid_array is not None and all(
-                        rid_array_for(s) is not None for s in plan.same_dataset
-                    )
-                if not ok:
-                    run_rows(depth, frontier)
-                    return None
-                keep, entries, level_checks = frontier_level(
-                    np, plan, idx, batches, frontier, rid_array_for
-                )
-                checks += level_checks
-                frontier = {s: _rows(arr, keep) for s, arr in frontier.items()}
-                frontier[slot] = entries
-                batches[slot] = idx.batch
-                alive_rows = len(entries)
-            return frontier
-
-        columnar: FrontierResult | None = None
-        if self._frontier_ok:
-            frontier = run_frontier()
-            if frontier is not None:
-                if want_columnar:
-                    slots = tuple(p.slot for p in plans) if frontier else ()
-                    columnar = FrontierResult(slots, frontier, batches)
-                elif frontier:
-                    cols = [
-                        (p.slot, pairs_of(p.slot), frontier[p.slot].tolist())
-                        for p in plans
-                    ]
-                    for i in range(len(cols[0][2])):
-                        results.append(
-                            {s: bag[poss[i]] for s, bag, poss in cols}
-                        )
-        else:
-            bind(0)
+        bind(0)
         # Index probe work is part of the reducer's compute cost: the
         # nested-loop baseline examines every entry per probe while the
         # spatial indexes touch only bucket/node candidates.
@@ -533,4 +555,4 @@ class LocalJoiner:
         # cells breaks the closure cycle, so the bags and indexes this
         # call captured are freed now, not at some later cyclic GC.
         del bind, bind_vector
-        return columnar, results, checks
+        return results, checks

@@ -32,9 +32,10 @@ Two implementations, one result.  The reference
 (:meth:`MarkingEngine._select_marked_scalar`, all of ``kernel="python"``)
 runs one lazy backtracking search per rectangle.  The numpy kernel
 (:meth:`MarkingEngine._select_marked_batched`) searches every rectangle
-starting in the cell at once, one bulk index probe per plan step, and
-reproduces ``marked``, ``ops`` — down to the lazy probe charges — and
-``starts_here`` exactly (DESIGN.md §5.6).
+starting in the cell at once — or in every cell of a physical reduce
+range at once, each against its own cell — one bulk index probe per
+plan step, and reproduces ``marked``, ``ops`` — down to the lazy probe
+charges — and ``starts_here`` of every cell exactly (DESIGN.md §5.6).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 from repro.geometry.rectangle import Rect
 from repro.grid.cell import Cell
 from repro.grid.partitioning import GridPartitioning
-from repro.index import make_index
+from repro.index import GridIndex, make_index
 from repro.kernels import transforms as _kt
 from repro.kernels.batch import RectBatch, RectColumns
 from repro.kernels.predicates import pair_mask, supports_triples
@@ -76,12 +77,15 @@ class _Step:
 
 @dataclass
 class MarkingDecision:
-    """Outcome of marking at one cell."""
+    """Outcome of marking at one cell — or, from a segmented call, at
+    every cell of a physical reduce range."""
 
-    #: (dataset, rid) pairs to replicate (all start in the cell)
-    marked: set[tuple[str, int]]
-    #: candidate checks performed (compute-cost measure)
-    ops: int
+    #: (dataset, rid) pairs to replicate (all start in the cell); ``None``
+    #: from a segmented call
+    marked: set[tuple[str, int]] | None
+    #: candidate checks performed (compute-cost measure) — an int64
+    #: array, one per cell, from a segmented call
+    ops: Any
     #: the rectangles starting in the cell, in received order — exactly
     #: the ones the round-1 reducer must emit (tagged marked or not): a
     #: list of ``(dataset, rid, rect)``, or from the batched search the
@@ -92,6 +96,9 @@ class MarkingDecision:
     #: next to column starts (``None`` from a strategy that does not
     #: provide it; the reducer then looks each start up in ``marked``)
     marked_flags: Sequence[bool] | None = None
+    #: segmented call: int64 bounds cutting ``starts_here`` (cell by
+    #: cell) into each cell's starts
+    start_bounds: Any = None
 
 
 class MarkingEngine:
@@ -200,49 +207,109 @@ class MarkingEngine:
         return plan
 
     # ------------------------------------------------------------------
-    # The marking decision at one cell
+    # The marking decision at one cell, or at a range of cells
     # ------------------------------------------------------------------
     def select_marked(
-        self, cell: Cell, received: dict[str, list[tuple[int, Rect]] | RectBatch]
-    ) -> MarkingDecision:
+        self,
+        cell: Cell | Sequence[Cell],
+        received: dict[str, list[tuple[int, Rect]] | RectBatch],
+        bounds: dict[str, Any] | None = None,
+        firsts: dict[str, Any] | None = None,
+    ) -> MarkingDecision | None:
         """Which rectangles starting in ``cell`` must be replicated.
 
         Parameters
         ----------
         cell:
-            The reducer's partition-cell.
+            The reducer's partition-cell — or, with ``bounds``, the
+            cells of a physical reduce range, in task order.
         received:
             Rectangles split onto this cell, grouped by dataset: lists
             of ``(rid, rect)`` pairs or, on the numpy kernel, ready
             :class:`RectBatch` columns (indexed as is; rows are built
             only for the rectangles starting in the cell).
+        bounds, firsts:
+            A *segmented* call (numpy kernel, :class:`RectBatch` bags):
+            per dataset, the int64 row bounds cutting its bag into the
+            cells' rows, cell by cell, and per cell a key ordering the
+            cell's datasets as its own values did (the position of the
+            dataset's first row among the range's values; any number
+            where the cell got none).  A cell counts as having received
+            a dataset when it got rows of it.  The decision covers the
+            whole range — ``ops`` per cell, ``starts_here`` cell by cell
+            and cut by ``start_bounds``, ``marked`` left ``None`` — and
+            each cell's part of it is exactly that cell's own decision.
+            ``None`` comes back when the batched search cannot serve
+            the range (non-integer rids under a self-join's
+            distinctness filter): decide cell by cell instead.
         """
-        indexes = {
-            dataset: make_index(self.index_kind, kernel=self.kernel, pairs=bag)
-            for dataset, bag in received.items()
-        }
-        # Same-dataset distinctness compares rids as an int column.
-        if self._batched and not (
-            self._self_join
-            and any(len(idx) and idx.rid_array is None for idx in indexes.values())
-        ):
-            return self._select_marked_batched(cell, received, indexes)
+        if bounds is not None:
+            if not self._batchable(received):
+                return None
+            return self._select_marked_batched(cell, received, bounds, firsts)
+        if self._batched:
+            bags = {
+                dataset: bag if isinstance(bag, RectBatch) else RectBatch.from_records(np, bag)
+                for dataset, bag in received.items()
+            }
+            if self._batchable(bags):
+                if not any(len(bag) for bag in bags.values()):
+                    return MarkingDecision(
+                        marked=set(), ops=0, starts_here=[], marked_flags=[]
+                    )
+                # One cell is a range of one, where an empty bag still
+                # counts as received.
+                decision = self._select_marked_batched(
+                    [cell],
+                    bags,
+                    {dataset: np.array([0, len(bag)]) for dataset, bag in bags.items()},
+                    {dataset: np.array([k]) for k, dataset in enumerate(bags)},
+                    whole=True,
+                )
+                flags = decision.marked_flags
+                chosen = decision.starts_here.take(np.flatnonzero(flags))
+                return MarkingDecision(
+                    marked=set(zip(chosen.datasets(), chosen.batch.id_list())),
+                    ops=int(decision.ops[0]),
+                    starts_here=decision.starts_here,
+                    marked_flags=flags,
+                )
         received = {
             dataset: bag.pairs() if isinstance(bag, RectBatch) else bag
             for dataset, bag in received.items()
         }
+        indexes = {
+            dataset: make_index(self.index_kind, kernel=self.kernel, pairs=bag)
+            for dataset, bag in received.items()
+        }
         return self._select_marked_scalar(cell, received, indexes)
 
-    def _usable(self, slot: str, received) -> list[tuple[frozenset[str], dict, tuple]]:
-        """``(subset, requirements, plan)`` for the witness shapes ``slot``
-        can try at a cell that received ``received`` — fixed per cell, it
-        skips subsets where some slot's dataset sent nothing here."""
+    def _batchable(self, bags: dict[str, RectBatch]) -> bool:
+        """Whether the batched search serves these bags: it needs the
+        grid index's columns, a mask for every predicate and, under a
+        self-join's distinctness filter, integer rids."""
+        return self._batched and not (
+            self._self_join
+            and any(len(bag) and bag.int_ids(np) is None for bag in bags.values())
+        )
+
+    def _usable(self, slot: str, present: dict) -> list[tuple[frozenset[str], dict, tuple, Any]]:
+        """``(subset, requirements, plan, where)`` for the witness shapes
+        ``slot`` can try.  ``present[dataset]`` says whether the dataset
+        sent anything to the cell — one bool, or one per cell of a
+        range — and ``where`` says, the same way, where every slot's
+        dataset did: a shape is tried only there."""
         dataset_of = self.query.dataset_of
-        return [
-            (subset, self._requirements(subset), self._plan(subset, slot))
-            for subset in self._subsets[slot]
-            if all(dataset_of(s) in received for s in subset)
-        ]
+        usable = []
+        for subset in self._subsets[slot]:
+            where = True
+            for s in subset:
+                where = where & present.get(dataset_of(s), False)
+            if np.any(where):
+                usable.append(
+                    (subset, self._requirements(subset), self._plan(subset, slot), where)
+                )
+        return usable
 
     # ------------------------------------------------------------------
     # Reference path: one backtracking search per rectangle
@@ -277,8 +344,10 @@ class MarkingEngine:
             for slot in self.query.slots_of_dataset(dataset):
                 cands = usable.get(slot)
                 if cands is None:
-                    cands = usable[slot] = self._usable(slot, received)
-                for subset, reqs, plan in cands:
+                    cands = usable[slot] = self._usable(
+                        slot, dict.fromkeys(received, True)
+                    )
+                for subset, reqs, plan, __ in cands:
                     if rect_gap > reqs[slot]:
                         continue  # the candidate itself fails C2 here
                     witness, probe_ops = self._find_embedding(
@@ -380,78 +449,117 @@ class MarkingEngine:
     # ------------------------------------------------------------------
     # Numpy path: all rectangles starting in the cell, level by level
     # ------------------------------------------------------------------
-    def _select_marked_batched(self, cell, received, indexes) -> MarkingDecision:
-        """Columnar twin of :meth:`_select_marked_scalar`.
+    def _select_marked_batched(
+        self, cells, received, bounds, firsts, whole: bool = False
+    ) -> MarkingDecision:
+        """Columnar twin of :meth:`_select_marked_scalar`, over every cell
+        of ``cells`` at once (a segmented call; see :meth:`select_marked`).
 
         What a start's lazy search finds and charges depends only on the
-        start, never on what was marked before it; only *whether* the
-        search runs does.  So every (dataset, slot, subset) is searched
-        once for all its still-witnessless starts — one bulk probe per
-        plan step — and the order-dependent part (a start already marked
-        by an earlier witness is skipped and charges nothing) is replayed
-        afterwards in one in-order pass.
+        start and its cell, never on what was marked before it; only
+        *whether* the search runs does.  So every (dataset, slot, subset)
+        is searched once for all its still-witnessless starts — one bulk
+        probe per plan step, each start probing its own cell's segment
+        of the indexes, and only in cells that received every dataset
+        of the subset — and the order-dependent part (a start already
+        marked by an earlier witness is skipped and charges nothing) is
+        replayed afterwards in one in-order pass.  A witness never
+        leaves its cell, so one pass in range order is every cell's own
+        pass.  ``whole``: every dataset of ``received`` counts as sent
+        to the (one) cell, even with an empty bag.
         """
         query = self.query
-        cell_id = cell.cell_id
-        # Per dataset, over its bag in index row order: the C2 gap, the
-        # rows starting in the cell, and every row's ``starts_here``
+        grid = self.grid
+        nseg = len(cells)
+        cell_ids = np.array([cell.cell_id for cell in cells], dtype=np.int64)
+        # Per dataset, over its bag in index row order: each row's cell
+        # (segment), the C2 gap to the nearest foreign cell, the rows
+        # starting in their cell, and every row's ``starts_here``
         # position (-1 for rectangles owned by another cell).
+        row_seg: dict[str, Any] = {}
+        present: dict[str, Any] = {}
+        indexes: dict[str, GridIndex] = {}
         gaps: dict[str, Any] = {}
-        start_pos: dict[str, Any] = {}
         start_rows: dict[str, Any] = {}
-        start_batches: list[RectBatch] = []
-        n = 0
         for dataset, bag in received.items():
-            batch = indexes[dataset].batch
-            gaps[dataset] = _kt.min_gaps_to_other_cell(np, self.grid, batch, cell)
+            counts = np.diff(bounds[dataset])
+            row_seg[dataset] = seg = np.repeat(np.arange(nseg), counts)
+            present[dataset] = True if whole else counts > 0
+            indexes[dataset] = GridIndex(
+                kernel="numpy", batch=bag, segments=bounds[dataset]
+            )
+            own = cell_ids[seg]
+            gaps[dataset] = _kt.min_gaps_to_own_cells(np, grid, bag, own)
             if not len(bag):
                 continue  # probed like any other bag, but starts nothing
-            rows = np.flatnonzero(
-                _kt.cell_ids_of_starts(np, self.grid, batch) == cell_id
+            start_rows[dataset] = np.flatnonzero(
+                _kt.cell_ids_of_starts(np, grid, bag) == own
             )
-            pos = np.full(batch.n, -1, dtype=np.int64)
-            pos[rows] = np.arange(n, n + len(rows), dtype=np.int64)
-            n += len(rows)
-            start_pos[dataset] = pos
-            start_rows[dataset] = rows
-            if isinstance(bag, RectBatch):
-                start_batches.append(bag.take(rows))
-            else:
-                start_batches.append(
-                    RectBatch.from_records(np, [bag[i] for i in rows.tolist()])
-                )
-        if not start_batches:
-            return MarkingDecision(marked=set(), ops=0, starts_here=[], marked_flags=[])
+        if not start_rows:
+            return MarkingDecision(
+                marked=None,
+                ops=np.zeros(nseg, dtype=np.int64),
+                starts_here=[],
+                marked_flags=[],
+                start_bounds=np.zeros(nseg + 1, dtype=np.int64),
+            )
+        # ``starts_here``: cell by cell, each cell's datasets in the
+        # order its values had them, bag order within a dataset — each
+        # cell's own list, concatenated.
+        sizes = [len(rows) for rows in start_rows.values()]
+        codes = np.repeat(np.arange(len(start_rows)), sizes)
+        cell_of = np.concatenate(
+            [row_seg[dataset][rows] for dataset, rows in start_rows.items()]
+        )
+        rank = np.concatenate(
+            [firsts[dataset][row_seg[dataset][rows]] for dataset, rows in start_rows.items()]
+        )
+        order = np.lexsort((rank, cell_of))
+        n = len(order)
+        position = np.empty(n, dtype=np.int64)
+        position[order] = np.arange(n)
+        start_pos: dict[str, Any] = {}
+        at = 0
+        for (dataset, rows), size in zip(start_rows.items(), sizes):
+            pos = start_pos[dataset] = np.full(received[dataset].n, -1, dtype=np.int64)
+            pos[rows] = position[at : at + size]
+            at += size
         starts_here = RectColumns(
             start_rows,
-            np.repeat(
-                np.arange(len(start_rows)), [len(rows) for rows in start_rows.values()]
-            ),
-            RectBatch.concat(np, start_batches),
+            codes[order],
+            RectBatch.concat(
+                np, [received[dataset].take(rows) for dataset, rows in start_rows.items()]
+            ).take(order),
         )
+        cell_of = cell_of[order]
 
         #: per start: what its lazy search charges (checks + probe slots),
         #: whether it found a witness, and the witness's other members
-        #: this cell owns, as ``starts_here`` positions
+        #: its cell owns, as ``starts_here`` positions
         cost = np.zeros(n, dtype=np.int64)
         found = np.zeros(n, dtype=bool)
         partners = np.full((n, len(query.slots) - 2), -1, dtype=np.int64)
         for dataset, rows in start_rows.items():
             gap_d = gaps[dataset]
+            seg_d = row_seg[dataset]
             where = start_pos[dataset][rows]
             for slot in query.slots_of_dataset(dataset):
-                for __subset, reqs, plan in self._usable(slot, received):
+                for __subset, reqs, plan, usable in self._usable(slot, present):
                     if not len(rows):
                         break
-                    # the candidate itself must pass C2 here
-                    tried = np.flatnonzero(gap_d[rows] <= reqs[slot])
+                    # the candidate itself must pass C2 here, in a cell
+                    # that received every dataset of the subset
+                    ok_here = gap_d[rows] <= reqs[slot]
+                    if usable is not True:
+                        ok_here &= usable[seg_d[rows]]
+                    tried = np.flatnonzero(ok_here)
                     if not len(tried):
                         continue
                     if len(plan) == 1:
                         hit = tried  # a singleton is its own witness
                     else:
                         ok, charge, members = self._first_embeddings(
-                            plan, reqs, rows[tried], indexes, gaps
+                            plan, reqs, rows[tried], indexes, gaps, row_seg
                         )
                         cost[where[tried]] += charge
                         hit = tried[ok]
@@ -478,15 +586,19 @@ class MarkingEngine:
                     co_marked[m] = True
                     if m > i:
                         skipped[m] = True
-        ops = int(cost[~skipped].sum())
-        flags = found | co_marked
-        chosen = starts_here.take(np.flatnonzero(flags))
-        marked = set(zip(chosen.datasets(), chosen.batch.id_list()))
+        charged = ~skipped
+        ops = np.bincount(
+            cell_of[charged], weights=cost[charged], minlength=nseg
+        ).astype(np.int64)
         return MarkingDecision(
-            marked=marked, ops=ops, starts_here=starts_here, marked_flags=flags
+            marked=None,
+            ops=ops,
+            starts_here=starts_here,
+            marked_flags=found | co_marked,
+            start_bounds=np.searchsorted(cell_of, np.arange(nseg + 1)),
         )
 
-    def _first_embeddings(self, plan, reqs, rows, indexes, gaps):
+    def _first_embeddings(self, plan, reqs, rows, indexes, gaps, row_seg):
         """:meth:`_find_embedding` for every start row of ``rows`` at once.
 
         The search tree is expanded breadth-first — level ``k`` holds
@@ -500,7 +612,9 @@ class MarkingEngine:
         Returns ``(found, charge, members)``: per row whether a witness
         exists and what the lazy search charges (candidate checks plus
         probe slots); per plan step after the start, ``(dataset, entry
-        rows)`` of the first witness of each found row.
+        rows)`` of the first witness of each found row.  Every probe
+        searches its anchor row's own cell (``row_seg``, per dataset the
+        segment of each bag row).
         """
         dataset_of = self.query.dataset_of
         frontier = {plan[0].slot: rows}
@@ -509,10 +623,15 @@ class MarkingEngine:
             slot = step.slot
             idx = indexes[step.dataset]
             anchor = step.anchor
-            abatch = indexes[dataset_of(step.anchor_slot)].batch
+            anchor_dataset = dataset_of(step.anchor_slot)
+            abatch = indexes[anchor_dataset].batch
             apos = frontier[step.anchor_slot]
             parent, entries, position, scanned = idx.probe_frontier(
-                abatch, apos, anchor.predicate.distance, scan=True
+                abatch,
+                apos,
+                anchor.predicate.distance,
+                scan=True,
+                seg=row_seg[anchor_dataset],
             )
             # One check per probe candidate: the anchor predicate (a
             # strict ``Overlap`` is settled by the probe itself), C2 at

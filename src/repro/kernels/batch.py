@@ -597,15 +597,17 @@ class TaggedColumns(_ColumnRows):
         )
 
     def line_sizes(self):
-        """Each row's ``len(line) + 1`` — ``dataset|rid|flag|csv`` and
-        its newline — by integer arithmetic, or ``None`` when the ids
+        """Each row's UTF-8 ``len(line) + 1`` — ``dataset|rid|flag|csv``
+        and its newline — by integer arithmetic, or ``None`` when the ids
         are not an int64 column (the text must then be built to be
         sized)."""
         columns = self.columns
         batch = columns.batch
         if type(batch.ids) is list:
             return None
-        name_len = np.array([len(name) for name in columns.names], dtype=np.int64)
+        name_len = np.array(
+            [len(name.encode("utf-8")) for name in columns.names], dtype=np.int64
+        )
         per_row = name_len[0] if columns.codes is None else name_len[columns.codes]
         return per_row + _decimal_widths(np, batch.ids) + batch.csv_lens(np) + 5
 

@@ -22,6 +22,7 @@ __all__ = [
     "cols_of_x",
     "grid_edges",
     "min_gaps_to_other_cell",
+    "min_gaps_to_own_cells",
     "overlap_cell_lists",
     "quadrant_cell_lists",
     "row_ranges",
@@ -121,26 +122,34 @@ def row_ranges(np, grid, batch):
 
 def min_gaps_to_other_cell(np, grid, batch, cell):
     """``min_gap_to_other_cell(rect, cell)`` for a whole batch."""
+    return min_gaps_to_own_cells(np, grid, batch, np.full(batch.n, cell.cell_id))
+
+
+def min_gaps_to_own_cells(np, grid, batch, cell_ids):
+    """``min_gap_to_other_cell(rect, cell)`` for a whole batch, row ``i``
+    against the cell ``cell_ids[i]`` (the rows of a physical reduce
+    range, each measured in its own cell).
+
+    A side counts where the row's cell has a neighbour across it; the
+    cell extents are the grid's edges, the scalar ``Cell`` fields."""
     n = batch.n
     if grid.num_cells == 1:
         return np.full(n, np.inf)
+    x_edges, y_edges = grid_edges(np, grid)[:2]
+    cols, rows = grid.cols, grid.rows
+    col = cell_ids % cols
+    row = cell_ids // cols
     c_lo, c_hi = col_ranges(np, grid, batch)
     r_lo, r_hi = row_ranges(np, grid, batch)
-    inside = (c_lo == c_hi) & (c_hi == cell.col) & (r_lo == r_hi) & (r_hi == cell.row)
-    gap = None
-    if cell.col > 0:
-        gap = batch.x_min - cell.x_min
-    if cell.col < grid.cols - 1:
-        g = cell.x_max - batch.x_max
-        gap = g if gap is None else np.minimum(gap, g)
-    if cell.row > 0:
-        g = cell.y_max - batch.y_max
-        gap = g if gap is None else np.minimum(gap, g)
-    if cell.row < grid.rows - 1:
-        g = batch.y_min - cell.y_min
-        gap = g if gap is None else np.minimum(gap, g)
-    if gap is None:  # pragma: no cover - only a 1x1 grid has no sides
-        gap = np.full(n, np.inf)
+    inside = (c_lo == c_hi) & (c_hi == col) & (r_lo == r_hi) & (r_hi == row)
+    gap = np.full(n, np.inf)
+    for has_side, side_gap in (
+        (col > 0, batch.x_min - x_edges[col]),
+        (col < cols - 1, x_edges[col + 1] - batch.x_max),
+        (row > 0, y_edges[rows - row] - batch.y_max),
+        (row < rows - 1, batch.y_min - y_edges[rows - row - 1]),
+    ):
+        gap = np.where(has_side, np.minimum(gap, side_gap), gap)
     return np.where(inside, gap, 0.0)
 
 

@@ -164,6 +164,8 @@ class BlockPlane:
             else None
         )
         self.report = StorageReport()
+        #: the placement map changed since it was last persisted
+        self.dirty = False
         self.placement = self._load_placement(replication)
         if pool is not None:
             for name in pool.workers:
@@ -191,6 +193,18 @@ class BlockPlane:
 
     def _persist(self) -> None:
         self.dfs.write_side_file(PLACEMENT_PATH, [self.placement.to_json()])
+        self.dirty = False
+
+    def flush(self) -> None:
+        """Persist the placement map if it changed.
+
+        Mutations only mark the map dirty; the engine flushes at each
+        job's start and commit barriers and the workflow after each
+        checkpoint, so the map on disk is the store as of the last
+        barrier — what a resumed run or an offline audit reads.
+        """
+        if self.dirty:
+            self._persist()
 
     # -- replica addressing --------------------------------------------
     @staticmethod
@@ -250,7 +264,7 @@ class BlockPlane:
                     meta.replicas.append(worker)
             blocks.append(meta)
         self.placement.set_file(path, blocks)
-        self._persist()
+        self.dirty = True
 
     def ensure(self, path: str) -> bool:
         """Lazily ingest a pre-existing file (staged before the plane).
@@ -275,7 +289,7 @@ class BlockPlane:
             return
         self._drop_replicas(path)
         self.placement.drop_file(path)
-        self._persist()
+        self.dirty = True
 
     def _drop_replicas(self, path: str) -> None:
         for block in self.placement.blocks(path):
@@ -320,7 +334,7 @@ class BlockPlane:
                 )
             block.replicas.remove(worker)
             self.dfs.delete(self._replica_path(worker, path, block.index))
-            self._persist()
+            self.dirty = True
         raise DFSError(
             f"block lost: {path!r} block {block.index} has no healthy "
             f"replica (holders tried: {block.replicas})"
@@ -412,7 +426,7 @@ class BlockPlane:
                 worker=worker,
                 reason=reason,
             )
-        self._persist()
+        self.dirty = True
 
     # -- self-healing --------------------------------------------------
     def sweep_dead_workers(self) -> None:
@@ -462,7 +476,7 @@ class BlockPlane:
                 if len(block.replicas) < self.replication:
                     self.report.under_replicated += 1
                     self._warn_under_replicated(path, block)
-        self._persist()
+        self.dirty = True
 
     def _top_up(self, path: str, block: BlockMeta, candidates: list[str]) -> list[str]:
         """Copy ``block`` from a checksum-clean replica onto candidates
@@ -596,7 +610,8 @@ class BlockPlane:
                 else:
                     report.healthy += 1
         if repair:
-            self._persist()
+            self.dirty = True
+            self.flush()
             # The verdict (and exit code) must describe the store as
             # repaired, so audit again and carry the repair count over.
             fixed = self.fsck(repair=False)

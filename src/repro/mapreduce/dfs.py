@@ -42,13 +42,19 @@ from typing import Any
 
 from repro.errors import DFSError
 
-__all__ = ["InMemoryDFS", "codec_name", "typed_form"]
+__all__ = ["InMemoryDFS", "codec_name", "text_bytes", "typed_form"]
 
 
 def _normalize(path: str) -> str:
     if not path or path.startswith("/") and len(path) == 1:
         raise DFSError(f"invalid DFS path {path!r}")
     return path.strip("/")
+
+
+def text_bytes(text: str) -> int:
+    """UTF-8 size of ``text``: what a file holding it occupies on disk.
+    ASCII text — nearly every line — is measured without encoding it."""
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
 
 
 def codec_name(codec) -> str:
@@ -117,7 +123,7 @@ class InMemoryDFS:
     def __init__(self) -> None:
         #: path -> lines (a :class:`_BundleText` for a bundle sized by column)
         self._files: dict[str, Sequence[str]] = {}
-        #: path -> byte size (line lengths + newlines), set at write time
+        #: path -> byte size (UTF-8 line sizes + newlines), set at write time
         self._sizes: dict[str, int] = {}
         #: typed-record shadow of ``_files`` (only codec-written paths):
         #: path -> (codec name, records); the codec name guards against
@@ -161,7 +167,7 @@ class InMemoryDFS:
         if "\n" in joined:
             line = next(line for line in stored if "\n" in line)
             raise DFSError(f"record contains a newline: {line!r}")
-        nbytes = len(joined) + len(stored)
+        nbytes = text_bytes(joined) + len(stored)
         self._keep(path, stored, nbytes)
         return nbytes
 
@@ -367,7 +373,7 @@ class InMemoryDFS:
         return not self._files
 
     def file_size(self, path: str) -> int:
-        """Size of one file in bytes (line lengths + newlines)."""
+        """Size of one file in bytes (UTF-8 line sizes + newlines)."""
         path = _normalize(path)
         if path not in self._files:
             raise DFSError(f"no such file: {path!r}")

@@ -34,10 +34,15 @@ non-canonical spill-overhead cost term.
 Tasks are dispatched through a pluggable
 :class:`~repro.mapreduce.executor.TaskExecutor` (``serial``, ``thread``
 or ``process``), so the k-way parallelism the cost model *assumes* can
-be backed by real cores.  Each task is a self-contained unit: it runs
-against its own :class:`Counters` shard and returns its buckets/output
-lines as a result instead of mutating shared state, and the engine
-merges shards and results in task-id order.  Everything therefore stays
+be backed by real cores.  Each *logical* task is a self-contained unit:
+it runs against its own :class:`Counters` shard and returns its
+buckets/output lines as a result instead of mutating shared state, and
+the engine merges shards and results in task-id order.  *Physically*
+the engine dispatches contiguous ranges of logical tasks: a reduce
+phase is cut into a few ranges by the shuffle bytes its tasks read
+(:func:`_task_ranges`), and a job whose reducer is ``segmented`` sees
+one call per range instead of one per task — each task still gets its
+own context, counters, part file and timing share.  Everything therefore stays
 deterministic at any worker count: splits are formed in file order,
 sorting is stable, part files are written in reducer-id order — a job
 run twice, with any executor, produces byte-identical output, which the
@@ -62,7 +67,7 @@ from repro.kernels.batch import RectBatch
 from repro.mapreduce.blocks import BlockPlane
 from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.cost import CostModel, JobCostBreakdown, TaskStats
-from repro.mapreduce.dfs import InMemoryDFS, codec_name, typed_form
+from repro.mapreduce.dfs import InMemoryDFS, codec_name, text_bytes, typed_form
 from repro.mapreduce.executor import default_workers, make_executor
 from repro.mapreduce.faults import (
     FaultPlan,
@@ -285,23 +290,18 @@ def _grouped(ordered: list[tuple[Any, Any]]):
         yield key, [v for __, v in run]
 
 
-def _segment_groups(segs: list[BucketSegment], sort_key):
-    """Yield ``(key, values)`` groups of one reducer's segment runs.
+def _segment_group_parts(segs: list[BucketSegment], sort_key):
+    """Yield ``(key, parts)`` groups of one reducer's segment runs, each
+    part the slice of one segment the group's values come from, ungathered.
 
     Segments arrive concatenated map-task-major with emission order
     inside each task, so a *stable* sort by key reproduces the scalar
     path's ``(sort_key(key), map_task, seq)`` order exactly: a numpy
     stable argsort when the sort key provably is the key itself (the
     job default), the reference decorate-sort over the key column for
-    a custom ordering.  A group's ``values`` are its per-segment
-    gathers concatenated (:func:`gather_values`): the plain list of
-    emitted values the row path would hand the reducer, or — when the
-    map tasks emitted columnar bundles — one such bundle (the ordered
-    runs of a :class:`~repro.mapreduce.job.ValueRuns` when the tasks'
-    bundles differ in type), which is a lazy sequence of those same
-    values.  The join jobs'
-    one-distinct-key-per-reducer layout takes the no-sort fast path:
-    a single group of every segment, whole.
+    a custom ordering.  The join jobs' one-distinct-key-per-reducer
+    layout takes the no-sort fast path: a single group of every
+    segment, whole.
     """
     if not segs:
         return
@@ -314,7 +314,7 @@ def _segment_groups(segs: list[BucketSegment], sort_key):
     if sort_key is default_sort_key:
         if int(keys.min()) == int(keys.max()):
             # One distinct key: the concatenation already is the group.
-            yield int(keys[0]), gather_values([seg.gather() for seg in segs])
+            yield int(keys[0]), segs
             return
         order = np.argsort(keys, kind="stable")
     else:
@@ -334,28 +334,151 @@ def _segment_groups(segs: list[BucketSegment], sort_key):
         cuts = (np.flatnonzero(seg_of[1:] != seg_of[:-1]) + 1).tolist()
         parts = []
         for a, b in zip([0, *cuts], [*cuts, hi - lo]):
-            i = int(seg_of[a])
-            parts.append(segs[i].gather(rows[a:b] - seg_start[i]))
-        yield int(sk[lo]), gather_values(parts)
+            seg = segs[int(seg_of[a])]
+            at = rows[a:b] - seg_start[int(seg_of[a])]
+            parts.append(BucketSegment(seg.keys[at], seg.source, seg.members[at]))
+        yield int(sk[lo]), parts
 
 
-def _run_map_task(
-    phase: _MapPhase,
-    index: int,
-    skips: tuple[int, ...] = (),
-    poison: tuple[int, ...] = (),
-) -> _MapTaskResult:
-    """Dispatch one map task, optionally under the per-task profiler.
+def _gathered(parts: list):
+    """One group's values: its parts gathered and concatenated
+    (:func:`gather_values`) — the plain list of emitted values the row
+    path would hand the reducer, or, when the map tasks emitted columnar
+    bundles, one such bundle (the ordered runs of a
+    :class:`~repro.mapreduce.job.ValueRuns` when the tasks' bundles
+    differ in type), a lazy sequence of those same values."""
+    return gather_values(
+        [part.gather() if isinstance(part, BucketSegment) else part for part in parts]
+    )
+
+
+def _gather_range(groups: list[list]) -> tuple[Any, Any]:
+    """A physical range's reduce groups, gathered in one piece.
+
+    ``groups`` holds each group's parts — :class:`BucketSegment` slices,
+    or plain value lists (the row shuffle) — in group order.  Returns
+    ``(values, bounds)``: every group's values concatenated in group
+    order, and the int64 bounds cutting them into the groups.  When
+    every part is a slice of one columnar source type, each source is
+    gathered once for the whole range (one ``take`` of all the members
+    the range wants from it) and one more ``take`` puts the rows in
+    group order — instead of one ``take`` per part and one ``concat``
+    per group.  Otherwise the parts are gathered one by one.
+    """
+    parts = [part for group in groups for part in group]
+    sizes = np.array([len(part) for part in parts], dtype=np.int64)
+    group_sizes = [sum(len(part) for part in group) for group in groups]
+    bounds = np.concatenate(([0], np.cumsum(group_sizes, dtype=np.int64)))
+    kinds = {type(getattr(part, "source", None)) for part in parts}
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is None or not hasattr(kind, "concat"):
+        return (_gathered(parts) if parts else []), bounds
+    # Sources in order of first use; each part's rows sit at ``at`` in
+    # the sources' gathered rows, concatenated source by source.
+    members: dict[int, list] = {}
+    sources: dict[int, Any] = {}
+    for part in parts:
+        members.setdefault(id(part.source), []).append(part.members)
+        sources.setdefault(id(part.source), part.source)
+    before: dict[int, int] = {}
+    taken = []
+    at = 0
+    for key, source in sources.items():
+        wanted = members[key][0] if len(members[key]) == 1 else np.concatenate(members[key])
+        taken.append(source.take(wanted))
+        before[key] = at
+        at += len(wanted)
+    # each part's first row among the gathered rows
+    start = np.empty(len(parts), dtype=np.int64)
+    seen: dict[int, int] = {}
+    for i, part in enumerate(parts):
+        key = id(part.source)
+        start[i] = before[key] + seen.get(key, 0)
+        seen[key] = seen.get(key, 0) + len(part)
+    merged = taken[0] if len(taken) == 1 else kind.concat(taken)
+    order = np.repeat(start - (np.cumsum(sizes) - sizes), sizes) + np.arange(at)
+    if len(taken) == 1 or bool((order[1:] > order[:-1]).all()):
+        return merged, bounds
+    return merged.take(order), bounds
+
+
+#: shuffle bytes a physical reduce range reads at most (unless it is one
+#: task): about 10k rows of a join job's ``(cell, rectangle)`` pairs.  It
+#: bounds the segmented kernels' arrays — an All-Replicate range of dense
+#: cells enumerates millions of candidate pairs, and twice this budget
+#: raised the benchmark's ``peak_rss_mb`` on chain3-dense-3k by ~16 % —
+#: while cutting a 64-cell phase of the benchmark's sizes into a few ranges
+_RANGE_BYTES = 1 << 19
+
+
+def _task_ranges(sizes: list[int], floor: int) -> list[range]:
+    """Cut tasks ``0 .. len(sizes) - 1`` into contiguous ranges.
+
+    ``sizes`` is each task's input volume.  The phase gets enough ranges
+    that none reads much more than :data:`_RANGE_BYTES`, and at least
+    ``floor`` (the executor's workers) so no worker idles — never more
+    than one per task, never an empty one.  Cuts fall where the running
+    volume crosses an equal share of the total.
+    """
+    n = len(sizes)
+    if not n:
+        return []
+    total = sum(sizes)
+    k = min(n, max(floor, 1, -(-total // _RANGE_BYTES)))
+    cuts = [0]
+    running = 0
+    for t, size in enumerate(sizes[:-1]):
+        running += size
+        j = len(cuts)
+        # close range j once its share is reached, leaving one task per
+        # range still to come
+        if j < k and (running * k >= total * j or n - (t + 1) == k - j):
+            cuts.append(t + 1)
+    cuts.append(n)
+    return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _singletons(n: int) -> list[range]:
+    """Tasks ``0 .. n - 1`` as ranges of one (the map side's dispatch)."""
+    return [range(t, t + 1) for t in range(n)]
+
+
+def _profiled(body, phase, tasks, *args) -> list:
+    """Run ``body(phase, tasks, *args)`` — one physical range — optionally
+    under the per-task profiler.
 
     The cProfile wrapper lives here — outside the body — so the
     unprofiled path is a single attribute check and the profiled stats
-    cover exactly the task body on every executor back-end.
+    cover exactly the range's body on every executor back-end.  They
+    ride on the range's first task's result; its other tasks carry an
+    empty stats dict, so every logical task still counts as profiled.
     """
     if not phase.profile:
-        return _map_task_body(phase, index, skips, poison)
-    result, stats = run_profiled(_map_task_body, phase, index, skips, poison)
-    result.profile = stats
-    return result
+        return body(phase, tasks, *args)
+    results, stats = run_profiled(body, phase, tasks, *args)
+    for result in results:
+        result.profile = stats
+        stats = {}
+    return results
+
+
+def _run_map_task(phase: _MapPhase, tasks, skips=(), poison=()) -> list[_MapTaskResult]:
+    """Run the map tasks ``tasks`` (one physical range), one result each.
+
+    ``skips`` / ``poison`` hold, per task, the split offsets the
+    recovery layer quarantined / an injected fault declared bad (empty:
+    none for any task).
+    """
+    skips = skips or [()] * len(tasks)
+    poison = poison or [()] * len(tasks)
+    return _profiled(_map_range_body, phase, tasks, skips, poison)
+
+
+def _map_range_body(phase: _MapPhase, tasks, skips, poison) -> list[_MapTaskResult]:
+    return [
+        _map_task_body(phase, index, task_skips, task_poison)
+        for index, task_skips, task_poison in zip(tasks, skips, poison)
+    ]
 
 
 def _map_task_body(
@@ -540,23 +663,16 @@ def _apply_combiner(job: MapReduceJob, ctx: MapContext, counters: Counters) -> N
         ctx.bucket_bytes[r] = new_bytes
 
 
-def _run_reduce_task(phase: _ReducePhase, r: int) -> _ReduceTaskResult:
-    """Dispatch one reduce task, optionally under the per-task profiler."""
-    if not phase.profile:
-        return _reduce_task_body(phase, r)
-    result, stats = run_profiled(_reduce_task_body, phase, r)
-    result.profile = stats
-    return result
+def _run_reduce_task(phase: _ReducePhase, tasks) -> list[_ReduceTaskResult]:
+    """Run the reduce tasks ``tasks`` (one physical range), one result each."""
+    return _profiled(_reduce_range_body, phase, tasks)
 
 
-def _reduce_task_body(phase: _ReducePhase, r: int) -> _ReduceTaskResult:
-    """One self-contained reduce task: merged bucket in, lines out."""
-    t_start = time.perf_counter()
+def _task_group_parts(phase: _ReducePhase, r: int):
+    """Reduce task ``r``'s ``(key, parts)`` groups, in key order: a part
+    is a :class:`BucketSegment` slice, or on the row shuffle the group's
+    value list."""
     job = phase.job
-    counters = Counters()
-    rctx = ReduceContext(counters, r)
-    reducer = job.reducer
-    groups = 0
     store = phase.store
     if phase.seg_buckets is not None:
         # Columnar shuffle: group contiguous key slices of the
@@ -565,43 +681,105 @@ def _reduce_task_body(phase: _ReducePhase, r: int) -> _ReduceTaskResult:
         segs = phase.seg_buckets[r]
         if store is not None:
             segs = store.read_back(segs)
-        groups_iter = _segment_groups(segs, job.sort_key)
-    else:
-        # Stable sort: same-key values keep map emission order.
-        bucket = phase.buckets[r]
-        if store is not None:
-            bucket = store.read_back(bucket, rows=True)
-        groups_iter = _grouped(_sorted_by_key(bucket, job.sort_key))
-    for key, values in groups_iter:
-        groups += 1
-        rctx.input_records += len(values)
+        return _segment_group_parts(segs, job.sort_key)
+    # Stable sort: same-key values keep map emission order.
+    bucket = phase.buckets[r]
+    if store is not None:
+        bucket = store.read_back(bucket, rows=True)
+    return ((key, [values]) for key, values in _grouped(_sorted_by_key(bucket, job.sort_key)))
+
+
+def _reduce_range_body(phase: _ReducePhase, tasks) -> list[_ReduceTaskResult]:
+    """Self-contained reduce tasks: merged buckets in, lines out.
+
+    Every task of the range gets its own :class:`ReduceContext` and
+    counter shard.  A ``segmented`` reducer is called once for the whole
+    range, with every task's groups gathered in one piece
+    (:func:`_gather_range`) and each group's task context; any other
+    reducer once per group.  The range's wall time is shared out to its
+    tasks in task order, in proportion to their input records.
+    """
+    t_start = time.perf_counter()
+    job = phase.job
+    reducer = job.reducer
+    #: per task: its context, counter shard and number of groups
+    shards: list[tuple[ReduceContext, Counters, int]] = []
+    keys: list[Any] = []
+    groups: list[list] = []
+    group_contexts: list[ReduceContext] = []
+    for r in tasks:
+        counters = Counters()
+        rctx = ReduceContext(counters, r)
+        before = len(groups)
+        for key, parts in _task_group_parts(phase, r):
+            rctx.input_records += sum(len(part) for part in parts)
+            keys.append(key)
+            groups.append(parts)
+            group_contexts.append(rctx)
+        shards.append((rctx, counters, len(groups) - before))
+    if job.segmented and keys:
+        values, bounds = _gather_range(groups)
         try:
-            reducer(key, values, rctx)
+            reducer(keys, values, bounds, group_contexts)
         except Exception as exc:  # noqa: BLE001 - wrap task failures
+            where = f"task {tasks[0]}" if len(tasks) == 1 else f"tasks {list(tasks)}"
+            on = f" on key {keys[0]!r}" if len(keys) == 1 else ""
             raise JobError(
-                f"reduce task {r} failed in job {job.name!r} "
-                f"on key {key!r}: {exc}"
+                f"reduce {where} failed in job {job.name!r}{on}: {exc}"
             ) from exc
-    counters.add(C.GROUP_ENGINE, C.REDUCE_INPUT_GROUPS, groups)
-    counters.add(C.GROUP_ENGINE, C.REDUCE_INPUT_RECORDS, rctx.input_records)
-    # Encode-once: each task formats its own record objects (in parallel
-    # on the parallel executors); a column bundle is left to the DFS.
-    records = rctx.output()
-    if hasattr(records, "take"):
-        lines = None
-    elif job.output_codec is not None:
-        lines = job.output_codec.encode_lines(records)
-    else:
-        lines, records = records, None
-    return _ReduceTaskResult(
-        lines=lines,
-        records=records,
-        input_records=rctx.input_records,
-        compute_ops=rctx.compute_ops,
-        counters=counters,
-        t_start=t_start,
-        t_end=time.perf_counter(),
-    )
+        del values
+    elif not job.segmented:
+        for key, parts, rctx in zip(keys, groups, group_contexts):
+            try:
+                reducer(key, _gathered(parts), rctx)
+            except Exception as exc:  # noqa: BLE001 - wrap task failures
+                raise JobError(
+                    f"reduce task {rctx.reducer_id} failed in job {job.name!r} "
+                    f"on key {key!r}: {exc}"
+                ) from exc
+    del keys, groups, group_contexts
+    results = []
+    for rctx, counters, num_groups in shards:
+        counters.add(C.GROUP_ENGINE, C.REDUCE_INPUT_GROUPS, num_groups)
+        counters.add(C.GROUP_ENGINE, C.REDUCE_INPUT_RECORDS, rctx.input_records)
+        # Encode-once: each task formats its own record objects (in
+        # parallel on the parallel executors); a column bundle is left
+        # to the DFS.
+        records = rctx.output()
+        if hasattr(records, "take"):
+            lines = None
+        elif job.output_codec is not None:
+            lines = job.output_codec.encode_lines(records)
+        else:
+            lines, records = records, None
+        results.append(
+            _ReduceTaskResult(
+                lines=lines,
+                records=records,
+                input_records=rctx.input_records,
+                compute_ops=rctx.compute_ops,
+                counters=counters,
+            )
+        )
+    _share_wall(results, t_start, time.perf_counter())
+    return results
+
+
+def _share_wall(results: list, t_start: float, t_end: float) -> None:
+    """Stamp each task of a range with its share of the range's wall:
+    consecutive, in task order, in proportion to input records (plus
+    one, so that a task that read nothing still spans a moment), ending
+    exactly at ``t_end``."""
+    weights = [result.input_records + 1 for result in results]
+    total = sum(weights)
+    span = t_end - t_start
+    done = 0
+    for result, weight in zip(results, weights):
+        result.t_start = t_start + span * done / total
+        done += weight
+        result.t_end = t_start + span * done / total
+    if results:
+        results[-1].t_end = t_end
 
 
 class _WriteRecovery:
@@ -921,6 +1099,7 @@ class Cluster:
                 # enacted at the job-start barrier so detection happens
                 # deterministically during this job's verified reads.
                 plane.enact_faults(self.fault_plan, job.name)
+                plane.flush()
             read_before = self.dfs.bytes_read
             t0 = time.perf_counter()
             with rec.span("split", cat="phase", track="engine") as sp:
@@ -986,7 +1165,9 @@ class Cluster:
                     task_results, reduce_report = run_phase_with_recovery(
                         executor,
                         _run_reduce_task,
-                        job.num_reducers,
+                        _task_ranges(
+                            input_bytes, getattr(executor, "num_workers", 1)
+                        ),
                         reduce_phase,
                         job=job.name,
                         phase="reduce",
@@ -1175,6 +1356,7 @@ class Cluster:
         copies) to the non-canonical ``network_overhead_s`` bucket.
         """
         plane.rereplicate()
+        plane.flush()
         rep = plane.drain_report()
         wrep = workers.report if workers is not None else None
         pairs = [
@@ -1218,7 +1400,7 @@ class Cluster:
         same staged columns (cached per file version).
         """
         sub = self._map_phase(job, [splits[t] for t in tasks])
-        executor.run_phase(_run_map_task, len(tasks), sub)
+        executor.run_phase(_run_map_task, _singletons(len(tasks)), sub)
         if self.recorder.enabled:
             self.recorder.instant(
                 "maps-reexecuted",
@@ -1494,7 +1676,7 @@ class Cluster:
             return SplitEntries(f, 0, bundle, sizes.tolist())
         lines = self.dfs.read_file(f)
         records = self._file_records(job, f, lines, codec)
-        sizes = [len(line) + 1 for line in lines]
+        sizes = [text_bytes(line) + 1 for line in lines]
         if hasattr(records, "take"):
             return SplitEntries(f, 0, records, sizes)
         return list(zip(repeat(f), range(len(lines)), records, sizes))
@@ -1551,7 +1733,7 @@ class Cluster:
         results, report = run_phase_with_recovery(
             executor,
             _run_map_task,
-            len(splits),
+            _singletons(len(splits)),
             self._map_phase(job, splits, profile=self.profiler is not None),
             job=job.name,
             phase="map",
@@ -1607,7 +1789,9 @@ class Cluster:
             if sizes is None:
                 lines = typed_form(result.records, codec, None)[2]
         nbytes = (
-            int(sizes.sum()) if sizes is not None else sum(map(len, lines)) + len(lines)
+            int(sizes.sum())
+            if sizes is not None
+            else sum(map(text_bytes, lines)) + len(lines)
         )
         return self.cost_model.reduce_task_seconds(
             TaskStats(

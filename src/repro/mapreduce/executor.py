@@ -2,41 +2,48 @@
 
 The engine models a k-reducer Hadoop cluster; this module decides how
 much *actual* hardware parallelism backs that model.  A phase (all map
-tasks, or all reduce tasks, of one job) is a list of independent task
-invocations ``worker(payload, index)`` where
+tasks, or all reduce tasks, of one job) is a sequence of independent
+*units*, each run as one invocation ``worker(payload, unit)`` where
 
 * ``payload`` is the phase-wide immutable state (the job plus the task
   inputs), shared by reference in-process and inherited by forked
   workers, and
-* ``index`` is the task id (split index or reducer id).
+* ``unit`` is one item of the ``units`` sequence the caller passed.  The
+  engine's units are *physical ranges* of logical task ids (a ``range``
+  or a tuple of ids): a reduce phase of 64 cells may run as a handful
+  of ranges, and the worker hands back one result per task of its
+  range (see :mod:`repro.mapreduce.engine`).  The executor neither
+  knows nor cares: ``run_phase(worker, range(n), payload)`` runs ``n``
+  units with the ids themselves as units.
 
 Three back-ends are provided:
 
 ``serial``
-    Run tasks one after another in the calling thread (the seed
+    Run units one after another in the calling thread (the seed
     behaviour, and the default).
 ``thread``
     A :class:`~concurrent.futures.ThreadPoolExecutor`.  Python threads
     only overlap during C-level work, but the back-end exercises the
     same task isolation as processes and is cheap to spin up.
 ``process``
-    ``num_workers`` processes run tasks, and the calling process is one
+    ``num_workers`` processes run units, and the calling process is one
     of them: ``run_phase`` forks ``num_workers - 1`` children, then the
-    parent and the children claim task ids from one shared counter.
-    Children inherit the payload through copy-on-write memory, so job
-    closures (mappers capturing grids, marking engines, joiners) need
-    not be picklable; only the children's task *results* cross a pipe.
-    On platforms without ``fork`` the back-end degrades to threads.
+    parent and the children claim unit positions from one shared
+    counter.  Children inherit the payload (and the unit list) through
+    copy-on-write memory, so job closures (mappers capturing grids,
+    marking engines, joiners) need not be picklable; only the children's
+    *results* cross a pipe.  On platforms without ``fork`` the back-end
+    degrades to threads.
 
-``run_phase`` is the whole interface.  Executors never time, preempt or
-abandon a task: retries, speculation and the hung-task watchdog are
-decided by :mod:`repro.mapreduce.faults` on the simulated clock, one
-``run_phase`` round at a time, so they behave the same on every
-back-end.
+``run_phase`` is an executor's one method.  Executors never time,
+preempt or abandon a unit: retries, speculation and the hung-task
+watchdog are decided by :mod:`repro.mapreduce.faults` on the simulated
+clock, one ``run_phase`` round at a time, so they behave the same on
+every back-end.
 
-Determinism contract: ``run_phase`` returns results indexed by task id
+Determinism contract: ``run_phase`` returns results in unit order
 regardless of completion order, and workers must be pure functions of
-``(payload, index)``.  The engine merges results in task-id order, so a
+``(payload, unit)``.  The engine merges results in task-id order, so a
 job produces byte-identical output at every worker count.
 
 Timing contract (observability): executors do not time tasks — the task
@@ -50,8 +57,8 @@ workers' stamps are directly comparable with the parent's because
 that fall back (``process`` without ``fork`` support degrades to
 threads) therefore keep honest timelines with no executor cooperation.
 
-Result contract: everything a task hands back must be **picklable** —
-the process back-end ships the results of forked tasks through a pipe.
+Result contract: everything a unit hands back must be **picklable** —
+the process back-end ships the results of forked units through a pipe.
 That includes the observability payloads riding in result objects:
 worker-side time stamps, counter shards, and (under ``--profile``) the
 raw cProfile stats dict ``{(file, line, func): (cc, nc, tt, ct,
@@ -77,7 +84,7 @@ import os
 import pickle
 import signal
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from typing import Any
 
@@ -93,8 +100,8 @@ __all__ = [
     "default_workers",
 ]
 
-#: worker(payload, task_index) -> task result
-TaskWorker = Callable[[Any, int], Any]
+#: worker(payload, unit) -> the unit's result
+TaskWorker = Callable[[Any, Any], Any]
 
 
 def default_workers() -> int:
@@ -106,16 +113,17 @@ def default_workers() -> int:
 
 
 class TaskExecutor(abc.ABC):
-    """Runs one phase of independent tasks, preserving task-id order."""
+    """Runs one phase of independent units, preserving unit order."""
 
     name: str = "abstract"
 
     @abc.abstractmethod
-    def run_phase(self, worker: TaskWorker, num_tasks: int, payload: Any) -> list:
-        """Run ``worker(payload, i)`` for ``i in range(num_tasks)``.
+    def run_phase(self, worker: TaskWorker, units: Sequence, payload: Any) -> list:
+        """Run ``worker(payload, unit)`` for every ``unit`` of ``units``.
 
-        Returns the results ordered by task id.  A task exception
-        aborts the phase and propagates to the caller.
+        Returns the results in unit order.  An exception aborts the
+        phase and propagates to the caller: that of the lowest unit
+        position that raised.
         """
 
 
@@ -124,8 +132,8 @@ class SerialExecutor(TaskExecutor):
 
     name = "serial"
 
-    def run_phase(self, worker: TaskWorker, num_tasks: int, payload: Any) -> list:
-        return [worker(payload, i) for i in range(num_tasks)]
+    def run_phase(self, worker: TaskWorker, units: Sequence, payload: Any) -> list:
+        return [worker(payload, unit) for unit in units]
 
 
 class ThreadExecutor(TaskExecutor):
@@ -136,26 +144,24 @@ class ThreadExecutor(TaskExecutor):
     def __init__(self, num_workers: int | None = None) -> None:
         self.num_workers = num_workers if num_workers else default_workers()
 
-    def run_phase(self, worker: TaskWorker, num_tasks: int, payload: Any) -> list:
-        if num_tasks <= 1 or self.num_workers <= 1:
-            return SerialExecutor().run_phase(worker, num_tasks, payload)
+    def run_phase(self, worker: TaskWorker, units: Sequence, payload: Any) -> list:
+        if len(units) <= 1 or self.num_workers <= 1:
+            return SerialExecutor().run_phase(worker, units, payload)
         with ThreadPoolExecutor(
-            max_workers=min(self.num_workers, num_tasks)
+            max_workers=min(self.num_workers, len(units))
         ) as pool:
-            futures = [
-                pool.submit(worker, payload, i) for i in range(num_tasks)
-            ]
+            futures = [pool.submit(worker, payload, unit) for unit in units]
             # Wait until everything finished or something failed; a
             # failure cancels the still-queued tail instead of running
             # every remaining task to completion first (the pool starts
-            # tasks in submission order, so cancelled futures are always
-            # a suffix and never hide a lower failing task id).
+            # units in submission order, so cancelled futures are always
+            # a suffix and never hide a lower failing position).
             wait(futures, return_when=FIRST_EXCEPTION)
             if any(f.done() and not f.cancelled() and f.exception() for f in futures):
                 for f in futures:
                     f.cancel()
-            # Collect in submission order: results land at their task id
-            # and the lowest failing task id is the one that raises.
+            # Collect in submission order: results land at their position
+            # and the lowest failing position is the one that raises.
             return [f.result() for f in futures if not f.cancelled()]
 
 
@@ -213,9 +219,10 @@ class _ForkedPhase:
     """One ``ProcessExecutor.run_phase`` call: the parent is a worker.
 
     The parent forks its children first and only then runs tasks itself.
-    Everyone claims the next task id from ``_claims`` — shared memory
-    inherited through fork — under ``_lock``, so the ids are handed out
-    in increasing order.  A child sends ``(id, True, packed result)`` or
+    Everyone claims the next task id — a position in ``units`` — from
+    ``_claims`` (shared memory inherited through fork) under ``_lock``,
+    so the ids are handed out in increasing order.  A child sends
+    ``(id, True, packed result)`` or
     ``(id, False, exception)`` per task over its own pipe, then ``None``
     as its end marker, and leaves through ``os._exit``.  The parent reads
     the pipes between its own tasks and once it has run out of ids.
@@ -228,10 +235,11 @@ class _ForkedPhase:
     parent the children are killed; they are always reaped.
     """
 
-    def __init__(self, worker: TaskWorker, num_tasks: int, payload: Any) -> None:
+    def __init__(self, worker: TaskWorker, units: Sequence, payload: Any) -> None:
         self._ctx = multiprocessing.get_context("fork")
         self._worker = worker
-        self._num_tasks = num_tasks
+        self._units = units
+        self._num_tasks = num_tasks = len(units)
         self._payload = payload
         self._lock = self._ctx.Lock()
         #: [next unclaimed task id, 1 once a failure stopped the claims]
@@ -251,7 +259,9 @@ class _ForkedPhase:
                 self._fork()
             while (index := self._claim()) is not None:
                 try:
-                    self._results[index] = self._worker(self._payload, index)
+                    self._results[index] = self._worker(
+                        self._payload, self._units[index]
+                    )
                 except Exception as exc:
                     self._errors[index] = exc
                     self._halt()
@@ -315,7 +325,9 @@ class _ForkedPhase:
         """A child's whole life: claim, run, send, until the ids run out."""
         while (index := self._claim()) is not None:
             try:
-                packed = pack_task_result(self._worker(self._payload, index))
+                packed = pack_task_result(
+                    self._worker(self._payload, self._units[index])
+                )
             except Exception as exc:
                 self._halt()
                 pipe.send((index, False, _portable(exc, index)))
@@ -352,9 +364,9 @@ class _ForkedPhase:
 
 
 class ProcessExecutor(TaskExecutor):
-    """Tasks run on ``num_workers`` processes, the calling one included.
+    """Units run on ``num_workers`` processes, the calling one included.
 
-    ``run_phase`` forks ``min(num_workers, num_tasks) - 1`` children and
+    ``run_phase`` forks ``min(num_workers, len(units)) - 1`` children and
     works alongside them (:class:`_ForkedPhase`), so ``process`` x 2 is
     the parent plus one child.
     """
@@ -364,17 +376,17 @@ class ProcessExecutor(TaskExecutor):
     def __init__(self, num_workers: int | None = None) -> None:
         self.num_workers = num_workers if num_workers else default_workers()
 
-    def run_phase(self, worker: TaskWorker, num_tasks: int, payload: Any) -> list:
-        if num_tasks <= 1 or self.num_workers <= 1:
-            return SerialExecutor().run_phase(worker, num_tasks, payload)
+    def run_phase(self, worker: TaskWorker, units: Sequence, payload: Any) -> list:
+        if len(units) <= 1 or self.num_workers <= 1:
+            return SerialExecutor().run_phase(worker, units, payload)
         if "fork" not in multiprocessing.get_all_start_methods():
             # No copy-on-write payload inheritance without fork (e.g.
             # Windows); threads keep the same semantics and determinism.
             return ThreadExecutor(self.num_workers).run_phase(
-                worker, num_tasks, payload
+                worker, units, payload
             )
-        phase = _ForkedPhase(worker, num_tasks, payload)
-        return phase.run(min(self.num_workers, num_tasks) - 1)
+        phase = _ForkedPhase(worker, units, payload)
+        return phase.run(min(self.num_workers, len(units)) - 1)
 
 
 EXECUTORS: dict[str, type[TaskExecutor]] = {

@@ -16,12 +16,13 @@ one headline guarantee:
     won, the fault overhead — is identical on every executor too:
     retries, speculation and the watchdog decide on the simulated clock.
 
-The contract holds because task workers are pure functions of
-``(payload, index)``: a retried or speculative attempt recomputes the
-identical result, failed attempts have their counter shards discarded
-wholesale, and retries re-use the already-materialized split rather
-than re-reading the DFS (the simulated overhead term models the wasted
-work instead — see :meth:`repro.mapreduce.cost.CostModel.fault_overhead_seconds`).
+The contract holds because task bodies are pure functions of
+``(payload, task ids)``, one result per task: a retried or speculative
+attempt recomputes the identical result, failed attempts have their
+counter shards discarded wholesale, and retries re-use the
+already-materialized split rather than re-reading the DFS (the
+simulated overhead term models the wasted work instead — see
+:meth:`repro.mapreduce.cost.CostModel.fault_overhead_seconds`).
 
 Pieces:
 
@@ -95,7 +96,6 @@ from typing import Any
 from repro.errors import (
     BadRecordError,
     FaultPlanError,
-    InjectedFault,
     JobError,
     TaskRetryExhausted,
 )
@@ -1136,17 +1136,22 @@ def _mark_worker_lost(
 # ----------------------------------------------------------------------
 @dataclass
 class _AttemptPhase:
-    """Payload wrapper carrying the real worker plus one round's slots.
+    """Payload wrapper carrying the task body plus one round's slots.
+
+    ``worker`` is the phase's task body: ``worker(inner, tasks)`` runs
+    the logical tasks ``tasks`` (a range, or a tuple of ids) as one
+    physical range and returns one result per task, in order.
 
     A round addresses its attempts by *slot* (an index into ``slots``),
-    each an ``(index, attempt, speculative, skips, worker_name)`` tag.
-    ``skips`` is the tuple of quarantined split offsets a skipping-mode
-    retry must not touch; ``worker_name`` is the virtual worker the
-    scheduler assigned the attempt to (``None`` when the pool is
-    disengaged) — it rides the tag so worker-loss bookkeeping is
-    identical on every executor, but the attempt body itself never
-    consults it (workers are virtual).  Everything here is
-    fork-inherited or picklable.
+    each an ``(index, attempt, speculative, skips, worker_name)`` tag,
+    and dispatches them as ranges of slots.  ``skips`` is the tuple of
+    quarantined split offsets a skipping-mode retry must not touch;
+    ``worker_name`` is the virtual worker the scheduler assigned the
+    attempt to (``None`` when the pool is disengaged) — it rides the
+    tag so worker-loss bookkeeping is identical on every executor, but
+    the attempt body itself never consults it (workers are virtual).
+    Everything here is fork-inherited or picklable.  The fast path
+    wraps the body with no slots (:func:`_run_range`).
     """
 
     inner: Any
@@ -1195,58 +1200,114 @@ class _Outcome:
         return "corrupt" if self.corrupt else "failed"
 
 
-def _run_attempt(phase: _AttemptPhase, slot: int) -> _Outcome:
-    """One fault-instrumented attempt: inject, run, capture.
+def _run_range(phase: _AttemptPhase, tasks) -> list:
+    """The fast path's unit: the task body over one range of tasks.
+
+    An exception out of a range of several tasks re-runs them one at a
+    time, in order, so the lowest failing task raises its own error —
+    exactly what per-task dispatch raises.
+    """
+    try:
+        return phase.worker(phase.inner, tasks)
+    except Exception:
+        if len(tasks) == 1:
+            raise
+    return [value for task in tasks for value in phase.worker(phase.inner, (task,))]
+
+
+def _run_attempt(phase: _AttemptPhase, unit) -> list[_Outcome]:
+    """One range of fault-instrumented attempts: inject, run, capture.
+
+    ``unit`` is a range of slots; one outcome per slot comes back.  The
+    fault decision is made per attempt before anything runs: an attempt
+    planned to ``fail``, ``oom`` or ``hang`` dies at once and is cut out
+    of the range, and the others run as one call of the task body.
 
     Nothing here waits: ``delay`` and ``hang`` specs only stamp their
     simulated seconds on the outcome, and a hung attempt dies at once.
     Worker-kind specs are scheduler-level faults: they match attempts
     (as triggers) but inject nothing here.
     """
-    index, attempt, speculative, skips, __ = phase.slots[slot]
-    out = _Outcome(index, attempt, speculative, t_start=time.perf_counter())
-    specs = (
-        phase.plan.matching(phase.job, phase.phase, index, attempt)
-        if phase.plan is not None
-        else ()
-    )
-    where = f"{phase.phase} task {index} attempt {attempt} of job {phase.job!r}"
-    out.delay_s = sum(spec.delay_s for spec in specs if spec.kind == "delay")
-    try:
-        for spec in specs:
-            if spec.kind == "hang":
-                out.hang_s = spec.delay_s
-                raise InjectedFault(
-                    f"injected hang: {where} wedged for {spec.delay_s}s and died"
-                )
-        for spec in specs:
-            if spec.kind == "fail":
-                raise InjectedFault(f"injected failure: {where}")
-            if spec.kind == "oom":
-                raise InjectedFault(
-                    f"injected OOM: {where} exceeded its container memory limit"
-                )
-        if getattr(phase.worker, "supports_record_skipping", False):
-            poison = tuple(
-                spec.record for spec in specs if spec.kind == "poison-record"
-            )
-            value = phase.worker(phase.inner, index, skips=skips, poison=poison)
+    outcomes = []
+    run = []
+    for slot in unit:
+        index, attempt, speculative, skips, __ = phase.slots[slot]
+        out = _Outcome(index, attempt, speculative, t_start=time.perf_counter())
+        outcomes.append(out)
+        specs = (
+            phase.plan.matching(phase.job, phase.phase, index, attempt)
+            if phase.plan is not None
+            else ()
+        )
+        where = f"{phase.phase} task {index} attempt {attempt} of job {phase.job!r}"
+        out.delay_s = sum(spec.delay_s for spec in specs if spec.kind == "delay")
+        hang = next((spec for spec in specs if spec.kind == "hang"), None)
+        death = next((spec for spec in specs if spec.kind in ("fail", "oom")), None)
+        if hang is not None:
+            out.hang_s = hang.delay_s
+            out.error = f"injected hang: {where} wedged for {hang.delay_s}s and died"
+        elif death is not None and death.kind == "fail":
+            out.error = f"injected failure: {where}"
+        elif death is not None:
+            out.error = f"injected OOM: {where} exceeded its container memory limit"
         else:
-            value = phase.worker(phase.inner, index)
-    except BadRecordError as exc:
-        out.error = str(exc)
-        out.bad_record = (exc.offset, exc.path, exc.lineno, exc.record)
+            corrupt = any(spec.kind == "corrupt" for spec in specs)
+            poison = tuple(spec.record for spec in specs if spec.kind == "poison-record")
+            run.append((out, skips, poison, where if corrupt else None))
+            continue
+        out.t_end = out.t_start
+    if run:
+        _run_attempt_range(phase, run)
+    return outcomes
+
+
+def _run_attempt_range(phase: _AttemptPhase, run: list) -> None:
+    """Run the surviving attempts of a range as one body call and fill
+    in their outcomes.
+
+    ``run`` holds ``(outcome, skips, poison, corrupt_where)`` per
+    attempt.  An exception out of a range of several attempts re-runs
+    them one at a time: each attempt's outcome — and so the attempt
+    log, the charges and the telemetry — is what it would be had the
+    attempt been dispatched alone.
+    """
+    tasks = tuple(out.index for out, *__ in run)
+    t_start = time.perf_counter()
+    try:
+        if getattr(phase.worker, "supports_record_skipping", False):
+            values = phase.worker(
+                phase.inner,
+                tasks,
+                skips=tuple(item[1] for item in run),
+                poison=tuple(item[2] for item in run),
+            )
+        else:
+            values = phase.worker(phase.inner, tasks)
     except Exception as exc:  # noqa: BLE001 - captured, not propagated
+        if len(run) > 1:
+            for item in run:
+                _run_attempt_range(phase, [item])
+            return
+        out = run[0][0]
         out.error = str(exc)
-    else:
-        if any(spec.kind == "corrupt" for spec in specs):
+        if isinstance(exc, BadRecordError):
+            out.bad_record = (exc.offset, exc.path, exc.lineno, exc.record)
+        out.t_start, out.t_end = t_start, time.perf_counter()
+        return
+    t_end = time.perf_counter()
+    for (out, __, __, corrupt_where), value in zip(run, values):
+        # A task result that carries its worker-side stamps (the
+        # engine's do: its share of the range) times the attempt.
+        out.t_start = getattr(value, "t_start", t_start)
+        out.t_end = getattr(value, "t_end", t_end)
+        if corrupt_where is not None:
             out.corrupt = True
-            out.error = f"injected corruption: {where} failed its result checksum"
+            out.error = (
+                f"injected corruption: {corrupt_where} failed its result checksum"
+            )
         else:
             out.ok = True
             out.value = value
-    out.t_end = time.perf_counter()
-    return out
 
 
 def _flat_price(value: Any) -> float:
@@ -1337,7 +1398,7 @@ def _stragglers(
 def run_phase_with_recovery(
     executor: TaskExecutor,
     worker: TaskWorker,
-    num_tasks: int,
+    ranges: list[range],
     payload: Any,
     *,
     job: str,
@@ -1352,9 +1413,15 @@ def run_phase_with_recovery(
 ) -> tuple[list, PhaseReport | None]:
     """Run a phase with retry/speculation; returns (results, report).
 
+    ``worker`` is the phase's task body: ``worker(payload, tasks)`` runs
+    the logical tasks ``tasks`` as one physical range and returns one
+    result per task.  ``ranges`` cuts the phase's tasks ``0 .. n - 1``
+    into contiguous ranges, in order; ``results`` holds one result per
+    logical task.
+
     The fast path — no fault plan, an inactive policy, no worker pool —
-    is a direct ``executor.run_phase`` call: byte-for-byte the seed
-    dispatch, no envelopes, no telemetry (``report`` is ``None``).
+    is one ``executor.run_phase`` call over ``ranges``: no envelopes, no
+    telemetry (``report`` is ``None``).
     Otherwise tasks run inside attempt envelopes, in deterministic
     rounds (:func:`_run_retry_rounds`): failures are captured and
     re-dispatched (fresh attempt id, simulated backoff) until they
@@ -1383,15 +1450,16 @@ def run_phase_with_recovery(
     """
     if ledger is not None and not ledger.enabled:
         ledger = None
-    if (plan is None or plan.is_empty) and not policy.active and workers is None:
-        return executor.run_phase(worker, num_tasks, payload), None
-    if num_tasks == 0:
-        return [], PhaseReport(attempts=[], skipped=[])
     env = _AttemptPhase(
         inner=payload, worker=worker, slots=(), plan=plan, job=job, phase=phase
     )
+    if (plan is None or plan.is_empty) and not policy.active and workers is None:
+        per_range = executor.run_phase(_run_range, ranges, env)
+        return [value for values in per_range for value in values], None
+    if not ranges:
+        return [], PhaseReport(attempts=[], skipped=[])
     return _run_retry_rounds(
-        executor, env, num_tasks, policy, recorder, ledger, workers, price, slots
+        executor, env, ranges, policy, recorder, ledger, workers, price, slots
     )
 
 
@@ -1503,7 +1571,7 @@ def _retry_backoff(
 def _run_retry_rounds(
     executor: TaskExecutor,
     env: _AttemptPhase,
-    num_tasks: int,
+    ranges: list[range],
     policy: RetryPolicy,
     recorder,
     ledger=None,
@@ -1513,8 +1581,11 @@ def _run_retry_rounds(
 ) -> tuple[list, PhaseReport]:
     """Deterministic round-based recovery: the one dispatch loop.
 
-    Round 0 runs every task at attempt 0; each later round re-dispatches,
-    in task-id order, the tasks the previous round left unsettled.  Each
+    Round 0 runs every task at attempt 0, as the phase's ``ranges``
+    (:func:`_run_attempt` cuts an attempt planned to die out of its
+    range); each later round re-dispatches, in task-id order and as
+    ranges of one, the tasks the previous round left unsettled — retries
+    and speculative backups alike.  Each
     round is one ``executor.run_phase`` call, and every decision is made
     parent-side from the round's outcomes and their simulated seconds,
     so results, attempt logs and the raising task (the lowest exhausted
@@ -1541,6 +1612,7 @@ def _run_retry_rounds(
     map outputs rejoin the pending set — the round boundary is the
     simulated heartbeat.
     """
+    num_tasks = sum(len(r) for r in ranges)
     results: list[Any] = [None] * num_tasks
     report = PhaseReport(
         attempts=[[] for __ in range(num_tasks)],
@@ -1662,6 +1734,9 @@ def _run_retry_rounds(
                 settle(second, second_worker)
 
     pending = list(range(num_tasks))
+    # Round 0's table lists every task in id order, so its slot ranges
+    # are the task ranges; later rounds run every slot alone.
+    units: list | None = ranges
     while pending:
         table = []
         for i in pending:
@@ -1680,7 +1755,14 @@ def _run_retry_rounds(
             job=env.job,
             phase=env.phase,
         )
-        outcomes = executor.run_phase(_run_attempt, len(table), round_env)
+        if units is None:
+            units = [(slot,) for slot in range(len(table))]
+        outcomes = [
+            out
+            for range_outcomes in executor.run_phase(_run_attempt, units, round_env)
+            for out in range_outcomes
+        ]
+        units = None
         _price_round(outcomes, policy, price)
         lost_workers: set[str] = set()
         invalidated: list[int] = []

@@ -60,7 +60,8 @@ __all__ = [
 
 #: map(key, value, context) -> None; emits via ``context.emit``.
 Mapper = Callable[[Any, str, "MapContext"], None]
-#: reduce(key, values, context) -> None; emits via ``context.emit``.
+#: reduce(key, values, context) -> None; emits via ``context.emit``
+#: (a ``segmented`` job's: reduce(keys, values, bounds, contexts), per range).
 Reducer = Callable[[Any, Sequence[Any], "ReduceContext"], None]
 
 
@@ -718,6 +719,21 @@ class MapReduceJob:
         emissions at the points the record loop would.  Leave it
         ``None`` to run ``mapper``, which remains the reference
         implementation and must always be provided.
+    segmented:
+        ``True`` makes ``reducer`` a *segmented* reducer, called once
+        per physical range of reduce tasks instead of once per key
+        group: ``reducer(keys, values, bounds, contexts)`` gets every
+        group of the range's tasks, in task order — ``keys[g]`` as a
+        plain reducer would get it, its values as rows ``bounds[g] ..
+        bounds[g + 1] - 1`` of ``values`` (all groups' values
+        concatenated: one column bundle when the map tasks emitted
+        columns, else a list) — and ``contexts[g]``, the
+        :class:`ReduceContext` of the task group ``g`` belongs to.  It
+        must leave each context exactly what the plain reducer leaves
+        when called on that task's groups alone: the same emissions,
+        counters and compute charge.  The join jobs' numpy reducers are
+        segmented, so one kernel call sequence serves a whole range of
+        cells.
     """
 
     name: str
@@ -733,6 +749,7 @@ class MapReduceJob:
     output_codec: RecordCodec | None = None
     shuffle_codec: ShuffleCodec = DEFAULT_SHUFFLE_CODEC
     batch_mapper: Callable | None = None
+    segmented: bool = False
 
     def __post_init__(self) -> None:
         if self.num_reducers < 1:

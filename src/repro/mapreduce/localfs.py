@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import DFSError
-from repro.mapreduce.dfs import codec_name, typed_form
+from repro.mapreduce.dfs import codec_name, text_bytes, typed_form
 
 __all__ = ["LocalFSDFS"]
 
@@ -96,7 +96,7 @@ class LocalFSDFS:
                     fh.write(line)
                     fh.write("\n")
                     stored.append(line)
-                    nbytes += len(line) + 1
+                    nbytes += text_bytes(line) + 1
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
@@ -199,10 +199,10 @@ class LocalFSDFS:
         if self.block_plane is not None:
             served = self.block_plane.read(self._normalized(path))
             if served is not None:
-                self.bytes_read += sum(len(line) + 1 for line in served)
+                self.bytes_read += sum(text_bytes(line) + 1 for line in served)
                 return served
         text = target.read_text(encoding="utf-8")
-        self.bytes_read += len(text)
+        self.bytes_read += text_bytes(text)
         return text.splitlines()
 
     def iter_records(self, path: str) -> Iterator[tuple[int, str]]:

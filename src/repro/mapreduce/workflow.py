@@ -169,6 +169,11 @@ class Workflow:
                 for r in self._manifest_records
             ],
         )
+        plane = self.cluster.dfs.block_plane
+        if plane is not None:
+            # The checkpoint is a commit point: its blocks' placement
+            # must be on disk with it.
+            plane.flush()
         led = self.cluster.ledger
         if led.enabled:
             # Checkpoint events carry an explicit job name: they fire

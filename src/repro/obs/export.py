@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
@@ -94,6 +95,18 @@ def _us(seconds: float) -> float:
     return round(seconds * 1e6, 3)
 
 
+def _dur_us(ts: float, end_s: float) -> float:
+    """Duration of a span starting at ``ts`` µs and ending at ``end_s``:
+    ``ts + dur`` never passes the rounded end, so spans that meet end
+    to end (the tasks of one physical range) stay adjacent, not
+    overlapping by a rounding error."""
+    end = _us(end_s)
+    dur = end - ts
+    while dur > 0 and ts + dur > end:
+        dur = math.nextafter(dur, 0.0)
+    return dur
+
+
 def to_chrome_trace(recorder: TraceRecorder, process_name: str = "repro cluster") -> dict:
     """Render a recorder into a Chrome trace-event JSON object."""
     events: list[dict[str, Any]] = [
@@ -141,7 +154,7 @@ def to_chrome_trace(recorder: TraceRecorder, process_name: str = "repro cluster"
                     "cat": span.cat,
                     "ph": "X",
                     "ts": _us(span.start_s),
-                    "dur": _us(span.duration_s),
+                    "dur": _dur_us(_us(span.start_s), span.end_s),
                     "pid": _PID,
                     "tid": base_tid + lane,
                     "args": span.args,

@@ -33,7 +33,14 @@ from repro.joins.registry import make_algorithm
 from repro.kernels import resolve_kernel
 from repro.kernels.batch import RectBatch, RectColumns
 from repro.mapreduce.counters import C, Counters
-from repro.mapreduce.engine import Cluster, _grouped, _segment_groups, _sorted_by_key
+from repro.mapreduce.engine import (
+    Cluster,
+    _gather_range,
+    _gathered,
+    _grouped,
+    _segment_group_parts,
+    _sorted_by_key,
+)
 from repro.mapreduce.job import MapContext, default_sort_key
 from repro.query.predicates import Overlap, Range
 from repro.query.query import Query, Triple
@@ -191,19 +198,19 @@ def _fixed_workload():
     [("columnar", True), ("spill", True)],
 )
 def test_reducers_see_columns_exactly_on_the_columnar_path(monkeypatch, mode, columnar):
-    """The numpy reducers enter through one function; what reaches it is
-    gathered columns on the columnar shuffle — also under a spilling
-    budget, whose runs are read back as segments where they were
-    emitted."""
+    """The numpy reducers enter through one function; what reaches it —
+    a range's groups, gathered in one piece — is columns on the
+    columnar shuffle, also under a spilling budget, whose runs are read
+    back as segments where they were emitted."""
     seen = []
-    real = reducers.dataset_batches
+    real = reducers.range_bags
 
-    def spy(np_, values):
+    def spy(np_, values, bounds):
         seen.append(isinstance(values, RectColumns))
-        return real(np_, values)
+        return real(np_, values, bounds)
 
-    monkeypatch.setattr(reducers, "dataset_batches", spy)
-    monkeypatch.setattr("repro.joins.controlled.dataset_batches", spy)
+    monkeypatch.setattr(reducers, "range_bags", spy)
+    monkeypatch.setattr("repro.joins.controlled.range_bags", spy)
     query, datasets = _fixed_workload()
     for name in ALGORITHMS:
         del seen[:]
@@ -289,11 +296,14 @@ def test_group_columns_equal_group_rows(sort_key, tasks):
     """Multi-key buckets, several map tasks, default and custom
     ``sort_key``: every group of the columnar merge has the key and —
     row for row, in order — the values the row shuffle's stable sort
-    hands the reducer; read as rows *and* rebuilt from the columns."""
+    hands the reducer; read as rows *and* rebuilt from the columns.
+    Gathered in one piece for a range holding every reducer, the groups
+    are those rows, group after group, cut by the bounds."""
     num_reducers = 2
     contexts = [
         _emit(num_reducers, task, base_rid=100 * t) for t, task in enumerate(tasks)
     ]
+    range_groups, range_rows = [], []
     for r in range(num_reducers):
         segs = [
             seg for col_ctx, __ in contexts for seg in (col_ctx.segments or [[]] * 2)[r]
@@ -301,7 +311,10 @@ def test_group_columns_equal_group_rows(sort_key, tasks):
         bucket = [pair for __, row_ctx in contexts for pair in row_ctx.buckets[r]]
         assert [p for seg in segs for p in seg.pairs()] == bucket
         expected = list(_grouped(_sorted_by_key(bucket, sort_key)))
-        got = list(_segment_groups(segs, sort_key))
+        parts = list(_segment_group_parts(segs, sort_key))
+        range_groups.extend(group for __, group in parts)
+        range_rows.extend(rows for __, rows in expected)
+        got = [(key, _gathered(group)) for key, group in parts]
         assert [k for k, __ in got] == [k for k, __ in expected]
         for (__, values), (__, ref_values) in zip(got, expected):
             assert isinstance(values, RectColumns)
@@ -314,3 +327,6 @@ def test_group_columns_equal_group_rows(sort_key, tasks):
                 assert batch.pairs() == [
                     (rid, rect) for d, rid, rect in ref_values if d == dataset
                 ]
+    values, bounds = _gather_range(range_groups)
+    assert bounds.tolist() == [0, *np.cumsum([len(rows) for rows in range_rows]).tolist()]
+    assert list(values) == [row for rows in range_rows for row in rows]

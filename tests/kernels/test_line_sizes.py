@@ -76,8 +76,10 @@ names = st.lists(
 
 
 def assert_sized(bundle, lines):
+    """A bundle measures each line as the DFS sizes it: its UTF-8 bytes
+    and the newline."""
     sizes = bundle.line_sizes()
-    assert sizes.tolist() == [len(line) + 1 for line in lines]
+    assert sizes.tolist() == [len(line.encode("utf-8")) + 1 for line in lines]
 
 
 def variants(bundle, n):

@@ -348,6 +348,8 @@ class TestPersistence:
         plane = _plane(dfs=dfs)
         dfs.block_plane = plane
         dfs.write_file("in/f", [f"r{i}" for i in range(10)])
+        assert plane.dirty  # mutations wait for a barrier's flush
+        plane.flush()
         persisted = dfs.read_side_file(PLACEMENT_PATH)
         assert len(persisted) == 1
 
@@ -364,6 +366,7 @@ class TestPersistence:
         plane = _plane(dfs=dfs)
         dfs.block_plane = plane
         dfs.write_file("in/f", [f"r{i}" for i in range(10)])
+        plane.flush()
         victim = plane.placement.blocks("in/f")[0]
         (
             tmp_path
@@ -381,6 +384,47 @@ class TestPersistence:
         ).exit_code == 0
         assert BlockPlane(LocalFSDFS(root), None, None, 4).fsck().exit_code == 0
 
+    def test_map_is_persisted_per_barrier_not_per_mutation(self, monkeypatch, tmp_path):
+        """A replicated C-Rep-L run mutates the placement map on every
+        write, read-time ingestion and re-replication, but rewrites
+        ``placement.json`` only at its jobs' barriers — and what it
+        leaves on disk is the live map."""
+        from repro.data.synthetic import SyntheticSpec, generate_relations
+        from repro.grid.partitioning import GridPartitioning
+        from repro.joins.registry import make_algorithm
+        from repro.mapreduce.engine import Cluster
+        from repro.query.predicates import Overlap
+        from repro.query.query import Query
+
+        persists = []
+        real = BlockPlane._persist
+
+        def counting(plane):
+            persists.append(plane)
+            real(plane)
+
+        monkeypatch.setattr(BlockPlane, "_persist", counting)
+        spec = SyntheticSpec(
+            n=150, x_range=(0, 600), y_range=(0, 600),
+            l_range=(0, 60), b_range=(0, 60), seed=7,
+        )
+        datasets = generate_relations(spec, ["R1", "R2", "R3"])
+        query = Query.chain(["R1", "R2", "R3"], Overlap())
+        cluster = Cluster(
+            dfs=LocalFSDFS(str(tmp_path / "store")), replication=2, num_workers=3
+        )
+        result = make_algorithm("c-rep-l", query=query, d_max=85.0).run(
+            query, datasets, GridPartitioning.square(spec.space, 16), cluster
+        )
+        jobs = len(result.workflow.job_results)
+        assert jobs == 2
+        assert 1 <= len(persists) <= 2 * jobs
+        plane = cluster.dfs.block_plane
+        assert not plane.dirty
+        on_disk = BlockPlane(LocalFSDFS(str(tmp_path / "store")), None, None, 4)
+        assert on_disk.placement.to_json() == plane.placement.to_json()
+        assert on_disk.fsck().exit_code == 0
+
     def test_empty_root_is_healthy(self, tmp_path):
         plane = BlockPlane(LocalFSDFS(str(tmp_path / "empty")), None, None, 4)
         report = plane.fsck()
@@ -392,6 +436,7 @@ class TestPersistence:
         plane = _plane(dfs=dfs)
         dfs.block_plane = plane
         dfs.write_file("in/f", ["a"])
+        plane.flush()
         reattached = BlockPlane(LocalFSDFS(root), WorkerPool(4), 3, 4)
         assert reattached.replication == 3
         reattached.rereplicate()

@@ -158,6 +158,20 @@ class TestAccounting:
         dfs.charge_read("d/b")
         assert dfs.bytes_read - before == 2
 
+    def test_non_ascii_text_is_counted_in_utf8_bytes(self, tmp_path):
+        """Both stores size and charge a file by its UTF-8 bytes: "é" is
+        two bytes on disk, and its newline one more."""
+        charges = []
+        for store in (InMemoryDFS(), LocalFSDFS(tmp_path / "dfs")):
+            written = store.write_file("f", ["é"])
+            before = store.bytes_read
+            store.read_file("f")
+            read = store.bytes_read - before
+            store.charge_read("f")
+            charged = store.bytes_read - before - read
+            charges.append((written, store.file_size("f"), read, charged))
+        assert charges == [(3, 3, 3, 3)] * 2
+
     def test_num_records(self, dfs):
         dfs.write_file("d/p1", ["a", "b"])
         dfs.write_file("d/p2", ["c"])

@@ -64,27 +64,27 @@ class TestRunPhase:
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_results_ordered_by_task_id(self, name, workers):
         ex = make_executor(name, workers)
-        results = ex.run_phase(square_worker, 7, {"base": 100})
+        results = ex.run_phase(square_worker, range(7), {"base": 100})
         assert results == [100 + i * i for i in range(7)]
 
     @pytest.mark.parametrize("name", ALL_EXECUTORS)
     def test_zero_tasks(self, name):
-        assert make_executor(name, 2).run_phase(square_worker, 0, {"base": 0}) == []
+        assert make_executor(name, 2).run_phase(square_worker, range(0), {"base": 0}) == []
 
     @pytest.mark.parametrize("name", ALL_EXECUTORS)
     def test_single_task(self, name):
-        assert make_executor(name, 4).run_phase(square_worker, 1, {"base": 5}) == [5]
+        assert make_executor(name, 4).run_phase(square_worker, range(1), {"base": 5}) == [5]
 
     @pytest.mark.parametrize("name", ALL_EXECUTORS)
     @pytest.mark.parametrize("workers", [1, 4])
     def test_worker_error_propagates(self, name, workers):
         ex = make_executor(name, workers)
         with pytest.raises(JobError, match="task 2 failed"):
-            ex.run_phase(failing_worker, 5, 2)
+            ex.run_phase(failing_worker, range(5), 2)
 
     def test_more_workers_than_tasks(self):
         ex = make_executor("process", 64)
-        assert ex.run_phase(square_worker, 3, {"base": 0}) == [0, 1, 4]
+        assert ex.run_phase(square_worker, range(3), {"base": 0}) == [0, 1, 4]
 
     def test_process_executor_parent_is_a_worker(self):
         """``num_workers`` counts the parent: 3 workers are the parent
@@ -94,22 +94,22 @@ class TestRunPhase:
             time.sleep(0.02)
             return os.getpid()
 
-        pids = set(make_executor("process", 3).run_phase(slow_pid_worker, 8, None))
+        pids = set(make_executor("process", 3).run_phase(slow_pid_worker, range(8), None))
         assert os.getpid() in pids
         assert 2 <= len(pids) <= 3
 
     def test_thread_executor_shares_process(self):
-        pids = set(make_executor("thread", 2).run_phase(pid_worker, 4, None))
+        pids = set(make_executor("thread", 2).run_phase(pid_worker, range(4), None))
         assert pids == {os.getpid()}
 
     def test_process_single_worker_stays_inline(self):
-        pids = set(make_executor("process", 1).run_phase(pid_worker, 4, None))
+        pids = set(make_executor("process", 1).run_phase(pid_worker, range(4), None))
         assert pids == {os.getpid()}
 
     def test_payload_shared_not_copied_in_threads(self):
         payload = {"base": 1}
         results = make_executor("thread", 4).run_phase(
-            lambda p, i: p is payload, 4, payload
+            lambda p, i: p is payload, range(4), payload
         )
         assert all(results)
 
@@ -120,7 +120,7 @@ class TestRunPhase:
         def worker(payload, index):
             return payload["cells"][index] * 10
 
-        assert make_executor("process", 2).run_phase(worker, 3, grid) == [10, 20, 30]
+        assert make_executor("process", 2).run_phase(worker, range(3), grid) == [10, 20, 30]
 
 
 class TestThreadCancelOnFailure:
@@ -147,13 +147,13 @@ class TestThreadCancelOnFailure:
         with pytest.raises(JobError, match="task 0 failed"):
             # 2 workers, 24 tasks: 0 and 1 occupy the pool; once they
             # fail, the remaining 22 must be cancelled, not drained.
-            ThreadExecutor(num_workers=2).run_phase(worker, 24, None)
+            ThreadExecutor(num_workers=2).run_phase(worker, range(24), None)
         assert len(started) < 24
 
     def test_lowest_failing_task_still_raises(self):
         """Cancellation must not change *which* error surfaces."""
         with pytest.raises(JobError, match="task 2 failed"):
-            ThreadExecutor(num_workers=4).run_phase(failing_worker, 16, 2)
+            ThreadExecutor(num_workers=4).run_phase(failing_worker, range(16), 2)
 
 
 class _Unpicklable(Exception):
@@ -186,7 +186,7 @@ class TestForkedDispatch:
             return index
 
         with pytest.raises(JobError, match="task 1 failed"):
-            ProcessExecutor(num_workers=3).run_phase(worker, 8, None)
+            ProcessExecutor(num_workers=3).run_phase(worker, range(8), None)
         assert marker.exists()
 
     def test_unpicklable_child_exception_names_the_task(self):
@@ -199,7 +199,7 @@ class TestForkedDispatch:
             return index
 
         with pytest.raises(JobError, match=r"task \d+ raised _Unpicklable"):
-            ProcessExecutor(num_workers=2).run_phase(worker, 4, None)
+            ProcessExecutor(num_workers=2).run_phase(worker, range(4), None)
 
     def test_parent_task_failure_leaves_no_child(self):
         parent = os.getpid()
@@ -211,7 +211,7 @@ class TestForkedDispatch:
             return index
 
         with pytest.raises(JobError, match="failed in the parent"):
-            ProcessExecutor(num_workers=3).run_phase(worker, 8, None)
+            ProcessExecutor(num_workers=3).run_phase(worker, range(8), None)
         time.sleep(0.1)  # an unreaped child would be a zombie by now
         try:
             leftover = os.waitpid(-1, os.WNOHANG)
@@ -231,7 +231,7 @@ class TestForkedDispatch:
         previous = signal.signal(signal.SIGALRM, signal.default_int_handler)
         signal.alarm(60)
         try:
-            results = ProcessExecutor(num_workers=8).run_phase(worker, 200, None)
+            results = ProcessExecutor(num_workers=8).run_phase(worker, range(200), None)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -261,7 +261,7 @@ class TestForkedDispatch:
                 match=r"forked worker pid \d+ exited with status 3, "
                 r"losing task\(s\) \[\d\]",
             ):
-                ProcessExecutor(num_workers=2).run_phase(worker, 5, None)
+                ProcessExecutor(num_workers=2).run_phase(worker, range(5), None)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -275,10 +275,10 @@ class TestForkedDispatch:
             return payload + index
 
         def outer(payload, index):
-            base = ProcessExecutor(num_workers=2).run_phase(inner, 2, index * 100)
+            base = ProcessExecutor(num_workers=2).run_phase(inner, range(2), index * 100)
             return sum(base)
 
-        results = ThreadExecutor(num_workers=3).run_phase(outer, 3, None)
+        results = ThreadExecutor(num_workers=3).run_phase(outer, range(3), None)
         assert results == [1, 201, 401]
 
     def test_concurrent_clusters_do_not_cross_payloads(self):
@@ -293,7 +293,7 @@ class TestForkedDispatch:
 
             for round_no in range(4):
                 barrier.wait()
-                got = ProcessExecutor(num_workers=2).run_phase(worker, 3, tag)
+                got = ProcessExecutor(num_workers=2).run_phase(worker, range(3), tag)
                 want = [(tag, i) for i in range(3)]
                 if got != want:
                     errors.append(f"thread {tag} round {round_no}: {got}")
@@ -406,7 +406,7 @@ class TestTaskResultPacking:
 
     def test_process_executor_ships_packed_results(self):
         ex = ProcessExecutor(num_workers=2)
-        results = ex.run_phase(square_worker, 4, {"base": 3})
+        results = ex.run_phase(square_worker, range(4), {"base": 3})
         assert results == [3, 4, 7, 12]
 
 
@@ -618,7 +618,12 @@ class TestCascadeStepTransport:
         columnar as two runs and reads, in order, as the rows the row
         shuffle would deliver."""
         from repro.kernels.batch import RectColumns, TupleColumns
-        from repro.mapreduce.engine import _grouped, _segment_groups, _sorted_by_key
+        from repro.mapreduce.engine import (
+            _gathered,
+            _grouped,
+            _segment_group_parts,
+            _sorted_by_key,
+        )
         from repro.mapreduce.job import ValueRuns, default_sort_key
 
         tasks = [self._contexts("tuples"), self._contexts("tuples"), self._contexts("base")]
@@ -627,7 +632,10 @@ class TestCascadeStepTransport:
             segs = [seg for col_ctx, __ in tasks for seg in col_ctx.segments[r]]
             bucket = [pair for __, row_ctx in tasks for pair in row_ctx.buckets[r]]
             expected = list(_grouped(_sorted_by_key(bucket, default_sort_key)))
-            got = list(_segment_groups(segs, default_sort_key))
+            got = [
+                (key, _gathered(parts))
+                for key, parts in _segment_group_parts(segs, default_sort_key)
+            ]
             assert [k for k, __ in got] == [k for k, __ in expected]
             for (__, values), (__, rows) in zip(got, expected):
                 assert len(values) == len(rows)
@@ -702,7 +710,7 @@ class TestReduceOutputTransport:
         from repro.joins.marking import MarkingEngine
         from repro.kernels.batch import RectBatch, RectColumns, TaggedColumns
         from repro.mapreduce.counters import Counters
-        from repro.mapreduce.engine import _ReducePhase, _reduce_task_body
+        from repro.mapreduce.engine import _ReducePhase, _run_reduce_task
         from repro.mapreduce.executor import pack_task_result, unpack_task_result
         from repro.mapreduce.job import MapReduceJob, ReduceContext
         from repro.query.predicates import Overlap
@@ -728,7 +736,7 @@ class TestReduceOutputTransport:
         reference_reducer(0, values, ctx)
         reference = ctx.output()
         reducer = _make_mark_reducer(
-            grid, MarkingEngine(query, grid, kernel="numpy"), columnar=True
+            grid, MarkingEngine(query, grid, kernel="numpy"), segmented=True
         )
         job = MapReduceJob(
             name="mark",
@@ -736,11 +744,14 @@ class TestReduceOutputTransport:
             output_path="marked",
             mapper=lambda key, record, ctx: None,
             # the shuffle's one columnar group for the cell
-            reducer=lambda key, __, ctx: reducer(key, group, ctx),
+            reducer=lambda keys, __, ___, contexts: reducer(
+                keys, group, np.array([0, len(group)]), contexts
+            ),
             num_reducers=1,
             output_codec=TAGGED_CODEC,
+            segmented=True,
         )
-        result = _reduce_task_body(_ReducePhase(job, [[(0, None)]]), 0)
+        [result] = _run_reduce_task(_ReducePhase(job, [[(0, None)]]), range(1))
         assert result.lines is None
         assert isinstance(result.records, TaggedColumns)
         assert any(t.marked for t in reference) and len(reference) > 50

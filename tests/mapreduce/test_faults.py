@@ -243,14 +243,14 @@ class TestRecoveryDispatch:
     """run_phase_with_recovery on a plain worker, no engine involved."""
 
     @staticmethod
-    def _square(payload, index):
-        return index * index
+    def _square(payload, tasks):
+        return [index * index for index in tasks]
 
     def test_fast_path_returns_no_report(self):
         results, report = run_phase_with_recovery(
             SerialExecutor(),
             self._square,
-            4,
+            [range(0, 3), range(3, 4)],
             None,
             job="j",
             phase="map",
@@ -265,7 +265,7 @@ class TestRecoveryDispatch:
         results, report = run_phase_with_recovery(
             SerialExecutor(),
             self._square,
-            4,
+            [range(0, 3), range(3, 4)],
             None,
             job="j",
             phase="map",
@@ -288,7 +288,7 @@ class TestRecoveryDispatch:
             run_phase_with_recovery(
                 SerialExecutor(),
                 self._square,
-                4,
+                [range(0, 3), range(3, 4)],
                 None,
                 job="j",
                 phase="map",
@@ -312,7 +312,7 @@ class TestRecoveryDispatch:
             run_phase_with_recovery(
                 SerialExecutor(),
                 self._square,
-                4,
+                [range(0, 3), range(3, 4)],
                 None,
                 job="j",
                 phase="map",
@@ -325,7 +325,7 @@ class TestRecoveryDispatch:
         results, report = run_phase_with_recovery(
             SerialExecutor(),
             self._square,
-            2,
+            [range(0, 2)],
             None,
             job="j",
             phase="map",
@@ -340,16 +340,16 @@ class TestRecoveryDispatch:
         """Recovery treats real failures like injected ones (same path)."""
         calls = []
 
-        def flaky(payload, index):
-            calls.append(index)
-            if index == 1 and calls.count(1) == 1:
+        def flaky(payload, tasks):
+            calls.extend(tasks)
+            if 1 in tasks and calls.count(1) == 1:
                 raise ValueError("transient")
-            return index
+            return list(tasks)
 
         results, report = run_phase_with_recovery(
             SerialExecutor(),
             flaky,
-            3,
+            [range(0, 1), range(1, 2), range(2, 3)],
             None,
             job="j",
             phase="map",
@@ -364,7 +364,7 @@ class TestRecoveryDispatch:
         results, report = run_phase_with_recovery(
             SerialExecutor(),
             self._square,
-            0,
+            [],
             None,
             job="j",
             phase="map",

@@ -34,8 +34,8 @@ POLICY = RetryPolicy(
 EXECUTORS = [("serial", 1), ("thread", 2), ("process", 2)]
 
 
-def _identity(payload, index):
-    return index * 10
+def _identity(payload, tasks):
+    return [index * 10 for index in tasks]
 
 
 def _price(value):
@@ -47,7 +47,7 @@ def _dispatch(executor, plan, policy, slots=4):
     return run_phase_with_recovery(
         executor,
         _identity,
-        4,
+        [range(0, 2), range(2, 4)],
         None,
         job="j",
         phase="map",

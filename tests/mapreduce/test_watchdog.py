@@ -71,15 +71,15 @@ def _run(executor, *, plan=None, retry=None, ledger=None):
     return result, output
 
 
-def _identity(payload, index):
-    return index * 10
+def _identity(payload, tasks):
+    return [index * 10 for index in tasks]
 
 
 def _dispatch(executor, plan, policy):
     return run_phase_with_recovery(
         executor,
         _identity,
-        4,
+        [range(0, 2), range(2, 4)],
         None,
         job="j",
         phase="map",

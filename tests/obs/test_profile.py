@@ -169,6 +169,28 @@ class TestEngineProfiling:
         map_labels = {h.func for h in prof.hotspots("map", kern, n=50)}
         assert any("_map_task_body" in label for label in map_labels)
 
+    def test_reduce_time_lands_in_the_segmented_kernels(self, capsys, tmp_path):
+        """``join --profile``: a C-Rep reduce range's stats ride on its
+        first task, so the reduce phase's profile still holds the
+        kernels the range ran — the marking search and the bulk index
+        probe — and every cell counts as a profiled task."""
+        from repro.cli import main
+
+        flame = tmp_path / "c-rep.folded"
+        assert main(
+            ["join", "--algorithm", "c-rep", "--n", "600", "--space", "3000",
+             "--kernel", "numpy", "--profile", "--flamegraph", str(flame)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "-- reduce tasks [numpy kernel] (128 tasks profiled) --" in out
+        reduce_frames = {
+            frame.rpartition(":")[2]
+            for line in flame.read_text().splitlines()
+            if line.startswith("reduce [numpy];")
+            for frame in line.rsplit(" ", 1)[0].split(";")[1:]
+        }
+        assert {"select_marked", "probe_frontier", "enumerate_columnar"} <= reduce_frames
+
     def test_profiled_run_is_byte_identical(self):
         bare_cluster, bare = self._run(None)
         prof_cluster, profiled = self._run(TaskProfiler())
