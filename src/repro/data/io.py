@@ -30,6 +30,7 @@ them symbolically.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -336,6 +337,12 @@ class RecordCodec:
         """Bulk ``decode`` — the split loader decodes a file in one call."""
         return [self.decode(line) for line in lines]
 
+    def columns(self, records) -> Sequence[Any]:
+        """The typed form a file written from ``records`` keeps: the
+        records themselves, or — for a format with a column bundle that
+        a file's records always are — that bundle."""
+        return records
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
 
@@ -353,10 +360,29 @@ class RectCodec(RecordCodec):
         return decode_rect(line)
 
     def encode_lines(self, records) -> list[str]:
+        if hasattr(records, "encoded_lines"):
+            return records.encoded_lines()
         return [f"{rid},{rect_csv(rect)}" for rid, rect in records]
 
-    def decode_lines(self, lines) -> list[Any]:
-        return lines_to_rects(lines)
+    def decode_lines(self, lines) -> Sequence[Any]:
+        """A file's records as its :class:`~repro.kernels.batch
+        .RectFileColumns` bundle, sized by ``lines``."""
+        import numpy as np
+
+        from repro.kernels.batch import RectFileColumns
+
+        return RectFileColumns.from_lines(np, lines)
+
+    def columns(self, records) -> Sequence[Any]:
+        """``records`` as a :class:`~repro.kernels.batch.RectFileColumns`
+        bundle, which sizes its lines by column."""
+        import numpy as np
+
+        from repro.kernels.batch import RectFileColumns
+
+        if isinstance(records, RectFileColumns):
+            return records
+        return RectFileColumns.from_pairs(np, records)
 
 
 class TaggedCodec(RecordCodec):

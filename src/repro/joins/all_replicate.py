@@ -114,8 +114,8 @@ def _make_mapper(grid: GridPartitioning):
 def _make_batch_mapper(grid: GridPartitioning):
     """Columnar twin of :func:`_make_mapper`.
 
-    One vectorized 4th-quadrant mask covers the whole split — on the
-    cached columnar ``batch`` when the engine staged one — and the
+    One vectorized 4th-quadrant mask covers the whole split — on its
+    slice ``batch`` of the file's column bundle — and the
     flattened per-record cell lists go out in a single ``emit_batch``
     call whose values are the split's columns: the exact pairs,
     per-bucket order, byte totals and join counters of the scalar

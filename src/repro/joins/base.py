@@ -61,9 +61,12 @@ def stage_datasets(cluster: Cluster, datasets: Datasets) -> dict[str, str]:
 
     Staging is idempotent: re-staging an identical dataset overwrites
     the file in place (experiments stage once and run all algorithms on
-    the same cluster).  Files are written through the rect codec, so the
-    on-DFS bytes are the canonical ``rid,x,y,l,b`` lines and typed-path
-    jobs read the ``(rid, Rect)`` objects back without parsing.
+    the same cluster).  Files are written through the rect codec as
+    :class:`~repro.kernels.batch.RectFileColumns` bundles: the on-DFS
+    bytes are the canonical ``rid,x,y,l,b`` lines, but an in-memory
+    store sizes them by column and formats the text only on first read,
+    and typed-path jobs read the bundle — its columns, or its ``(rid,
+    Rect)`` rows — without parsing.
 
     Every name is checked before anything is written: a name becomes a
     DFS path component and a field of the tagged and result records, so

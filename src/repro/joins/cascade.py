@@ -43,7 +43,7 @@ from repro.joins.base import (
 )
 from repro.joins.dedup import two_way_range_owner
 from repro.joins.local import SlotPlan, frontier_level, plan_is_vectorized, slot_plans
-from repro.joins.reducers import result_records
+from repro.joins.reducers import group_values, result_records
 from repro.joins.sweep import sweep_pairs
 from repro.kernels import transforms as _kt
 from repro.kernels.batch import (
@@ -55,11 +55,11 @@ from repro.kernels.batch import (
 from repro.kernels.sweep import sweep_pairs_batch
 from repro.mapreduce.engine import Cluster
 from repro.mapreduce.job import (
+    KindRuns,
     MapContext,
     MapReduceJob,
     ReduceContext,
     ShuffleCodec,
-    ValueRuns,
 )
 from repro.mapreduce.workflow import Workflow
 from repro.query.query import Query
@@ -144,12 +144,13 @@ class CascadeJoin(MultiWayJoinAlgorithm):
                 reducer=_make_step_reducer(
                     grid, query, step, bound, is_final, self.index_kind, kernel
                 ),
+                segmented=_columnar_step(step, self.index_kind, kernel),
                 num_reducers=grid.num_cells,
                 input_codec=input_codec,
                 output_codec=None if is_final else TUPLE_CODEC,
                 shuffle_codec=CASCADE_SHUFFLE_CODEC,
                 batch_mapper=(
-                    _make_step_batch_mapper(grid, step, bound, left_path, left_is_tuples)
+                    _make_step_batch_mapper(grid, step, bound, left_path)
                     if kernel == "numpy" and not self_first
                     else None
                 ),
@@ -219,7 +220,6 @@ def _make_step_batch_mapper(
     step: SlotPlan,
     bound: tuple[str, ...],
     left_path: str,
-    left_is_tuples: bool,
 ):
     """Columnar twin of :func:`_make_step_mapper` (a split never spans
     files, so a task is all tuple side or all base side).
@@ -227,8 +227,9 @@ def _make_step_batch_mapper(
     The split's records become one column bundle — ``TupleColumns`` for
     the tuple side (the slice of the ``TupleFileColumns`` the previous
     step's reducer wrote; step 0: singleton tuples straight from the
-    staged rectangle batch), ``RectColumns`` tagged ``"B"`` for the base
-    side — which is also the emitted values; the routing cells of the whole
+    split's slice of the staged rectangle file), ``RectColumns`` tagged
+    ``"B"`` for the base side — which is also the emitted values; the
+    routing cells of the whole
     split come from one ``overlap_cell_lists`` call on the anchor
     slot's batch (``d``-enlarged for a range anchor) or on the base
     batch, and go out in one ``emit_batch``: the exact pairs, per-bucket
@@ -242,22 +243,22 @@ def _make_step_batch_mapper(
         if isinstance(batch, TupleFileColumns):
             from_left = True
             values = batch.shuffle_values(bound)
+        elif batch is None:
+            # A tuple file written as records (a scalar step reducer, or
+            # decoded from text).
+            from_left = True
+            values = TupleColumns.from_records(np, bound, [e[2] for e in split_entries])
         else:
-            from_left = _is_under(split_entries[0][0], left_path)
-            if from_left and left_is_tuples:
-                values = TupleColumns.from_records(
-                    np, bound, [e[2] for e in split_entries]
-                )
+            # A rectangle file: the split's slice of its bundle.
+            batch = batch.batch
+            from_left = _is_under(split_entries.path, left_path)
+            if from_left:
+                # First step: the left side is a base relation; every
+                # rectangle is a singleton tuple bound to the first slot.
+                lines = tuple_fragments(bound[0], batch.id_list(), batch.csvs())
+                values = TupleColumns(bound, (batch,), np.array(lines, dtype=object))
             else:
-                if batch is None:
-                    batch = RectBatch.from_records(np, [e[2] for e in split_entries])
-                if from_left:
-                    # First step: the left side is a base relation; every
-                    # rectangle is a singleton tuple bound to the first slot.
-                    lines = tuple_fragments(bound[0], batch.id_list(), batch.csvs())
-                    values = TupleColumns(bound, (batch,), np.array(lines, dtype=object))
-                else:
-                    values = RectColumns(("B",), None, batch)
+                values = RectColumns(("B",), None, batch)
         if from_left:
             batches = values.batches
             routing = values.batch(step.anchor_slot)
@@ -290,6 +291,12 @@ def _make_step_batch_mapper(
 # ----------------------------------------------------------------------
 # Reduce side: 2-way join with the Section 5 duplicate avoidance
 # ----------------------------------------------------------------------
+def _columnar_step(step: SlotPlan, index_kind: str, kernel: str) -> bool:
+    """Whether a step's reducer is the segmented numpy one: the grid
+    index and vectorized predicates on the numpy kernel."""
+    return kernel == "numpy" and index_kind == "grid" and plan_is_vectorized(step)
+
+
 def _make_step_reducer(
     grid: GridPartitioning,
     query: Query,
@@ -299,22 +306,28 @@ def _make_step_reducer(
     index_kind: str,
     kernel: str = "python",
 ):
-    """The step reducer: columnar on the numpy kernel with the grid
-    index and vectorized predicates, else the scalar reference."""
+    """The step reducer: on the numpy kernel with the grid index and
+    vectorized predicates a *segmented* reducer (its job sets
+    ``segmented``) — one call joins every cell of a physical reduce
+    range — else the scalar reference, one call per cell."""
     scalar = _make_scalar_step_reducer(grid, query, step, is_final, index_kind, kernel)
-    if kernel != "numpy" or index_kind != "grid" or not plan_is_vectorized(step):
+    if not _columnar_step(step, index_kind, kernel):
         return scalar
     d = step.anchor.predicate.distance
     slot_order = query.slots
     new_slot = step.slot
-    frontier = dict.fromkeys(bound)  # tuple row i binds row i of every slot
 
-    def reducer(cell_id: int, values, ctx: ReduceContext) -> None:
-        """One level of the local join's frontier search — the group's
-        tuples are the frontier, the base rectangles the new slot's bag —
-        plus the Section 5 owner rule as the level's admit mask."""
-        tuples, base = _group_columns(np, bound, values)
+    def reducer(cell_ids: list[int], values, bounds, contexts: list) -> None:
+        """One level of the local join's frontier search over every cell
+        of the range — each cell's tuples are its frontier rows, its base
+        rectangles one segment of the new slot's index — plus the
+        Section 5 owner rule as the level's admit mask, checked against
+        each candidate's own cell."""
+        tuples, t_bounds, base, b_bounds = _range_sides(np, bound, values, bounds)
         if tuples is None or base is None:
+            return
+        live = np.flatnonzero((np.diff(t_bounds) > 0) & (np.diff(b_bounds) > 0))
+        if not len(live):
             return
         batches = dict(zip(tuples.slots, tuples.batches))
         rid_arrays = {s: batches[s].int_ids(np) for s in step.same_dataset}
@@ -322,14 +335,30 @@ def _make_step_reducer(
             base.int_ids(np) is None
             or any(ids is None for ids in rid_arrays.values())
         ):
-            # Distinctness compares int64 rid columns.
-            scalar(cell_id, values, ctx)
+            # Distinctness compares int64 rid columns: the range's cells
+            # join one by one on the scalar reducer.
+            for g in live.tolist():
+                rows = _cell_rows(tuples, t_bounds, base, b_bounds, g)
+                scalar(cell_ids[g], rows, contexts[g])
             return
+        ncell = len(cell_ids)
+        t_seg = np.repeat(np.arange(ncell), np.diff(t_bounds))
+        frontier_rows = None  # every tuple row, in order
+        row_seg = t_seg
+        if len(live) < ncell:
+            frontier_rows = np.flatnonzero(np.isin(t_seg, live))
+            row_seg = t_seg[frontier_rows]
         anchor_batch = batches[step.anchor_slot]
-        # Tuples sharing an anchor rectangle repeat it under their own row
-        # numbers; named by one row, the bulk probe probes it once.
-        shared = _first_rows_of_rectangles(np, anchor_batch)
-        rows = frontier if shared is None else {**frontier, step.anchor_slot: shared}
+        # Tuples of one cell sharing an anchor rectangle repeat it under
+        # their own row numbers; named by one row, the bulk probe probes
+        # it once.
+        shared = _first_rows_of_rectangles(np, anchor_batch, t_seg)
+        frontier = dict.fromkeys(bound, frontier_rows)
+        if shared is not None:
+            frontier[step.anchor_slot] = (
+                shared if frontier_rows is None else shared[frontier_rows]
+            )
+        base_cell = np.asarray(cell_ids)[np.repeat(np.arange(ncell), np.diff(b_bounds))]
 
         def owned_here(anchor_rows, entries):
             # Section 5 dedup: only the cell owning the start of
@@ -338,81 +367,119 @@ def _make_step_reducer(
                 _kt.two_way_owner_cells(
                     np, grid, anchor_batch, anchor_rows, base, entries, d
                 )
-                == cell_id
+                == base_cell[entries]
             )
 
-        index = GridIndex(kernel="numpy", batch=base)
-        parents, entries, ops = frontier_level(
-            np, step, index, batches, rows, rid_arrays.__getitem__, owned_here
+        index = GridIndex(kernel="numpy", batch=base, segments=b_bounds)
+        parents, entries, checks = frontier_level(
+            np,
+            step,
+            index,
+            batches,
+            frontier,
+            rid_arrays.__getitem__,
+            owned_here,
+            segs=(t_seg, row_seg, ncell),
         )
-        ctx.add_compute(ops)
+        for g in live.tolist():
+            contexts[g].add_compute(int(checks[g]))
         if not len(parents):
             return
+        cuts = np.searchsorted(row_seg[parents], np.arange(ncell + 1))
+        if frontier_rows is not None:
+            parents = frontier_rows[parents]
         if is_final:
-            ctx.counter(JOIN_COUNTERS, CNT_OUTPUT_TUPLES, len(parents))
-            ctx.emit_all(
-                result_records(
-                    np,
-                    slot_order,
-                    {**batches, new_slot: base},
-                    {**dict.fromkeys(bound, parents), new_slot: entries},
-                )
+            records = result_records(
+                np,
+                slot_order,
+                {**batches, new_slot: base},
+                {**dict.fromkeys(bound, parents), new_slot: entries},
             )
         else:
-            ctx.emit_all(_merged_columns(np, tuples, parents, new_slot, base, entries))
+            records = _merged_columns(np, tuples, parents, new_slot, base, entries)
+        for g, ctx in enumerate(contexts):
+            if cuts[g + 1] > cuts[g]:
+                if is_final:
+                    ctx.counter(JOIN_COUNTERS, CNT_OUTPUT_TUPLES, int(cuts[g + 1] - cuts[g]))
+                ctx.emit_all(group_values(records, cuts, g))
 
     return reducer
 
 
-def _first_rows_of_rectangles(np, batch: RectBatch):
-    """Per row of ``batch``, the first row holding the same rectangle,
-    found by rid (one sort of the int64 id column); ``None`` when no rid
-    repeats, when the ids are not all integers, or when some rid names
+def _first_rows_of_rectangles(np, batch: RectBatch, seg):
+    """Per row of ``batch``, the first row of its segment (``seg``: each
+    row's) holding the same rectangle, found by rid (one stable sort of
+    the segment and int64 id columns); ``None`` when no rid repeats in a
+    segment, when the ids are not all integers, or when some rid names
     unequal rectangles — nothing makes a dataset's rids unique."""
     ids = batch.int_ids(np)
-    if ids is None:
+    if ids is None or not len(ids):
         return None
-    __, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    if len(first) == len(ids):
+    order = np.lexsort((ids, seg))
+    starts = np.ones(len(ids), dtype=bool)
+    starts[1:] = (ids[order][1:] != ids[order][:-1]) | (seg[order][1:] != seg[order][:-1])
+    if starts.all():
         return None
-    rows = first[inverse]
+    # The sort is stable: each run of equal (segment, rid) starts at its
+    # lowest row.
+    rows = np.empty_like(order)
+    rows[order] = order[starts][np.cumsum(starts) - 1]
     columns = (batch.x, batch.length, batch.y, batch.breadth)
     return rows if all((col[rows] == col).all() for col in columns) else None
 
 
-def _group_columns(np, bound: tuple[str, ...], values):
-    """``(tuple side, base side)`` of a step's reduce group as columns:
-    a :class:`TupleColumns` over the ``bound`` slots and a
-    :class:`RectBatch`, rows in received order; ``None`` for an empty
-    side.
+def _range_sides(np, bound: tuple[str, ...], values, bounds):
+    """``(tuples, tuple_bounds, base, base_bounds)``: a physical range's
+    tuple side and base side, each gathered once, and the int64 row
+    bounds cutting each into the range's cells.
 
-    A columnar group is taken apart by run; a plain value list (spill
-    merge, the scalar mapper, non-integer rids) is walked once.  Either
-    way the reducer runs the same code downstream.
+    ``values`` are the range's reduce groups concatenated in group order
+    and ``bounds`` cut them into the groups.  The tuple side is a
+    :class:`TupleColumns` over the ``bound`` slots, the base side a
+    :class:`RectBatch`, rows in received order; ``None`` for a side no
+    cell of the range received.  On the columnar shuffle the engine
+    hands over a range holding both sides as their :class:`KindRuns`
+    and a range holding one side as that side's bundle; a plain value
+    list (the scalar mapper, non-integer rids) is walked once.
     """
-    runs = values.runs if isinstance(values, ValueRuns) else [values]
-    if all(isinstance(run, (TupleColumns, RectColumns)) for run in runs):
-        tuple_runs = [run for run in runs if isinstance(run, TupleColumns)]
-        base_runs = [run.batch for run in runs if isinstance(run, RectColumns)]
-        return (
-            TupleColumns.concat(tuple_runs)
-            if len(tuple_runs) > 1
-            else next(iter(tuple_runs), None),
-            RectBatch.concat(np, base_runs)
-            if len(base_runs) > 1
-            else next(iter(base_runs), None),
-        )
+    none = np.zeros(len(bounds), dtype=np.int64)
+    if isinstance(values, KindRuns):
+        tuples, t_bounds, base, b_bounds = None, none, None, none
+        for bundle, side_bounds in zip(values.bundles, values.bounds):
+            if isinstance(bundle, TupleColumns):
+                tuples, t_bounds = bundle, side_bounds
+            else:
+                base, b_bounds = bundle.batch, side_bounds
+        return tuples, t_bounds, base, b_bounds
+    if isinstance(values, TupleColumns):
+        return values, bounds, None, none
+    if isinstance(values, RectColumns):
+        return None, none, values.batch, bounds
     records: list[TupleRecord] = []
     pairs: list[tuple] = []
-    for value in values:
+    is_tuple = np.zeros(len(values), dtype=bool)
+    for i, value in enumerate(values):
         if value[0] == "T":
             records.append(value[1])
+            is_tuple[i] = True
         else:
             pairs.append(value[1:])
+    before = np.concatenate(([0], np.cumsum(is_tuple)))
+    t_bounds = before[np.asarray(bounds)]
     return (
         TupleColumns.from_records(np, bound, records) if records else None,
+        t_bounds,
         RectBatch.from_records(np, pairs) if pairs else None,
+        np.asarray(bounds) - t_bounds,
     )
+
+
+def _cell_rows(tuples: TupleColumns, t_bounds, base: RectBatch, b_bounds, g: int) -> list:
+    """Cell ``g``'s values as the scalar reducer reads them: its
+    ``("T", TupleRecord)`` rows, then its ``("B", rid, rect)`` rows."""
+    cell_tuples = group_values(tuples, t_bounds, g)
+    cell_base = base.take(slice(int(b_bounds[g]), int(b_bounds[g + 1])))
+    return [*cell_tuples, *(("B", rid, rect) for rid, rect in cell_base.pairs())]
 
 
 def _merged_columns(

@@ -175,7 +175,7 @@ def _make_mark_batch_mapper(grid: GridPartitioning):
     """Columnar twin of :func:`_make_mark_mapper`.
 
     One vectorized col/row-range computation covers the whole split —
-    on the cached columnar ``batch`` when the engine staged one — and
+    on its slice ``batch`` of the file's column bundle — and
     the flattened per-record cell lists go out in a single
     ``emit_batch`` call whose values are the split's columns: record
     ``k``'s cells row-major, the exact pairs, per-bucket order and byte

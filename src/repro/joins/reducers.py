@@ -31,7 +31,7 @@ from repro.joins.base import CNT_OUTPUT_TUPLES, JOIN_COUNTERS, dataset_from_path
 from repro.joins.dedup import tuple_owner
 from repro.joins.local import LocalJoiner
 from repro.kernels import transforms as _kt
-from repro.kernels.batch import RectBatch, RectColumns, ResultColumns
+from repro.kernels.batch import RectBatch, RectColumns, RectFileColumns, ResultColumns
 from repro.mapreduce.job import MapContext, ReduceContext, ShuffleCodec
 from repro.query.query import Query
 
@@ -104,16 +104,15 @@ def rect_values(np, ctx: MapContext, values: RectColumns):
     return values, per_name[codes]
 
 
-def staged_rect_values(np, ctx: MapContext, split_entries, batch: RectBatch | None):
+def staged_rect_values(np, ctx: MapContext, split_entries, staged: RectFileColumns):
     """``(batch, values, sizes)`` for a mapper over staged rectangle
-    files: the split's columns (built here unless the engine staged
-    them) and :func:`rect_values` with each record's dataset taken from
-    its input path."""
-    if batch is None:
-        batch = RectBatch.from_records(np, [e[2] for e in split_entries])
-    paths, codes = dataset_codes(np, [e[0] for e in split_entries])
-    names = tuple(dataset_from_path(path) for path in paths)
-    return batch, *rect_values(np, ctx, RectColumns(names, codes, batch))
+    files: the split's columns — the :class:`RectBatch` of its slice
+    ``staged`` of the file's bundle — and :func:`rect_values` with every
+    record's dataset taken from the split's path (a split never spans
+    files)."""
+    batch = staged.batch
+    names = (dataset_from_path(split_entries.path),)
+    return batch, *rect_values(np, ctx, RectColumns(names, None, batch))
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,9 @@ A tagged or result bundle also measures its own lines by column
 (``line_sizes``, integer arithmetic, no string built), so the DFS can
 size the part file without formatting it; the text is formatted by
 column (``encoded_lines`` / the row view) only when something reads it.
+A staged input relation is the same kind of bundle,
+:class:`RectFileColumns`: its ``rid,x,y,l,b`` text is formatted only on
+first read, and each map split of it is a zero-copy slice.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from repro.data.io import (
     TupleRecord,
     encode_result_columns,
     encode_tagged_columns,
+    lines_to_rects,
     rect_csv,
 )
 from repro.geometry.rectangle import Rect
@@ -51,6 +55,7 @@ from repro.geometry.rectangle import Rect
 __all__ = [
     "RectBatch",
     "RectColumns",
+    "RectFileColumns",
     "TupleColumns",
     "TaggedColumns",
     "TupleFileColumns",
@@ -138,14 +143,6 @@ class RectBatch:
             return empty, empty, empty, empty
         arr = np.array(flat, dtype=np.float64).reshape(-1, 4)
         return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
-
-    def slice(self, lo: int, hi: int) -> "RectBatch":
-        """A zero-copy row slice ``[lo, hi)`` (arrays become views).
-
-        Used by the engine to hand map splits their cut of a cached
-        whole-file batch without recomputing any column.
-        """
-        return self.take(slice(lo, hi))
 
     def take(self, sel) -> "RectBatch":
         """The rows at int-array positions ``sel``, in that order
@@ -305,7 +302,7 @@ def _without_csv_len(batch: RectBatch) -> RectBatch:
     """``batch``, or a view of it without the ``csv_len`` column."""
     if batch.csv_len is None:
         return batch
-    bare = batch.slice(0, batch.n)
+    bare = batch.take(slice(0, batch.n))
     bare.csv_len = None
     return bare
 
@@ -560,6 +557,83 @@ class TupleFileColumns(TupleColumns):
         return TupleColumns(
             slots, [self.batch(slot) for slot in slots], self.lines, self.records
         )
+
+
+class RectFileColumns(_ColumnRows):
+    """A rectangle file — ``(rid, Rect)`` records, ``rid,x,y,l,b``
+    lines — columnar: row ``i`` stands for ``(batch.ids[i], rect i)``.
+
+    Every rectangle-codec file keeps its typed records as this bundle: a
+    staged relation (:meth:`from_pairs`) or a file decoded from text
+    (:meth:`from_lines`).  A map split of the file is a zero-copy slice
+    of it, and a batch mapper reads its ``batch``.  The bundle measures
+    its lines without formatting them — the rid's decimal width, the
+    ``repr`` coordinate spelling's length (``RectBatch.csv_lens``: each
+    rectangle is spelled once, memoised) and two bytes (comma, newline)
+    — except that a bundle decoded from text keeps the sizes of the
+    lines it was read from (``sizes``), whose float spelling need not
+    be ``repr``'s.
+    """
+
+    __slots__ = ("batch", "sizes", "_tuples")
+
+    def __init__(self, batch: RectBatch, sizes=None) -> None:
+        self.batch = batch
+        self.sizes = sizes
+        self._tuples: list[tuple] | None = None
+
+    @classmethod
+    def from_pairs(cls, np, pairs) -> "RectFileColumns":
+        """The bundle of a list of ``(rid, Rect)`` records."""
+        return cls(RectBatch.from_records(np, pairs))
+
+    @classmethod
+    def from_lines(cls, np, lines) -> "RectFileColumns":
+        """The bundle of a file's text, sized by its lines."""
+        sizes = np.fromiter(
+            (len(line) if line.isascii() else len(line.encode("utf-8")) for line in lines),
+            dtype=np.int64,
+            count=len(lines),
+        )
+        return cls(RectBatch.from_records(np, lines_to_rects(lines)), sizes + 1)
+
+    def __len__(self) -> int:
+        return self.batch.n
+
+    def _materialise(self) -> list[tuple]:
+        rows = self._tuples
+        if rows is None:
+            rows = self._tuples = self.batch.pairs()
+        return rows
+
+    def encoded_lines(self) -> list[str]:
+        batch = self.batch
+        return [f"{rid},{csv}" for rid, csv in zip(batch.id_list(), batch.csvs())]
+
+    def line_sizes(self):
+        """Each row's UTF-8 ``len(line) + 1``: the sizes of the lines the
+        bundle was decoded from, else by integer arithmetic — or
+        ``None`` when the ids are not an int64 column (the text must
+        then be built to be sized)."""
+        if self.sizes is not None:
+            return self.sizes
+        batch = self.batch
+        if type(batch.ids) is list:
+            return None
+        return _decimal_widths(np, batch.ids) + batch.csv_lens(np) + 2
+
+    def take(self, rows) -> "RectFileColumns":
+        """The rows at positions ``rows`` (an int array or a slice)."""
+        sizes = self.sizes
+        return RectFileColumns(
+            self.batch.take(rows), None if sizes is None else sizes[rows]
+        )
+
+    def __getstate__(self):
+        return (self.batch, self.sizes)
+
+    def __setstate__(self, state) -> None:
+        self.__init__(*state)
 
 
 class TaggedColumns(_ColumnRows):

@@ -63,6 +63,12 @@ class C:
     MAP_OUTPUT_LOST = "map_output_lost"
     TASKS_REEXECUTED = "tasks_reexecuted"
 
+    # Range fallback telemetry (only present when an exception out of
+    # a physical range of several tasks made its tasks re-run one at a
+    # time — counted on each re-run task's shard, so a kernel that fails
+    # on fused ranges shows up as a counter, not only as slowness).
+    RANGE_RERUNS = "range_reruns"
+
     # Durable-storage telemetry (only present when the block plane is
     # engaged via ``Cluster(replication=N)``; unreplicated clusters emit
     # none of these, and chaos golden tests strip the ``block``/

@@ -73,8 +73,10 @@ def typed_form(records: Sequence[Any], codec, lines) -> tuple[str, Sequence[Any]
     stores them (shared by both DFS back-ends).
 
     A column bundle (a sequence with ``take``) is kept whole, anything
-    else copied into a list; ``lines`` are encoded here unless the
-    writer already did.
+    else copied into a list — the writer has already turned ``records``
+    into the codec's bundle, for a format whose files keep one
+    (:meth:`~repro.data.io.RecordCodec.columns`); ``lines`` are encoded
+    here unless the writer already did.
     """
     if not hasattr(records, "take"):
         records = list(records)
@@ -129,9 +131,9 @@ class InMemoryDFS:
         #: path -> (codec name, records); the codec name guards against
         #: reading one format's objects through another format's codec
         self._records: dict[str, tuple[str, list[Any]]] = {}
-        #: per-file-version derived artifacts (split-entry rows, columnar
-        #: rect batches): path -> tag -> value, dropped whenever the path
-        #: is rewritten or deleted — exactly like ``_records``
+        #: per-file-version derived artifacts (a codec's split entries):
+        #: path -> tag -> value, dropped whenever the path is rewritten
+        #: or deleted — exactly like ``_records``
         self._derived: dict[str, dict[str, Any]] = {}
         self.bytes_read = 0
         self.bytes_written = 0
@@ -196,6 +198,8 @@ class InMemoryDFS:
         by the block plane's checksums when the plane is engaged.
         """
         sizes = None
+        if codec is not None:
+            records = codec.columns(records)
         if lines is None and hasattr(records, "line_sizes"):
             sizes = records.line_sizes()
         norm = _normalize(path)
@@ -241,7 +245,8 @@ class InMemoryDFS:
         norm = _normalize(path)
         if norm not in self._files:
             raise DFSError(f"no such file: {path!r}")
-        records = list(records)
+        if not hasattr(records, "take"):
+            records = list(records)
         if len(records) != len(self._files[norm]):
             raise DFSError(
                 f"typed record count {len(records)} does not match the "
@@ -252,9 +257,9 @@ class InMemoryDFS:
     def derived_get(self, path: str, tag: str) -> Any | None:
         """A derived artifact of the *current* version of ``path``.
 
-        Derived artifacts (split-entry rows, columnar rect batches) are
-        pure functions of a file's content; rewriting or deleting the
-        file drops them, so a hit is always consistent.  Like
+        Derived artifacts (a codec's split entries) are pure functions
+        of a file's content; rewriting or deleting the file drops them,
+        so a hit is always consistent.  Like
         :meth:`typed_records` this never accounts a read — callers pair
         it with :meth:`charge_read` so byte accounting is unchanged.
         """

@@ -60,10 +60,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.data.io import RECT_CODEC
 from repro.errors import BadRecordError, JobError, TaskRetryExhausted
 from repro.kernels import check_kernel, resolve_kernel
-from repro.kernels.batch import RectBatch
 from repro.mapreduce.blocks import BlockPlane
 from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.cost import CostModel, JobCostBreakdown, TaskStats
@@ -78,6 +76,7 @@ from repro.mapreduce.faults import (
 )
 from repro.mapreduce.job import (
     BucketSegment,
+    KindRuns,
     MapContext,
     MapReduceJob,
     ReduceContext,
@@ -182,9 +181,10 @@ class _MapPhase:
     unbounded) switches emission buffering to the spilling context,
     which spills at the same points whether the map body emits record
     by record or in batches.
-    ``split_batches`` optionally carries each split's columns — a
-    :class:`~repro.kernels.batch.RectBatch` slice of a rectangle file,
-    or the slice of the bundle an upstream reducer wrote.
+    ``split_batches`` optionally carries each split's columns — the
+    slice of its file's column bundle (a staged or decoded rectangle
+    file's :class:`~repro.kernels.batch.RectFileColumns`, or the bundle
+    an upstream reducer wrote).
     ``profile`` wraps the task body in cProfile (the cluster's
     profiler); the stats dict rides back in the result.
     """
@@ -359,20 +359,37 @@ def _gather_range(groups: list[list]) -> tuple[Any, Any]:
     or plain value lists (the row shuffle) — in group order.  Returns
     ``(values, bounds)``: every group's values concatenated in group
     order, and the int64 bounds cutting them into the groups.  When
-    every part is a slice of one columnar source type, each source is
-    gathered once for the whole range (one ``take`` of all the members
-    the range wants from it) and one more ``take`` puts the rows in
-    group order — instead of one ``take`` per part and one ``concat``
-    per group.  Otherwise the parts are gathered one by one.
+    every part is a slice of one columnar source type, the range is
+    gathered in one piece (:func:`_gather_parts`) instead of one
+    ``take`` per part and one ``concat`` per group.  When the parts are
+    slices of several columnar types — a Cascade step's tuple side and
+    base side — each type is gathered in one piece and ``values`` is
+    their :class:`~repro.mapreduce.job.KindRuns`; each type keeps its
+    rows in group order, whatever order a group lists its types in.
     """
     parts = [part for group in groups for part in group]
-    sizes = np.array([len(part) for part in parts], dtype=np.int64)
     group_sizes = [sum(len(part) for part in group) for group in groups]
     bounds = np.concatenate(([0], np.cumsum(group_sizes, dtype=np.int64)))
-    kinds = {type(getattr(part, "source", None)) for part in parts}
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind is None or not hasattr(kind, "concat"):
+    kinds = list(dict.fromkeys(type(getattr(part, "source", None)) for part in parts))
+    if not parts or not all(hasattr(kind, "concat") for kind in kinds):
         return (_gathered(parts) if parts else []), bounds
+    if len(kinds) == 1:
+        return _gather_parts(parts, kinds[0]), bounds
+    bundles, kind_bounds = [], []
+    for kind in kinds:
+        of_kind = [[part for part in group if type(part.source) is kind] for group in groups]
+        sizes = [sum(len(part) for part in group) for group in of_kind]
+        bundles.append(_gather_parts([part for group in of_kind for part in group], kind))
+        kind_bounds.append(np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))))
+    return KindRuns(bundles, kind_bounds), bounds
+
+
+def _gather_parts(parts: list[BucketSegment], kind: type):
+    """Parts sliced from sources of one columnar type, gathered as one
+    bundle of their rows in part order: one ``take`` of all the members
+    wanted from each source, and one more ``take`` putting the rows in
+    part order when the sources interleave."""
+    sizes = np.array([len(part) for part in parts], dtype=np.int64)
     # Sources in order of first use; each part's rows sit at ``at`` in
     # the sources' gathered rows, concatenated source by source.
     members: dict[int, list] = {}
@@ -398,8 +415,8 @@ def _gather_range(groups: list[list]) -> tuple[Any, Any]:
     merged = taken[0] if len(taken) == 1 else kind.concat(taken)
     order = np.repeat(start - (np.cumsum(sizes) - sizes), sizes) + np.arange(at)
     if len(taken) == 1 or bool((order[1:] > order[:-1]).all()):
-        return merged, bounds
-    return merged.take(order), bounds
+        return merged
+    return merged.take(order)
 
 
 #: shuffle bytes a physical reduce range reads at most (unless it is one
@@ -939,8 +956,8 @@ class Cluster:
         ``"numpy"`` (default) or ``"python"``, the scalar reference.
         The ``REPRO_KERNEL`` environment variable overrides the
         constructor value.  On ``"numpy"``, jobs with batch mappers move
-        record *batches* end to end — split inputs arrive as cached
-        columnar :class:`~repro.kernels.batch.RectBatch` slices,
+        record *batches* end to end — split inputs arrive as slices of
+        their files' column bundles,
         emissions are routed vectorized into per-bucket
         :class:`BucketSegment` runs, and reduce tasks group keys with a
         numpy stable argsort.  Both kernels produce byte-identical part
@@ -1802,57 +1819,22 @@ class Cluster:
         )
 
     def _map_phase(self, job: MapReduceJob, splits, profile: bool = False) -> _MapPhase:
-        """The payload of ``job``'s map tasks over ``splits``: with their
-        staged columns when the job declares a batch mapper."""
-        batches = None if job.batch_mapper is None else self._stage_split_batches(job, splits)
-        return _MapPhase(job, splits, self.memory_budget, batches, profile)
+        """The payload of ``job``'s map tasks over ``splits``.
 
-    def _stage_split_batches(
-        self,
-        job: MapReduceJob,
-        splits: list[list[tuple[str, int, Any, int]] | SplitEntries],
-    ) -> list[Any] | None:
-        """Each split's columns, for the batch mappers.
-
-        A split of a file an upstream reducer wrote as a column bundle
-        already is a slice of it (:class:`SplitEntries`) and hands that
-        slice over.  For every split whose file reads through the
-        rectangle codec, build (or fetch) the whole file's
-        :class:`RectBatch` — cached as a derived artifact, so each file
-        version is columnarised exactly once — and hand the split its
-        zero-copy row slice.  Other splits get ``None`` and their batch
-        mappers fall back to building columns from the entry records.
-        Purely an execution cache: byte accounting happened at split
-        time and the columns hold the same values the records do.
+        A job with a batch mapper gets each split's columns: a split of
+        a file whose typed records are a column bundle — every
+        rectangle-codec file (:class:`~repro.kernels.batch
+        .RectFileColumns`) and every part file an upstream numpy reducer
+        wrote — already is a zero-copy slice of it
+        (:class:`SplitEntries`) and hands that slice over; any other
+        split gets ``None`` and its batch mapper reads the entry records.
         """
-        rect_files: set[str] = set()
-        for path in job.input_paths:
-            codec = job.input_codec_for(path)
-            if codec is not None and codec.name == "rect":
-                rect_files.update(self.dfs.resolve(path))
-        batches: list[Any] = []
-        staged = False
-        for split in splits:
-            if isinstance(split, SplitEntries):
-                batches.append(split.records)
-                staged = True
-                continue
-            f = split[0][0] if split else None
-            if f is None or f not in rect_files:
-                batches.append(None)
-                continue
-            whole = self.dfs.derived_get(f, "rect-batch")
-            if whole is None:
-                records = self.dfs.typed_records(f, RECT_CODEC)
-                if records is None:
-                    batches.append(None)
-                    continue
-                whole = RectBatch.from_records(np, records)
-                self.dfs.derived_put(f, "rect-batch", whole)
-            lo = split[0][1]  # linenos are file row indices
-            batches.append(whole.slice(lo, lo + len(split)))
-            staged = True
-        return batches if staged else None
+        batches = None
+        if job.batch_mapper is not None:
+            batches = [s.records if isinstance(s, SplitEntries) else None for s in splits]
+            if all(batch is None for batch in batches):
+                batches = None
+        return _MapPhase(job, splits, self.memory_budget, batches, profile)
 
     # ------------------------------------------------------------------
     # Shuffle, reduce and write stages

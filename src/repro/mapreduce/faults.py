@@ -99,6 +99,7 @@ from repro.errors import (
     JobError,
     TaskRetryExhausted,
 )
+from repro.mapreduce.counters import C
 from repro.mapreduce.executor import TaskExecutor, TaskWorker
 from repro.mapreduce.workers import WorkerPool
 
@@ -1205,14 +1206,26 @@ def _run_range(phase: _AttemptPhase, tasks) -> list:
 
     An exception out of a range of several tasks re-runs them one at a
     time, in order, so the lowest failing task raises its own error —
-    exactly what per-task dispatch raises.
+    exactly what per-task dispatch raises.  Each re-run task's result
+    counts the fallback (:func:`_count_rerun`).
     """
     try:
         return phase.worker(phase.inner, tasks)
     except Exception:
         if len(tasks) == 1:
             raise
-    return [value for task in tasks for value in phase.worker(phase.inner, (task,))]
+    values = [value for task in tasks for value in phase.worker(phase.inner, (task,))]
+    for value in values:
+        _count_rerun(value)
+    return values
+
+
+def _count_rerun(value: Any) -> None:
+    """Count one range fallback (``C.RANGE_RERUNS``) on a re-run task
+    result's counter shard, when it carries one (the engine's do)."""
+    counters = getattr(value, "counters", None)
+    if counters is not None:
+        counters.add(C.GROUP_ENGINE, C.RANGE_RERUNS)
 
 
 def _run_attempt(phase: _AttemptPhase, unit) -> list[_Outcome]:
@@ -1269,7 +1282,8 @@ def _run_attempt_range(phase: _AttemptPhase, run: list) -> None:
     attempt.  An exception out of a range of several attempts re-runs
     them one at a time: each attempt's outcome — and so the attempt
     log, the charges and the telemetry — is what it would be had the
-    attempt been dispatched alone.
+    attempt been dispatched alone, plus ``C.RANGE_RERUNS`` on the
+    counter shard of each re-run attempt that succeeds.
     """
     tasks = tuple(out.index for out, *__ in run)
     t_start = time.perf_counter()
@@ -1287,6 +1301,8 @@ def _run_attempt_range(phase: _AttemptPhase, run: list) -> None:
         if len(run) > 1:
             for item in run:
                 _run_attempt_range(phase, [item])
+                if item[0].ok:
+                    _count_rerun(item[0].value)
             return
         out = run[0][0]
         out.error = str(exc)

@@ -50,6 +50,7 @@ __all__ = [
     "BucketSegment",
     "SplitEntries",
     "ValueRuns",
+    "KindRuns",
     "gather_values",
     "DEFAULT_SHUFFLE_CODEC",
     "estimate_size",
@@ -290,6 +291,22 @@ class ValueRuns(Sequence):
 
     def __getitem__(self, i):
         return list(self)[i]
+
+
+class KindRuns:
+    """A physical reduce range's values when its groups hold columnar
+    parts of several types, gathered type by type.
+
+    ``bundles[k]`` holds every group's rows of the ``k``-th type, group
+    by group, and ``bounds[k]`` the int64 row bounds cutting it into the
+    range's groups.  A segmented reducer reads the bundles.
+    """
+
+    __slots__ = ("bundles", "bounds")
+
+    def __init__(self, bundles: list, bounds: list) -> None:
+        self.bundles = bundles
+        self.bounds = bounds
 
 
 def gather_values(parts: list):
@@ -704,10 +721,11 @@ class MapReduceJob:
         as ``batch_mapper(split, ctx, batch)`` with the full sequence of
         ``(path, lineno, record, nbytes)`` entries and the split's
         columns when the engine has them (``None`` otherwise): the
-        cached :class:`~repro.kernels.batch.RectBatch` slice of a
-        rectangle-codec file, or the slice of the column bundle an
-        upstream reducer wrote the file as (a :class:`SplitEntries`
-        split — reading its entries would build the records).
+        slice of the column bundle the file's typed records are — a
+        rectangle-codec file's :class:`~repro.kernels.batch
+        .RectFileColumns`, or the bundle an upstream reducer wrote —
+        with the split a :class:`SplitEntries` whose ``path`` names the
+        file (reading its entries would build the records).
         Must produce the exact emissions (same pairs, same per-bucket
         order) and counter totals as running ``mapper`` over the split
         record by record — emitting through

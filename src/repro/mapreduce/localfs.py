@@ -46,8 +46,8 @@ class LocalFSDFS:
         #: in-memory typed shadow of codec-written/decoded files:
         #: path -> (codec name, records)
         self._records: dict[str, tuple[str, list[Any]]] = {}
-        #: process-local derived artifacts per file version (split-entry
-        #: rows, columnar rect batches); dropped with ``_records``
+        #: process-local derived artifacts per file version (a codec's
+        #: split entries); dropped with ``_records``
         self._derived: dict[str, dict[str, Any]] = {}
         self.bytes_read = 0
         self.bytes_written = 0
@@ -122,6 +122,8 @@ class LocalFSDFS:
     ) -> int:
         """Create (or replace) a file from typed records — encode once
         (see :meth:`repro.mapreduce.dfs.InMemoryDFS.write_records`)."""
+        if codec is not None:
+            records = codec.columns(records)
         name, records, lines = typed_form(records, codec, lines)
         nbytes = self.write_file(path, lines)
         self._records[self._normalized(path)] = (name, records)
@@ -138,7 +140,9 @@ class LocalFSDFS:
         """Attach decoded records to an existing on-disk file."""
         if not self._resolve_path(path).is_file():
             raise DFSError(f"no such file: {path!r}")
-        self._records[self._normalized(path)] = (codec.name, list(records))
+        if not hasattr(records, "take"):
+            records = list(records)
+        self._records[self._normalized(path)] = (codec.name, records)
 
     def derived_get(self, path: str, tag: str) -> Any | None:
         """A derived artifact of the current version of ``path``.

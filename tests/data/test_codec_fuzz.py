@@ -179,7 +179,7 @@ class TestBulkEquivalence:
     def test_rect_codec(self, records):
         lines = RECT_CODEC.encode_lines(records)
         assert lines == [RECT_CODEC.encode(r) for r in records]
-        assert RECT_CODEC.decode_lines(lines) == [
+        assert list(RECT_CODEC.decode_lines(lines)) == [
             RECT_CODEC.decode(line) for line in lines
         ]
         assert lines_to_rects(lines) == [decode_rect(line) for line in lines]

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.data.io import TaggedRect, TupleRecord, decode_result
+from repro.data.io import RECT_CODEC, TaggedRect, TupleRecord, decode_result
 from repro.data.transforms import max_diagonal
 from repro.geometry.rectangle import Rect
 from repro.grid.partitioning import GridPartitioning
@@ -40,12 +41,17 @@ from repro.kernels import resolve_kernel
 from repro.kernels import batch as batch_module
 from repro.kernels.batch import (
     RectBatch,
+    RectFileColumns,
     ResultColumns,
     TaggedColumns,
     TupleFileColumns,
 )
+from repro.mapreduce import dfs as dfs_module
+from repro.mapreduce.counters import C
+from repro.mapreduce.dfs import InMemoryDFS
 from repro.mapreduce.engine import Cluster
 from repro.mapreduce.faults import FaultPlan, RetryPolicy
+from repro.mapreduce.job import MapReduceJob, SplitEntries
 from repro.mapreduce.localfs import LocalFSDFS
 from repro.query.predicates import Overlap, Range
 from repro.query.query import Query, Triple
@@ -117,7 +123,7 @@ MODES = {
     "default": ({}, None, False),
     "spill": ({"memory_budget": 256}, None, False),
     "retry": ({"retry": RetryPolicy(max_attempts=3)}, None, False),
-    # poisoned offsets land in staged RectBatch splits and in bundle
+    # poisoned offsets land in staged RectFileColumns splits and in bundle
     # (TaggedColumns / TupleFileColumns) splits alike
     "skipping": (
         {
@@ -411,3 +417,130 @@ def test_collect_tuples_equals_line_decode(name):
     assert cluster.dfs.typed_records(columnar[0], None) is None
     rewritten = MultiWayJoinAlgorithm._collect_tuples(cluster, output)
     assert rewritten == {decode_result(line) for line in cluster.dfs.read_dir(output)}
+
+
+# ----------------------------------------------------------------------
+# Staged relations: column bundles, formatted only when read
+# ----------------------------------------------------------------------
+ALL_ALGORITHMS = ("cascade", "all-rep", "c-rep", "c-rep-l")
+
+
+def _is_input(path: str) -> bool:
+    return path.startswith("input/")
+
+
+def _byte_volumes(result) -> list:
+    """Per job: the DFS byte counters and every map task's input bytes."""
+    return [
+        (
+            job.counters.engine(C.DFS_BYTES_READ),
+            job.counters.engine(C.DFS_BYTES_WRITTEN),
+            [task.input_bytes for task in job.map_tasks],
+        )
+        for job in result.workflow.job_results
+    ]
+
+
+@numpy_only
+@pytest.mark.parametrize("name", ALL_ALGORITHMS)
+def test_staged_relations_are_never_formatted_or_read_as_rows(monkeypatch, name):
+    """An in-memory numpy run stages every relation as a
+    :class:`RectFileColumns` bundle: no ``input/*`` file's text is
+    formatted and no entry row of one is built — its size is integer
+    arithmetic and its map splits are slices — yet the byte counters
+    and every map task's input bytes equal those of relations staged
+    as text, whose bundles are decoded from (and sized by) the lines."""
+    query, datasets = _fixed_workload("chain4")
+    formatted = []
+    rowed = []
+    real_text = dfs_module._BundleText._text
+    real_rows = SplitEntries._materialise
+
+    def text(self):
+        formatted.append(type(self.records))
+        return real_text(self)
+
+    def rows(self):
+        if _is_input(self.path):
+            rowed.append(self.path)
+        return real_rows(self)
+
+    def encode(self, records):
+        formatted.append(type(records))
+        return real_encode(self, records)
+
+    def bundle_rows(self):
+        rowed.append(type(self))
+        return real_bundle_rows(self)
+
+    real_encode = type(RECT_CODEC).encode_lines
+    real_bundle_rows = RectFileColumns._materialise
+    monkeypatch.setattr(dfs_module._BundleText, "_text", text)
+    monkeypatch.setattr(type(RECT_CODEC), "encode_lines", encode)
+    monkeypatch.setattr(SplitEntries, "_materialise", rows)
+    monkeypatch.setattr(RectFileColumns, "_materialise", bundle_rows)
+    cluster = Cluster(kernel="numpy")
+    algorithm = make_algorithm(name, query=query, d_max=max_diagonal(datasets))
+    result = algorithm.run(query, datasets, GRID, cluster)
+    assert not formatted
+    assert not rowed
+    for dataset in query.dataset_keys:
+        staged = cluster.dfs.typed_records(f"input/{dataset}", RECT_CODEC)
+        assert isinstance(staged, RectFileColumns)
+    monkeypatch.undo()
+
+    # The reference stages each relation as its text lines.
+    real_write = InMemoryDFS.write_records
+
+    def write_as_text(self, path, records, codec, lines=None):
+        if _is_input(path):
+            return self.write_file(path, RECT_CODEC.encode_lines(records))
+        return real_write(self, path, records, codec, lines)
+
+    monkeypatch.setattr(InMemoryDFS, "write_records", write_as_text)
+    text_cluster = Cluster(kernel="numpy")
+    reference = algorithm.run(query, datasets, GRID, text_cluster)
+    assert reference.tuples == result.tuples
+    assert _byte_volumes(result) == _byte_volumes(reference)
+    decoded = text_cluster.dfs.typed_records(f"input/{query.dataset_keys[0]}", RECT_CODEC)
+    assert isinstance(decoded, RectFileColumns) and decoded.sizes is not None
+
+
+@numpy_only
+def test_a_relation_decoded_from_text_is_sized_by_its_lines():
+    """A rectangle file whose float spelling is not ``repr``'s — staged
+    by another writer, or read back from disk — decodes to a bundle
+    that keeps its lines' sizes: the map input bytes and the read
+    charge are the file's, where the ``repr`` arithmetic would count
+    other bytes."""
+    lines = ["1,1.50,60.0,20.0,20.0", "2,1e1,5E1,0.5000,3", "30,40.,50.25,1,1"]
+    on_disk = [len(line) + 1 for line in lines]
+    seen = []
+
+    def batch_mapper(split, ctx, batch=None):
+        seen.append((split.path, batch.line_sizes().tolist(), split.nbytes))
+
+    cluster = Cluster(kernel="numpy")
+    cluster.dfs.write_file("input/A", lines)
+    job = MapReduceJob(
+        name="sizes",
+        input_paths=["input/A"],
+        output_path="out",
+        mapper=lambda key, record, ctx: None,
+        reducer=None,
+        num_reducers=1,
+        input_codec=RECT_CODEC,
+        batch_mapper=batch_mapper,
+    )
+    result = cluster.run_job(job)
+    assert seen == [("input/A", on_disk, sum(on_disk))]
+    assert [task.input_bytes for task in result.map_tasks] == [sum(on_disk)]
+    assert result.counters.engine(C.DFS_BYTES_READ) == cluster.dfs.file_size("input/A")
+    decoded = cluster.dfs.typed_records("input/A", RECT_CODEC)
+    assert decoded.line_sizes().tolist() == on_disk
+    # The same records re-staged spell every float with repr.
+    restaged = RectFileColumns.from_pairs(np, decoded.batch.pairs())
+    assert restaged.line_sizes().tolist() != on_disk
+    assert restaged.line_sizes().tolist() == [
+        len(line) + 1 for line in RECT_CODEC.encode_lines(decoded.batch.pairs())
+    ]

@@ -38,7 +38,7 @@ from repro.kernels.transforms import two_way_owner_cells
 from repro.mapreduce.counters import C
 from repro.mapreduce.engine import Cluster
 from repro.mapreduce.faults import RetryPolicy
-from repro.mapreduce.job import ValueRuns
+from repro.mapreduce.job import KindRuns
 from repro.query.predicates import Contains, Overlap, Range
 from repro.query.query import Query, Triple
 
@@ -267,24 +267,31 @@ def _fixed_workload():
     [("columnar", True), ("spill", True), ("retry", True)],
 )
 def test_reducer_sees_columns_exactly_on_the_columnar_path(monkeypatch, mode, columnar):
-    """The numpy step reducer enters through one function; what reaches
-    it is the group's column runs on the columnar shuffle — tuple side,
-    then base side — also under an active retry policy and under a
-    spilling budget, which run the same batch mappers and read spilled
-    runs back as segments where they were emitted."""
+    """The numpy step reducer splits a physical range's values into its
+    two sides through one function; what reaches it on the columnar
+    shuffle is each side gathered in one piece (or the one side a range
+    received) — also under an active retry policy and under a spilling
+    budget, which run the same batch mappers and read spilled runs back
+    as segments where they were emitted."""
     seen = []
-    real = cascade._group_columns
+    real = cascade._range_sides
 
-    def spy(np_, bound, values):
-        if isinstance(values, ValueRuns):
-            assert [type(run) for run in values.runs] == [TupleColumns, RectColumns]
+    def spy(np_, bound, values, bounds):
+        if isinstance(values, KindRuns):
+            # each side gathered in one piece, cut into the cells
+            assert [type(b) for b in values.bundles] == [TupleColumns, RectColumns]
+            t_bounds, b_bounds = values.bounds
+            assert len(t_bounds) == len(b_bounds) == len(bounds)
+            # the two sides' per-cell rows add up to each cell's rows
+            assert (t_bounds + b_bounds).tolist() == bounds.tolist()
+            assert [len(b) for b in values.bundles] == [t_bounds[-1], b_bounds[-1]]
             seen.append(True)
         else:
             # one side only (nothing to join) or a plain value list
             seen.append(isinstance(values, (TupleColumns, RectColumns)))
-        return real(np_, bound, values)
+        return real(np_, bound, values, bounds)
 
-    monkeypatch.setattr(cascade, "_group_columns", spy)
+    monkeypatch.setattr(cascade, "_range_sides", spy)
     query, datasets = _fixed_workload()
     reference = _run(query, None, datasets, kernel="python", **NUMPY_MODES[mode])
     assert not seen  # the reference never builds columns

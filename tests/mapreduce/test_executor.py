@@ -434,24 +434,24 @@ class TestColumnarSegmentTransport:
         from repro.grid.partitioning import GridPartitioning
         from repro.joins.all_replicate import _make_batch_mapper
         from repro.joins.reducers import RECT_SHUFFLE_CODEC
+        from repro.kernels.batch import RectFileColumns
         from repro.mapreduce.counters import Counters
-        from repro.mapreduce.job import MapContext, identity_partitioner
+        from repro.mapreduce.job import MapContext, SplitEntries, identity_partitioner
 
         grid = GridPartitioning(Rect.from_corners(0.0, 0.0, 800.0, 800.0), 8, 8)
         rng = np.random.default_rng(7)
-        split = [
-            (
-                "input/R1",
-                i,
-                (i, Rect(float(x), float(y), 20.0, 20.0)),
-                40,
-            )
-            for i, (x, y) in enumerate(rng.uniform(20.0, 780.0, size=(400, 2)))
-        ]
+        staged = RectFileColumns.from_pairs(
+            np,
+            [
+                (i, Rect(float(x), float(y), 20.0, 20.0))
+                for i, (x, y) in enumerate(rng.uniform(20.0, 780.0, size=(400, 2)))
+            ],
+        )
+        split = SplitEntries("input/R1", 0, staged, staged.line_sizes().tolist())
         ctx = MapContext(
             Counters(), grid.num_cells, identity_partitioner, RECT_SHUFFLE_CODEC
         )
-        _make_batch_mapper(grid)(split, ctx, None)
+        _make_batch_mapper(grid)(split, ctx, staged)
         return {"segments": ctx.segments, "bucket_bytes": ctx.bucket_bytes}
 
     def test_roundtrip_shares_one_source(self, monkeypatch):
@@ -525,7 +525,8 @@ class TestCascadeStepTransport:
         )
         from repro.joins.local import slot_plans
         from repro.mapreduce.counters import Counters
-        from repro.mapreduce.job import MapContext, identity_partitioner
+        from repro.kernels.batch import RectFileColumns
+        from repro.mapreduce.job import MapContext, SplitEntries, identity_partitioner
         from repro.query.predicates import Overlap
         from repro.query.query import Query
 
@@ -548,16 +549,19 @@ class TestCascadeStepTransport:
                 (f"{left_path}/part-00000", i, record, len(record.line) + 1)
                 for i, record in enumerate(records)
             ]
+            staged = None
         else:
-            split = [(right_path, i, (i, r), 40) for i, r in enumerate(rects)]
+            # A staged relation's split: a slice of the file's bundle.
+            staged = RectFileColumns.from_pairs(np, list(enumerate(rects)))
+            split = SplitEntries(right_path, 0, staged, staged.line_sizes().tolist())
         contexts = []
         for batched in (True, False):
             ctx = MapContext(
                 Counters(), grid.num_cells, identity_partitioner, CASCADE_SHUFFLE_CODEC
             )
             if batched:
-                _make_step_batch_mapper(grid, step, bound, left_path, True)(
-                    split, ctx, None
+                _make_step_batch_mapper(grid, step, bound, left_path)(
+                    split, ctx, staged
                 )
             else:
                 mapper = _make_step_mapper(grid, step, left_path, right_path, True, "R1")

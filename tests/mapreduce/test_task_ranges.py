@@ -21,12 +21,15 @@ from hypothesis import strategies as st
 
 from repro.geometry.rectangle import Rect
 from repro.grid.partitioning import GridPartitioning
+from repro.index.grid_index import GridIndex
 from repro.joins.local import LocalJoiner
 from repro.joins.marking import MarkingEngine
 from repro.joins.registry import make_algorithm
 from repro.kernels import resolve_kernel
 from repro.mapreduce import engine
+from repro.mapreduce.counters import C
 from repro.mapreduce.engine import Cluster
+from repro.mapreduce.faults import RetryPolicy
 from repro.query.predicates import Overlap, Range
 from repro.query.query import Query
 
@@ -50,15 +53,21 @@ QUERIES = {
         ]
     ),
     "self-join": Query.self_chain("R1", 3, [Overlap(), Range(10.0)]),
+    # Cascade's self-first step reads plain value lists; with string
+    # rids its same-dataset step joins cell by cell on the scalar reducer.
+    "self-join-str-rids": Query.self_chain("R1", 3, [Overlap(), Range(10.0)]),
 }
+STRING_RIDS = {"self-join-str-rids"}
 ALGORITHMS = ("cascade", "all-rep", "c-rep", "c-rep-l")
 EXECUTORS = [("serial", 1), ("thread", 2), ("process", 2)]
 
 
-def _datasets(names) -> dict[str, list]:
+def _datasets(names, string_rids: bool = False) -> dict[str, list]:
     """Rectangles that leave the top-left cell empty (no start falls in
     it, so no transform sends anything there) and keep ``R3`` in the
-    left half (the right half's round-1 cells miss a dataset)."""
+    left half (the right half's round-1 cells miss a dataset); with
+    ``string_rids`` the record ids are decimal strings (the result
+    records read back as integers)."""
     rng = random.Random(23)
     datasets = {}
     for k, name in enumerate(names):
@@ -70,7 +79,8 @@ def _datasets(names) -> dict[str, list]:
                 continue
             if name == "R3" and x + rect.l >= 200.0:
                 continue
-            rects.append((100 * k + len(rects), rect))
+            rid = 100 * k + len(rects)
+            rects.append((str(rid) if string_rids else rid, rect))
         datasets[name] = rects
     return datasets
 
@@ -86,7 +96,16 @@ def _partition(n: int, mode: str, rng: random.Random) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _run(monkeypatch, algorithm, shape, executor="serial", workers=1, mode="singletons", seed=0):
+def _run(
+    monkeypatch,
+    algorithm,
+    shape,
+    executor="serial",
+    workers=1,
+    mode="singletons",
+    seed=0,
+    **cluster_kwargs,
+):
     """One join under a forced cut; returns everything that must not
     change, the cuts used and the per-job task stamps."""
     query = QUERIES[shape]
@@ -109,9 +128,10 @@ def _run(monkeypatch, algorithm, shape, executor="serial", workers=1, mode="sing
 
     monkeypatch.setattr(engine, "_task_ranges", forced)
     monkeypatch.setattr(engine, "_reduce_range_body", timed_body)
-    cluster = Cluster(executor=executor, num_workers=workers, kernel="numpy")
+    cluster = Cluster(executor=executor, num_workers=workers, kernel="numpy", **cluster_kwargs)
+    datasets = _datasets(query.dataset_keys, string_rids=shape in STRING_RIDS)
     result = make_algorithm(algorithm, query=query, d_max=D_MAX).run(
-        query, _datasets(query.dataset_keys), GRID, cluster
+        query, datasets, GRID, cluster
     )
     jobs = result.workflow.job_results
     observed = {
@@ -200,17 +220,65 @@ def test_the_phase_cut_has_the_workers_floor_and_no_empty_range():
     assert len(engine._task_ranges(big, 1)) == 5
 
 
-def test_segmented_reducers_run_once_per_range(monkeypatch):
-    """A whole-phase range is one marking call and one local join — the
-    range body does not fall back to per-cell calls."""
-    calls = {"select_marked": 0, "enumerate_columnar": 0}
-    for owner, name in ((MarkingEngine, "select_marked"), (LocalJoiner, "enumerate_columnar")):
+def _count_calls(monkeypatch, methods) -> dict[str, int]:
+    """Count the calls of each ``(owner, name)`` method."""
+    calls = dict.fromkeys((name for __, name in methods), 0)
+    for owner, name in methods:
         real = getattr(owner, name)
 
-        def counting(self, *args, _real=real, _name=name):
+        def counting(self, *args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
-            return _real(self, *args)
+            return _real(self, *args, **kwargs)
 
         monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_segmented_reducers_run_once_per_range(monkeypatch):
+    """A whole-phase range is one marking call and one local join — and
+    for the Cascade one index build and one bulk probe per step — the
+    range body does not fall back to per-cell calls."""
+    calls = _count_calls(
+        monkeypatch, ((MarkingEngine, "select_marked"), (LocalJoiner, "enumerate_columnar"))
+    )
     _run(monkeypatch, "c-rep", "chain-overlap", mode="whole")
     assert calls == {"select_marked": 1, "enumerate_columnar": 1}
+    calls = _count_calls(monkeypatch, ((GridIndex, "__init__"), (GridIndex, "probe_frontier")))
+    observed, cuts, __, __ = _run(monkeypatch, "cascade", "chain-hybrid", mode="whole")
+    assert len(cuts) == 2  # one reduce phase per step
+    assert calls == {"__init__": 2, "probe_frontier": 2}
+    assert all(C.RANGE_RERUNS not in c[C.GROUP_ENGINE] for c in observed["counters"])
+
+
+@pytest.mark.parametrize(("executor", "workers"), EXECUTORS)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_clean_run_counts_no_range_reruns(monkeypatch, algorithm, executor, workers):
+    observed, *__ = _run(monkeypatch, algorithm, "chain-hybrid", executor, workers, "whole")
+    assert all(C.RANGE_RERUNS not in c[C.GROUP_ENGINE] for c in observed["counters"])
+
+
+@pytest.mark.parametrize("recovery", [False, True], ids=["fast-path", "recovery"])
+@pytest.mark.parametrize(("executor", "workers"), EXECUTORS)
+def test_a_kernel_failing_on_fused_ranges_is_counted(monkeypatch, executor, workers, recovery):
+    """A segmented local join that raises on ranges of several cells
+    still gives the right answer — the range's tasks re-run one at a
+    time — but every re-run task counts ``C.RANGE_RERUNS``, on the fast
+    path and under recovery dispatch alike."""
+    real = LocalJoiner.enumerate_columnar
+
+    def broken(self, bags, bounds):
+        if any(len(b) > 2 for b in bounds.values()):
+            raise RuntimeError("segmented kernel bug")
+        return real(self, bags, bounds)
+
+    monkeypatch.setattr(LocalJoiner, "enumerate_columnar", broken)
+    kwargs = {"retry": RetryPolicy(max_attempts=2)} if recovery else {}
+    observed, __, jobs, __ = _run(
+        monkeypatch, "c-rep", "chain-hybrid", executor, workers, "whole", **kwargs
+    )
+    reference = _reference("c-rep", "chain-hybrid")
+    assert observed["parts"] == reference["parts"]
+    assert observed["tuples"] == reference["tuples"]
+    mark, join = (c[C.GROUP_ENGINE] for c in observed["counters"])
+    assert C.RANGE_RERUNS not in mark
+    assert join[C.RANGE_RERUNS] == len(jobs[1].reduce_tasks) == GRID.num_cells
