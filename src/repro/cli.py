@@ -699,6 +699,11 @@ def _dispatch(args: argparse.Namespace) -> int:
             )
         if eng("skipped_records"):
             print(f"skipped records: {eng('skipped_records')} (quarantined)")
+        if eng("range_reruns"):
+            print(
+                f"range re-runs: {eng('range_reruns')} task(s) re-run one at a "
+                "time after their fused range failed"
+            )
         resumed = sum(1 for r in workflow.job_results if r.resumed)
         if resumed:
             print(

@@ -39,10 +39,173 @@ from repro.geometry.rectangle import Rect
 from repro.index.base import Entry
 from repro.kernels.batch import RectBatch
 
-__all__ = ["GridIndex"]
+__all__ = [
+    "GridIndex",
+    "bucket_layout",
+    "bucket_of",
+    "query_bounds",
+    "dominance",
+    "dominance_index",
+    "dominance_probes",
+    "dominance_first_buckets",
+]
 
 #: sentinel for numpy-side lazy attributes not yet materialized
 _UNSET = object()
+
+
+def bucket_layout(counts, x_lo, x_hi, y_lo, y_hi, target_per_bucket: int = 8):
+    """``(side, bw, bh)`` of numpy grid indexes over ``counts`` rows
+    spanning the given extents, elementwise: buckets per axis and bucket
+    width and height.  An empty index gets one unit bucket."""
+    target = max(1, target_per_bucket)
+    side = np.array(
+        [max(1, math.isqrt(max(1, c // target))) for c in counts.tolist()],
+        dtype=np.int64,
+    )
+    bw = np.maximum((x_hi - x_lo) / side, 1e-12)
+    bh = np.maximum((y_hi - y_lo) / side, 1e-12)
+    bw[counts == 0] = bh[counts == 0] = 1.0
+    return side, bw, bh
+
+
+def bucket_of(v, lo, size, last):
+    """The bucket column (or row) of coordinates ``v`` on an axis that
+    starts at ``lo`` with buckets ``size`` wide, clamped to
+    ``0 .. last``.  ``astype(int64)`` truncates toward zero as ``int()``
+    does, and in range the offsets are non-negative, so this is
+    :meth:`GridIndex._clamp_x` / ``_clamp_y`` elementwise.  Monotone in
+    ``v``: two intervals that meet have bucket spans that meet."""
+    return np.minimum(np.maximum(((v - lo) / size).astype(np.int64), 0), last)
+
+
+def query_bounds(x, length, y, breadth, d: float):
+    """``(qx_min, qx_max, qy_min, qy_max)`` of rectangles enlarged by
+    ``d``, with ``rect.enlarge(d)``'s arithmetic (corner first, then
+    sides), elementwise."""
+    if d > 0:
+        qx_min = x - d
+        qx_max = qx_min + (length + 2 * d)
+        qy_max = y + d
+        qy_min = qy_max - (breadth + 2 * d)
+    else:
+        qx_min = x
+        qx_max = qx_min + length
+        qy_max = y
+        qy_min = qy_max - breadth
+    return qx_min, qx_max, qy_min, qy_max
+
+
+# ----------------------------------------------------------------------
+# Nested bags: the index of every dominance subset, by arithmetic
+# ----------------------------------------------------------------------
+def dominance(crow, ccol, shape):
+    """``dom[j, g]``: cell ``j`` of a reduce range — grid row ``crow[j]``,
+    column ``ccol[j]`` — dominates grid cell ``g`` (row-major on a grid
+    of ``shape``) componentwise: All-Replicate sends a rectangle that
+    starts in ``g`` to cell ``j`` exactly when it does."""
+    g_row, g_col = np.divmod(np.arange(shape[0] * shape[1]), shape[1])
+    return (g_row <= crow[:, None]) & (g_col <= ccol[:, None])
+
+
+def dominance_index(batch: RectBatch, starts, dom, target_per_bucket: int = 8):
+    """The numpy :class:`GridIndex` of every dominance subset of
+    ``batch``, laid out by arithmetic instead of built.
+
+    ``starts[i]`` is row ``i``'s start cell, and range cell ``j``'s
+    subset the rows whose start it dominates (``dom[j, starts[i]]``), in
+    row order.  Returns ``(layout, tables)``: per cell, the extent,
+    ``side``, ``bw`` and ``bh`` ``GridIndex(batch=subset)`` lays out —
+    the extent a min / max over the dominated start cells, ``side``
+    from the dominance count, through :func:`bucket_layout` — and the
+    index's bucket occupancy as a 2-D prefix-sum table (``None``: an
+    empty subset), built from a 2-D difference array over the subset's
+    rows, so the slots a probe scans are four lookups.  Work and memory
+    are ``O(rows + side²)`` per cell.
+    """
+    ncells = dom.shape[1]
+    count = dom.astype(np.int64) @ np.bincount(starts, minlength=ncells)
+    live = count > 0
+    extent = []
+    for column, ufunc, fill in (
+        (batch.x_min, np.minimum, np.inf),
+        (batch.x_max, np.maximum, -np.inf),
+        (batch.y_min, np.minimum, np.inf),
+        (batch.y_max, np.maximum, -np.inf),
+    ):
+        per_start = np.full(ncells, fill)
+        ufunc.at(per_start, starts, column)
+        extent.append(np.where(live, ufunc.reduce(np.where(dom, per_start, fill), axis=1), 0.0))
+    x_lo, x_hi, y_lo, y_hi = extent
+    side, bw, bh = bucket_layout(count, x_lo, x_hi, y_lo, y_hi, target_per_bucket)
+    tables = []
+    for j in range(len(count)):
+        if not live[j]:
+            tables.append(None)
+            continue
+        rows = np.flatnonzero(dom[j][starts])
+        last, w = side[j] - 1, side[j] + 1
+        lx = bucket_of(batch.x_min[rows], x_lo[j], bw[j], last)
+        hx = bucket_of(batch.x_max[rows], x_lo[j], bw[j], last) + 1
+        ly = bucket_of(batch.y_min[rows], y_lo[j], bh[j], last)
+        hy = bucket_of(batch.y_max[rows], y_lo[j], bh[j], last) + 1
+        del rows
+        # A row covers buckets [lx, hx) x [ly, hy): +1 at the low corner,
+        # -1 past each side, +1 past both; two cumsums give occupancy.
+        n = w * w
+        diff = np.bincount(lx * w + ly, minlength=n) - np.bincount(hx * w + ly, minlength=n)
+        diff -= np.bincount(lx * w + hy, minlength=n)
+        diff += np.bincount(hx * w + hy, minlength=n)
+        occupancy = diff.reshape(w, w).cumsum(0).cumsum(1)[:-1, :-1]
+        table = np.zeros((w, w), dtype=np.int64)
+        table[1:, 1:] = occupancy.cumsum(0).cumsum(1)
+        tables.append(table)
+    return (x_lo, x_hi, y_lo, y_hi, side, bw, bh), tables
+
+
+def dominance_probes(index, dom, live, bounds, anchors, cells):
+    """Per range cell: the bucket slots scanned, in the cell's own index
+    of :func:`dominance_index`, by the frontier rows the cell dominates
+    — what ``probe_frontier`` charges a per-cell search for them,
+    duplicates included.
+
+    Row ``i`` of the frontier sits in dominance cell ``cells[i]`` and
+    probes with the query ``bounds`` (:func:`query_bounds` columns) of
+    anchor row ``anchors[i]``; only ``live`` cells are charged.  The
+    (row, cell) pairs are formed one cell at a time.
+    """
+    (x_lo, x_hi, y_lo, y_hi, side, bw, bh), tables = index
+    qx_min, qx_max, qy_min, qy_max = bounds
+    charges = np.zeros(len(live), dtype=np.int64)
+    for j in np.flatnonzero(live).tolist():
+        at = anchors[dom[j][cells]]
+        if not len(at):
+            continue
+        q0, q1, q2, q3 = qx_min[at], qx_max[at], qy_min[at], qy_max[at]
+        # A query outside the cell's extent scans no bucket.
+        inside = ~((q1 < x_lo[j]) | (q0 > x_hi[j]) | (q3 < y_lo[j]) | (q2 > y_hi[j]))
+        last = side[j] - 1
+        lx = bucket_of(q0, x_lo[j], bw[j], last)
+        hx = bucket_of(q1, x_lo[j], bw[j], last) + 1
+        ly = bucket_of(q2, y_lo[j], bh[j], last)
+        hy = bucket_of(q3, y_lo[j], bh[j], last) + 1
+        t = tables[j]
+        scanned = t[hx, hy] - t[lx, hy] - t[hx, ly] + t[lx, ly]
+        charges[j] = int(scanned[inside].sum())
+    return charges
+
+
+def dominance_first_buckets(index, cell, qx_min, qy_min, ex_min, ey_min):
+    """``(bx, by)``: the bucket where a probe of query corner ``(qx_min,
+    qy_min)`` first meets entry corner ``(ex_min, ey_min)`` in the index
+    of range cell ``cell`` (elementwise) — the lowest corner of the
+    buckets both span, which the x-major scan reaches first (the
+    reference point ``probe_frontier`` keeps)."""
+    (x_lo, __, y_lo, __, side, bw, bh), __ = index
+    xl, yl, bwc, bhc, last = x_lo[cell], y_lo[cell], bw[cell], bh[cell], side[cell] - 1
+    bx = np.maximum(bucket_of(ex_min, xl, bwc, last), bucket_of(qx_min, xl, bwc, last))
+    by = np.maximum(bucket_of(ey_min, yl, bhc, last), bucket_of(qy_min, yl, bhc, last))
+    return bx, by
 
 
 class GridIndex:
@@ -210,14 +373,7 @@ class GridIndex:
         x_hi[live] = np.maximum.reduceat(bx_max, starts)
         y_lo[live] = np.minimum.reduceat(by_min, starts)
         y_hi[live] = np.maximum.reduceat(by_max, starts)
-        target = max(1, target_per_bucket)
-        side = np.array(
-            [max(1, math.isqrt(max(1, c // target))) for c in counts.tolist()],
-            dtype=np.int64,
-        )
-        bw = np.maximum((x_hi - x_lo) / side, 1e-12)
-        bh = np.maximum((y_hi - y_lo) / side, 1e-12)
-        bw[counts == 0] = bh[counts == 0] = 1.0
+        side, bw, bh = bucket_layout(counts, x_lo, x_hi, y_lo, y_hi, target_per_bucket)
         base = np.cumsum(side * side) - side * side
         #: per segment: extent, ``side``, bucket size, first bucket key
         self._seg = (x_lo, x_hi, y_lo, y_hi, side, bw, bh, base, counts > 0)
@@ -235,14 +391,12 @@ class GridIndex:
 
             def at(column):
                 return column[seg_of]
-        # int() and astype(int64) both truncate toward zero; the offsets
-        # are non-negative so the clamp reproduces _clamp_x/_clamp_y.
         e_x_lo, e_y_lo, e_bw, e_bh = at(x_lo), at(y_lo), at(bw), at(bh)
         last = at(side) - 1
-        ix_lo = np.minimum(np.maximum(((bx_min - e_x_lo) / e_bw).astype(np.int64), 0), last)
-        ix_hi = np.minimum(np.maximum(((bx_max - e_x_lo) / e_bw).astype(np.int64), 0), last)
-        iy_lo = np.minimum(np.maximum(((by_min - e_y_lo) / e_bh).astype(np.int64), 0), last)
-        iy_hi = np.minimum(np.maximum(((by_max - e_y_lo) / e_bh).astype(np.int64), 0), last)
+        ix_lo = bucket_of(bx_min, e_x_lo, e_bw, last)
+        ix_hi = bucket_of(bx_max, e_x_lo, e_bw, last)
+        iy_lo = bucket_of(by_min, e_y_lo, e_bh, last)
+        iy_hi = bucket_of(by_max, e_y_lo, e_bh, last)
         # Kept for probe_frontier's reference-point dedup.
         self._ix_lo = ix_lo
         self._iy_lo = iy_lo
@@ -651,16 +805,7 @@ class GridIndex:
         x, length, y, breadth = batch_q.x, batch_q.length, batch_q.y, batch_q.breadth
         if rows is not None:
             x, length, y, breadth = x[rows], length[rows], y[rows], breadth[rows]
-        if d > 0:
-            qx_min = x - d
-            qx_max = qx_min + (length + 2 * d)
-            qy_max = y + d
-            qy_min = qy_max - (breadth + 2 * d)
-        else:
-            qx_min = x
-            qx_max = qx_min + length
-            qy_max = y
-            qy_min = qy_max - breadth
+        qx_min, qx_max, qy_min, qy_max = query_bounds(x, length, y, breadth, d)
         # The parameters of each distinct row's segment.
         row_seg = None
         if seg is None and len(self._seg[0]) > 1:
@@ -681,10 +826,10 @@ class GridIndex:
             | (qy_min > y_hi)
         ) & live
         last = side - 1
-        ix_lo = np.minimum(np.maximum(((qx_min - x_lo) / bw).astype(np.int64), 0), last)
-        ix_hi = np.minimum(np.maximum(((qx_max - x_lo) / bw).astype(np.int64), 0), last)
-        iy_lo = np.minimum(np.maximum(((qy_min - y_lo) / bh).astype(np.int64), 0), last)
-        iy_hi = np.minimum(np.maximum(((qy_max - y_lo) / bh).astype(np.int64), 0), last)
+        ix_lo = bucket_of(qx_min, x_lo, bw, last)
+        ix_hi = bucket_of(qx_max, x_lo, bw, last)
+        iy_lo = bucket_of(qy_min, y_lo, bh, last)
+        iy_hi = bucket_of(qy_max, y_lo, bh, last)
         # Level 1: rows -> buckets, x-major within each row (the scalar
         # scan order); a row outside its segment's extent has none.
         wy = iy_hi - iy_lo + 1

@@ -33,7 +33,7 @@ from repro.joins.local import LocalJoiner
 from repro.joins.reducers import (
     RECT_SHUFFLE_CODEC,
     make_local_join_reducer,
-    per_cell,
+    make_nested_join_reducer,
     rect_value,
     staged_rect_values,
 )
@@ -72,9 +72,11 @@ class AllReplicateJoin(MultiWayJoinAlgorithm):
 
         kernel = cluster.resolved_kernel
         joiner = LocalJoiner(query, self.index_kind, kernel=kernel)
-        reducer = make_local_join_reducer(query, grid, joiner, kernel=kernel)
-        if kernel == "numpy":
-            reducer = per_cell(reducer)
+        numpy = kernel == "numpy"
+        if numpy:
+            reducer = make_nested_join_reducer(query, grid, joiner)
+        else:
+            reducer = make_local_join_reducer(query, grid, joiner)
         job = MapReduceJob(
             name=self.name,
             input_paths=[paths[k] for k in query.dataset_keys],
@@ -84,7 +86,9 @@ class AllReplicateJoin(MultiWayJoinAlgorithm):
             num_reducers=grid.num_cells,
             input_codec=RECT_CODEC,
             shuffle_codec=RECT_SHUFFLE_CODEC,
-            batch_mapper=_make_batch_mapper(grid) if kernel == "numpy" else None,
+            batch_mapper=_make_batch_mapper(grid) if numpy else None,
+            segmented=numpy,
+            distinct_rows=numpy,
         )
         workflow = Workflow(cluster)
         workflow.run(job)

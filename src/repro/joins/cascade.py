@@ -379,7 +379,8 @@ def _make_step_reducer(
             frontier,
             rid_arrays.__getitem__,
             owned_here,
-            segs=(t_seg, row_seg, ncell),
+            seg=t_seg,
+            bins=(lambda parents, __: row_seg[parents], ncell),
         )
         for g in live.tolist():
             contexts[g].add_compute(int(checks[g]))

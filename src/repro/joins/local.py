@@ -28,6 +28,13 @@ import numpy as np
 from repro.errors import JoinError
 from repro.geometry.rectangle import Rect
 from repro.index import GridIndex, make_index
+from repro.index.grid_index import (
+    dominance,
+    dominance_first_buckets,
+    dominance_index,
+    dominance_probes,
+    query_bounds,
+)
 from repro.kernels.batch import RectBatch
 from repro.kernels.predicates import pair_mask, supports_triples, triple_mask
 from repro.query.graph import JoinGraph
@@ -138,7 +145,7 @@ def _rows(pos, sel):
 
 
 def frontier_level(
-    np, plan: SlotPlan, idx, batches, frontier, rid_array_for, admit=None, segs=None
+    np, plan: SlotPlan, idx, batches, frontier, rid_array_for, admit=None, seg=None, bins=None
 ):
     """Bind ``plan.slot`` for a whole frontier: one bulk probe, then masks.
 
@@ -158,25 +165,23 @@ def frontier_level(
     one per bucket-passed candidate plus, per bound-edge check, one per
     candidate still alive when that check runs.
 
-    On a segmented frontier ``segs`` is ``(anchor_seg, row_seg, nseg)``:
-    the segment of every row of the anchor slot's bag (what the
-    segmented ``idx`` probes by) and of every frontier row; ``checks``
-    is then an int64 array, the checks of each segment.
+    On a segmented ``idx``, ``seg`` is the segment of every row of the
+    anchor slot's bag (what the index probes by).  With ``bins =
+    (key_of, nbins)`` the checks are charged per bin: ``key_of(parents,
+    entries)`` names each candidate's bin and ``checks`` is an int64
+    array, the checks of each bin — a segment, or a dominance cell.
     """
     slot = plan.slot
     abatch = batches[plan.anchor_slot]
     apos = frontier[plan.anchor_slot]
     d = plan.anchor.predicate.distance
-    if segs is None:
-        p_flat, e_flat = idx.probe_frontier(abatch, apos, d)
+    p_flat, e_flat = idx.probe_frontier(abatch, apos, d, seg=seg)
+    if bins is None:
         checks = len(e_flat)
     else:
-        anchor_seg, row_seg, nseg = segs
-        p_flat, e_flat = idx.probe_frontier(abatch, apos, d, seg=anchor_seg)
-        # Frontier rows come segment by segment and candidates parent by
-        # parent, so each segment's candidates are one run of them.
-        cut = np.searchsorted(p_flat, np.searchsorted(row_seg, np.arange(nseg + 1)))
-        checks = np.diff(cut)
+        key_of, nbins = bins
+        key = key_of(p_flat, e_flat)
+        checks = np.bincount(key, minlength=nbins)
     a_rows = _rows(apos, p_flat)
     if type(plan.anchor.predicate) is Overlap:
         # The d = 0 probe's extent test is that predicate already.
@@ -191,11 +196,10 @@ def frontier_level(
         )
     for triple, other_slot in plan.checks:
         n_alive = int(np.count_nonzero(alive))
-        if segs is None:
+        if bins is None:
             checks += n_alive
         elif n_alive:
-            alive_before = np.concatenate(([0], np.cumsum(alive)))
-            checks += np.diff(alive_before[cut])
+            checks += np.bincount(key[alive], minlength=nbins)
         if not n_alive:
             break
         alive = alive & pair_mask(
@@ -358,7 +362,8 @@ class LocalJoiner:
                 batches,
                 frontier,
                 rid_arrays.__getitem__,
-                segs=(row_segments(plan.anchor_slot), row_seg, nseg),
+                seg=row_segments(plan.anchor_slot),
+                bins=(lambda parents, __, row_seg=row_seg: row_seg[parents], nseg),
             )
             checks += level_checks
             frontier = {s: _rows(arr, keep) for s, arr in frontier.items()}
@@ -378,6 +383,169 @@ class LocalJoiner:
             for s, rows in frontier.items()
         }
         return FrontierResult(slots, positions, batches, row_seg), checks
+
+    def enumerate_nested(
+        self, bags: dict[str, RectBatch], starts: dict[str, Any], cells, shape
+    ) -> tuple[FrontierResult | None, Any]:
+        """The frontier search of every cell of a reduce range whose bags
+        are *nested*, run once over the range's distinct rows.
+
+        ``bags[slot]`` holds the range's distinct rows of the slot's
+        dataset in received order and ``starts[slot]`` each row's start
+        cell (slots reading one dataset share both); ``cells`` are the
+        range's cells, all row-major ids on a grid of ``shape``.  Cell
+        ``c``'s bag is the rows whose start it dominates componentwise
+        (:func:`~repro.index.grid_index.dominance`) — All-Replicate's
+        fourth-quadrant bags.  So a
+        partial assignment ``P`` exists in exactly the cells that
+        dominate ``m(P)``, the componentwise max of its members' starts,
+        and the search runs once, tracking ``m`` per row:
+
+        * *checks* — a pair is a candidate in cell ``c`` iff it passes
+          the extent test and ``m(pair) <= c`` (a query finds every
+          entry it meets in any layout, as the bucket clamp is
+          monotone), so each level's candidates, and the rows alive
+          before each bound-edge check, are histogrammed by ``m`` and
+          summed over each cell's dominated ``m``;
+        * *probes* — each cell's index is laid out and its bucket
+          occupancy counted by arithmetic
+          (:func:`~repro.index.grid_index.dominance_index`), and a
+          query's scanned slots are looked up in it;
+        * *output* — a tuple is kept only in cell ``m(tuple)``, the
+          Section 6.2 owner, in that cell's depth-first order: by its
+          first row, then per level by the bucket where the probe first
+          met the row (x-major) and the row's received position, in the
+          owner's layout.
+
+        Cells whose bags miss a slot's dataset search nothing, and rows
+        no searching cell dominates are dropped as they appear.
+
+        Returns ``(result, checks)``: the tuples, owner cell by owner
+        cell (``segments`` is the owner's index into ``cells``), and each
+        cell's candidate checks plus probe charges — or ``(None, None)``
+        when the frontier cannot serve these bags (a non-grid index,
+        non-integer rids under a distinctness filter).
+        """
+        plans = self.plans
+        if not self._frontier_ok or self.index_kind != "grid":
+            return None, None
+        distinct = {s for p in plans if p.same_dataset for s in (p.slot, *p.same_dataset)}
+        rid_arrays = {slot: bags[slot].int_ids(np) for slot in distinct}
+        if any(ids is None for ids in rid_arrays.values()):
+            return None, None
+        cols = shape[1]
+        dom = dominance(*np.divmod(cells, cols), shape)
+        weights = dom.astype(np.int64)
+        ncells = dom.shape[1]
+        counts = {
+            slot: weights @ np.bincount(starts[slot], minlength=ncells) for slot in bags
+        }
+        live = np.logical_and.reduce([counts[p.slot] > 0 for p in plans])
+        #: grid cells some searching cell dominates
+        wanted = live @ dom
+        slot0 = plans[0].slot
+        checks = np.where(live, counts[slot0], 0)
+        rows = np.flatnonzero(wanted[starts[slot0]])
+        frontier: dict[str, Any] = {slot0: rows}
+        m_row, m_col = np.divmod(starts[slot0][rows], cols)
+        #: the candidate checks of each dominance cell m
+        by_m = np.zeros(ncells, dtype=np.int64)
+        indexes: dict[int, tuple] = {}
+        batches: dict[str, RectBatch] = {slot0: bags[slot0]}
+        for plan in plans[1:]:
+            if not len(m_row):
+                break
+            slot = plan.slot
+            index = indexes.get(id(bags[slot]))
+            if index is None:
+                index = indexes[id(bags[slot])] = (
+                    GridIndex(kernel="numpy", batch=bags[slot]),
+                    dominance_index(bags[slot], starts[slot], dom),
+                )
+            idx, layouts = index
+            abatch = bags[plan.anchor_slot]
+            d = plan.anchor.predicate.distance
+            checks += dominance_probes(
+                layouts,
+                dom,
+                live,
+                query_bounds(abatch.x, abatch.length, abatch.y, abatch.breadth, d),
+                frontier[plan.anchor_slot],
+                m_row * cols + m_col,
+            )
+            e_row, e_col = np.divmod(starts[slot], cols)
+
+            def m_of(parents, entries, m_row=m_row, m_col=m_col, e_row=e_row, e_col=e_col):
+                return (
+                    np.maximum(m_row[parents], e_row[entries]) * cols
+                    + np.maximum(m_col[parents], e_col[entries])
+                )
+
+            keep, entries, level_checks = frontier_level(
+                np,
+                plan,
+                idx,
+                batches,
+                frontier,
+                rid_arrays.__getitem__,
+                bins=(m_of, ncells),
+            )
+            by_m += level_checks
+            kept = np.flatnonzero(wanted[m_of(keep, entries)])
+            keep, entries = keep[kept], entries[kept]
+            m_row = np.maximum(m_row[keep], e_row[entries])
+            m_col = np.maximum(m_col[keep], e_col[entries])
+            frontier = {s: arr[keep] for s, arr in frontier.items()}
+            frontier[slot] = entries
+            batches[slot] = idx.batch
+        checks += np.where(live, weights @ by_m, 0)
+        if len(frontier) < len(plans) or not len(m_row):
+            return FrontierResult((), {}, batches, np.empty(0, dtype=np.int64)), checks
+        m = m_row * cols + m_col
+        return self._owner_order(frontier, batches, indexes, m, cells, ncells), checks
+
+    def _owner_order(self, frontier, batches, indexes, m, cells, ncells) -> FrontierResult:
+        """The complete tuples of :meth:`enumerate_nested` each in its
+        owner cell ``m`` (dropped when the owner is not a cell of the
+        range), owner by owner, each owner's in its depth-first order:
+        by its first row, then level by level by the bucket where the
+        probe met the row and the row's position — one packed int64 key
+        per level, formed one owner cell at a time."""
+        plans = self.plans
+        cell_of = np.full(ncells, -1, dtype=np.int64)
+        cell_of[cells] = np.arange(len(cells))
+        owner = cell_of[m]
+        mine = np.flatnonzero(owner >= 0)
+        mine = mine[np.argsort(owner[mine], kind="stable")]
+        owner = owner[mine]
+        cuts = np.searchsorted(owner, np.arange(len(cells) + 1)).tolist()
+        levels = []
+        for plan in plans[1:]:
+            anchor, entry = batches[plan.anchor_slot], batches[plan.slot]
+            qx_min, __, qy_min, __ = query_bounds(
+                anchor.x, anchor.length, anchor.y, anchor.breadth,
+                plan.anchor.predicate.distance,
+            )
+            layouts = indexes[id(entry)][1]
+            width = int(layouts[0][4].max())
+            levels.append(
+                (frontier[plan.anchor_slot], frontier[plan.slot], entry, qx_min, qy_min, layouts, width)
+            )
+        first = frontier[plans[0].slot]
+        for j, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            if hi - lo < 2:
+                continue
+            rows = mine[lo:hi]
+            keys = [first[rows]]
+            for anchors, entries, entry, qx_min, qy_min, layouts, width in levels:
+                at, e = anchors[rows], entries[rows]
+                bx, by = dominance_first_buckets(
+                    layouts, j, qx_min[at], qy_min[at], entry.x_min[e], entry.y_min[e]
+                )
+                keys.append((bx * width + by) * entry.n + e)
+            mine[lo:hi] = rows[np.lexsort(keys[::-1])]
+        slots = tuple(p.slot for p in plans)
+        return FrontierResult(slots, {s: frontier[s][mine] for s in slots}, batches, owner)
 
     def _enumerate_scalar(
         self, rects_by_slot: dict[str, list[tuple[int, Rect]] | RectBatch]

@@ -25,8 +25,10 @@ from typing import Any
 import numpy as np
 
 from repro.data.io import encode_result, encode_result_columns
+from repro.errors import JobError
 from repro.geometry.rectangle import Rect
 from repro.grid.partitioning import GridPartitioning
+from repro.index.grid_index import dominance
 from repro.joins.base import CNT_OUTPUT_TUPLES, JOIN_COUNTERS, dataset_from_path
 from repro.joins.dedup import tuple_owner
 from repro.joins.local import LocalJoiner
@@ -45,7 +47,7 @@ __all__ = [
     "RECT_SHUFFLE_CODEC",
     "result_records",
     "make_local_join_reducer",
-    "per_cell",
+    "make_nested_join_reducer",
 ]
 
 
@@ -236,18 +238,9 @@ def make_local_join_reducer(
             ctx.add_compute(ops)
         if not fr.count:
             return
-        # Owner of every row at once straight from the frontier's
-        # coordinate columns: tuple_owner is the cell of the
-        # bottom-right-most start point (max x, min y).  A row is kept
-        # where its own cell owns it.
+        # A row is kept where its own cell owns it.
         pos = fr.positions
-        first, *rest = fr.slots
-        xs = fr.batches[first].x[pos[first]]
-        ys = fr.batches[first].y[pos[first]]
-        for s in rest:  # pairwise: no slots x rows temporary
-            xs = np.maximum(xs, fr.batches[s].x[pos[s]])
-            ys = np.minimum(ys, fr.batches[s].y[pos[s]])
-        owners = _kt.rows_of_y(np, grid, ys) * grid.cols + _kt.cols_of_x(np, grid, xs)
+        owners = _owner_cells(fr, grid)
         mine = np.flatnonzero(owners == np.asarray(cell_ids)[fr.segments])
         if not len(mine):
             return
@@ -263,15 +256,95 @@ def make_local_join_reducer(
     return segmented_reducer
 
 
-def per_cell(segmented_reducer):
-    """A segmented reducer run on one cell at a time: a plain reducer
-    whose every call is a range of one.  All-Replicate's cells are large
-    already (every rectangle is replicated to its whole fourth
-    quadrant): fused into ranges, its local join measured 10–20 %
-    slower on chain3-dense-3k, where one range enumerates millions of
-    candidate pairs."""
+def make_nested_join_reducer(query: Query, grid: GridPartitioning, joiner: LocalJoiner):
+    """All-Replicate's numpy reducer: one local join per physical range,
+    over the range's distinct rows (its job sets ``segmented`` and
+    ``distinct_rows``).
 
-    def reducer(cell_id: int, values, ctx: ReduceContext) -> None:
-        segmented_reducer([cell_id], values, np.array([0, len(values)]), [ctx])
+    A cell's bag is every rectangle whose start cell it dominates — the
+    mapper's fourth-quadrant rule — so the cells' bags are nested and
+    :meth:`LocalJoiner.enumerate_nested` derives every cell's output,
+    its order and its charges from one search.  The rule is checked
+    against what the range received: per row, the number of its cells
+    that received it; per cell, the number of rows.  Where the frontier
+    cannot run (a non-grid index, a non-vectorised predicate,
+    non-integer rids under distinctness) each cell's bag is cut out of
+    the distinct rows and joined by the scalar reducer.
+    """
+    slot_order = query.slots
+    slot_datasets = [(slot, query.dataset_of(slot)) for slot in slot_order]
+    scalar = make_local_join_reducer(query, grid, joiner)
+    shape = (grid.rows, grid.cols)
+
+    def reducer(cell_ids: list[int], values, bounds, contexts: list) -> None:
+        distinct, received = values
+        columns = distinct if isinstance(distinct, RectColumns) else _columns_of(np, distinct)
+        batch = columns.batch
+        starts = _kt.cell_ids_of_starts(np, grid, batch)
+        cells = np.asarray(cell_ids, dtype=np.int64)
+        dom = dominance(*np.divmod(cells, grid.cols), shape)
+        if not (
+            np.array_equal(dom.sum(axis=0)[starts], received)
+            and np.array_equal(
+                dom.astype(np.int64) @ np.bincount(starts, minlength=grid.num_cells),
+                np.diff(bounds),
+            )
+        ):
+            raise JobError(
+                f"cells {cell_ids[0]}..{cell_ids[-1]} did not receive the "
+                f"fourth quadrants of their rectangles' start cells"
+            )
+        bags, bag_starts = {}, {}
+        codes = columns.codes
+        for code, name in enumerate(columns.names):
+            # A dataset's map tasks are consecutive, so its rows are one
+            # run of the distinct rows: a slice, taken as views.
+            rows = slice(None) if codes is None else np.flatnonzero(codes == code)
+            if codes is not None and len(rows) and rows[-1] - rows[0] == len(rows) - 1:
+                rows = slice(int(rows[0]), int(rows[-1]) + 1)
+            bags[name] = batch.take(rows)
+            bag_starts[name] = starts[rows]
+        empty = RectBatch.from_pairs(np, ())
+        none = np.empty(0, dtype=np.int64)
+        fr, checks = joiner.enumerate_nested(
+            {slot: bags.get(dataset, empty) for slot, dataset in slot_datasets},
+            {slot: bag_starts.get(dataset, none) for slot, dataset in slot_datasets},
+            cells,
+            shape,
+        )
+        if fr is None:
+            for g, (cell_id, ctx) in enumerate(zip(cell_ids, contexts)):
+                rows = np.flatnonzero(dom[g][starts])
+                bag = distinct.take(rows) if hasattr(distinct, "take") else [
+                    distinct[i] for i in rows.tolist()
+                ]
+                scalar(cell_id, bag, ctx)
+            return
+        for ctx, ops in zip(contexts, checks.tolist()):
+            ctx.add_compute(ops)
+        if not fr.count:
+            return
+        if not np.array_equal(_owner_cells(fr, grid), cells[fr.segments]):
+            raise JobError("nested join kept a tuple outside its Section 6.2 owner cell")
+        records = result_records(np, slot_order, fr.batches, fr.positions)
+        cuts = np.searchsorted(fr.segments, np.arange(len(cell_ids) + 1))
+        for g, ctx in enumerate(contexts):
+            if cuts[g + 1] > cuts[g]:
+                ctx.counter(JOIN_COUNTERS, CNT_OUTPUT_TUPLES, int(cuts[g + 1] - cuts[g]))
+                ctx.emit_all(group_values(records, cuts, g))
 
     return reducer
+
+
+def _owner_cells(fr, grid: GridPartitioning):
+    """:func:`tuple_owner` of every result row at once, from the
+    frontier's coordinate columns: the cell of the bottom-right-most
+    start point (max x, min y)."""
+    pos = fr.positions
+    first, *rest = fr.slots
+    xs = fr.batches[first].x[pos[first]]
+    ys = fr.batches[first].y[pos[first]]
+    for s in rest:  # pairwise: no slots x rows temporary
+        xs = np.maximum(xs, fr.batches[s].x[pos[s]])
+        ys = np.minimum(ys, fr.batches[s].y[pos[s]])
+    return _kt.rows_of_y(np, grid, ys) * grid.cols + _kt.cols_of_x(np, grid, xs)

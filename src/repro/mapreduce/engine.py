@@ -83,6 +83,7 @@ from repro.mapreduce.job import (
     SpillingMapContext,
     SplitEntries,
     default_sort_key,
+    distinct_values,
     gather_values,
 )
 from repro.mapreduce.spill import SpillRun, SpillStore, spill_dir
@@ -335,8 +336,7 @@ def _segment_group_parts(segs: list[BucketSegment], sort_key):
         parts = []
         for a, b in zip([0, *cuts], [*cuts, hi - lo]):
             seg = segs[int(seg_of[a])]
-            at = rows[a:b] - seg_start[int(seg_of[a])]
-            parts.append(BucketSegment(seg.keys[at], seg.source, seg.members[at]))
+            parts.append(seg.take(rows[a:b] - seg_start[int(seg_of[a])]))
         yield int(sk[lo]), parts
 
 
@@ -368,8 +368,7 @@ def _gather_range(groups: list[list]) -> tuple[Any, Any]:
     rows in group order, whatever order a group lists its types in.
     """
     parts = [part for group in groups for part in group]
-    group_sizes = [sum(len(part) for part in group) for group in groups]
-    bounds = np.concatenate(([0], np.cumsum(group_sizes, dtype=np.int64)))
+    bounds = _group_bounds(groups)
     kinds = list(dict.fromkeys(type(getattr(part, "source", None)) for part in parts))
     if not parts or not all(hasattr(kind, "concat") for kind in kinds):
         return (_gathered(parts) if parts else []), bounds
@@ -382,6 +381,13 @@ def _gather_range(groups: list[list]) -> tuple[Any, Any]:
         bundles.append(_gather_parts([part for group in of_kind for part in group], kind))
         kind_bounds.append(np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))))
     return KindRuns(bundles, kind_bounds), bounds
+
+
+def _group_bounds(groups: list[list]):
+    """The int64 bounds cutting a range's concatenated values into its
+    groups."""
+    sizes = [sum(len(part) for part in group) for group in groups]
+    return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
 
 
 def _gather_parts(parts: list[BucketSegment], kind: type):
@@ -421,27 +427,28 @@ def _gather_parts(parts: list[BucketSegment], kind: type):
 
 #: shuffle bytes a physical reduce range reads at most (unless it is one
 #: task): about 10k rows of a join job's ``(cell, rectangle)`` pairs.  It
-#: bounds the segmented kernels' arrays — an All-Replicate range of dense
-#: cells enumerates millions of candidate pairs, and twice this budget
-#: raised the benchmark's ``peak_rss_mb`` on chain3-dense-3k by ~16 % —
-#: while cutting a 64-cell phase of the benchmark's sizes into a few ranges
+#: bounds the segmented kernels' arrays, which hold every row a range's
+#: groups received, while cutting a 64-cell phase of the benchmark's
+#: sizes into a few ranges.  A ``distinct_rows`` job (All-Replicate) reads
+#: each map output row once per range whatever the range's size, and is
+#: cut by the workers alone.
 _RANGE_BYTES = 1 << 19
 
 
-def _task_ranges(sizes: list[int], floor: int) -> list[range]:
+def _task_ranges(sizes: list[int], floor: int, budget: int | None = _RANGE_BYTES) -> list[range]:
     """Cut tasks ``0 .. len(sizes) - 1`` into contiguous ranges.
 
     ``sizes`` is each task's input volume.  The phase gets enough ranges
-    that none reads much more than :data:`_RANGE_BYTES`, and at least
-    ``floor`` (the executor's workers) so no worker idles — never more
-    than one per task, never an empty one.  Cuts fall where the running
-    volume crosses an equal share of the total.
+    that none reads much more than ``budget`` (``None``: no such bound),
+    and at least ``floor`` (the executor's workers) so no worker idles
+    — never more than one per task, never an empty one.  Cuts fall
+    where the running volume crosses an equal share of the total.
     """
     n = len(sizes)
     if not n:
         return []
     total = sum(sizes)
-    k = min(n, max(floor, 1, -(-total // _RANGE_BYTES)))
+    k = min(n, max(floor, 1, -(-total // budget) if budget else 1))
     cuts = [0]
     running = 0
     for t, size in enumerate(sizes[:-1]):
@@ -735,7 +742,11 @@ def _reduce_range_body(phase: _ReducePhase, tasks) -> list[_ReduceTaskResult]:
             group_contexts.append(rctx)
         shards.append((rctx, counters, len(groups) - before))
     if job.segmented and keys:
-        values, bounds = _gather_range(groups)
+        if job.distinct_rows:
+            values = distinct_values([part for group in groups for part in group])
+            bounds = _group_bounds(groups)
+        else:
+            values, bounds = _gather_range(groups)
         try:
             reducer(keys, values, bounds, group_contexts)
         except Exception as exc:  # noqa: BLE001 - wrap task failures
@@ -1183,7 +1194,9 @@ class Cluster:
                         executor,
                         _run_reduce_task,
                         _task_ranges(
-                            input_bytes, getattr(executor, "num_workers", 1)
+                            input_bytes,
+                            getattr(executor, "num_workers", 1),
+                            None if job.distinct_rows else _RANGE_BYTES,
                         ),
                         reduce_phase,
                         job=job.name,
@@ -1569,7 +1582,7 @@ class Cluster:
                     path = f"{spill_dir(job.name)}/map-{t:05d}/r-{r:05d}-run-{j:03d}"
                     self.dfs.write_side_file(path, [line])
                     store.files[path] = [line]
-                    runs[j] = SpillRun(path)
+                    runs[j] = SpillRun(path, t)
         if not store.files:
             return None
         if rec.enabled:
@@ -1870,14 +1883,15 @@ class Cluster:
             seg_buckets: list[list[BucketSegment]] = [
                 [] for __ in range(num_reducers)
             ]
-            for result in map_results:
+            for t, result in enumerate(map_results):
                 for r, runs in enumerate(result.spill_runs or ()):
                     seg_buckets[r].extend(runs)
                 if result.segments is None:
                     continue
                 for r, segs in enumerate(result.segments):
-                    if segs:
-                        seg_buckets[r].extend(segs)
+                    for seg in segs:
+                        seg.task = t
+                    seg_buckets[r].extend(segs)
             return merged, seg_buckets, input_bytes
         for result in map_results:
             for r, runs in enumerate(result.spill_runs or ()):

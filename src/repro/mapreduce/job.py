@@ -52,6 +52,7 @@ __all__ = [
     "ValueRuns",
     "KindRuns",
     "gather_values",
+    "distinct_values",
     "DEFAULT_SHUFFLE_CODEC",
     "estimate_size",
     "default_sort_key",
@@ -156,17 +157,44 @@ class BucketSegment:
     buffers of the narrowest integer type that holds them (out-of-band
     under pickle protocol 5) and ``source`` once per task result,
     through the pickle memo.
+
+    A value's identity is *(map task, row)*: ``task`` is the emitting
+    map task (set by the shuffle merge; ``None`` before it) and
+    ``origin`` the rows of that task's ``values`` the members stand
+    for when ``source`` is a copy of just some of them — a spilled run
+    (``None``: the members are those rows).  The identity survives
+    spill read-back and pickling, so a reducer can tell one row sent to
+    several of its groups (:func:`distinct_values`).
     """
 
-    __slots__ = ("keys", "source", "members")
+    __slots__ = ("keys", "source", "members", "task", "origin")
 
-    def __init__(self, keys, source, members) -> None:
+    def __init__(self, keys, source, members, task=None, origin=None) -> None:
         self.keys = keys
         self.source = source
         self.members = members
+        self.task = task
+        self.origin = origin
 
     def __len__(self) -> int:
         return len(self.keys)
+
+    def take(self, at) -> "BucketSegment":
+        """The emissions at positions ``at`` of this segment, identity
+        kept."""
+        origin = self.origin
+        return BucketSegment(
+            self.keys[at],
+            self.source,
+            self.members[at],
+            self.task,
+            None if origin is None else origin[at],
+        )
+
+    @property
+    def rows(self):
+        """Each emission's row of its map task's values."""
+        return self.members if self.origin is None else self.origin
 
     def gather(self, rows=None):
         """The values of emissions ``rows`` (an int array; default all),
@@ -188,10 +216,11 @@ class BucketSegment:
 
     def __reduce_ex__(self, protocol: int):
         wrap = pickle.PickleBuffer if protocol >= 5 else bytes
-        return (
-            _restore_segment,
-            (_pack_ints(self.keys, wrap), _pack_ints(self.members, wrap), self.source),
-        )
+        args = (_pack_ints(self.keys, wrap), _pack_ints(self.members, wrap), self.source)
+        if self.task is not None or self.origin is not None:
+            origin = None if self.origin is None else _pack_ints(self.origin, wrap)
+            args += (self.task, origin)
+        return _restore_segment, args
 
 
 def _pack_ints(arr, wrap):
@@ -210,8 +239,14 @@ def _unpack_ints(packed):
     return np.frombuffer(raw, dtype=dtype).astype(np.int64)
 
 
-def _restore_segment(keys, members, source) -> BucketSegment:
-    return BucketSegment(_unpack_ints(keys), source, _unpack_ints(members))
+def _restore_segment(keys, members, source, task=None, origin=None) -> BucketSegment:
+    return BucketSegment(
+        _unpack_ints(keys),
+        source,
+        _unpack_ints(members),
+        task,
+        None if origin is None else _unpack_ints(origin),
+    )
 
 
 class SplitEntries(Sequence):
@@ -330,6 +365,62 @@ def gather_values(parts: list):
     for part in parts:
         values.extend(part)
     return values
+
+
+def distinct_values(parts: list) -> tuple[Any, Any]:
+    """The values of ``parts`` — the :class:`BucketSegment` slices of a
+    physical reduce range's groups — each *(map task, row)* once.
+
+    Returns ``(rows, counts)``: the distinct values, map-task-major and
+    in row order within a task (so every group's received order is a
+    subsequence of theirs), gathered as :func:`gather_values` gathers a
+    group; and, per value, the number of parts holding it.  Each part
+    is marked into its task's count table on its own — the range's
+    members are never concatenated — and each value is taken from one
+    part holding it.
+    """
+    by_task: dict[int, list[BucketSegment]] = {}
+    for part in parts:
+        if not isinstance(part, BucketSegment) or part.task is None:
+            raise JobError("distinct values need the segments of the columnar shuffle")
+        by_task.setdefault(part.task, []).append(part)
+    chunks, counts = [], []
+    for task in sorted(by_task):
+        segs = by_task[task]
+        count = np.zeros(1 + max(int(seg.rows.max()) for seg in segs), dtype=np.int64)
+        for seg in segs:
+            count[seg.rows] += 1  # a segment holds a row at most once
+        keep = np.flatnonzero(count)
+        counts.append(count[keep])
+        source = segs[0].source
+        if all(seg.origin is None and seg.source is source for seg in segs):
+            chunks.append(BucketSegment(keep, source, keep).gather())
+        else:
+            chunks.append(_held_rows(segs, keep, len(count)))
+    return gather_values(chunks), np.concatenate(counts)
+
+
+def _held_rows(segs: list[BucketSegment], keep, size: int):
+    """Rows ``keep`` of one map task's values, read from the segments
+    holding them — sources of their own when some were spilled."""
+    sources: dict[int, tuple[int, Any]] = {}
+    holder = np.empty(size, dtype=np.int64)
+    member = np.empty(size, dtype=np.int64)
+    for seg in segs:
+        holder[seg.rows] = sources.setdefault(id(seg.source), (len(sources), seg.source))[0]
+        member[seg.rows] = seg.members
+    held = holder[keep]
+    at, taken = [], []
+    for code, source in sources.values():
+        sel = np.flatnonzero(held == code)
+        if len(sel):
+            at.append(sel)
+            taken.append(BucketSegment(sel, source, member[keep[sel]]).gather())
+    rows = gather_values(taken)
+    order = np.argsort(np.concatenate(at), kind="stable")
+    if hasattr(rows, "take"):
+        return rows.take(order)
+    return [rows[i] for i in order.tolist()]
 
 
 class MapContext:
@@ -598,10 +689,16 @@ class SpillingMapContext(MapContext):
 
 def _compact(segs: list[BucketSegment]) -> BucketSegment:
     """One segment over just the values of ``segs`` — a bucket's
-    buffered slice, so its run carries none of the task's other rows."""
+    buffered slice, so its run carries none of the task's other rows
+    (only their row numbers, its ``origin``)."""
     keys = np.concatenate([seg.keys for seg in segs])
     values = gather_values([seg.gather() for seg in segs])
-    return BucketSegment(keys, values, np.arange(len(keys), dtype=np.int64))
+    return BucketSegment(
+        keys,
+        values,
+        np.arange(len(keys), dtype=np.int64),
+        origin=np.concatenate([seg.rows for seg in segs]),
+    )
 
 
 class ReduceContext:
@@ -752,6 +849,16 @@ class MapReduceJob:
         counters and compute charge.  The join jobs' numpy reducers are
         segmented, so one kernel call sequence serves a whole range of
         cells.
+    distinct_rows:
+        With ``segmented``: the reducer's ``values`` are the range's
+        values each once, ``(rows, counts)`` of :func:`distinct_values`
+        — one value per *(map task, row)* however many of the range's
+        groups received it — instead of every group's values
+        concatenated; ``bounds`` still cut the received values into
+        the groups.  Which groups received a row is the job's routing
+        rule, which the reducer applies (and checks against ``counts``
+        and ``bounds``) itself.  The phase is cut into one range per
+        worker: a range reads each map output row once.
     """
 
     name: str
@@ -768,6 +875,7 @@ class MapReduceJob:
     shuffle_codec: ShuffleCodec = DEFAULT_SHUFFLE_CODEC
     batch_mapper: Callable | None = None
     segmented: bool = False
+    distinct_rows: bool = False
 
     def __post_init__(self) -> None:
         if self.num_reducers < 1:

@@ -50,9 +50,10 @@ def decode_run(line: str) -> Any:
 @dataclass(frozen=True, slots=True)
 class SpillRun:
     """A reference to one spilled run, standing in a reducer's input
-    where the run's emissions were made."""
+    where the run's emissions were made by map task ``task``."""
 
     path: str
+    task: int | None = None
 
 
 @dataclass(slots=True)
@@ -82,5 +83,6 @@ class SpillStore:
             elif rows:
                 out.extend(run.pairs())
             else:
+                run.task = item.task
                 out.append(run)
         return out

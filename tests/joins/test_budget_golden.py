@@ -99,6 +99,9 @@ def test_spilling_changes_nothing(
     eng = result.workflow.counters.engine
     assert eng("spilled_records") > 0
     assert eng("spill_files") > 0
+    # Spilled runs keep each row's (map task, row) identity: no physical
+    # range fell back to running its tasks one at a time.
+    assert C.RANGE_RERUNS not in result.workflow.counters.as_dict()[C.GROUP_ENGINE]
     # Part files: same names, byte-identical content.
     assert snapshot == ref_snapshot
     assert result.tuples == ref.tuples

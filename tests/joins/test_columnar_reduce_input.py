@@ -32,6 +32,7 @@ from repro.joins import reducers
 from repro.joins.registry import make_algorithm
 from repro.kernels import resolve_kernel
 from repro.kernels.batch import RectBatch, RectColumns
+from repro.mapreduce import engine
 from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.engine import (
     Cluster,
@@ -199,18 +200,26 @@ def _fixed_workload():
 )
 def test_reducers_see_columns_exactly_on_the_columnar_path(monkeypatch, mode, columnar):
     """The numpy reducers enter through one function; what reaches it —
-    a range's groups, gathered in one piece — is columns on the
-    columnar shuffle, also under a spilling budget, whose runs are read
-    back as segments where they were emitted."""
+    a range's groups, gathered in one piece, or for All-Replicate the
+    range's distinct rows — is columns on the columnar shuffle, also
+    under a spilling budget, whose runs are read back as segments where
+    they were emitted."""
     seen = []
     real = reducers.range_bags
+    real_distinct = engine.distinct_values
 
     def spy(np_, values, bounds):
         seen.append(isinstance(values, RectColumns))
         return real(np_, values, bounds)
 
+    def distinct_spy(parts):
+        rows, counts = real_distinct(parts)
+        seen.append(isinstance(rows, RectColumns))
+        return rows, counts
+
     monkeypatch.setattr(reducers, "range_bags", spy)
     monkeypatch.setattr("repro.joins.controlled.range_bags", spy)
+    monkeypatch.setattr(engine, "distinct_values", distinct_spy)
     query, datasets = _fixed_workload()
     for name in ALGORITHMS:
         del seen[:]

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import JobError
 from repro.geometry.rectangle import Rect
 from repro.grid.partitioning import GridPartitioning
 from repro.index.grid_index import GridIndex
@@ -26,6 +27,7 @@ from repro.joins.local import LocalJoiner
 from repro.joins.marking import MarkingEngine
 from repro.joins.registry import make_algorithm
 from repro.kernels import resolve_kernel
+from repro.kernels import transforms as _kt
 from repro.mapreduce import engine
 from repro.mapreduce.counters import C
 from repro.mapreduce.engine import Cluster
@@ -62,12 +64,22 @@ ALGORITHMS = ("cascade", "all-rep", "c-rep", "c-rep-l")
 EXECUTORS = [("serial", 1), ("thread", 2), ("process", 2)]
 
 
-def _datasets(names, string_rids: bool = False) -> dict[str, list]:
-    """Rectangles that leave the top-left cell empty (no start falls in
-    it, so no transform sends anything there) and keep ``R3`` in the
-    left half (the right half's round-1 cells miss a dataset); with
-    ``string_rids`` the record ids are decimal strings (the result
-    records read back as integers)."""
+def _allowed(name: str, rect: Rect) -> bool:
+    """Leave the top-left cell empty (no start falls in it, so no
+    transform sends anything there) and keep ``R3`` in the bottom-left
+    quarter: the right half's round-1 cells miss a dataset, and so do
+    All-Replicate's top-half cells, which dominate the starts of pairs
+    their range still searches for the cells below."""
+    if rect.x < 100.0 and rect.y > 300.0:
+        return False
+    return name != "R3" or (rect.x + rect.l < 200.0 and rect.y <= 200.0)
+
+
+def _datasets(names, string_rids: bool = False, extra=()) -> dict[str, list]:
+    """Random rectangles that keep :func:`_allowed`, plus the ``extra``
+    ``(dataset index, rect)`` rows that do; with ``string_rids`` the
+    record ids are decimal strings (the result records read back as
+    integers)."""
     rng = random.Random(23)
     datasets = {}
     for k, name in enumerate(names):
@@ -75,14 +87,34 @@ def _datasets(names, string_rids: bool = False) -> dict[str, list]:
         while len(rects) < 60:
             x, y = rng.uniform(0.0, 390.0), rng.uniform(10.0, 400.0)
             rect = Rect(x, y, rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0))
-            if x < 100.0 and y > 300.0:
-                continue
-            if name == "R3" and x + rect.l >= 200.0:
-                continue
-            rid = 100 * k + len(rects)
-            rects.append((str(rid) if string_rids else rid, rect))
-        datasets[name] = rects
+            if _allowed(name, rect):
+                rects.append(rect)
+        rects += [r for j, r in extra if j % len(names) == k and _allowed(name, r)]
+        datasets[name] = [
+            (str(100 * k + i) if string_rids else 100 * k + i, rect)
+            for i, rect in enumerate(rects)
+        ]
     return datasets
+
+
+#: the grid lines of :data:`GRID` (4 x 4 cells, 100 units wide)
+LINES = (0.0, 100.0, 200.0, 300.0, 400.0)
+
+
+@st.composite
+def edge_rects(draw):
+    """``(dataset index, rect)`` rows starting exactly on grid lines —
+    where a start cell, and so every cell's bag, changes — some wide
+    or tall enough to cross many index buckets (and some exactly a
+    cell wide, ending on the next line)."""
+    rows = []
+    for __ in range(draw(st.integers(0, 10))):
+        x = draw(st.sampled_from(LINES[:-1]) | st.floats(0.0, 390.0))
+        y = draw(st.sampled_from(LINES[1:]) | st.floats(10.0, 400.0))
+        length = draw(st.sampled_from((0.0, 100.0)) | st.floats(0.0, 160.0))
+        breadth = draw(st.sampled_from((0.0, 100.0)) | st.floats(0.0, 160.0))
+        rows.append((draw(st.integers(0, 3)), Rect(x, y, min(length, 400.0 - x), min(breadth, y))))
+    return tuple(rows)
 
 
 def _partition(n: int, mode: str, rng: random.Random) -> list[range]:
@@ -104,6 +136,7 @@ def _run(
     workers=1,
     mode="singletons",
     seed=0,
+    extra=(),
     **cluster_kwargs,
 ):
     """One join under a forced cut; returns everything that must not
@@ -113,7 +146,7 @@ def _run(
     cuts: list[list[range]] = []
     walls: list[tuple[float, float]] = []
 
-    def forced(sizes, floor):
+    def forced(sizes, floor, budget):
         cut = _partition(len(sizes), mode, rng)
         cuts.append(cut)
         return cut
@@ -129,7 +162,7 @@ def _run(
     monkeypatch.setattr(engine, "_task_ranges", forced)
     monkeypatch.setattr(engine, "_reduce_range_body", timed_body)
     cluster = Cluster(executor=executor, num_workers=workers, kernel="numpy", **cluster_kwargs)
-    datasets = _datasets(query.dataset_keys, string_rids=shape in STRING_RIDS)
+    datasets = _datasets(query.dataset_keys, string_rids=shape in STRING_RIDS, extra=extra)
     result = make_algorithm(algorithm, query=query, d_max=D_MAX).run(
         query, datasets, GRID, cluster
     )
@@ -152,14 +185,14 @@ def _run(
     return observed, cuts, jobs, walls
 
 
-_REFERENCE: dict[tuple[str, str], dict] = {}
+_REFERENCE: dict[tuple, dict] = {}
 
 
-def _reference(algorithm: str, shape: str) -> dict:
-    key = (algorithm, shape)
+def _reference(algorithm: str, shape: str, extra=()) -> dict:
+    key = (algorithm, shape, extra)
     if key not in _REFERENCE:
         with pytest.MonkeyPatch.context() as mp:
-            _REFERENCE[key] = _run(mp, algorithm, shape)[0]
+            _REFERENCE[key] = _run(mp, algorithm, shape, extra=extra)[0]
     return _REFERENCE[key]
 
 
@@ -190,10 +223,18 @@ def _assert_stamps_share_each_range(cuts, jobs, walls, executor):
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(mode=st.sampled_from(["whole", "random", "random"]), seed=st.integers(0, 2**16))
-def test_any_cut_of_the_reduce_phases_is_invisible(monkeypatch, algorithm, shape, mode, seed):
-    observed, cuts, jobs, walls = _run(monkeypatch, algorithm, shape, mode=mode, seed=seed)
-    assert observed == _reference(algorithm, shape)
+@given(
+    mode=st.sampled_from(["whole", "random", "random"]),
+    seed=st.integers(0, 2**16),
+    extra=edge_rects(),
+)
+def test_any_cut_of_the_reduce_phases_is_invisible(
+    monkeypatch, algorithm, shape, mode, seed, extra
+):
+    observed, cuts, jobs, walls = _run(
+        monkeypatch, algorithm, shape, mode=mode, seed=seed, extra=extra
+    )
+    assert observed == _reference(algorithm, shape, extra)
     _assert_stamps_share_each_range(cuts, jobs, walls, "serial")
 
 
@@ -235,8 +276,10 @@ def _count_calls(monkeypatch, methods) -> dict[str, int]:
 
 
 def test_segmented_reducers_run_once_per_range(monkeypatch):
-    """A whole-phase range is one marking call and one local join — and
-    for the Cascade one index build and one bulk probe per step — the
+    """A whole-phase range is one marking call and one local join — for
+    the Cascade one index build and one bulk probe per step, and for
+    All-Replicate one index build and one bulk probe per probed dataset
+    (the per-cell reducer made one of each per cell and dataset) — the
     range body does not fall back to per-cell calls."""
     calls = _count_calls(
         monkeypatch, ((MarkingEngine, "select_marked"), (LocalJoiner, "enumerate_columnar"))
@@ -248,6 +291,34 @@ def test_segmented_reducers_run_once_per_range(monkeypatch):
     assert len(cuts) == 2  # one reduce phase per step
     assert calls == {"__init__": 2, "probe_frontier": 2}
     assert all(C.RANGE_RERUNS not in c[C.GROUP_ENGINE] for c in observed["counters"])
+    for shape, probed in (("chain-hybrid", 2), ("self-join", 1), ("star-range", 3)):
+        calls = _count_calls(
+            monkeypatch,
+            ((LocalJoiner, "enumerate_nested"), (GridIndex, "__init__"), (GridIndex, "probe_frontier")),
+        )
+        observed, cuts, __, __ = _run(monkeypatch, "all-rep", shape, mode="whole")
+        assert [len(cut) for cut in cuts] == [1]
+        assert calls == {
+            "enumerate_nested": 1,
+            "__init__": probed,
+            "probe_frontier": len(QUERIES[shape].slots) - 1,
+        }
+        assert all(C.RANGE_RERUNS not in c[C.GROUP_ENGINE] for c in observed["counters"])
+
+
+def test_a_range_received_off_the_quadrant_rule_is_a_named_error(monkeypatch):
+    """All-Replicate's reducer derives each cell's bag from the
+    fourth-quadrant rule and checks it against what the range received:
+    a mapper that sends every rectangle to every cell fails the job —
+    on a range of one cell too — it does not join the wrong bags."""
+
+    def every_cell(np_, grid, batch, d=None, metric="euclidean"):
+        cells = np_.tile(np_.arange(grid.num_cells), batch.n)
+        return cells, np_.full(batch.n, grid.num_cells, dtype=np_.int64)
+
+    monkeypatch.setattr(_kt, "quadrant_cell_lists", every_cell)
+    with pytest.raises(JobError, match="fourth quadrants"):
+        _run(monkeypatch, "all-rep", "chain-overlap", mode="whole")
 
 
 @pytest.mark.parametrize(("executor", "workers"), EXECUTORS)

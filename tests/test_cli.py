@@ -283,6 +283,33 @@ class TestFaultFlags:
         assert "resumed from checkpoint: 1/2 job(s)" in out
         assert "output tuples:" in out
 
+class TestRangeReruns:
+    BASE = ["join", "--algorithm", "all-rep", "--n", "200", "--space", "1000"]
+
+    def test_a_fused_range_falling_back_is_reported(self, capsys, monkeypatch):
+        """A segmented reducer that fails on ranges of several cells still
+        gives the answer — the range's tasks re-run one at a time — but
+        the run says so."""
+        from repro.joins.local import LocalJoiner
+
+        assert main(self.BASE) == 0
+        clean = capsys.readouterr().out
+        assert "range re-runs:" not in clean
+        real = LocalJoiner.enumerate_nested
+
+        def broken(self, bags, starts, cells, shape):
+            if len(cells) > 1:
+                raise RuntimeError("segmented kernel bug")
+            return real(self, bags, starts, cells, shape)
+
+        monkeypatch.setattr(LocalJoiner, "enumerate_nested", broken)
+        assert main(self.BASE) == 0
+        rerun = capsys.readouterr().out
+        line = next(l for l in rerun.splitlines() if l.startswith("range re-runs:"))
+        assert int(line.split()[2]) > 1
+        assert rerun.replace(line + "\n", "") == clean
+
+
 class TestMemoryFlags:
     BASE = ["join", "--algorithm", "c-rep", "--n", "200", "--space", "1000"]
 
